@@ -1,10 +1,11 @@
 """Datacube container, lexicographic reshaping and raw file I/O.
 
 A datacube is a 3-way array (rows x cols x bands).  All public indices are
-0-based.  The lexicographic view stacks the spatial dimensions column-major
-(all rows of column 0, then column 1, ...), so pixel (i, j) maps to
-lexicographic row ``j * ni + i``.  Every operator in this package uses the
-same enumeration, which is what makes the two views interchangeable.
+0-based.  The lexicographic view (``matr``/``unmatr``) stacks the spatial
+dimensions column-major (all rows of column 0, then column 1, ...), so
+pixel (i, j) maps to lexicographic row ``j * ni + i``.  The operators do
+not use it: they act on (ni, nj, nk) arrays, and stacked observations
+ravel in numpy's row-major order.
 
 Acquisitions (single-channel raw images) are handled as plain 2-D
 ``float64`` arrays of shape (ni, nj); stacked multi-part acquisitions as

@@ -17,6 +17,12 @@ samples summed on one focal plane), the plain multiresolution bundle, the
 filter-array mosaic, and the coded-aperture acquisition with the one-pixel
 per-band horizontal shear.
 
+Every preset carries its exact norm.  ``mrca`` and ``multires`` commute
+with shifts by the tile period resp. the ratio; :func:`alias_domain_norm`
+computes their norm from one small matrix per coarse frequency.  ``cfa``
+and ``cassi`` keep the diagonal-Gramian bound of :func:`mosaic`, the only
+exact rule for cassi's random code.
+
 Convolution uses circular boundaries throughout: the adjoint is then an
 exact correlation and the circulant spectral norm (max DFT magnitude of the
 padded kernel) is exact, not just an upper bound.  The coefficient-l2
@@ -61,6 +67,7 @@ __all__ = [
     "sum_channels",
     "mosaic",
     "butterworth_blur",
+    "alias_domain_norm",
     "FormationPreset",
     "FormationModel",
     "formation_preset",
@@ -253,7 +260,11 @@ def spatial_convolve(bank: BlurBank, shape: tuple[int, int, int]) -> LinearOp:
     ni, nj, nk = shape
     if bank.nbands != nk:
         raise ValueError(f"bank holds {bank.nbands} kernels, cube has {nk} bands")
-    K = _padded_kernel_fft(bank.kernels, ni, nj)
+    return _circular_convolve(_padded_kernel_fft(bank.kernels, ni, nj), shape)
+
+
+def _circular_convolve(K: np.ndarray, shape: tuple[int, int, int]) -> LinearOp:
+    """Per-band circular convolution by the kernel spectra ``K``."""
     bound = float(np.max(np.abs(K)))
 
     def forward(x):
@@ -378,6 +389,16 @@ def mosaic(mask: Mask, shift: ShiftMap | None = None) -> LinearOp:
     return op
 
 
+def _butterworth_transfer(ni: int, nj: int, rho_b: float, order: int) -> np.ndarray:
+    """Butterworth magnitude on the (ni, nj) DFT grid."""
+    if rho_b <= 0:
+        raise ValueError("blur diameter must be positive")
+    if order < 1:
+        raise ValueError("filter order must be >= 1")
+    f = np.hypot(np.fft.fftfreq(ni)[:, None], np.fft.fftfreq(nj)[None, :])
+    return 1.0 / np.sqrt(1.0 + (f * rho_b) ** (2 * order))
+
+
 def butterworth_blur(shape, rho_b: float, order: int = 1) -> LinearOp:
     """Zero-phase low-pass with magnitude 1/sqrt(1 + (f/fc)^(2n)).
 
@@ -386,15 +407,7 @@ def butterworth_blur(shape, rho_b: float, order: int = 1) -> LinearOp:
     transfer, hence self-adjoint; the bound is the max transfer magnitude
     (1, at DC).  Works on flat images (2-D) and band-wise on cubes (3-D).
     """
-    if rho_b <= 0:
-        raise ValueError("blur diameter must be positive")
-    if order < 1:
-        raise ValueError("filter order must be >= 1")
-    ni, nj = shape[0], shape[1]
-    fi = np.fft.fftfreq(ni)[:, None]
-    fj = np.fft.fftfreq(nj)[None, :]
-    f = np.hypot(fi, fj)
-    transfer = 1.0 / np.sqrt(1.0 + (f * rho_b) ** (2 * order))
+    transfer = _butterworth_transfer(shape[0], shape[1], rho_b, order)
     if len(shape) == 3:
         transfer = transfer[:, :, None]
     axes = (0, 1)
@@ -404,6 +417,134 @@ def butterworth_blur(shape, rho_b: float, order: int = 1) -> LinearOp:
 
     return LinearOp(shape, shape, apply_transfer, apply_transfer,
                     float(transfer.max()), name=f"butterworth({rho_b:g})")
+
+
+# ---------------------------------------------------------------------------
+# Exact norms of periodic formations
+# ---------------------------------------------------------------------------
+
+# Largest batch of alias-domain Gram entries held at once (complex, 1 MB).
+_ALIAS_CHUNK = 1 << 16
+# Headroom of a Gram bound taken from eigenvalues over their largest value,
+# so that the Cholesky certificate of later batches tolerates the rounding.
+_GRAM_HEADROOM = 1e-10
+
+
+def alias_domain_norm(image_shape: tuple[int, int], period: tuple[int, int],
+                      grams) -> float:
+    """Exact norm of a formation that commutes with shifts by ``period``.
+
+    Let (mi, mj) = (ni/pi, nj/pj).  At each coarse frequency w on the
+    (mi, mj) grid, a field is represented by its pi*pj aliases, the fine
+    frequencies w + (mi*ai, mj*aj), and the formation by one small matrix
+    A(w) (unitary DFT on every field).  Circular convolutions and the
+    Butterworth filter are diagonal there.  Band mixing and channel sums
+    act on the band index only.  A P-periodic mask is the circulant of its
+    tile's DFT divided by pi*pj.  Decimation by the period sums the
+    aliases, each weighted 1/sqrt(pi*pj).
+
+    ``grams(fi, fj)`` returns the Gram matrices A(w) A(w)^H (or A^H A) for
+    a batch of n coarse frequencies, shape (n, m, m).  It gets the fine
+    row and column frequency indices of their aliases, shape (n, pi*pj)
+    each, with alias a = ai*pj + aj.  The result is
+    sqrt(max_w lambda_max(G(w))).  A real operator has A(-w) = conj(A(w))
+    up to an alias permutation, so only the columns wj <= mj/2 are
+    visited, lowest frequencies first and in batches of at most 1 MB of
+    Gram entries.  A batch whose Grams all pass a Cholesky certificate of
+    t*I - G, against the largest eigenvalue t found so far, costs no
+    eigenvalue computation.
+    """
+    ni, nj = image_shape
+    pi, pj = period
+    if ni % pi or nj % pj:
+        raise ValueError(f"period {period} does not divide image size {image_shape}")
+    mi, mj = ni // pi, nj // pj
+    wi, wj = np.meshgrid(np.arange(mi), np.arange(mj // 2 + 1), indexing="ij")
+    order = np.argsort(np.hypot(np.fft.fftfreq(mi)[wi], np.fft.fftfreq(mj)[wj]).ravel(),
+                       kind="stable")
+    ai, aj = np.divmod(np.arange(pi * pj), pj)
+    fi = wi.ravel()[order, None] + mi * ai
+    fj = wj.ravel()[order, None] + mj * aj
+    top = 0.0
+    # the lowest frequency goes alone first: its eigenvalue often certifies all others
+    lo, hi = 0, 1
+    while lo < len(fi):
+        gram = grams(fi[lo:hi], fj[lo:hi])
+        try:
+            np.linalg.cholesky(top * np.eye(gram.shape[1]) - gram)
+        except np.linalg.LinAlgError:
+            top = max(top, float(np.linalg.eigvalsh(gram)[:, -1].max()) * (1 + _GRAM_HEADROOM))
+        lo, hi = hi, hi + max(1, _ALIAS_CHUNK // gram[0].size)
+    return float(np.sqrt(top))
+
+
+def _mask_circulants(mask: Mask, period: tuple[int, int]) -> np.ndarray:
+    """Alias-domain matrices of a periodic mask side by side, one per band:
+    shape (P, nb*P) with P = pi*pj, block b holding at [a, a'] the DFT of
+    band b's tile at a - a', over P."""
+    pi, pj = period
+    c = np.fft.fft2(mask.values[:pi, :pj, :], axes=(0, 1)) / (pi * pj)
+    ai, aj = np.divmod(np.arange(pi * pj), pj)
+    return c[(ai[:, None] - ai) % pi, (aj[:, None] - aj) % pj].transpose(0, 2, 1).reshape(
+        pi * pj, -1)
+
+
+def _alias_spectra(K: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
+    """Per-band spectra (ni, nj, nk) at the aliases: (n, nk*P), band-major."""
+    return np.moveaxis(K[fi, fj], 2, 1).reshape(len(fi), -1)
+
+
+def _mrca_norm(shape, period, K, h_lri: Mask, h_pan: Mask, weights: SpectralWeights,
+               transfer: np.ndarray | None) -> float:
+    """Exact norm of mosaic(h_lri) conv(K) + [transfer] mosaic(h_pan) W.
+
+    A(w) = C diag(s) + T Q: column (k, a') of C holds band k's LRI mask
+    circulant, s the kernel spectra at the aliases, T the transfer at the
+    output aliases and Q = W (x) C_pan.  Its Gram matrix
+    C diag(|s|^2) C^H + (C diag(s) Q^H T + h.c.) + T Q Q^H T
+    is linear in |s|^2 and s, so each batch takes two matrix products.
+    """
+    c = _mask_circulants(h_lri, period)
+    q = np.kron(weights.W, _mask_circulants(h_pan, period))
+    p = c.shape[0]
+    power = np.einsum("ac,bc->cab", c, c.conj()).reshape(c.shape[1], p * p)
+    cross = np.einsum("ac,bc->cab", c, q.conj()).reshape(c.shape[1], p * p)
+    pan = q @ q.conj().T
+
+    def grams(fi, fj):
+        s = _alias_spectra(K, fi, fj)
+        g = ((s.real ** 2 + s.imag ** 2) @ power).reshape(-1, p, p)
+        x = (s @ cross).reshape(-1, p, p)
+        if transfer is None:
+            g += pan
+        else:
+            t = transfer[fi, fj]
+            x *= t[:, None, :]
+            g += t[:, :, None] * pan * t[:, None, :]
+        return g + x + x.conj().swapaxes(1, 2)
+
+    return alias_domain_norm(shape[:2], period, grams)
+
+
+def _multires_norm(shape, ratio: int, K, weights: SpectralWeights) -> float:
+    """Exact norm of the stack of W and decimate(ratio) conv(K)."""
+    p = ratio * ratio
+    hri = np.kron(weights.W, np.eye(p))
+    lri = np.kron(np.eye(shape[2]), np.ones((1, p))) / ratio
+
+    def grams(fi, fj):
+        # HRI rows (j, a): W[j, k] on alias a of band k; LRI row k: the
+        # aliases of band k, filtered and summed with weight 1/ratio
+        a = np.concatenate([np.broadcast_to(hri, (len(fi), *hri.shape)),
+                            lri * _alias_spectra(K, fi, fj)[:, None, :]], axis=1)
+        return a @ a.conj().swapaxes(1, 2)
+
+    return alias_domain_norm(shape[:2], (ratio, ratio), grams)
+
+
+# Relative margin on the alias-domain norms: covers the rounding of the
+# Gram matrices and of their eigenvalues (about 1e-15 relative).
+_NORM_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +651,11 @@ class FormationModel:
         return float(np.prod(self.op.output_shape) / np.prod(self.op.input_shape))
 
 
-def _resolve_masks(preset: FormationPreset) -> tuple[Mask, Mask | None]:
+def _resolve_masks(preset: FormationPreset) -> tuple[Mask, Mask | None, tuple[int, int] | None]:
+    """The LRI and PAN masks of a preset, and the tile period (None for the
+    random code)."""
     if preset.mask == "random":
-        return random_code_mask(preset.ni, preset.nj, preset.nk, seed=preset.seed), None
+        return random_code_mask(preset.ni, preset.nj, preset.nk, seed=preset.seed), None, None
     if preset.mask in BUILTIN_TILES:
         tile = builtin_tile(preset.mask)
     else:
@@ -520,7 +663,20 @@ def _resolve_masks(preset: FormationPreset) -> tuple[Mask, Mask | None]:
     if tile.nchannels != preset.nk:
         raise ValueError(
             f"mask {preset.mask!r} carries {tile.nchannels} channels, preset wants {preset.nk}")
-    return periodic_mask(tile, preset.ni, preset.nj)
+    if preset.ni % tile.period[0] or preset.nj % tile.period[1]:
+        raise ValueError(
+            f"mask {preset.mask!r} has period {tile.period}, which does not divide "
+            f"the image size {(preset.ni, preset.nj)}")
+    return (*periodic_mask(tile, preset.ni, preset.nj), tile.period)
+
+
+def _lri_blur(preset: FormationPreset) -> tuple[LinearOp, np.ndarray]:
+    """The per-band Gaussian blur of the LRI samples and its kernel spectra."""
+    ni, nj, nk = preset.ni, preset.nj, preset.nk
+    bank = gaussian_blur_bank(nk, preset.ratio, preset.lri_blur_gain,
+                              max_radius=(min(ni, nj) - 1) // 2)
+    K = _padded_kernel_fft(bank.kernels, ni, nj)
+    return _circular_convolve(K, (ni, nj, nk)), K
 
 
 def build_formation(preset: FormationPreset) -> FormationModel:
@@ -534,6 +690,11 @@ def build_formation(preset: FormationPreset) -> FormationModel:
       blur) and LRI branch (per-band blur -> LRI mask) summed on one
       focal plane.  No decimation anywhere: the LRI mask already
       suppresses the samples a decimation would drop.
+
+    ``mrca`` and ``multires`` commute with shifts by the tile period resp.
+    the ratio, and carry their exact alias-domain norm (see
+    :func:`alias_domain_norm`) with a relative margin of 1e-9.  ``cfa`` and
+    ``cassi`` carry the exact diagonal-Gramian norm of :func:`mosaic`.
     """
     shape = (preset.ni, preset.nj, preset.nk)
     ni, nj, nk = shape
@@ -541,17 +702,17 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     if preset.name == "multires":
         w = average_weights(nk, preset.np_bands)
         hri_op = spectral_degrade(w, shape)
-        bank = gaussian_blur_bank(nk, preset.ratio, preset.lri_blur_gain,
-                                  max_radius=(min(ni, nj) - 1) // 2)
-        lri_op = compose(decimate(shape, preset.ratio), spatial_convolve(bank, shape))
+        blur, K = _lri_blur(preset)
+        lri_op = compose(decimate(shape, preset.ratio), blur)
         op = stack(hri_op, lri_op)
+        op.norm_bound = _multires_norm(shape, preset.ratio, K, w) * (1 + _NORM_MARGIN)
         n_h = int(np.prod(hri_op.output_shape))
         hri_support = np.zeros(op.output_shape, dtype=bool)
         hri_support[:n_h] = True
         return FormationModel(preset, op, shape,
                               lri_support=~hri_support, hri_support=hri_support)
 
-    h_lri, h_pan = _resolve_masks(preset)
+    h_lri, h_pan, period = _resolve_masks(preset)
 
     if preset.name == "cfa":
         op = mosaic(h_lri)
@@ -572,20 +733,16 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         raise ValueError("the mrca preset needs a mask with PAN pixels (e.g. bt4pan)")
     if preset.np_bands != 1:
         raise ValueError("the mrca preset models a single PAN channel")
-    branch_p = compose(mosaic(h_pan), spectral_degrade(average_weights(nk, 1), shape))
+    w = average_weights(nk, 1)
+    branch_p = compose(mosaic(h_pan), spectral_degrade(w, shape))
+    transfer = None
     if preset.hri_blur == "butterworth":
+        transfer = _butterworth_transfer(ni, nj, preset.rho_b, preset.butter_order)
         branch_p = compose(
             butterworth_blur((ni, nj), preset.rho_b, preset.butter_order), branch_p)
-    bank = gaussian_blur_bank(nk, preset.ratio, preset.lri_blur_gain,
-                              max_radius=(min(ni, nj) - 1) // 2)
-    branch_m = compose(mosaic(h_lri), spatial_convolve(bank, shape))
-    op = add(branch_m, branch_p)
-    disjoint = not np.any(h_lri.pixel_support() & h_pan.pixel_support())
-    if disjoint and preset.hri_blur == "identity":
-        # the branch outputs occupy complementary pixels, so their squared
-        # norms add instead of the triangle-inequality bound
-        op.norm_bound = min(op.norm_bound,
-                            float(np.hypot(branch_m.norm_bound, branch_p.norm_bound)))
+    blur, K = _lri_blur(preset)
+    op = add(compose(mosaic(h_lri), blur), branch_p)
+    op.norm_bound = _mrca_norm(shape, period, K, h_lri, h_pan, w, transfer) * (1 + _NORM_MARGIN)
     op.name = "mrca"
     return FormationModel(preset, op, shape, h_lri=h_lri, h_pan=h_pan,
                           lri_support=h_lri.pixel_support(),

@@ -157,12 +157,16 @@ def baseline_reconstruct(y: np.ndarray, model: FormationModel,
                          smoothing: float | None = None) -> np.ndarray:
     """Simple non-iterative recovery used as a quality floor.
 
-    Mask-based formations: each channel's samples are gathered back to
-    their pixels (undoing the shear when present) and the gaps are filled
-    by normalized low-pass interpolation, i.e. the Gaussian smoothing of
-    the samples divided by the smoothing of the mask; known samples are
-    kept exactly.  Stacked multiresolution bundles: bicubic upsampling of
-    the LRI plus a mean offset aligning it with the HRI.
+    Mask-based formations: each focal-plane cell is spread back over the
+    samples it collects (undoing the shear when present), in proportion to
+    their mask weights and divided by the mask energy the cell collects,
+    i.e. the minimum-norm solution A*(AA*)^-1 y of the mosaic, whose
+    Gramian is diagonal.  A cell that collects one band gives that band's
+    value back exactly.  The gaps are then filled by normalized low-pass
+    interpolation, i.e. the Gaussian smoothing of the samples divided by
+    the smoothing of the mask; known samples are kept.  Stacked
+    multiresolution bundles: bicubic upsampling of the LRI plus a mean
+    offset aligning it with the HRI.
     """
     y = np.asarray(y, dtype=np.float64)
     ni, nj, nk = model.cube_shape
@@ -179,11 +183,12 @@ def baseline_reconstruct(y: np.ndarray, model: FormationModel,
         raise ValueError("baseline needs the formation masks")
     h = model.h_lri.values
 
+    gather = sum_channels(h.shape)
     if model.shift is not None:
-        back = compose(sum_channels(model.shift.output_shape),
-                       shift_apply(model.shift)).adjoint_apply(y)
-    else:
-        back = np.repeat(y[:, :, None], nk, axis=2)
+        gather = compose(sum_channels(model.shift.output_shape), shift_apply(model.shift))
+    # each sample's share of its cell: h / (mask energy the cell collects)
+    back = gather.adjoint_apply(y) * h
+    energy = gather.adjoint_apply(gather.apply(h * h))
 
     out = np.empty((ni, nj, nk))
     for k in range(nk):
@@ -192,7 +197,7 @@ def baseline_reconstruct(y: np.ndarray, model: FormationModel,
         if n_k == 0:
             raise ValueError(f"channel {k} has empty support; cannot reconstruct")
         sigma = smoothing if smoothing is not None else max(1.0, 0.75 * np.sqrt(ni * nj / n_k))
-        samples = np.where(hk > 0, back[:, :, k] / np.where(hk > 0, hk, 1.0), 0.0)
+        samples = np.where(hk > 0, back[:, :, k] / np.where(hk > 0, energy[:, :, k], 1.0), 0.0)
         num = gaussian_filter(samples, sigma, mode="wrap")
         den = gaussian_filter((hk > 0).astype(np.float64), sigma, mode="wrap")
         interp = num / np.maximum(den, 1e-12)

@@ -37,7 +37,8 @@ __all__ = [
 
 
 class SolverDiverged(RuntimeError):
-    """Non-finite iterate: some operator norm bound upstream is violated."""
+    """Non-finite primal or dual iterate: some operator norm bound upstream
+    is violated."""
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,9 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if y.shape != A.output_shape:
         raise ValueError(f"observation shape {y.shape} does not match operator {A.output_shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"observation holds {np.count_nonzero(~np.isfinite(y))} "
+                         "non-finite samples")
     if A.input_shape != L.input_shape:
         raise ValueError("A and L must consume the same cube shape")
     if A.norm_bound <= 0 or L.norm_bound <= 0:
@@ -133,6 +137,10 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
             raise SolverDiverged(
                 f"non-finite iterate at q={q}; check the norm bounds of "
                 f"{A.name} (={A.norm_bound:g}) and {L.name} (={L.norm_bound:g})")
+        if not np.all(np.isfinite(w)):
+            raise SolverDiverged(
+                f"non-finite dual iterate at q={q}; check the norm bound of "
+                f"{L.name} (={L.norm_bound:g})")
         trace.primal_change.append(change)
         trace.wall_time.append(time.perf_counter() - start)
         trace.iterations = q + 1

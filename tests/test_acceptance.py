@@ -114,6 +114,17 @@ def test_criterion_2_norm_bound_soundness():
     assert est > bound.coefficient_l2 * (1 + 1e-6), "counterexample must exceed the l2 value"
     assert est <= bound.exact * (1 + 1e-6)
     assert op.norm_bound == bound.exact
+    # the exact alias-domain norms of the built periodic formations
+    built = {
+        "mrca": formation_preset("mrca", 64, 64, 4),
+        "mrca_bw": formation_preset("mrca", 64, 64, 4, hri_blur="butterworth", rho_b=1.4),
+        "multires": formation_preset("multires", 64, 64, 4),
+    }
+    for name, preset in built.items():
+        op = build_formation(preset).op
+        est = power_iteration_norm(op, iters=100, seed=0)
+        assert est <= op.norm_bound, f"{name}: power {est:.9f} > bound {op.norm_bound:.9f}"
+        checked += 1
     _report("2 (norm bounds dominate)", True,
             f"{checked} block configs + shear/exact counterexample 1.0 vs {bound.coefficient_l2:.4f}")
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -411,6 +413,52 @@ class TestPresetReductions:
         model = build_formation(formation_preset("mrca", 8, 8, 4))
         assert not np.any(model.lri_support & model.hri_support)
         assert np.all(model.lri_support | model.hri_support)
+
+
+class TestExactNorms:
+    """Alias-domain norms of the periodic presets against dense oracles."""
+
+    @staticmethod
+    def _custom_tile_mrca(cells, ni, nj, tmp_path, **overrides):
+        from mrcakit.masks import PeriodicTile, write_mask_file
+        path = str(tmp_path / "tile.txt")
+        write_mask_file(path, PeriodicTile(np.array(cells), 4))
+        return build_formation(formation_preset("mrca", ni, nj, 4, mask=path, **overrides))
+
+    @staticmethod
+    def _assert_exact(op):
+        sigma = np.linalg.svd(to_dense(op), compute_uv=False)[0]
+        assert sigma <= op.norm_bound <= sigma * (1 + 1e-8)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("case", ["mrca", "mrca_butterworth", "mrca_tile2x2", "multires"])
+    def test_bound_matches_dense_svd(self, n, case, tmp_path):
+        if case == "mrca_tile2x2":
+            with pytest.warns(UserWarning, match="never assigns"):
+                model = self._custom_tile_mrca([[-1, 0], [1, -1]], n, n, tmp_path)
+        else:
+            overrides = {"mrca": {}, "multires": {"ratio": 2},
+                         "mrca_butterworth": {"hri_blur": "butterworth", "rho_b": 1.4}}[case]
+            model = build_formation(formation_preset(case.split("_")[0], n, n, 4, **overrides))
+        self._assert_exact(model.op)
+
+    def test_rectangular_period_matches_dense_svd(self, tmp_path):
+        # a 2x4 tile on an 8x16 image, and multires at ratio 3 on 12x6
+        model = self._custom_tile_mrca([[-1, 0, -1, 1], [2, -1, 3, -1]], 8, 16, tmp_path,
+                                       hri_blur="butterworth", rho_b=1.4)
+        self._assert_exact(model.op)
+        self._assert_exact(build_formation(formation_preset("multires", 12, 6, 4, ratio=3)).op)
+
+    def test_mosaic_presets_keep_diagonal_gramian_bound(self):
+        assert build_formation(formation_preset("cfa", 64, 64, 4)).op.norm_bound == 1.0
+        assert build_formation(formation_preset("cassi", 64, 64, 4)).op.norm_bound == 2.0
+
+    @pytest.mark.parametrize("name", ["mrca", "cfa"])
+    def test_undivided_image_size_rejected(self, name):
+        mask = "bt4pan" if name == "mrca" else "quad4"
+        period = re.escape(str(builtin_tile(mask).period))
+        with pytest.raises(ValueError, match=rf"{mask}.*{period}.*\(18, 15\)"):
+            build_formation(formation_preset(name, 18, 15, 4, mask=mask))
 
 
 class TestNoise:

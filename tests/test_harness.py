@@ -124,6 +124,13 @@ class TestBaseline:
         p, _ = model.op.parts.split(y)
         assert out.mean() == pytest.approx(p.mean(), rel=1e-12)
 
+    def test_cassi_floor_is_meaningful(self):
+        # each sheared cell sums up to nk masked bands; dividing by one
+        # band's mask value instead of the cell's mask energy scored ~2 dB
+        spec = PipelineSpec(formation=formation_preset("cassi", 64, 64, 4, noise_sigma=0.01),
+                            method="baseline", seed=11)
+        assert run_pipeline(spec).report.psnr >= 12.0
+
     def test_cassi_floor_runs(self, rng):
         model = build_formation(formation_preset("cassi", 8, 8, 3, seed=4))
         y = model.op.apply(synth_scene(SceneParams(8, 8, 3), seed=4).values)

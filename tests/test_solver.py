@@ -130,6 +130,28 @@ class TestSolve:
                 jodefu_solve(inflate, tv_op(shape), metric_norm("l221"), y,
                              SolverConfig(lam=1e-3, q_max=200))
 
+    def test_dual_divergence_detected(self, rng):
+        # an L whose forward overflows the dual iterate while its (wrong)
+        # adjoint keeps the primal finite: the dual check must name L
+        shape = (6, 6, 1)
+        grad = tv_op(shape)
+        lying = LinearOp(shape, grad.output_shape, lambda x: 1e305 * grad.apply(x),
+                         lambda w: np.zeros(shape), norm_bound=1e-6, name="lying_L")
+        y = rng.standard_normal(shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverDiverged, match=r"dual iterate.*lying_L \(=1e-06\)"):
+                jodefu_solve(identity(shape), lying, metric_norm("l221"), y,
+                             SolverConfig(lam=1e-3, q_max=20))
+
+    def test_non_finite_observation_rejected(self, rng):
+        shape = (4, 4, 2)
+        y = rng.standard_normal(shape)
+        y[1, 2, 0] = np.nan
+        y[3, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="observation holds 2 non-finite"):
+            jodefu_solve(identity(shape), tv_op(shape), metric_norm("l221"), y,
+                         SolverConfig(lam=1.0))
+
     def test_shape_validation(self, rng):
         shape = (4, 4, 2)
         with pytest.raises(ValueError, match="observation"):
