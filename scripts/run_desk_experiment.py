@@ -3,6 +3,13 @@
 scene: simulates the full compressed acquisition (plus the plain mosaic
 and multiresolution variants) and prints a quality table per method.
 
+Each row is one ``run_pipeline`` call with the same ``--seed``, which
+derives both the scene and the noise draw.  Every reconstruction uses the
+model of the device it is given, and ``run_pipeline`` simulates the
+preset plus the PAN blur the method models: the mrca jodefu-v2 row
+therefore sees a device with a 1.4 px Butterworth PAN blur, and a
+different observation than the baseline and jodefu-v1 rows, by design.
+
 Usage:
     python3 scripts/run_desk_experiment.py [--size 64] [--bands 4]
         [--noise 0.01] [--iters 250] [--seed 11] [--out report.csv]

@@ -1,7 +1,7 @@
 """Toolkit for simulating multiresolution compressed acquisitions and
 reconstructing full-resolution datacubes from them."""
 
-from .datacube import DataCube, frobenius_norm, matr, read_datacube, unmatr, write_datacube
+from .datacube import DataCube, read_datacube, write_datacube
 from .formation import (
     BlurBank,
     FormationModel,

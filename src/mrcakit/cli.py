@@ -10,33 +10,26 @@ diagnostic on any failure, 2 on bad flags.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from .datacube import DataCube, read_datacube, write_datacube
-from .formation import (
-    FormationPreset,
-    PRESET_NAMES,
-    add_gaussian_noise,
-    build_formation,
-    equalize_lri_stats,
-    formation_preset,
-)
+from .formation import FormationPreset, PRESET_NAMES, formation_preset
 from .harness import (
     METHODS,
     PipelineSpec,
-    SceneParams,
-    baseline_reconstruct,
+    evaluate,
+    load_reference,
+    read_observation,
+    read_preset,
+    reconstruct,
     run_pipeline,
-    synth_scene,
+    simulate,
+    write_observation,
 )
 from .masks import BUILTIN_TILES, builtin_tile, parse_mask_file, write_mask_file
-from .metrics import QualityReport, compression_ratio, psnr, sam, ssim, write_report
-from .regularizers import NORM_KINDS, gradient_operator, metric_norm
-from .solver import SolverConfig, jodefu_presets, jodefu_solve
+from .metrics import compression_ratio, write_report
+from .regularizers import NORM_KINDS
 
 
 def _add_formation_flags(p: argparse.ArgumentParser) -> None:
@@ -57,10 +50,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-bar", type=float, default=1e-3)
     p.add_argument("--iters", type=int, default=250)
     p.add_argument("--norm", default=None, choices=NORM_KINDS)
-    p.add_argument("--tv", default="tv", help="gradient operator name")
     p.add_argument("--boundary", default="zero", choices=("zero", "replicate"))
-    p.add_argument("--rho-b", type=float, default=None,
-                   help="blur diameter (px) assumed on the PAN samples")
     p.add_argument("--equalize", action="store_true",
                    help="equalize LRI sample statistics to the HRI samples first")
 
@@ -72,81 +62,37 @@ def _preset_from_args(args) -> FormationPreset:
     return formation_preset(args.formation, args.ni, args.nj, args.nk, **overrides)
 
 
+def _solver_fields(args) -> dict:
+    return dict(method=args.method, lambda_bar=args.lambda_bar, iters=args.iters,
+                norm_kind=args.norm, boundary=args.boundary, equalize=args.equalize)
+
+
 def _cmd_simulate(args) -> int:
-    if args.inp:
-        cube = read_datacube(args.inp)
-        preset = dataclasses.replace(_preset_from_args(args),
-                                     ni=cube.ni, nj=cube.nj, nk=cube.nk)
-    else:
-        preset = _preset_from_args(args)
-        cube = synth_scene(SceneParams(preset.ni, preset.nj, preset.nk, rho=args.rho),
-                           seed=args.seed)
-    model = build_formation(preset)
-    y = model.op.apply(cube.values)
-    y = add_gaussian_noise(y, preset.noise_sigma * cube.rho, seed=args.seed + 1)
-    if model.op.parts is not None:
-        for label, block in zip(("hri", "lri"), model.op.parts.split(y)):
-            write_datacube(f"{args.out}_{label}", DataCube(np.atleast_3d(block), rho=cube.rho))
-    else:
-        write_datacube(args.out, DataCube(y[:, :, None], rho=cube.rho))
-    with open(args.out + ".preset", "w", encoding="ascii") as fh:
-        fh.write(preset.to_text())
+    reference, device, _ = load_reference(_preset_from_args(args), args.inp or "synthetic",
+                                          args.rho, args.seed)
+    model, y = simulate(device, reference, args.seed)
+    write_observation(args.out, model, y, reference.rho)
     if not args.inp:
-        write_datacube(args.out + "_reference", cube)
+        write_datacube(args.out + "_reference", reference)
     print(f"wrote observation {args.out} ({model.op.output_shape}, "
           f"compression ratio {model.compression_ratio:.3f})")
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    preset_path = args.preset or args.inp + ".preset"
-    with open(preset_path, "r", encoding="ascii") as fh:
-        preset = FormationPreset.from_text(fh.read())
-    model = build_formation(preset)
-    if model.op.parts is not None:
-        blocks = [read_datacube(f"{args.inp}_{label}").values for label in ("hri", "lri")]
-        rho = read_datacube(f"{args.inp}_hri").rho
-        y = model.op.parts.join(blocks)
-    else:
-        acq = read_datacube(args.inp)
-        y = acq.values[:, :, 0]
-        rho = acq.rho
-    if (args.equalize and model.lri_support is not None
-            and model.hri_support is not None and model.hri_support.any()):
-        y = equalize_lri_stats(y, model.lri_support, model.hri_support)
-
-    if args.method == "baseline":
-        xhat = baseline_reconstruct(y, model)
-    else:
-        # the saved preset describes the actual device; only an explicit
-        # --rho-b swaps the blur assumed by the reconstruction model
-        rp = jodefu_presets(args.method)
-        op = model.op
-        if args.rho_b is not None:
-            rec = dataclasses.replace(preset, hri_blur="butterworth", rho_b=args.rho_b)
-            op = build_formation(rec).op
-        shape = (preset.ni, preset.nj, preset.nk)
-        grad = gradient_operator(args.tv, shape, args.boundary)
-        norm = metric_norm(args.norm or rp.norm_kind)
-        cfg = SolverConfig(lambda_bar=args.lambda_bar, rho_y=rho, q_max=args.iters)
-        xhat, _ = jodefu_solve(op, grad, norm, y, cfg)
+    model, y, rho = read_observation(args.inp, args.preset)
+    spec = PipelineSpec(formation=model.preset, **_solver_fields(args))
+    xhat = reconstruct(spec, model, y, rho)
     write_datacube(args.out, DataCube(xhat, rho=rho))
     print(f"wrote estimate {args.out} {xhat.shape}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    ref = read_datacube(args.ref)
-    est = read_datacube(args.est)
-    rho_c = 1.0
-    if args.preset:
-        with open(args.preset, "r", encoding="ascii") as fh:
-            rho_c = compression_ratio(FormationPreset.from_text(fh.read()))
-    row = QualityReport(
-        dataset=os.path.basename(args.ref), formation=args.formation or "-",
-        reconstruction=args.reconstruction or "-", lambda_bar=None,
-        ssim=ssim(ref, est), psnr=psnr(ref, est), sam=sam(ref, est),
-        compression_ratio=rho_c)
+    rho_c = compression_ratio(read_preset(args.preset)) if args.preset else 1.0
+    row = evaluate(read_datacube(args.ref), read_datacube(args.est),
+                   os.path.basename(args.ref), args.formation or "-",
+                   args.reconstruction or "-", None, rho_c)
     write_report(args.out, [row], args.report)
     print(f"ssim={row.ssim:.4f} psnr={row.psnr:.2f} sam={row.sam:.3f} -> {args.out}")
     return 0
@@ -155,19 +101,13 @@ def _cmd_evaluate(args) -> int:
 def _cmd_pipeline(args) -> int:
     spec = PipelineSpec(
         formation=_preset_from_args(args),
-        method=args.method,
-        lambda_bar=args.lambda_bar,
-        iters=args.iters,
-        norm_kind=args.norm,
-        gradient=args.tv,
-        boundary=args.boundary,
         rho_b=args.rho_b,
-        equalize=args.equalize,
         dataset=args.inp or "synthetic",
         rho=args.rho,
         seed=args.seed,
         out_dir=args.out,
         report_format=args.report,
+        **_solver_fields(args),
     )
     result = run_pipeline(spec)
     r = result.report
@@ -224,6 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--in", dest="inp", default=None, help="reference datacube stem")
     p.add_argument("--rho", type=float, default=1.0, help="synthetic dynamic range")
+    p.add_argument("--rho-b", type=float, default=None,
+                   help="blur diameter (px) on the PAN samples of the simulated device")
     p.add_argument("--out", default=None, help="artifact directory")
     p.add_argument("--report", default="csv", choices=("csv", "json"))
     p.set_defaults(func=_cmd_pipeline)

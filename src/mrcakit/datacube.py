@@ -1,11 +1,8 @@
-"""Datacube container, lexicographic reshaping and raw file I/O.
+"""Datacube container and raw file I/O.
 
 A datacube is a 3-way array (rows x cols x bands).  All public indices are
-0-based.  The lexicographic view (``matr``/``unmatr``) stacks the spatial
-dimensions column-major (all rows of column 0, then column 1, ...), so
-pixel (i, j) maps to lexicographic row ``j * ni + i``.  The operators do
-not use it: they act on (ni, nj, nk) arrays, and stacked observations
-ravel in numpy's row-major order.
+0-based.  The operators act on (ni, nj, nk) arrays, and stacked
+observations ravel in numpy's row-major order.
 
 Acquisitions (single-channel raw images) are handled as plain 2-D
 ``float64`` arrays of shape (ni, nj); stacked multi-part acquisitions as
@@ -20,9 +17,6 @@ import numpy as np
 
 __all__ = [
     "DataCube",
-    "matr",
-    "unmatr",
-    "frobenius_norm",
     "read_datacube",
     "write_datacube",
     "write_ppm",
@@ -81,40 +75,6 @@ class DataCube:
     def shape(self) -> tuple[int, int, int]:
         return self.values.shape
 
-    def matr(self) -> np.ndarray:
-        """Lexicographic (ni*nj, nk) view of the samples."""
-        return matr(self.values)
-
-    def with_values(self, values: np.ndarray) -> "DataCube":
-        """New cube with the same dynamic range and labels."""
-        return DataCube(values, rho=self.rho, band_labels=self.band_labels)
-
-
-def matr(tensor: np.ndarray) -> np.ndarray:
-    """Reshape an (ni, nj, nk) tensor to its (ni*nj, nk) lexicographic form.
-
-    Row ``j * ni + i`` of the result holds pixel (i, j): the image columns
-    are concatenated top to bottom.
-    """
-    t = np.asarray(tensor)
-    if t.ndim != 3:
-        raise ValueError(f"expected 3-D tensor, got shape {t.shape}")
-    ni, nj, nk = t.shape
-    return t.transpose(1, 0, 2).reshape(ni * nj, nk)
-
-
-def unmatr(matrix: np.ndarray, ni: int, nj: int) -> np.ndarray:
-    """Inverse of :func:`matr`: rebuild the (ni, nj, nk) tensor."""
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != ni * nj:
-        raise ValueError(f"expected ({ni * nj}, nk) matrix, got shape {m.shape}")
-    return m.reshape(nj, ni, m.shape[1]).transpose(1, 0, 2)
-
-
-def frobenius_norm(cube) -> float:
-    """Square root of the sum of squares of all samples."""
-    v = cube.values if isinstance(cube, DataCube) else np.asarray(cube, dtype=np.float64)
-    return float(np.linalg.norm(v.ravel()))
 
 
 # ---------------------------------------------------------------------------

@@ -212,11 +212,6 @@ def cassi_shift_map(ni: int, nj: int, nk: int) -> ShiftMap:
     return ShiftMap((ni, nj, nk), out_shape, flat)
 
 
-def identity_shift_map(ni: int, nj: int, nk: int) -> ShiftMap:
-    shape = (ni, nj, nk)
-    return ShiftMap(shape, shape, np.arange(ni * nj * nk))
-
-
 # ---------------------------------------------------------------------------
 # Elementary operators
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .formation import (
     sum_channels,
 )
 from .metrics import QualityReport, psnr, sam, ssim, write_report
-from .regularizers import gradient_operator, metric_norm
+from .regularizers import metric_norm, tv_op
 from .solver import SolverConfig, jodefu_presets, jodefu_solve
 
 __all__ = [
@@ -45,6 +45,13 @@ __all__ = [
     "baseline_reconstruct",
     "PipelineSpec",
     "PipelineResult",
+    "load_reference",
+    "simulate",
+    "read_preset",
+    "write_observation",
+    "read_observation",
+    "reconstruct",
+    "evaluate",
     "run_pipeline",
     "run_sweep",
 ]
@@ -216,7 +223,12 @@ class PipelineSpec:
     compare run.
 
     ``dataset`` is either ``"synthetic"`` or the stem of a datacube file;
-    solver fields override the reconstruction preset defaults.
+    solver fields override the reconstruction preset defaults.  The scene
+    and the noise draw both derive from ``seed`` (see :func:`simulate`).
+
+    The simulated device is ``formation`` plus the PAN blur the method
+    models (``rho_b``, else the 1.4 px Butterworth blur of jodefu-v2), and
+    every reconstruction uses the model of the device it is given.
 
     ``equalize`` applies the LRI/HRI statistics equalization before
     reconstructing.  It compensates radiometric mismatch between real
@@ -230,7 +242,6 @@ class PipelineSpec:
     lambda_bar: float = 1e-3
     iters: int = 250
     norm_kind: str | None = None
-    gradient: str = "tv"
     boundary: str = "zero"
     rho_b: float | None = None
     equalize: bool = False
@@ -260,16 +271,20 @@ def _derived_seeds(seed: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def _load_reference(spec: PipelineSpec) -> tuple[DataCube, FormationPreset, str]:
-    preset = spec.formation
-    if spec.dataset == "synthetic":
-        scene_seed, _ = _derived_seeds(spec.seed)
-        cube = synth_scene(SceneParams(preset.ni, preset.nj, preset.nk, rho=spec.rho),
+def load_reference(preset: FormationPreset, dataset: str = "synthetic", rho: float = 1.0,
+                   seed: int = 0) -> tuple[DataCube, FormationPreset, str]:
+    """Reference stage: the synthetic scene of ``seed`` (dataset
+    ``"synthetic"``, dynamic range ``rho``) or the datacube stored at the
+    stem ``dataset``.  Returns the cube, the preset resized to it and the
+    dataset label of the report."""
+    if dataset == "synthetic":
+        scene_seed, _ = _derived_seeds(seed)
+        cube = synth_scene(SceneParams(preset.ni, preset.nj, preset.nk, rho=rho),
                            seed=scene_seed)
-        return cube, preset, f"synthetic:{spec.seed}"
-    cube = read_datacube(spec.dataset)
+        return cube, preset, f"synthetic:{seed}"
+    cube = read_datacube(dataset)
     preset = dataclasses.replace(preset, ni=cube.ni, nj=cube.nj, nk=cube.nk)
-    return cube, preset, os.path.basename(spec.dataset)
+    return cube, preset, os.path.basename(dataset)
 
 
 def _effective_preset(spec: PipelineSpec, preset: FormationPreset) -> FormationPreset:
@@ -289,69 +304,105 @@ def _effective_preset(spec: PipelineSpec, preset: FormationPreset) -> FormationP
     return preset
 
 
-def _reconstruct(spec: PipelineSpec, model: FormationModel, y: np.ndarray,
-                 rho: float) -> np.ndarray:
+def simulate(device: FormationPreset, reference: DataCube,
+             seed: int = 0) -> tuple[FormationModel, np.ndarray]:
+    """Simulate stage: build the device, acquire the reference and add the
+    noise draw of ``seed`` (sigma = ``noise_sigma`` times the dynamic
+    range).  Returns the model and the raw observation.
+
+    Seed rule: ``SeedSequence(seed)`` yields the scene seed (used by
+    :func:`load_reference`) and the noise seed, so equal seeds give
+    bitwise equal observations on every entry point."""
+    model = build_formation(device)
+    _, noise_seed = _derived_seeds(seed)
+    y = model.op.apply(reference.values)
+    y = add_gaussian_noise(y, device.noise_sigma * reference.rho, seed=noise_seed)
+    return model, y
+
+
+def read_preset(path: str) -> FormationPreset:
+    with open(path, "r", encoding="ascii") as fh:
+        return FormationPreset.from_text(fh.read())
+
+
+def write_observation(stem: str, model: FormationModel, y: np.ndarray, rho: float) -> None:
+    """Write an observation as datacubes (``<stem>``, or ``<stem>_hri`` and
+    ``<stem>_lri`` for a stacked pair; float32 samples) plus the device it
+    came from as ``<stem>.preset``."""
+    if model.op.parts is not None:
+        for label, block in zip(("hri", "lri"), model.op.parts.split(y)):
+            write_datacube(f"{stem}_{label}", DataCube(np.atleast_3d(block), rho=rho))
+    else:
+        write_datacube(stem, DataCube(y[:, :, None], rho=rho))
+    with open(stem + ".preset", "w", encoding="ascii") as fh:
+        fh.write(model.preset.to_text())
+
+
+def read_observation(stem: str, preset_path: str | None = None
+                     ) -> tuple[FormationModel, np.ndarray, float]:
+    """Read what :func:`write_observation` wrote: the device model (from
+    ``preset_path``, default ``<stem>.preset``), the observation and its
+    dynamic range."""
+    model = build_formation(read_preset(preset_path or stem + ".preset"))
+    if model.op.parts is not None:
+        blocks = [read_datacube(f"{stem}_{label}") for label in ("hri", "lri")]
+        return model, model.op.parts.join([b.values for b in blocks]), blocks[0].rho
+    acq = read_datacube(stem)
+    return model, acq.values[:, :, 0], acq.rho
+
+
+def reconstruct(spec: PipelineSpec, model: FormationModel, y: np.ndarray,
+                rho: float) -> np.ndarray:
+    """Reconstruct stage: optionally equalize the observation, then run the
+    baseline or ``jodefu_solve`` with the solver fields of ``spec`` on the
+    device model ``model``."""
+    if (spec.equalize and model.lri_support is not None
+            and model.hri_support is not None
+            and model.lri_support.any() and model.hri_support.any()):
+        y = equalize_lri_stats(y, model.lri_support, model.hri_support)
     if spec.method == "baseline":
         return baseline_reconstruct(y, model)
     rp = jodefu_presets(spec.method)
-    grad = gradient_operator(spec.gradient, model.cube_shape, spec.boundary)
+    grad = tv_op(model.cube_shape, spec.boundary)
     norm = metric_norm(spec.norm_kind or rp.norm_kind)
     cfg = SolverConfig(lambda_bar=spec.lambda_bar, rho_y=rho, q_max=spec.iters)
     xhat, _ = jodefu_solve(model.op, grad, norm, y, cfg)
     return xhat
 
 
-def _write_observation(out_dir: str, model: FormationModel, y: np.ndarray,
-                       rho: float) -> None:
-    if model.op.parts is not None:
-        for label, block in zip(("hri", "lri"), model.op.parts.split(y)):
-            write_datacube(os.path.join(out_dir, f"acquisition_{label}"),
-                           DataCube(np.atleast_3d(block), rho=rho))
-    else:
-        write_datacube(os.path.join(out_dir, "acquisition"),
-                       DataCube(y[:, :, None], rho=rho))
+def evaluate(reference: DataCube, estimate: DataCube, dataset: str, formation: str,
+             reconstruction: str, lambda_bar: float | None,
+             compression_ratio: float) -> QualityReport:
+    """Evaluate stage: one report row comparing the estimate with the
+    reference."""
+    return QualityReport(
+        dataset=dataset, formation=formation, reconstruction=reconstruction,
+        lambda_bar=lambda_bar, ssim=ssim(reference, estimate),
+        psnr=psnr(reference, estimate), sam=sam(reference, estimate),
+        compression_ratio=compression_ratio)
 
 
 def run_pipeline(spec: PipelineSpec) -> PipelineResult:
-    """Execute the four validation steps and optionally write artifacts.
+    """Execute the four validation steps and optionally write artifacts
+    (``reference``, ``estimate``, the observation ``acquisition`` with its
+    ``acquisition.preset``, and ``report.csv``/``.json``) to ``out_dir``.
 
-    Fully deterministic: the scene and the noise draw both derive from
-    ``spec.seed``, so identical specs give bitwise identical outputs.
+    Fully deterministic: identical specs give bitwise identical outputs.
     """
-    reference, preset, dataset_label = _load_reference(spec)
-    preset = _effective_preset(spec, preset)
-    model = build_formation(preset)
-
-    _, noise_seed = _derived_seeds(spec.seed)
-    y = model.op.apply(reference.values)
-    y = add_gaussian_noise(y, preset.noise_sigma * reference.rho, seed=noise_seed)
-    if (spec.equalize and model.lri_support is not None
-            and model.hri_support is not None
-            and model.lri_support.any() and model.hri_support.any()):
-        y = equalize_lri_stats(y, model.lri_support, model.hri_support)
-
-    xhat = _reconstruct(spec, model, y, reference.rho)
+    reference, preset, dataset_label = load_reference(spec.formation, spec.dataset,
+                                                      spec.rho, spec.seed)
+    model, y = simulate(_effective_preset(spec, preset), reference, spec.seed)
+    xhat = reconstruct(spec, model, y, reference.rho)
     estimate = DataCube(xhat, rho=reference.rho, band_labels=reference.band_labels)
-
-    report = QualityReport(
-        dataset=dataset_label,
-        formation=preset.name,
-        reconstruction=spec.method,
-        lambda_bar=None if spec.method == "baseline" else spec.lambda_bar,
-        ssim=ssim(reference, estimate),
-        psnr=psnr(reference, estimate),
-        sam=sam(reference, estimate),
-        compression_ratio=model.compression_ratio,
-    )
+    report = evaluate(reference, estimate, dataset_label, preset.name, spec.method,
+                      None if spec.method == "baseline" else spec.lambda_bar,
+                      model.compression_ratio)
 
     if spec.out_dir is not None:
         os.makedirs(spec.out_dir, exist_ok=True)
         write_datacube(os.path.join(spec.out_dir, "reference"), reference)
         write_datacube(os.path.join(spec.out_dir, "estimate"), estimate)
-        _write_observation(spec.out_dir, model, y, reference.rho)
-        with open(os.path.join(spec.out_dir, "formation.preset"), "w",
-                  encoding="ascii") as fh:
-            fh.write(preset.to_text())
+        write_observation(os.path.join(spec.out_dir, "acquisition"), model, y, reference.rho)
         ext = "json" if spec.report_format == "json" else "csv"
         write_report(os.path.join(spec.out_dir, f"report.{ext}"),
                      [report], spec.report_format)

@@ -34,7 +34,6 @@ __all__ = [
     "tv_adjoint",
     "tv_norm_bound",
     "tv_op",
-    "gradient_operator",
     "MetricNorm",
     "metric_norm",
     "g_eval",
@@ -101,15 +100,6 @@ def tv_op(shape: tuple[int, int, int], boundary: str = "zero") -> LinearOp:
         lambda x: tv_forward(x, boundary),
         lambda w: tv_adjoint(w, boundary),
         TV_NORM_BOUND, name=f"tv[{boundary}]")
-
-
-def gradient_operator(name: str, shape: tuple[int, int, int],
-                      boundary: str = "zero") -> LinearOp:
-    """Gradient transform by name; only the classic two-direction variant
-    ships, but any conforming LinearOp can be passed to the solver."""
-    if name != "tv":
-        raise ValueError(f"unknown gradient operator {name!r}; only 'tv' is built in")
-    return tv_op(shape, boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +215,6 @@ class MetricNorm:
     def __post_init__(self):
         if self.kind not in NORM_KINDS:
             raise ValueError(f"unknown norm kind {self.kind!r}; choose from {NORM_KINDS}")
-
-    def __call__(self, w: np.ndarray) -> float:
-        return g_eval(self.kind, w)
 
     def eval(self, w: np.ndarray) -> float:
         return g_eval(self.kind, w)

@@ -155,18 +155,17 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
 
 @dataclass(frozen=True)
 class ReconstructionPreset:
-    """Named solver setup: gradient transform, metric norm and the blur
-    assumed on the PAN samples by the reconstruction model."""
+    """Named solver setup: metric norm and the blur on the PAN samples of
+    the device the method models."""
 
-    gradient: str
     norm_kind: str
     hri_blur: str
     rho_b: float
 
 
 _PRESETS = {
-    "v1": ReconstructionPreset("tv", "l221", "identity", 0.0),
-    "v2": ReconstructionPreset("tv", "s1l1", "butterworth", 1.4),
+    "v1": ReconstructionPreset("l221", "identity", 0.0),
+    "v2": ReconstructionPreset("s1l1", "butterworth", 1.4),
 }
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from mrcakit.cli import main
 from mrcakit.datacube import read_datacube, write_datacube
-from mrcakit.harness import SceneParams, synth_scene
+from mrcakit.harness import METHODS, SceneParams, synth_scene
 from mrcakit.masks import parse_mask_file
 from mrcakit.metrics import read_report
 
@@ -83,6 +83,49 @@ class TestPipelineCommand:
         with pytest.raises(SystemExit) as exc:
             run("pipeline", "--norm", "l212")
         assert exc.value.code != 0
+
+
+class TestStagedMatchesPipeline:
+    """``simulate -> reconstruct -> evaluate`` against ``pipeline --out``
+    with the same flags.  Observation files hold float32 samples, so the
+    staged estimate matches the pipeline's to float32 rounding."""
+
+    FLAGS = ("--ni", 16, "--nj", 16, "--nk", 4, "--seed", 11, "--noise-sigma", 0.01)
+    FORMATIONS = ("mrca", "multires", "cfa", "cassi")
+
+    def pipeline(self, tmp_path, formation, method):
+        rundir = tmp_path / "run"
+        assert run("pipeline", "--formation", formation, *self.FLAGS, "--method", method,
+                   "--iters", 20, "--out", rundir) == 0
+        return rundir
+
+    @pytest.mark.parametrize("formation", FORMATIONS)
+    @pytest.mark.parametrize("method", ("baseline", "jodefu-v1"))
+    def test_simulate_writes_the_pipeline_files(self, tmp_path, formation, method):
+        rundir = self.pipeline(tmp_path, formation, method)
+        obs = tmp_path / "obs"
+        assert run("simulate", "--formation", formation, *self.FLAGS, "--out", obs) == 0
+        blocks = ("_hri", "_lri") if formation == "multires" else ("",)
+        pairs = [("obs.preset", "acquisition.preset")]
+        for ext in (".raw", ".hdr"):
+            pairs += [(f"obs{b}{ext}", f"acquisition{b}{ext}") for b in blocks]
+            pairs.append((f"obs_reference{ext}", f"reference{ext}"))
+        for staged, piped in pairs:
+            assert (tmp_path / staged).read_bytes() == (rundir / piped).read_bytes(), staged
+
+    @pytest.mark.parametrize("formation", FORMATIONS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_reconstruct_and_evaluate_match_the_pipeline(self, tmp_path, formation, method):
+        rundir = self.pipeline(tmp_path, formation, method)
+        est, rep = tmp_path / "est", tmp_path / "rep.csv"
+        assert run("reconstruct", "--in", rundir / "acquisition", "--method", method,
+                   "--iters", 20, "--out", est) == 0
+        assert run("evaluate", "--ref", rundir / "reference", "--est", est, "--out", rep) == 0
+        np.testing.assert_allclose(read_datacube(str(est)).values,
+                                   read_datacube(str(rundir / "estimate")).values,
+                                   rtol=0, atol=1e-6)
+        assert read_report(str(rep))[0].psnr == pytest.approx(
+            read_report(str(rundir / "report.csv"))[0].psnr, abs=1e-4)
 
 
 class TestFailures:

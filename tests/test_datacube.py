@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from mrcakit.datacube import (
     DataCube,
-    frobenius_norm,
-    matr,
     read_datacube,
-    unmatr,
     write_datacube,
     write_ppm,
 )
@@ -36,55 +32,6 @@ class TestDataCube:
     def test_default_band_labels(self):
         cube = DataCube(np.zeros((2, 2, 3)))
         assert cube.band_labels == ("b0", "b1", "b2")
-
-
-class TestMatr:
-    def test_single_pixel(self):
-        cube = np.array([[[1.0, 2.0, 3.0]]])
-        assert matr(cube).shape == (1, 3)
-        np.testing.assert_array_equal(matr(cube), [[1.0, 2.0, 3.0]])
-
-    def test_column_major_enumeration(self):
-        # pixel (i, j) lands on lexicographic row j*ni + i
-        cube = np.array([[[1.0], [3.0]], [[2.0], [4.0]]])  # x[i,j,0] = column-major 1..4
-        np.testing.assert_array_equal(matr(cube).ravel(), [1.0, 2.0, 3.0, 4.0])
-
-    def test_round_trip_random(self, rng):
-        cube = rng.standard_normal((5, 7, 4))
-        back = unmatr(matr(cube), 5, 7)
-        np.testing.assert_array_equal(back, cube)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 4), st.integers(0, 2 ** 31))
-    def test_round_trip_property(self, ni, nj, nk, seed):
-        cube = np.random.default_rng(seed).standard_normal((ni, nj, nk))
-        np.testing.assert_array_equal(unmatr(matr(cube), ni, nj), cube)
-
-    def test_shape_errors(self):
-        with pytest.raises(ValueError):
-            matr(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            unmatr(np.zeros((5, 2)), 2, 2)
-
-
-class TestFrobenius:
-    def test_zero(self):
-        assert frobenius_norm(DataCube(np.zeros((3, 3, 2)))) == 0.0
-
-    def test_single_sample(self):
-        assert frobenius_norm(DataCube(np.full((1, 1, 1), 3.0))) == 3.0
-
-    def test_known_value(self):
-        # sum of squares 1+4+4+16 = 25
-        cube = np.array([1.0, 2.0, 2.0, 4.0]).reshape(2, 1, 2)
-        assert frobenius_norm(cube) == pytest.approx(5.0, abs=1e-14)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.floats(-1e3, 1e3), st.integers(0, 2 ** 31))
-    def test_homogeneity(self, alpha, seed):
-        cube = np.random.default_rng(seed).standard_normal((3, 4, 2))
-        assert frobenius_norm(alpha * cube) == pytest.approx(
-            abs(alpha) * frobenius_norm(cube), rel=1e-12, abs=1e-9)
 
 
 class TestFileFormat:

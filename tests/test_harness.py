@@ -205,7 +205,7 @@ class TestPipeline:
     def test_pipeline_matches_manual_steps(self):
         # the pipeline equals calling the four steps by hand on one seed
         from mrcakit.formation import add_gaussian_noise
-        from mrcakit.harness import _derived_seeds, _effective_preset, _reconstruct
+        from mrcakit.harness import _derived_seeds, _effective_preset, reconstruct
         from mrcakit.metrics import psnr, sam, ssim
         spec = self.SPEC
         scene_seed, noise_seed = _derived_seeds(spec.seed)
@@ -214,12 +214,27 @@ class TestPipeline:
         model = build_formation(preset)
         y = add_gaussian_noise(model.op.apply(cube.values),
                                preset.noise_sigma * cube.rho, seed=noise_seed)
-        xhat = _reconstruct(spec, model, y, cube.rho)
+        xhat = reconstruct(spec, model, y, cube.rho)
         report = run_pipeline(spec).report
         est = DataCube(xhat, rho=cube.rho)
         assert report.psnr == psnr(cube, est)
         assert report.sam == sam(cube, est)
         assert report.ssim == ssim(cube, est)
+
+    def test_equalize_keeps_the_raw_observation(self):
+        from mrcakit.formation import equalize_lri_stats
+        from mrcakit.regularizers import metric_norm, tv_op
+        from mrcakit.solver import SolverConfig, jodefu_solve
+        spec = PipelineSpec(formation=formation_preset("mrca", 16, 16, 4, noise_sigma=0.01),
+                            iters=20, seed=3)
+        raw = run_pipeline(spec)
+        eq = run_pipeline(dataclasses.replace(spec, equalize=True))
+        np.testing.assert_array_equal(eq.observation, raw.observation)
+        model = build_formation(spec.formation)
+        y = equalize_lri_stats(raw.observation, model.lri_support, model.hri_support)
+        xhat, _ = jodefu_solve(model.op, tv_op(model.cube_shape), metric_norm("l221"), y,
+                               SolverConfig(lambda_bar=spec.lambda_bar, rho_y=1.0, q_max=20))
+        np.testing.assert_array_equal(eq.estimate.values, xhat)
 
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError, match="method"):

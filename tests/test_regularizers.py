@@ -9,7 +9,6 @@ from mrcakit.regularizers import (
     TV_NORM_BOUND,
     block_singular_values,
     g_eval,
-    gradient_operator,
     metric_norm,
     prox_conj,
     tv_adjoint,
@@ -84,11 +83,6 @@ class TestTvNormBound:
     def test_asymptotic_tightness_128(self):
         est = power_iteration_norm(tv_op((128, 128, 4)), iters=300, seed=2)
         assert 0.99 * TV_NORM_BOUND <= est <= TV_NORM_BOUND
-
-    def test_gradient_operator_dispatch(self):
-        assert gradient_operator("tv", (4, 4, 2)).output_shape == (4, 4, 2, 2)
-        with pytest.raises(ValueError, match="gradient"):
-            gradient_operator("utv", (4, 4, 2))
 
 
 class TestGEval:
@@ -229,7 +223,7 @@ class TestMetricNorm:
     def test_bundles_eval_and_prox(self):
         g = metric_norm("l221")
         w = random_field(0)
-        assert g(w) == g_eval("l221", w)
+        assert g.eval(w) == g_eval("l221", w)
         np.testing.assert_array_equal(g.prox_conj(w, 0.3), prox_conj("l221", w, 0.3))
 
     def test_unknown_kind(self):

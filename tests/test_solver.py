@@ -195,7 +195,7 @@ class TestSolve:
 
 class TestPresets:
     def test_v1(self):
-        assert jodefu_presets("v1") == ReconstructionPreset("tv", "l221", "identity", 0.0)
+        assert jodefu_presets("v1") == ReconstructionPreset("l221", "identity", 0.0)
 
     def test_v2_defaults(self):
         p = jodefu_presets("jodefu-v2")
