@@ -50,7 +50,6 @@ from .regularizers import (
     prox_conj,
     tv_adjoint,
     tv_forward,
-    tv_norm_bound,
     tv_op,
 )
 from .solver import SolverConfig, SolverTrace, jodefu_presets, jodefu_solve, objective

@@ -29,7 +29,7 @@ from .harness import (
 )
 from .masks import BUILTIN_TILES, builtin_tile, parse_mask_file, write_mask_file
 from .metrics import compression_ratio, write_report
-from .regularizers import NORM_KINDS
+from .regularizers import BOUNDARIES, NORM_KINDS
 
 
 def _add_formation_flags(p: argparse.ArgumentParser) -> None:
@@ -50,7 +50,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-bar", type=float, default=1e-3)
     p.add_argument("--iters", type=int, default=250)
     p.add_argument("--norm", default=None, choices=NORM_KINDS)
-    p.add_argument("--boundary", default="zero", choices=("zero", "replicate"))
+    p.add_argument("--boundary", default="zero", choices=BOUNDARIES)
     p.add_argument("--equalize", action="store_true",
                    help="equalize LRI sample statistics to the HRI samples first")
 

@@ -376,10 +376,8 @@ def mosaic(mask: Mask, shift: ShiftMap | None = None) -> LinearOp:
             raise ValueError(f"shift consumes {shift.input_shape}, mask produces {mask.shape}")
         chain = compose(shift_apply(shift), chain)
     op = compose(sum_channels(chain.output_shape), chain)
-    energy = mask.values ** 2
-    if shift is not None:
-        energy = shift_apply(shift).apply(energy)
-    op.norm_bound = min(op.norm_bound, float(np.sqrt(energy.sum(axis=2).max())))
+    # diag(AA*) is the mosaic of the mask itself
+    op.norm_bound = min(op.norm_bound, float(np.sqrt(op.apply(mask.values).max())))
     op.name = "mosaic"
     return op
 

@@ -24,17 +24,15 @@ from .formation import (
     FormationPreset,
     add_gaussian_noise,
     build_formation,
-    compose,
     decimate,
     delta_blur_bank,
     equalize_lri_stats,
     gaussian_blur_bank,
-    shift_apply,
+    mosaic,
     spatial_convolve,
-    sum_channels,
 )
 from .metrics import QualityReport, psnr, sam, ssim, write_report
-from .regularizers import metric_norm, tv_op
+from .regularizers import BOUNDARIES, NORM_KINDS, metric_norm, tv_op
 from .solver import SolverConfig, jodefu_presets, jodefu_solve
 
 __all__ = [
@@ -142,8 +140,8 @@ def wald_reduce(hri_highres: DataCube, lri_highres: DataCube, ratio: int,
         blur = (delta_blur_bank(shape[2]) if ratio == 1 else
                 gaussian_blur_bank(shape[2], ratio,
                                    max_radius=(min(shape[0], shape[1]) - 1) // 2))
-    op = compose(decimate(shape, ratio), spatial_convolve(blur, shape))
-    simulated = op.apply(hri_highres.values)
+    blurred = spatial_convolve(blur, shape).apply(hri_highres.values)
+    simulated = decimate(shape, ratio).apply(blurred)
     return lri_highres, DataCube(simulated, rho=hri_highres.rho,
                                  band_labels=hri_highres.band_labels)
 
@@ -189,13 +187,9 @@ def baseline_reconstruct(y: np.ndarray, model: FormationModel,
     if model.h_lri is None:
         raise ValueError("baseline needs the formation masks")
     h = model.h_lri.values
-
-    gather = sum_channels(h.shape)
-    if model.shift is not None:
-        gather = compose(sum_channels(model.shift.output_shape), shift_apply(model.shift))
-    # each sample's share of its cell: h / (mask energy the cell collects)
-    back = gather.adjoint_apply(y) * h
-    energy = gather.adjoint_apply(gather.apply(h * h))
+    M = mosaic(model.h_lri, model.shift)
+    energy = M.apply(h)  # diag(AA*): the mask energy each cell collects
+    back = M.adjoint_apply(np.divide(y, energy, out=np.zeros_like(y), where=energy > 0))
 
     out = np.empty((ni, nj, nk))
     for k in range(nk):
@@ -204,7 +198,7 @@ def baseline_reconstruct(y: np.ndarray, model: FormationModel,
         if n_k == 0:
             raise ValueError(f"channel {k} has empty support; cannot reconstruct")
         sigma = smoothing if smoothing is not None else max(1.0, 0.75 * np.sqrt(ni * nj / n_k))
-        samples = np.where(hk > 0, back[:, :, k] / np.where(hk > 0, energy[:, :, k], 1.0), 0.0)
+        samples = back[:, :, k]
         num = gaussian_filter(samples, sigma, mode="wrap")
         den = gaussian_filter((hk > 0).astype(np.float64), sigma, mode="wrap")
         interp = num / np.maximum(den, 1e-12)
@@ -256,6 +250,14 @@ class PipelineSpec:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.iters < 1:
             raise ValueError("need at least one iteration")
+        if not self.lambda_bar > 0:
+            raise ValueError(f"lambda_bar must be positive, got {self.lambda_bar}")
+        if self.norm_kind is not None and self.norm_kind not in NORM_KINDS:
+            raise ValueError(f"unknown norm_kind {self.norm_kind!r}; choose from {NORM_KINDS}")
+        if self.boundary not in BOUNDARIES:
+            raise ValueError(f"unknown boundary {self.boundary!r}; choose from {BOUNDARIES}")
+        if self.report_format not in ("csv", "json"):
+            raise ValueError(f"unknown report_format {self.report_format!r}; choose csv or json")
 
 
 @dataclass
@@ -418,8 +420,6 @@ def run_sweep(spec: PipelineSpec, axis: str, values) -> list[QualityReport]:
     diameter) around a base run, one report row per point."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    rows = []
-    for value in values:
-        point = dataclasses.replace(spec, **{axis: value}, out_dir=None)
-        rows.append(run_pipeline(point).report)
-    return rows
+    # every point is checked before the first one runs
+    points = [dataclasses.replace(spec, **{axis: value}, out_dir=None) for value in values]
+    return [run_pipeline(point).report for point in points]

@@ -58,10 +58,6 @@ class Mask:
     def shape(self) -> tuple[int, int, int]:
         return self.values.shape
 
-    @property
-    def is_binary(self) -> bool:
-        return bool(np.all((self.values == 0) | (self.values == 1)))
-
     def pixel_support(self) -> np.ndarray:
         """Boolean (ni, nj) map of pixels covered by any band."""
         return np.any(self.values > 0, axis=2)

@@ -32,7 +32,6 @@ __all__ = [
     "TV_NORM_BOUND",
     "tv_forward",
     "tv_adjoint",
-    "tv_norm_bound",
     "tv_op",
     "MetricNorm",
     "metric_norm",
@@ -83,12 +82,6 @@ def tv_adjoint(w: np.ndarray, boundary: str = "zero") -> np.ndarray:
     if w.ndim != 4 or w.shape[3] != 2:
         raise ValueError(f"expected an (ni, nj, nk, 2) field, got shape {w.shape}")
     return _diff_adjoint(w[..., 0], 0, boundary) + _diff_adjoint(w[..., 1], 1, boundary)
-
-
-def tv_norm_bound() -> float:
-    """Certified bound sqrt(8): each difference operator has norm < 2 and
-    the two act on orthogonal axes."""
-    return TV_NORM_BOUND
 
 
 def tv_op(shape: tuple[int, int, int], boundary: str = "zero") -> LinearOp:

@@ -3,16 +3,17 @@
 Minimizes ``0.5 ||A(X) - y||^2 + lam * g(L(X))`` with an over-relaxed
 Loris-Verhoeven iteration.  One iteration runs, verbatim:
 
-    V      = A*(A(X) - y)
+    V      = A*(R)                                # R = A(X) - y
     X_half = X - tau * (V + L*(W))
     W_half = prox(W + sigma * L(X_half))          # dual-ball projection
     X_new  = X - rho_o * tau * (V + L*(W_half))   # V reused, per the scheme
     W_new  = W + rho_o * (W_half - W)
+    R      = A(X_new) - y
 
-with tau = 0.99 / |A|^2, sigma = 1 / (tau |L|^2) derived from the certified
-norm bounds, starting from X = A*(y), W = L(X).  The loop runs a fixed
-number of iterations; an optional early exit on the primal change is
-available but off by default.
+Start: X = A*(y), W = L(X).  R is formed once per iterate (A runs q_max + 1
+times per solve) and the tracked cost 0.5 ||R||^2 + lam * g(L(X)) reuses
+it.  The steps come from the certified norm bounds, tau = 0.99 / |A|^2 and
+sigma = 1 / (tau |L|^2); rho_o is fixed at 1.9; no early exit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ __all__ = [
     "jodefu_solve",
 ]
 
+# Over-relaxation; the iteration converges for any value in (0, 2).
+RHO_O = 1.9
+
 
 class SolverDiverged(RuntimeError):
     """Non-finite primal or dual iterate: some operator norm bound upstream
@@ -45,32 +49,24 @@ class SolverDiverged(RuntimeError):
 class SolverConfig:
     """Iteration parameters.
 
-    The regularization weight can be given directly (``lam``) or in
-    normalized form (``lambda_bar`` times the observation dynamic range
-    ``rho_y``).  Step sizes are derived from the operator norm bounds
-    unless overridden.
+    The regularization weight is ``lambda_bar`` times the observation
+    dynamic range ``rho_y``.  The cost is tracked every ``cost_stride``
+    iterations and at the last one.
     """
 
-    lam: float | None = None
-    lambda_bar: float | None = 1e-3
+    lambda_bar: float = 1e-3
     rho_y: float = 1.0
-    rho_o: float = 1.9
     q_max: int = 250
-    tau: float | None = None
-    sigma: float | None = None
-    early_stop_tol: float | None = None
     cost_stride: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.rho_o < 2.0:
-            raise ValueError(f"over-relaxation must lie in (0, 2), got {self.rho_o}")
         if self.q_max < 1:
             raise ValueError("need at least one iteration")
         if self.cost_stride < 1:
             raise ValueError("cost stride must be positive")
 
     def resolved_lambda(self) -> float:
-        lam = self.lam if self.lam is not None else self.lambda_bar * self.rho_y
+        lam = self.lambda_bar * self.rho_y
         if not lam > 0:
             raise ValueError(f"regularization weight must be positive, got {lam}")
         return float(lam)
@@ -87,12 +83,14 @@ class SolverTrace:
     iterations: int = 0
 
 
+def _cost(residual: np.ndarray, Lx: np.ndarray, g: MetricNorm, lam: float) -> float:
+    return 0.5 * float(np.sum(residual ** 2)) + lam * g.eval(Lx)
+
+
 def objective(A: LinearOp, L: LinearOp, g: MetricNorm, lam: float,
               y: np.ndarray, x: np.ndarray) -> float:
     """Cost ``0.5 ||A(x) - y||^2 + lam * g(L(x))``."""
-    residual = A.apply(x) - np.asarray(y, dtype=np.float64)
-    fidelity = 0.5 * float(np.sum(residual ** 2))
-    return fidelity + lam * g.eval(L.apply(x))
+    return _cost(A.apply(x) - np.asarray(y, dtype=np.float64), L.apply(x), g, lam)
 
 
 def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
@@ -116,20 +114,21 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
     if A.norm_bound <= 0 or L.norm_bound <= 0:
         raise ValueError("solver needs strictly positive norm bounds")
 
-    tau = cfg.tau if cfg.tau is not None else 0.99 / A.norm_bound ** 2
-    sigma = cfg.sigma if cfg.sigma is not None else 1.0 / (tau * L.norm_bound ** 2)
+    tau = 0.99 / A.norm_bound ** 2
+    sigma = 1.0 / (tau * L.norm_bound ** 2)
 
     x = A.adjoint_apply(y)
     w = L.apply(x)
+    r = A.apply(x) - y
     trace = SolverTrace()
     start = time.perf_counter()
 
     for q in range(cfg.q_max):
-        v = A.adjoint_apply(A.apply(x) - y)
+        v = A.adjoint_apply(r)
         x_half = x - tau * (v + L.adjoint_apply(w))
         w_half = g.prox_conj(w + sigma * L.apply(x_half), lam)
-        x_next = x - cfg.rho_o * tau * (v + L.adjoint_apply(w_half))
-        w = w + cfg.rho_o * (w_half - w)
+        x_next = x - RHO_O * tau * (v + L.adjoint_apply(w_half))
+        w = w + RHO_O * (w_half - w)
 
         change = float(np.linalg.norm((x_next - x).ravel()))
         x = x_next
@@ -141,14 +140,13 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
             raise SolverDiverged(
                 f"non-finite dual iterate at q={q}; check the norm bound of "
                 f"{L.name} (={L.norm_bound:g})")
+        r = A.apply(x) - y
         trace.primal_change.append(change)
         trace.wall_time.append(time.perf_counter() - start)
         trace.iterations = q + 1
         if q % cfg.cost_stride == 0 or q == cfg.q_max - 1:
             trace.cost_iters.append(q)
-            trace.costs.append(objective(A, L, g, lam, y, x))
-        if cfg.early_stop_tol is not None and change < cfg.early_stop_tol:
-            break
+            trace.costs.append(_cost(r, L.apply(x), g, lam))
 
     return x, trace
 

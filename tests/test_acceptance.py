@@ -195,14 +195,14 @@ def test_criterion_6_solver_sanity():
     shape = (8, 8, 3)
     y = rng.uniform(0, 1, shape)
     xhat, _ = jodefu_solve(identity(shape), tv_op(shape), metric_norm("l221"), y,
-                           SolverConfig(lam=1e-12, q_max=250))
+                           SolverConfig(lambda_bar=1e-12, q_max=250))
     gap_identity = float(np.max(np.abs(xhat - y)))
 
     scene = synth_scene(SceneParams(8, 8, 1), seed=3)
     noisy = scene.values + rng.normal(0, 0.05, scene.shape)
     A, L, g = identity(scene.shape), tv_op(scene.shape), metric_norm("l221")
-    x_fast, _ = jodefu_solve(A, L, g, noisy, SolverConfig(lam=0.05, q_max=250))
-    x_ref, _ = jodefu_solve(A, L, g, noisy, SolverConfig(lam=0.05, q_max=5000))
+    x_fast, _ = jodefu_solve(A, L, g, noisy, SolverConfig(lambda_bar=0.05, q_max=250))
+    x_ref, _ = jodefu_solve(A, L, g, noisy, SolverConfig(lambda_bar=0.05, q_max=5000))
     o_fast = objective(A, L, g, 0.05, noisy, x_fast)
     o_ref = objective(A, L, g, 0.05, noisy, x_ref)
     rel_gap = abs(o_fast - o_ref) / o_ref

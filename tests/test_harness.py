@@ -240,6 +240,15 @@ class TestPipeline:
         with pytest.raises(ValueError, match="method"):
             PipelineSpec(formation=self.SPEC.formation, method="magic")
 
+    @pytest.mark.parametrize("field, value", [
+        ("report_format", "xml"), ("norm_kind", "l2"), ("boundary", "periodic"),
+        ("lambda_bar", 0.0), ("lambda_bar", -1e-3), ("lambda_bar", float("nan"))])
+    def test_bad_field_rejected_at_construction(self, tmp_path, field, value):
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(self.SPEC, out_dir=str(out), **{field: value})
+        assert not out.exists()
+
 
 class TestSweep:
     def test_lambda_axis_rows(self):
@@ -251,6 +260,16 @@ class TestSweep:
         spec = dataclasses.replace(TestPipeline.SPEC, iters=5)
         rows = run_sweep(spec, "norm_kind", ["l221", "l111"])
         assert len(rows) == 2
+
+    def test_bad_point_rejected_before_the_first_run(self, monkeypatch):
+        import mrcakit.harness as harness
+
+        def no_run(spec):
+            raise AssertionError("a point ran before the sweep was checked")
+
+        monkeypatch.setattr(harness, "run_pipeline", no_run)
+        with pytest.raises(ValueError, match="norm_kind"):
+            run_sweep(TestPipeline.SPEC, "norm_kind", ["l221", "l2"])
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError, match="axis"):

@@ -13,7 +13,6 @@ from mrcakit.regularizers import (
     prox_conj,
     tv_adjoint,
     tv_forward,
-    tv_norm_bound,
     tv_op,
 )
 
@@ -73,7 +72,7 @@ class TestTvAdjoint:
 
 class TestTvNormBound:
     def test_constant_value(self):
-        assert tv_norm_bound() == pytest.approx(np.sqrt(8.0))
+        assert TV_NORM_BOUND == pytest.approx(np.sqrt(8.0))
         assert tv_op((4, 4, 1)).norm_bound == TV_NORM_BOUND
 
     def test_power_iteration_below_bound_64(self):

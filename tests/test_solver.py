@@ -16,23 +16,16 @@ from mrcakit.solver import (
 
 
 class TestSolverConfig:
-    def test_over_relaxation_range(self):
-        with pytest.raises(ValueError):
-            SolverConfig(rho_o=2.0)
-        with pytest.raises(ValueError):
-            SolverConfig(rho_o=0.0)
-
     def test_iteration_count(self):
         with pytest.raises(ValueError):
             SolverConfig(q_max=0)
 
     def test_lambda_resolution(self):
         assert SolverConfig(lambda_bar=1e-3, rho_y=255.0).resolved_lambda() == pytest.approx(0.255)
-        assert SolverConfig(lam=0.5, lambda_bar=None).resolved_lambda() == 0.5
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError):
-            SolverConfig(lam=-1.0).resolved_lambda()
+            SolverConfig(lambda_bar=-1.0).resolved_lambda()
 
 
 class TestObjective:
@@ -65,7 +58,7 @@ class TestSolve:
     def test_identity_tiny_lambda_recovers_data(self, rng):
         shape = (8, 8, 3)
         y = rng.uniform(0, 1, shape)
-        cfg = SolverConfig(lam=1e-12, q_max=250)
+        cfg = SolverConfig(lambda_bar=1e-12, q_max=250)
         xhat, _ = jodefu_solve(identity(shape), tv_op(shape), metric_norm("l221"), y, cfg)
         assert np.max(np.abs(xhat - y)) < 1e-8
 
@@ -75,7 +68,7 @@ class TestSolve:
         x_true = synth_scene(SceneParams(8, 8, 4), seed=2).values
         y = model.op.apply(x_true)
         L, g = tv_op(model.cube_shape), metric_norm("l221")
-        cfg = SolverConfig(lam=1e-3, q_max=50)
+        cfg = SolverConfig(lambda_bar=1e-3, q_max=50)
         xhat, trace = jodefu_solve(model.op, L, g, y, cfg)
         x0 = model.op.adjoint_apply(y)
         assert objective(model.op, L, g, 1e-3, y, xhat) <= objective(model.op, L, g, 1e-3, y, x0)
@@ -84,7 +77,7 @@ class TestSolve:
         shape = (8, 8, 2)
         y = synth_scene(SceneParams(8, 8, 2), seed=4).values
         y = y + rng.normal(0, 0.05, shape)
-        cfg = SolverConfig(lam=0.05, q_max=80)
+        cfg = SolverConfig(lambda_bar=0.05, q_max=80)
         _, trace = jodefu_solve(identity(shape), tv_op(shape), metric_norm("l221"), y, cfg)
         assert trace.costs[-1] <= trace.costs[0]
         assert min(trace.costs) == pytest.approx(trace.costs[-1], rel=1e-6)
@@ -94,8 +87,8 @@ class TestSolve:
         noisy = scene.values + rng.normal(0, 0.05, scene.shape)
         L, g = tv_op(scene.shape), metric_norm("l221")
         A = identity(scene.shape)
-        x_fast, _ = jodefu_solve(A, L, g, noisy, SolverConfig(lam=0.05, q_max=250))
-        x_ref, _ = jodefu_solve(A, L, g, noisy, SolverConfig(lam=0.05, q_max=5000))
+        x_fast, _ = jodefu_solve(A, L, g, noisy, SolverConfig(lambda_bar=0.05, q_max=250))
+        x_ref, _ = jodefu_solve(A, L, g, noisy, SolverConfig(lambda_bar=0.05, q_max=5000))
         o_fast = objective(A, L, g, 0.05, noisy, x_fast)
         o_ref = objective(A, L, g, 0.05, noisy, x_ref)
         assert abs(o_fast - o_ref) / o_ref < 1e-4
@@ -115,7 +108,7 @@ class TestSolve:
         shape = (6, 6, 2)
         y = np.full(shape, 3.0)
         L = tv_op(shape, boundary="replicate")
-        cfg = SolverConfig(lam=1e-6, q_max=20)
+        cfg = SolverConfig(lambda_bar=1e-6, q_max=20)
         xhat, trace = jodefu_solve(identity(shape), L, metric_norm("l221"), y, cfg)
         np.testing.assert_array_equal(xhat, y)
         assert max(trace.primal_change) == 0.0
@@ -128,7 +121,7 @@ class TestSolve:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverDiverged, match="lying"):
                 jodefu_solve(inflate, tv_op(shape), metric_norm("l221"), y,
-                             SolverConfig(lam=1e-3, q_max=200))
+                             SolverConfig(lambda_bar=1e-3, q_max=200))
 
     def test_dual_divergence_detected(self, rng):
         # an L whose forward overflows the dual iterate while its (wrong)
@@ -141,7 +134,7 @@ class TestSolve:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverDiverged, match=r"dual iterate.*lying_L \(=1e-06\)"):
                 jodefu_solve(identity(shape), lying, metric_norm("l221"), y,
-                             SolverConfig(lam=1e-3, q_max=20))
+                             SolverConfig(lambda_bar=1e-3, q_max=20))
 
     def test_non_finite_observation_rejected(self, rng):
         shape = (4, 4, 2)
@@ -150,21 +143,13 @@ class TestSolve:
         y[3, 0, 1] = np.inf
         with pytest.raises(ValueError, match="observation holds 2 non-finite"):
             jodefu_solve(identity(shape), tv_op(shape), metric_norm("l221"), y,
-                         SolverConfig(lam=1.0))
+                         SolverConfig(lambda_bar=1.0))
 
     def test_shape_validation(self, rng):
         shape = (4, 4, 2)
         with pytest.raises(ValueError, match="observation"):
             jodefu_solve(identity(shape), tv_op(shape), metric_norm("l221"),
-                         np.zeros((2, 2)), SolverConfig(lam=1.0))
-
-    def test_early_stop(self, rng):
-        shape = (6, 6, 1)
-        y = np.full(shape, 1.0)
-        cfg = SolverConfig(lam=1e-9, q_max=500, early_stop_tol=1e-12)
-        _, trace = jodefu_solve(identity(shape), tv_op(shape, "replicate"),
-                                metric_norm("l221"), y, cfg)
-        assert trace.iterations < 500
+                         np.zeros((2, 2)), SolverConfig(lambda_bar=1.0))
 
     def test_step_size_safety_ten_thousand_instances(self):
         # with certified bounds the iteration never overflows, whatever
@@ -179,7 +164,7 @@ class TestSolve:
             if A.norm_bound <= 0:
                 continue
             y = rng.standard_normal(A.output_shape)
-            cfg = SolverConfig(lam=float(rng.uniform(1e-6, 1.0)), q_max=3,
+            cfg = SolverConfig(lambda_bar=float(rng.uniform(1e-6, 1.0)), q_max=3,
                                cost_stride=3)
             xhat, _ = jodefu_solve(A, L, g, y, cfg)  # raises SolverDiverged on overflow
             assert np.all(np.isfinite(xhat))
@@ -187,10 +172,47 @@ class TestSolve:
     def test_trace_cost_stride(self, rng):
         shape = (6, 6, 1)
         y = rng.standard_normal(shape)
-        cfg = SolverConfig(lam=0.01, q_max=30, cost_stride=10)
+        cfg = SolverConfig(lambda_bar=0.01, q_max=30, cost_stride=10)
         _, trace = jodefu_solve(identity(shape), tv_op(shape), metric_norm("l221"), y, cfg)
         assert trace.cost_iters == [0, 10, 20, 29]
         assert len(trace.wall_time) == 30
+
+
+class TestResidualReuse:
+    @staticmethod
+    def _problem():
+        model = build_formation(formation_preset("mrca", 8, 8, 4))
+        y = model.op.apply(synth_scene(SceneParams(8, 8, 4), seed=6).values)
+        return model.op, tv_op(model.cube_shape), metric_norm("l221"), y
+
+    @pytest.mark.parametrize("stride", ["one", "q_max"])
+    def test_one_forward_and_one_adjoint_per_iterate(self, stride):
+        A, L, g, y = self._problem()
+        calls = {"A": 0, "At": 0}
+
+        def forward(x):
+            calls["A"] += 1
+            return A.apply(x)
+
+        def adjoint(r):
+            calls["At"] += 1
+            return A.adjoint_apply(r)
+
+        counting = LinearOp(A.input_shape, A.output_shape, forward, adjoint,
+                            A.norm_bound, name=A.name)
+        q_max = 12
+        cfg = SolverConfig(q_max=q_max, cost_stride=1 if stride == "one" else q_max)
+        x, _ = jodefu_solve(counting, L, g, y, cfg)
+        assert calls == {"A": q_max + 1, "At": q_max + 1}
+        np.testing.assert_array_equal(x, jodefu_solve(A, L, g, y, cfg)[0])
+
+    @pytest.mark.parametrize("q_max", [1, 7, 20])
+    def test_last_tracked_cost_is_the_objective(self, q_max):
+        A, L, g, y = self._problem()
+        cfg = SolverConfig(q_max=q_max)
+        xhat, trace = jodefu_solve(A, L, g, y, cfg)
+        assert trace.cost_iters[-1] == q_max - 1
+        assert trace.costs[-1] == objective(A, L, g, cfg.resolved_lambda(), y, xhat)
 
 
 class TestPresets:
