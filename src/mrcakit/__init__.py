@@ -30,9 +30,8 @@ from .harness import (
     run_pipeline,
     run_sweep,
     synth_scene,
-    wald_reduce,
 )
-from .masks import Mask, PeriodicTile, bayer_mask, parse_mask_file, periodic_mask, write_mask_file
+from .masks import Mask, PeriodicTile, parse_mask_file, periodic_mask, write_mask_file
 from .metrics import QualityReport, compression_ratio, psnr, sam, ssim
 from .operators import (
     LinearOp,

@@ -19,7 +19,6 @@ __all__ = [
     "DataCube",
     "read_datacube",
     "write_datacube",
-    "write_ppm",
 ]
 
 
@@ -128,20 +127,3 @@ def read_datacube(path: str) -> DataCube:
         )
     values = payload.reshape(nk, ni, nj).transpose(1, 2, 0).astype(np.float64)
     return DataCube(values, rho=rho, band_labels=labels)
-
-
-def write_ppm(path: str, cube: DataCube, bands: tuple[int, int, int] = (0, 1, 2)) -> None:
-    """Export three selected bands as a binary portable pixmap (P6).
-
-    Values are scaled by the cube's dynamic range and clipped to 0..255.
-    """
-    if len(bands) != 3:
-        raise ValueError("exactly three bands are required")
-    for b in bands:
-        if not 0 <= b < cube.nk:
-            raise ValueError(f"band {b} out of range for {cube.nk}-band cube")
-    rgb = cube.values[:, :, list(bands)]
-    scaled = np.clip(np.round(rgb / cube.rho * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{cube.nj} {cube.ni}\n255\n".encode("ascii"))
-        fh.write(scaled.tobytes())

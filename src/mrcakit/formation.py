@@ -56,7 +56,6 @@ __all__ = [
     "ConvNormBound",
     "average_weights",
     "gaussian_blur_bank",
-    "delta_blur_bank",
     "spectral_degrade",
     "spatial_convolve",
     "conv_norm_bound",
@@ -144,7 +143,6 @@ class BlurBank:
 
 
 def gaussian_blur_bank(nk: int, ratio: int, gain_at_nyquist: float = 0.3,
-                       radius: int | None = None,
                        max_radius: int | None = None) -> BlurBank:
     """Isotropic Gaussian kernels whose frequency response equals
     ``gain_at_nyquist`` at the Nyquist frequency of the 1/ratio grid.
@@ -158,8 +156,7 @@ def gaussian_blur_bank(nk: int, ratio: int, gain_at_nyquist: float = 0.3,
         raise ValueError("ratio must be >= 1")
     f = 1.0 / (2.0 * ratio)
     sigma = np.sqrt(-np.log(gain_at_nyquist) / (2.0 * np.pi ** 2 * f ** 2))
-    if radius is None:
-        radius = max(1, int(np.ceil(4.0 * sigma)))
+    radius = max(1, int(np.ceil(4.0 * sigma)))
     if max_radius is not None:
         radius = min(radius, max(0, max_radius))
     t = np.arange(-radius, radius + 1)
@@ -167,11 +164,6 @@ def gaussian_blur_bank(nk: int, ratio: int, gain_at_nyquist: float = 0.3,
     kernel = np.outer(taps, taps)
     kernel /= kernel.sum()
     return BlurBank(np.repeat(kernel[:, :, None], nk, axis=2))
-
-
-def delta_blur_bank(nk: int) -> BlurBank:
-    """Identity kernels (no blur)."""
-    return BlurBank(np.ones((1, 1, nk)))
 
 
 @dataclass(frozen=True)
@@ -194,7 +186,7 @@ class ShiftMap:
             raise ValueError(f"need one target per input sample ({n_in}), got {tf.size}")
         if tf.min(initial=0) < 0 or tf.max(initial=-1) >= n_out:
             raise ValueError("shift targets out of range")
-        if np.unique(tf).size != tf.size:
+        if np.bincount(tf, minlength=n_out).max(initial=0) > 1:
             raise ValueError("shift map must be one-to-one")
         tf = tf.copy()
         tf.flags.writeable = False
@@ -258,7 +250,7 @@ def spatial_convolve(bank: BlurBank, shape: tuple[int, int, int]) -> LinearOp:
     return _circular_convolve(_padded_kernel_fft(bank.kernels, ni, nj), shape)
 
 
-def _circular_convolve(K: np.ndarray, shape: tuple[int, int, int]) -> LinearOp:
+def _circular_convolve(K: np.ndarray, shape, name: str = "spatial_convolve") -> LinearOp:
     """Per-band circular convolution by the kernel spectra ``K``."""
     bound = float(np.max(np.abs(K)))
 
@@ -268,7 +260,7 @@ def _circular_convolve(K: np.ndarray, shape: tuple[int, int, int]) -> LinearOp:
     def adjoint(y):
         return np.fft.ifft2(np.fft.fft2(y, axes=(0, 1)) * np.conj(K), axes=(0, 1)).real
 
-    return LinearOp(shape, shape, forward, adjoint, bound, name="spatial_convolve")
+    return LinearOp(shape, shape, forward, adjoint, bound, name=name)
 
 
 class ConvNormBound(NamedTuple):
@@ -403,13 +395,7 @@ def butterworth_blur(shape, rho_b: float, order: int = 1) -> LinearOp:
     transfer = _butterworth_transfer(shape[0], shape[1], rho_b, order)
     if len(shape) == 3:
         transfer = transfer[:, :, None]
-    axes = (0, 1)
-
-    def apply_transfer(x):
-        return np.fft.ifft2(np.fft.fft2(x, axes=axes) * transfer, axes=axes).real
-
-    return LinearOp(shape, shape, apply_transfer, apply_transfer,
-                    float(transfer.max()), name=f"butterworth({rho_b:g})")
+    return _circular_convolve(transfer, shape, name=f"butterworth({rho_b:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -596,19 +582,12 @@ class FormationPreset:
         kwargs: dict = {}
         for f in dataclasses.fields(cls):
             if f.name in raw:
-                kwargs[f.name] = _PRESET_FIELD_TYPES[f.name](raw.pop(f.name))
+                kwargs[f.name] = {"str": str, "int": int, "float": float}[f.type](raw.pop(f.name))
         if raw:
             raise ValueError(f"unknown preset keys: {sorted(raw)}")
         if "name" not in kwargs:
             raise ValueError("preset file misses the formation name")
         return cls(**kwargs)
-
-
-_PRESET_FIELD_TYPES = {
-    "name": str, "ni": int, "nj": int, "nk": int, "np_bands": int,
-    "ratio": int, "mask": str, "lri_blur_gain": float, "hri_blur": str,
-    "rho_b": float, "butter_order": int, "noise_sigma": float, "seed": int,
-}
 
 
 _DEFAULT_MASKS = {"mrca": "bt4pan", "cfa": "quad4", "cassi": "random", "multires": "bt4pan"}
@@ -624,17 +603,16 @@ def formation_preset(name: str, ni: int, nj: int, nk: int, **overrides) -> Forma
 class FormationModel:
     """A built acquisition operator together with its mask geometry.
 
-    ``lri_support`` / ``hri_support`` are boolean maps over the observation
-    telling which samples come from the low- resp. high-resolution sensor
-    class (used by the statistics equalization and the baseline
-    reconstructor); either may be None when that sensor class is absent.
+    ``h_lri`` and ``shift`` are the mask and the shear that the baseline
+    reconstructor reads.  ``lri_support`` / ``hri_support`` are boolean
+    maps over the observation telling which samples come from the low-
+    resp. high-resolution sensor class, used only by the statistics
+    equalization; either may be None when that sensor class is absent.
     """
 
     preset: FormationPreset
     op: LinearOp
-    cube_shape: tuple[int, int, int]
     h_lri: Mask | None = None
-    h_pan: Mask | None = None
     shift: ShiftMap | None = None
     lri_support: np.ndarray | None = None
     hri_support: np.ndarray | None = None
@@ -702,24 +680,21 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         n_h = int(np.prod(hri_op.output_shape))
         hri_support = np.zeros(op.output_shape, dtype=bool)
         hri_support[:n_h] = True
-        return FormationModel(preset, op, shape,
-                              lri_support=~hri_support, hri_support=hri_support)
+        return FormationModel(preset, op, lri_support=~hri_support, hri_support=hri_support)
 
     h_lri, h_pan, period = _resolve_masks(preset)
 
     if preset.name == "cfa":
         op = mosaic(h_lri)
         return FormationModel(
-            preset, op, shape, h_lri=h_lri, h_pan=h_pan,
-            lri_support=h_lri.pixel_support(),
+            preset, op, h_lri=h_lri, lri_support=h_lri.pixel_support(),
             hri_support=h_pan.pixel_support() if h_pan is not None else None)
 
     if preset.name == "cassi":
         shift = cassi_shift_map(ni, nj, nk)
         op = mosaic(h_lri, shift)
         support = op.apply(np.ones(shape)) > 0
-        return FormationModel(preset, op, shape, h_lri=h_lri, h_pan=h_pan,
-                              shift=shift, lri_support=support)
+        return FormationModel(preset, op, h_lri=h_lri, shift=shift, lri_support=support)
 
     # full compressed acquisition on one focal plane
     if h_pan is None:
@@ -737,8 +712,7 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     op = add(compose(mosaic(h_lri), blur), branch_p)
     op.norm_bound = _mrca_norm(shape, period, K, h_lri, h_pan, w, transfer) * (1 + _NORM_MARGIN)
     op.name = "mrca"
-    return FormationModel(preset, op, shape, h_lri=h_lri, h_pan=h_pan,
-                          lri_support=h_lri.pixel_support(),
+    return FormationModel(preset, op, h_lri=h_lri, lri_support=h_lri.pixel_support(),
                           hri_support=h_pan.pixel_support())
 
 

@@ -1,8 +1,11 @@
 """End-to-end validation pipeline: reference, simulate, reconstruct, compare.
 
-Synthetic scenes stand in for license-gated satellite bundles: piecewise
-constant patches (gradient-friendly), a smooth ramp and one-pixel lines
-(gradient-adversarial), all deterministic from a seed.  The baseline
+The stages are public (``load_reference``, ``simulate``,
+``write_observation``/``read_observation``, ``reconstruct``, ``evaluate``);
+``run_pipeline`` is their composition and ``run_sweep`` varies one axis of
+it.  Synthetic scenes stand in for license-gated satellite bundles:
+piecewise constant patches (gradient-friendly), a smooth ramp and one-pixel
+lines (gradient-adversarial), all deterministic from a seed.  The baseline
 reconstructor is a deliberately simple floor: per-channel normalized
 low-pass interpolation of the mosaic samples, or plain bicubic upsampling
 for stacked multiresolution bundles.
@@ -19,17 +22,12 @@ from scipy.ndimage import gaussian_filter, map_coordinates
 
 from .datacube import DataCube, read_datacube, write_datacube
 from .formation import (
-    BlurBank,
     FormationModel,
     FormationPreset,
     add_gaussian_noise,
     build_formation,
-    decimate,
-    delta_blur_bank,
     equalize_lri_stats,
-    gaussian_blur_bank,
     mosaic,
-    spatial_convolve,
 )
 from .metrics import QualityReport, psnr, sam, ssim, write_report
 from .regularizers import BOUNDARIES, NORM_KINDS, metric_norm, tv_op
@@ -39,7 +37,6 @@ __all__ = [
     "SceneParams",
     "flat_patch_region",
     "synth_scene",
-    "wald_reduce",
     "baseline_reconstruct",
     "PipelineSpec",
     "PipelineResult",
@@ -68,8 +65,6 @@ class SceneParams:
     nj: int
     nk: int
     rho: float = 1.0
-    n_patches: int = 6
-    n_lines: int = 3
 
 
 def flat_patch_region(ni: int, nj: int) -> tuple[slice, slice]:
@@ -82,10 +77,10 @@ def flat_patch_region(ni: int, nj: int) -> tuple[slice, slice]:
 def synth_scene(params: SceneParams, seed: int = 0) -> DataCube:
     """Deterministic test scene.
 
-    Random constant-spectrum rectangles cover the frame, one fixed
+    Six random constant-spectrum rectangles cover the frame, one fixed
     rectangle (see :func:`flat_patch_region`) is painted last so its
     interior is guaranteed flat, a linear ramp occupies the right half and
-    thin lines cross the right/bottom halves only.  Values stay within
+    three thin lines cross the right/bottom halves only.  Values stay within
     [0, rho].
     """
     ni, nj, nk, rho = params.ni, params.nj, params.nk, params.rho
@@ -94,7 +89,7 @@ def synth_scene(params: SceneParams, seed: int = 0) -> DataCube:
     rng = np.random.default_rng(seed)
     scene = np.tile(rng.uniform(0.25, 0.7, nk) * rho, (ni, nj, 1))
 
-    for _ in range(params.n_patches):
+    for _ in range(6):
         h = int(rng.integers(max(2, ni // 8), max(3, ni // 2)))
         w = int(rng.integers(max(2, nj // 8), max(3, nj // 2)))
         r = int(rng.integers(0, max(1, ni - h)))
@@ -109,7 +104,7 @@ def synth_scene(params: SceneParams, seed: int = 0) -> DataCube:
         ramp = np.linspace(-0.1, 0.1, nj - half) * rho
         scene[:, half:, :] = np.clip(scene[:, half:, :] + ramp[None, :, None], 0, rho)
 
-    for _ in range(params.n_lines):
+    for _ in range(3):
         spectrum = rng.uniform(0.05, 0.95, nk) * rho
         if rng.random() < 0.5:
             scene[:, int(rng.integers(half, nj)), :] = spectrum
@@ -117,33 +112,6 @@ def synth_scene(params: SceneParams, seed: int = 0) -> DataCube:
             scene[int(rng.integers(ni // 2, ni)), :, :] = spectrum
 
     return DataCube(np.clip(scene, 0.0, rho), rho=rho)
-
-
-# ---------------------------------------------------------------------------
-# Reduced-resolution reference preparation
-# ---------------------------------------------------------------------------
-
-
-def wald_reduce(hri_highres: DataCube, lri_highres: DataCube, ratio: int,
-                blur: BlurBank | None = None) -> tuple[DataCube, DataCube]:
-    """Reduced-resolution protocol: the reference is the original LRI and
-    the simulated HRI is the high-resolution HRI blurred and decimated by
-    the scale ratio (so the full-resolution truth is known).
-
-    ``blur`` defaults to the sensor-style Gaussian bank (identity when
-    ratio is 1).
-    """
-    if ratio < 1:
-        raise ValueError("ratio must be >= 1")
-    shape = hri_highres.shape
-    if blur is None:
-        blur = (delta_blur_bank(shape[2]) if ratio == 1 else
-                gaussian_blur_bank(shape[2], ratio,
-                                   max_radius=(min(shape[0], shape[1]) - 1) // 2))
-    blurred = spatial_convolve(blur, shape).apply(hri_highres.values)
-    simulated = decimate(shape, ratio).apply(blurred)
-    return lri_highres, DataCube(simulated, rho=hri_highres.rho,
-                                 band_labels=hri_highres.band_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +126,7 @@ def _bicubic_upsample(band: np.ndarray, ratio: int, out_shape: tuple[int, int]) 
     return map_coordinates(band, grid, order=3, mode="nearest")
 
 
-def baseline_reconstruct(y: np.ndarray, model: FormationModel,
-                         smoothing: float | None = None) -> np.ndarray:
+def baseline_reconstruct(y: np.ndarray, model: FormationModel) -> np.ndarray:
     """Simple non-iterative recovery used as a quality floor.
 
     Mask-based formations: each focal-plane cell is spread back over the
@@ -174,7 +141,7 @@ def baseline_reconstruct(y: np.ndarray, model: FormationModel,
     offset aligning it with the HRI.
     """
     y = np.asarray(y, dtype=np.float64)
-    ni, nj, nk = model.cube_shape
+    ni, nj, nk = model.op.input_shape
 
     if model.preset.name == "multires":
         parts = model.op.parts
@@ -197,7 +164,7 @@ def baseline_reconstruct(y: np.ndarray, model: FormationModel,
         n_k = float(np.count_nonzero(hk))
         if n_k == 0:
             raise ValueError(f"channel {k} has empty support; cannot reconstruct")
-        sigma = smoothing if smoothing is not None else max(1.0, 0.75 * np.sqrt(ni * nj / n_k))
+        sigma = max(1.0, 0.75 * np.sqrt(ni * nj / n_k))
         samples = back[:, :, k]
         num = gaussian_filter(samples, sigma, mode="wrap")
         den = gaussian_filter((hk > 0).astype(np.float64), sigma, mode="wrap")
@@ -365,7 +332,7 @@ def reconstruct(spec: PipelineSpec, model: FormationModel, y: np.ndarray,
     if spec.method == "baseline":
         return baseline_reconstruct(y, model)
     rp = jodefu_presets(spec.method)
-    grad = tv_op(model.cube_shape, spec.boundary)
+    grad = tv_op(model.op.input_shape, spec.boundary)
     norm = metric_norm(spec.norm_kind or rp.norm_kind)
     cfg = SolverConfig(lambda_bar=spec.lambda_bar, rho_y=rho, q_max=spec.iters)
     xhat, _ = jodefu_solve(model.op, grad, norm, y, cfg)

@@ -20,7 +20,6 @@ __all__ = [
     "PeriodicTile",
     "BUILTIN_TILES",
     "builtin_tile",
-    "bayer_mask",
     "periodic_mask",
     "random_code_mask",
     "parse_mask_file",
@@ -146,23 +145,14 @@ def periodic_mask(tile: PeriodicTile, ni: int, nj: int) -> tuple[Mask, Mask]:
     return (Mask(h_lri, tuple(range(nk))), Mask(h_pan, (PAN,)))
 
 
-def bayer_mask(ni: int, nj: int) -> Mask:
-    """3-band binary RGGB mask (R top-left, greens on the anti-diagonal)."""
-    lri, _ = periodic_mask(BUILTIN_TILES["bayer"], ni, nj)
-    return lri
-
-
-def random_code_mask(ni: int, nj: int, nk: int, density: float = 0.5,
-                     seed: int = 0) -> Mask:
+def random_code_mask(ni: int, nj: int, nk: int, seed: int = 0) -> Mask:
     """Single random binary code shared by all bands (coded-aperture style).
 
     Unlike tiled channel-selection masks, every band sees the same 2-D
-    Bernoulli(density) pattern.
+    Bernoulli(1/2) pattern.
     """
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    code = (rng.random((ni, nj)) < density).astype(np.float64)
+    code = (rng.random((ni, nj)) < 0.5).astype(np.float64)
     return Mask(np.repeat(code[:, :, None], nk, axis=2), tuple(range(nk)))
 
 

@@ -45,7 +45,7 @@ def psnr(ref: DataCube, est: DataCube) -> float:
     return 10.0 * math.log10(ref.rho ** 2 / mse)
 
 
-def sam(ref: DataCube, est: DataCube, zero_as_zero_angle: bool = False) -> float:
+def sam(ref: DataCube, est: DataCube) -> float:
     """Mean per-pixel angle between reference and estimated spectra, in
     degrees.
 
@@ -53,7 +53,7 @@ def sam(ref: DataCube, est: DataCube, zero_as_zero_angle: bool = False) -> float
     (``2 asin(|u - v|/2)``), which is exact for identical inputs and does
     not lose precision at small angles the way the arccos form does.
     Pixels where either spectrum is the zero vector are left out of the
-    average (or counted as 0 degrees with ``zero_as_zero_angle``).
+    average; NaN when no pixel is left.
     """
     _check_same_shape(ref, est)
     if ref.nk < 2:
@@ -64,13 +64,11 @@ def sam(ref: DataCube, est: DataCube, zero_as_zero_angle: bool = False) -> float
     ne = np.linalg.norm(e, axis=1)
     valid = (nr > 0) & (ne > 0)
     if not valid.any():
-        return 0.0 if zero_as_zero_angle else math.nan
+        return math.nan
     u = r[valid] / nr[valid, None]
     v = e[valid] / ne[valid, None]
     chord = np.linalg.norm(u - v, axis=1)
     angles = np.degrees(2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)))
-    if zero_as_zero_angle:
-        return float(np.sum(angles) / r.shape[0])
     return float(np.mean(angles))
 
 

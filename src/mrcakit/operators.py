@@ -103,9 +103,6 @@ class LinearOp:
             raise ValueError(f"{self.name}: expected output-shaped {self.output_shape}, got {y.shape}")
         return np.asarray(self._adjoint(y), dtype=np.float64)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
     def __repr__(self) -> str:
         return (f"LinearOp({self.name}: {self.input_shape} -> {self.output_shape}, "
                 f"|.| <= {self.norm_bound:g})")

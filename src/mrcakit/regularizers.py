@@ -17,7 +17,8 @@ lambda, applied pixel by pixel):
 * ``s1l1``  sum over pixels of the nuclear norm of the gradient block.
 
 Alternative gradient transforms can be plugged into the solver as any
-LinearOp producing a 4-way field with a self-declared norm bound.
+LinearOp producing a 4-way field with a self-declared norm bound; ``l221``
+and ``l111`` take any number of directions, ``s1l1`` exactly two.
 """
 
 from __future__ import annotations
@@ -123,20 +124,18 @@ def _gram2_eigs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return mu1, mu2, g11, g22, g12
 
 
-def block_singular_values(w: np.ndarray) -> np.ndarray:
-    """Singular values of every per-pixel (nk, nm) block, largest first.
+def _check_two_directions(w: np.ndarray) -> None:
+    if w.ndim != 4 or w.shape[3] != 2:
+        raise ValueError(f"s1l1 needs an (ni, nj, nk, 2) field, got shape {w.shape}")
 
-    Uses the closed-form 2x2 Gram eigen-decomposition when nm == 2 and a
-    batched SVD otherwise.
-    """
+
+def block_singular_values(w: np.ndarray) -> np.ndarray:
+    """Singular values of every per-pixel (nk, 2) block, largest first, from
+    the closed-form 2x2 Gram eigen-decomposition."""
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 4:
-        raise ValueError(f"expected a 4-D field, got shape {w.shape}")
-    if w.shape[3] == 2:
-        mu1, mu2, *_ = _gram2_eigs(w)
-        return np.stack([np.sqrt(mu1), np.sqrt(mu2)], axis=-1)
-    ni, nj, nk, nm = w.shape
-    return np.linalg.svd(w.reshape(ni * nj, nk, nm), compute_uv=False).reshape(ni, nj, -1)
+    _check_two_directions(w)
+    mu1, mu2, *_ = _gram2_eigs(w)
+    return np.stack([np.sqrt(mu1), np.sqrt(mu2)], axis=-1)
 
 
 def g_eval(kind: str, w: np.ndarray) -> float:
@@ -153,28 +152,24 @@ def g_eval(kind: str, w: np.ndarray) -> float:
 
 def _prox_conj_s1l1(w: np.ndarray, lam: float) -> np.ndarray:
     """Per-pixel projection onto the spectral-norm ball of radius lam."""
-    if w.shape[3] == 2:
-        mu1, mu2, g11, g22, g12 = _gram2_eigs(w)
-        xi1, xi2 = np.sqrt(mu1), np.sqrt(mu2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c1 = np.where(xi1 > lam, lam / xi1, 1.0)
-            c2 = np.where(xi2 > lam, lam / xi2, 1.0)
-        # any scalar function of the symmetric 2x2 Gramian is alpha*I + beta*G
-        gap = mu1 - mu2
-        safe = gap > 1e-12 * np.maximum(mu1, 1e-300)
-        beta = np.where(safe, (c1 - c2) / np.where(safe, gap, 1.0), 0.0)
-        alpha = c1 - beta * mu1
-        m00 = alpha + beta * g11
-        m11 = alpha + beta * g22
-        m01 = beta * g12
-        out = np.empty_like(w)
-        out[..., 0] = w[..., 0] * m00[..., None] + w[..., 1] * m01[..., None]
-        out[..., 1] = w[..., 0] * m01[..., None] + w[..., 1] * m11[..., None]
-        return out
-    ni, nj, nk, nm = w.shape
-    u, s, vt = np.linalg.svd(w.reshape(ni * nj, nk, nm), full_matrices=False)
-    s = np.minimum(s, lam)
-    return (u @ (s[..., None] * vt)).reshape(w.shape)
+    _check_two_directions(w)
+    mu1, mu2, g11, g22, g12 = _gram2_eigs(w)
+    xi1, xi2 = np.sqrt(mu1), np.sqrt(mu2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1 = np.where(xi1 > lam, lam / xi1, 1.0)
+        c2 = np.where(xi2 > lam, lam / xi2, 1.0)
+    # any scalar function of the symmetric 2x2 Gramian is alpha*I + beta*G
+    gap = mu1 - mu2
+    safe = gap > 1e-12 * np.maximum(mu1, 1e-300)
+    beta = np.where(safe, (c1 - c2) / np.where(safe, gap, 1.0), 0.0)
+    alpha = c1 - beta * mu1
+    m00 = alpha + beta * g11
+    m11 = alpha + beta * g22
+    m01 = beta * g12
+    out = np.empty_like(w)
+    out[..., 0] = w[..., 0] * m00[..., None] + w[..., 1] * m01[..., None]
+    out[..., 1] = w[..., 0] * m01[..., None] + w[..., 1] * m11[..., None]
+    return out
 
 
 def prox_conj(kind: str, w: np.ndarray, lam: float) -> np.ndarray:

@@ -5,7 +5,6 @@ from mrcakit.datacube import (
     DataCube,
     read_datacube,
     write_datacube,
-    write_ppm,
 )
 
 
@@ -70,18 +69,3 @@ class TestFileFormat:
             fh.write("ni=2\nnj=2\n")
         with pytest.raises(ValueError, match="missing"):
             read_datacube(stem)
-
-
-class TestPpmExport:
-    def test_writes_valid_p6(self, tmp_path):
-        cube = DataCube(np.linspace(0, 1, 2 * 3 * 3).reshape(2, 3, 3), rho=1.0)
-        path = str(tmp_path / "img.ppm")
-        write_ppm(path, cube, bands=(0, 1, 2))
-        blob = open(path, "rb").read()
-        assert blob.startswith(b"P6\n3 2\n255\n")
-        assert len(blob) == len(b"P6\n3 2\n255\n") + 2 * 3 * 3
-
-    def test_band_out_of_range(self, tmp_path):
-        cube = DataCube(np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError, match="band"):
-            write_ppm(str(tmp_path / "x.ppm"), cube, bands=(0, 1, 2))

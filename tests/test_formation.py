@@ -17,7 +17,6 @@ from mrcakit.formation import (
     cassi_shift_map,
     conv_norm_bound,
     decimate,
-    delta_blur_bank,
     equalize_lri_stats,
     formation_preset,
     gaussian_blur_bank,
@@ -70,7 +69,7 @@ class TestSpectralDegrade:
 class TestSpatialConvolve:
     def test_delta_kernel_is_identity(self, rng):
         x = rng.standard_normal((4, 5, 2))
-        op = spatial_convolve(delta_blur_bank(2), x.shape)
+        op = spatial_convolve(BlurBank(np.ones((1, 1, 2))), x.shape)
         np.testing.assert_allclose(op.apply(x), x, atol=1e-14)
         assert op.norm_bound == pytest.approx(1.0, abs=1e-15)
 
@@ -112,7 +111,7 @@ class TestConvNormBound:
         assert bound.coefficient_l2 < bound.exact
 
     def test_delta_kernel_both_one(self):
-        bound = conv_norm_bound(delta_blur_bank(3), (4, 4))
+        bound = conv_norm_bound(BlurBank(np.ones((1, 1, 3))), (4, 4))
         assert bound.exact == pytest.approx(1.0, abs=1e-15)
         assert bound.coefficient_l2 == pytest.approx(1.0, abs=1e-15)
 

@@ -4,17 +4,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import to_dense
-
 from mrcakit.datacube import DataCube, read_datacube
-from mrcakit.formation import (
-    BlurBank,
-    build_formation,
-    decimate,
-    delta_blur_bank,
-    formation_preset,
-    spatial_convolve,
-)
+from mrcakit.formation import build_formation, formation_preset
 from mrcakit.harness import (
     PipelineSpec,
     SceneParams,
@@ -23,7 +14,6 @@ from mrcakit.harness import (
     run_pipeline,
     run_sweep,
     synth_scene,
-    wald_reduce,
 )
 from mrcakit.masks import Mask
 from mrcakit.metrics import read_report
@@ -57,42 +47,13 @@ class TestSynthScene:
             assert not grads.any()
 
 
-class TestWaldReduce:
-    def test_ratio_one_delta_blur_is_identity(self, rng):
-        hri = DataCube(rng.random((8, 8, 1)))
-        lri = DataCube(rng.random((8, 8, 4)))
-        ref, simulated = wald_reduce(hri, lri, ratio=1)
-        assert ref is lri
-        np.testing.assert_allclose(simulated.values, hri.values, atol=1e-14)
-
-    def test_ratio_two_halves_dims(self, rng):
-        hri = DataCube(rng.random((8, 8, 1)))
-        lri = DataCube(rng.random((4, 4, 4)))
-        _, simulated = wald_reduce(hri, lri, ratio=2)
-        assert simulated.shape == (4, 4, 1)
-
-    def test_matches_dense_composed_oracle(self, rng):
-        hri = DataCube(rng.random((8, 8, 1)))
-        bank = BlurBank(rng.random((3, 3, 1)))
-        _, simulated = wald_reduce(hri, DataCube(rng.random((4, 4, 2))), 2, blur=bank)
-        dense = to_dense(decimate((8, 8, 1), 2)) @ to_dense(spatial_convolve(bank, (8, 8, 1)))
-        expected = (dense @ hri.values.ravel()).reshape(4, 4, 1)
-        np.testing.assert_allclose(simulated.values, expected, atol=1e-12)
-
-    def test_non_divisible_rejected(self, rng):
-        hri = DataCube(rng.random((9, 8, 1)))
-        with pytest.raises(ValueError):
-            wald_reduce(hri, DataCube(rng.random((4, 4, 1))), 2,
-                        blur=delta_blur_bank(1))
-
-
 class TestBaseline:
     def test_full_mask_single_band_returns_observation(self, rng):
         # an all-ones single-channel mask observes the image directly
         from mrcakit.formation import FormationModel, mosaic
         mask = Mask(np.ones((6, 6, 1)), (0,))
         model = FormationModel(formation_preset("cfa", 6, 6, 1, mask="quad4"),
-                               mosaic(mask), (6, 6, 1), h_lri=mask,
+                               mosaic(mask), h_lri=mask,
                                lri_support=mask.pixel_support())
         y = rng.random((6, 6))
         out = baseline_reconstruct(y, model)
@@ -110,7 +71,7 @@ class TestBaseline:
         from mrcakit.formation import FormationModel, mosaic
         mask = Mask(np.zeros((4, 4, 2)), (0, 1))
         model = FormationModel(formation_preset("cfa", 4, 4, 2, mask="quad4"),
-                               mosaic(mask), (4, 4, 2), h_lri=mask)
+                               mosaic(mask), h_lri=mask)
         with pytest.raises(ValueError, match="support"):
             baseline_reconstruct(rng.random((4, 4)), model)
 
@@ -172,7 +133,7 @@ class TestPipeline:
         cube = synth_scene(SceneParams(12, 12, 1), seed=6)
         mask = Mask(np.ones((12, 12, 1)), (0,))
         model = FormationModel(formation_preset("cfa", 12, 12, 1, mask="quad4"),
-                               mosaic(mask), (12, 12, 1),
+                               mosaic(mask),
                                h_lri=mask, lri_support=mask.pixel_support())
         y = model.op.apply(cube.values)
         out = baseline_reconstruct(y, model)
@@ -232,7 +193,7 @@ class TestPipeline:
         np.testing.assert_array_equal(eq.observation, raw.observation)
         model = build_formation(spec.formation)
         y = equalize_lri_stats(raw.observation, model.lri_support, model.hri_support)
-        xhat, _ = jodefu_solve(model.op, tv_op(model.cube_shape), metric_norm("l221"), y,
+        xhat, _ = jodefu_solve(model.op, tv_op(model.op.input_shape), metric_norm("l221"), y,
                                SolverConfig(lambda_bar=spec.lambda_bar, rho_y=1.0, q_max=20))
         np.testing.assert_array_equal(eq.estimate.values, xhat)
 

@@ -7,7 +7,6 @@ from mrcakit.masks import (
     BUILTIN_TILES,
     Mask,
     PeriodicTile,
-    bayer_mask,
     builtin_tile,
     parse_mask_file,
     periodic_mask,
@@ -19,7 +18,7 @@ from mrcakit.operators import compose
 
 class TestBayer:
     def test_every_block_has_1r_2g_1b(self):
-        mask = bayer_mask(6, 6)
+        mask = periodic_mask(BUILTIN_TILES["bayer"], 6, 6)[0]
         for i in range(0, 6, 2):
             for j in range(0, 6, 2):
                 block = mask.values[i:i + 2, j:j + 2, :]
@@ -28,18 +27,18 @@ class TestBayer:
                 assert block[:, :, 2].sum() == 1  # B
 
     def test_greens_on_opposite_vertices(self):
-        mask = bayer_mask(2, 2)
+        mask = periodic_mask(BUILTIN_TILES["bayer"], 2, 2)[0]
         assert mask.values[0, 1, 1] == 1 and mask.values[1, 0, 1] == 1
         assert mask.values[0, 0, 0] == 1  # R top-left
         assert mask.values[1, 1, 2] == 1
 
     def test_column_sums_over_one_tile(self):
-        lex = bayer_mask(2, 2).values.reshape(4, 3)
+        lex = periodic_mask(BUILTIN_TILES["bayer"], 2, 2)[0].values.reshape(4, 3)
         np.testing.assert_array_equal(lex.sum(axis=0), [1, 2, 1])
 
     def test_partition_of_unity_per_pixel(self, rng):
         # equal-band cube masked then summed reproduces the scalar image
-        mask = bayer_mask(4, 6)
+        mask = periodic_mask(BUILTIN_TILES["bayer"], 4, 6)[0]
         img = rng.random((4, 6))
         cube = np.repeat(img[:, :, None], 3, axis=2)
         op = compose(sum_channels(cube.shape), mask_apply(mask))
@@ -101,10 +100,6 @@ class TestMaskType:
         assert np.isin(mask.values, (0, 1)).all()
         for k in (1, 2):
             np.testing.assert_array_equal(mask.values[:, :, k], mask.values[:, :, 0])
-
-    def test_random_code_density_validated(self):
-        with pytest.raises(ValueError):
-            random_code_mask(4, 4, 2, density=1.5)
 
 
 class TestTileFile:

@@ -72,7 +72,6 @@ class TestSam:
         ref[0, 0] = [1.0, 0.0]
         est[0, 0] = [0.0, 1.0]  # second pixel zero in both: skipped
         assert sam(_cube(ref), _cube(est)) == pytest.approx(90.0)
-        assert sam(_cube(ref), _cube(est), zero_as_zero_angle=True) == pytest.approx(45.0)
 
     def test_single_band_rejected(self):
         with pytest.raises(ValueError, match="bands"):

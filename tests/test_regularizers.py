@@ -136,10 +136,14 @@ class TestBlockSingularValues:
         w[0, 0] = np.eye(2) * 3.0  # equal singular values
         np.testing.assert_allclose(block_singular_values(w)[0, 0], [3.0, 3.0], atol=1e-14)
 
-    def test_general_nm_path(self, rng):
-        w = rng.standard_normal((2, 3, 4, 3))
-        oracle = np.linalg.svd(w.reshape(-1, 4, 3), compute_uv=False).reshape(2, 3, 3)
-        np.testing.assert_allclose(block_singular_values(w), oracle, atol=1e-12)
+    def test_three_directions_rejected(self, rng):
+        # the closed form covers two directions; a third must not be dropped
+        with pytest.raises(ValueError, match=r"\(2, 3, 4, 3\)"):
+            block_singular_values(rng.standard_normal((2, 3, 4, 3)))
+
+    def test_s1l1_prox_three_directions_rejected(self, rng):
+        with pytest.raises(ValueError, match=r"\(2, 3, 4, 3\)"):
+            prox_conj("s1l1", rng.standard_normal((2, 3, 4, 3)), 1.0)
 
 
 class TestProxConj:

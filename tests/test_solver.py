@@ -67,7 +67,7 @@ class TestSolve:
         model = build_formation(preset)
         x_true = synth_scene(SceneParams(8, 8, 4), seed=2).values
         y = model.op.apply(x_true)
-        L, g = tv_op(model.cube_shape), metric_norm("l221")
+        L, g = tv_op(model.op.input_shape), metric_norm("l221")
         cfg = SolverConfig(lambda_bar=1e-3, q_max=50)
         xhat, trace = jodefu_solve(model.op, L, g, y, cfg)
         x0 = model.op.adjoint_apply(y)
@@ -96,7 +96,7 @@ class TestSolve:
     def test_deterministic_bitwise(self, rng):
         model = build_formation(formation_preset("mrca", 8, 8, 4))
         y = model.op.apply(synth_scene(SceneParams(8, 8, 4), seed=5).values)
-        L, g = tv_op(model.cube_shape), metric_norm("l221")
+        L, g = tv_op(model.op.input_shape), metric_norm("l221")
         cfg = SolverConfig(lambda_bar=1e-3, q_max=30)
         a, _ = jodefu_solve(model.op, L, g, y, cfg)
         b, _ = jodefu_solve(model.op, L, g, y, cfg)
@@ -183,7 +183,7 @@ class TestResidualReuse:
     def _problem():
         model = build_formation(formation_preset("mrca", 8, 8, 4))
         y = model.op.apply(synth_scene(SceneParams(8, 8, 4), seed=6).values)
-        return model.op, tv_op(model.cube_shape), metric_norm("l221"), y
+        return model.op, tv_op(model.op.input_shape), metric_norm("l221"), y
 
     @pytest.mark.parametrize("stride", ["one", "q_max"])
     def test_one_forward_and_one_adjoint_per_iterate(self, stride):
