@@ -212,6 +212,16 @@ class TestShift:
         with pytest.raises(ValueError, match="range"):
             ShiftMap((1, 2, 1), (1, 2, 1), np.array([0, 5]))
 
+    def test_collision_on_last_target_rejected(self):
+        # the last output position must be counted like any other
+        with pytest.raises(ValueError, match="one-to-one"):
+            ShiftMap((1, 3, 1), (1, 4, 1), np.array([3, 1, 3]))
+
+    def test_last_target_on_larger_canvas_accepted(self):
+        m = ShiftMap((1, 2, 1), (1, 5, 1), np.array([4, 0]))
+        out = shift_apply(m).apply(np.array([[[2.0], [3.0]]]))
+        np.testing.assert_array_equal(out[0, :, 0], [3.0, 0.0, 0.0, 0.0, 2.0])
+
 
 class TestCassiMap:
     def test_single_band_identity_width(self):
@@ -321,6 +331,17 @@ class TestButterworth:
         transfer = 1.0 / np.sqrt(1.0 + (np.hypot(fi, fj) * rho_b) ** (2 * order))
         np.testing.assert_allclose(np.fft.fft2(response).real, transfer, atol=1e-12)
         np.testing.assert_allclose(np.fft.fft2(response).imag, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(64, 64, 4), (16, 24, 3)])
+    def test_cube_filtered_band_by_band(self, rng, shape):
+        cube_op = butterworth_blur(shape, rho_b=1.4)
+        plane_op = butterworth_blur(shape[:2], rho_b=1.4)
+        x = rng.standard_normal(shape)
+        out, back = cube_op.apply(x), cube_op.adjoint_apply(x)
+        for k in range(shape[2]):
+            np.testing.assert_allclose(out[:, :, k], plane_op.apply(x[:, :, k]), atol=1e-12)
+            np.testing.assert_allclose(back[:, :, k], plane_op.adjoint_apply(x[:, :, k]),
+                                       atol=1e-12)
 
     def test_self_adjoint(self, rng):
         op = butterworth_blur((5, 7, 2), rho_b=1.2, order=2)
@@ -532,6 +553,16 @@ class TestPresetSerialization:
     def test_missing_name_rejected(self):
         with pytest.raises(ValueError, match="name"):
             FormationPreset.from_text("ni=4\nnj=4\nnk=3\n")
+
+    def test_fields_parse_to_their_annotated_types(self):
+        back = FormationPreset.from_text("name=mrca\nni=8\nnj=8\nnk=4\nrho_b=2\nseed=3\n")
+        assert type(back.name) is str
+        assert type(back.ni) is int and type(back.seed) is int
+        assert type(back.rho_b) is float and back.rho_b == 2.0
+
+    def test_non_integer_size_rejected(self):
+        with pytest.raises(ValueError):
+            FormationPreset.from_text("name=cfa\nni=4.5\nnj=4\nnk=3\n")
 
     def test_unknown_formation_rejected(self):
         with pytest.raises(ValueError, match="preset"):

@@ -101,6 +101,11 @@ class TestMaskType:
         for k in (1, 2):
             np.testing.assert_array_equal(mask.values[:, :, k], mask.values[:, :, 0])
 
+    def test_random_code_opens_half_the_pixels(self):
+        # Bernoulli(1/2): 4096 draws stay within 5 standard deviations of 0.5
+        mean = random_code_mask(64, 64, 2, seed=4).values.mean()
+        assert abs(mean - 0.5) < 5 * 0.5 / 64
+
 
 class TestTileFile:
     def test_round_trip_builtins(self, tmp_path):
