@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Desk-scale comparison of the reconstruction methods on one synthetic
-scene: simulates the full compressed acquisition (plus the plain mosaic
-and multiresolution variants) and prints a quality table per method.
+scene: simulates the full compressed acquisition (plus the plain mosaic,
+multiresolution and coded-aperture variants) and prints a quality table
+per method: baseline, jodefu-v1 and jodefu-v2 for each of the four
+shipped formations.
 
 Each row is one ``run_pipeline`` call with the same ``--seed``, which
 derives both the scene and the noise draw.  Every reconstruction uses the
@@ -37,6 +39,7 @@ def main() -> int:
         "mrca": formation_preset("mrca", n, n, nk, noise_sigma=args.noise),
         "cfa": formation_preset("cfa", n, n, nk, noise_sigma=args.noise),
         "multires": formation_preset("multires", n, n, nk, noise_sigma=args.noise),
+        "cassi": formation_preset("cassi", n, n, nk, noise_sigma=args.noise),
     }
 
     rows = []

@@ -25,7 +25,10 @@ exact rule for cassi's random code.
 
 Convolution uses circular boundaries throughout: the adjoint is then an
 exact correlation and the circulant spectral norm (max DFT magnitude of the
-padded kernel) is exact, not just an upper bound.  The coefficient-l2
+padded kernel) is exact, not just an upper bound.  ``spatial_convolve`` and
+``butterworth_blur`` share one path: real FFTs (``scipy.fft.rfft2`` /
+``irfft2``) against the half spectrum of the real kernel, and its
+conjugate for the adjoint, both cached at build time.  The coefficient-l2
 value is reported alongside for comparison, but it is NOT certified: for
 the nonnegative kernel [0.5, 0.5] it gives sqrt(0.5) while the true norm
 (the DC gain) is 1.
@@ -38,6 +41,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
 
 from .masks import (
     Mask,
@@ -251,14 +255,22 @@ def spatial_convolve(bank: BlurBank, shape: tuple[int, int, int]) -> LinearOp:
 
 
 def _circular_convolve(K: np.ndarray, shape, name: str = "spatial_convolve") -> LinearOp:
-    """Per-band circular convolution by the kernel spectra ``K``."""
+    """Per-band circular convolution by the kernel spectra ``K`` of a real
+    kernel (Hermitian over the full (ni, nj) DFT grid).
+
+    Real FFTs on the half spectrum K[:, :nj//2+1] and its conjugate, both
+    cached here; the bound reads the full ``K``.
+    """
     bound = float(np.max(np.abs(K)))
+    grid = tuple(shape[:2])
+    half = np.ascontiguousarray(K[:, :grid[1] // 2 + 1])
+    half_conj = np.conj(half)
 
     def forward(x):
-        return np.fft.ifft2(np.fft.fft2(x, axes=(0, 1)) * K, axes=(0, 1)).real
+        return scipy.fft.irfft2(scipy.fft.rfft2(x, axes=(0, 1)) * half, s=grid, axes=(0, 1))
 
     def adjoint(y):
-        return np.fft.ifft2(np.fft.fft2(y, axes=(0, 1)) * np.conj(K), axes=(0, 1)).real
+        return scipy.fft.irfft2(scipy.fft.rfft2(y, axes=(0, 1)) * half_conj, s=grid, axes=(0, 1))
 
     return LinearOp(shape, shape, forward, adjoint, bound, name=name)
 

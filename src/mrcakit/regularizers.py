@@ -101,27 +101,37 @@ def tv_op(shape: tuple[int, int, int], boundary: str = "zero") -> LinearOp:
 # ---------------------------------------------------------------------------
 
 
-def _gram2_eigs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                        np.ndarray, np.ndarray]:
-    """Eigenvalues (mu1 >= mu2) of the 2x2 Gramians W^T W, vectorized over
-    leading axes of an (..., nk, 2) field; also returns the Gram entries.
+def _gram2(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Entries g11, g22, g12 and determinant of the 2x2 Gramians W^T W,
+    vectorized over the leading axes of an (..., nk, 2) field.
 
-    The small eigenvalue comes from det(G)/mu1 with the Gram determinant
-    accumulated as a sum of squared 2x2 minors (Cauchy-Binet), which avoids
-    the catastrophic cancellation of g11*g22 - g12^2 on near-rank-1 blocks.
+    The determinant is the sum of the squared nk(nk-1)/2 distinct 2x2
+    minors (Cauchy-Binet), which avoids the catastrophic cancellation of
+    g11*g22 - g12^2 on near-rank-1 blocks; with nk = 1 it is 0.
     """
     b1, b2 = w[..., 0], w[..., 1]
     g11 = np.einsum("...k,...k->...", b1, b1)
     g22 = np.einsum("...k,...k->...", b2, b2)
     g12 = np.einsum("...k,...k->...", b1, b2)
-    tr = g11 + g22
+    det = np.zeros(w.shape[:-2])
+    for i in range(w.shape[-2] - 1):
+        minors = b1[..., i, None] * b2[..., i + 1:] - b1[..., i + 1:] * b2[..., i, None]
+        det += np.einsum("...k,...k->...", minors, minors)
+    return g11, g22, g12, det
+
+
+def _gram2_eigs(g11: np.ndarray, g22: np.ndarray, g12: np.ndarray,
+                det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (mu1 >= mu2) of the 2x2 Gramians from :func:`_gram2`.
+
+    The small eigenvalue is det/mu1, free of the cancellation of
+    0.5 * (tr - disc) on near-rank-1 blocks.
+    """
     disc = np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 ** 2, 0.0))
-    mu1 = 0.5 * (tr + disc)
-    minors = b1[..., :, None] * b2[..., None, :] - b1[..., None, :] * b2[..., :, None]
-    det = 0.5 * np.einsum("...ij,...ij->...", minors, minors)
+    mu1 = 0.5 * (g11 + g22 + disc)
     with np.errstate(divide="ignore", invalid="ignore"):
         mu2 = np.where(mu1 > 0.0, det / np.where(mu1 > 0.0, mu1, 1.0), 0.0)
-    return mu1, mu2, g11, g22, g12
+    return mu1, mu2
 
 
 def _check_two_directions(w: np.ndarray) -> None:
@@ -134,7 +144,7 @@ def block_singular_values(w: np.ndarray) -> np.ndarray:
     the closed-form 2x2 Gram eigen-decomposition."""
     w = np.asarray(w, dtype=np.float64)
     _check_two_directions(w)
-    mu1, mu2, *_ = _gram2_eigs(w)
+    mu1, mu2 = _gram2_eigs(*_gram2(w))
     return np.stack([np.sqrt(mu1), np.sqrt(mu2)], axis=-1)
 
 
@@ -146,14 +156,18 @@ def g_eval(kind: str, w: np.ndarray) -> float:
     if kind == "l111":
         return float(np.sum(np.abs(w)))
     if kind == "s1l1":
-        return float(np.sum(block_singular_values(w)))
+        # nuclear norm of an (nk x 2) block: (s1 + s2)^2 = tr G + 2 sqrt(det G)
+        _check_two_directions(w)
+        g11, g22, _, det = _gram2(w)
+        return float(np.sum(np.sqrt(g11 + g22 + 2.0 * np.sqrt(det))))
     raise ValueError(f"unknown norm kind {kind!r}; choose from {NORM_KINDS}")
 
 
 def _prox_conj_s1l1(w: np.ndarray, lam: float) -> np.ndarray:
     """Per-pixel projection onto the spectral-norm ball of radius lam."""
     _check_two_directions(w)
-    mu1, mu2, g11, g22, g12 = _gram2_eigs(w)
+    g11, g22, g12, det = _gram2(w)
+    mu1, mu2 = _gram2_eigs(g11, g22, g12, det)
     xi1, xi2 = np.sqrt(mu1), np.sqrt(mu2)
     with np.errstate(divide="ignore", invalid="ignore"):
         c1 = np.where(xi1 > lam, lam / xi1, 1.0)

@@ -90,10 +90,27 @@ class TestSpatialConvolve:
             circulant[j, (j + 1) % 4] = 0.5
         np.testing.assert_allclose(to_dense(op), circulant, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(5, 7, 2), (4, 6, 3)])
+    def test_non_symmetric_kernel_matches_dense_circulant_oracle(self, rng, shape):
+        # odd and even widths: the real-FFT round trip must keep both
+        ni, nj, nk = shape
+        kernels = rng.standard_normal((3, 4, nk))
+        op = spatial_convolve(BlurBank(kernels), shape)
+        # out[i, j, k] = sum_ab kernels[a, b, k] x[i - a + 1, j - b + 2, k], circularly
+        circulant = np.zeros((ni * nj * nk,) * 2)
+        for i, j, k, a, b in np.ndindex(ni, nj, nk, 3, 4):
+            src = np.ravel_multi_index(((i - a + 1) % ni, (j - b + 2) % nj, k), shape)
+            circulant[np.ravel_multi_index((i, j, k), shape), src] += kernels[a, b, k]
+        np.testing.assert_allclose(to_dense(op), circulant, atol=1e-13)
+        adjoint = np.stack([op.adjoint_apply(e.reshape(shape)).ravel()
+                            for e in np.eye(ni * nj * nk)], axis=1)
+        np.testing.assert_allclose(adjoint, circulant.T, atol=1e-13)
+
     def test_adjoint_is_correlation(self, rng):
-        bank = BlurBank(rng.standard_normal((3, 2, 3)))
-        op = spatial_convolve(bank, (5, 6, 3))
-        assert adjoint_dot_test(op, trials=20, seed=2) < 1e-10
+        for shape in ((5, 6, 3), (5, 7, 2), (4, 6, 3)):
+            bank = BlurBank(rng.standard_normal((3, 2, shape[2])))
+            op = spatial_convolve(bank, shape)
+            assert adjoint_dot_test(op, trials=20, seed=2) < 1e-10
 
     def test_kernel_larger_than_image(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -320,17 +337,17 @@ class TestButterworth:
         np.testing.assert_allclose(op.apply(x), x, atol=1e-12)
 
     def test_impulse_response_matches_transfer_oracle(self):
-        ni = nj = 16
         rho_b, order = 2.0, 3
-        op = butterworth_blur((ni, nj), rho_b, order)
-        impulse = np.zeros((ni, nj))
-        impulse[0, 0] = 1.0
-        response = op.apply(impulse)
-        fi = np.fft.fftfreq(ni)[:, None]
-        fj = np.fft.fftfreq(nj)[None, :]
-        transfer = 1.0 / np.sqrt(1.0 + (np.hypot(fi, fj) * rho_b) ** (2 * order))
-        np.testing.assert_allclose(np.fft.fft2(response).real, transfer, atol=1e-12)
-        np.testing.assert_allclose(np.fft.fft2(response).imag, 0.0, atol=1e-12)
+        for ni, nj in ((16, 16), (9, 11)):  # even and odd grids
+            op = butterworth_blur((ni, nj), rho_b, order)
+            impulse = np.zeros((ni, nj))
+            impulse[0, 0] = 1.0
+            response = op.apply(impulse)
+            fi = np.fft.fftfreq(ni)[:, None]
+            fj = np.fft.fftfreq(nj)[None, :]
+            transfer = 1.0 / np.sqrt(1.0 + (np.hypot(fi, fj) * rho_b) ** (2 * order))
+            np.testing.assert_allclose(np.fft.fft2(response).real, transfer, atol=1e-12)
+            np.testing.assert_allclose(np.fft.fft2(response).imag, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(64, 64, 4), (16, 24, 3)])
     def test_cube_filtered_band_by_band(self, rng, shape):
@@ -344,8 +361,9 @@ class TestButterworth:
                                        atol=1e-12)
 
     def test_self_adjoint(self, rng):
-        op = butterworth_blur((5, 7, 2), rho_b=1.2, order=2)
-        assert adjoint_dot_test(op, trials=10, seed=5) < 1e-12
+        for shape in ((5, 7, 2), (9, 11)):
+            op = butterworth_blur(shape, rho_b=1.2, order=2)
+            assert adjoint_dot_test(op, trials=10, seed=5) < 1e-12
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

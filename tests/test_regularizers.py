@@ -146,6 +146,50 @@ class TestBlockSingularValues:
             prox_conj("s1l1", rng.standard_normal((2, 3, 4, 3)), 1.0)
 
 
+def s1l1_field(seed, nk):
+    """(2, 5, nk, 2) field: random blocks on row 0, near-rank-1 blocks on
+    row 1 (second singular value about 1e-7 of the first)."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((2, 5, nk, 2))
+    w[1] = (rng.standard_normal((5, nk, 1)) * rng.standard_normal((5, 1, 2))
+            + 1e-7 * rng.standard_normal((5, nk, 2)))
+    return w
+
+
+def svd_oracle(w):
+    """Per-pixel singular values of the (nk, 2) blocks, padded to two."""
+    s = np.linalg.svd(w, compute_uv=False)
+    padded = np.zeros(w.shape[:2] + (2,))
+    padded[..., :s.shape[-1]] = s
+    return padded
+
+
+@pytest.mark.parametrize("nk", [1, 2, 3, 4, 7])
+class TestS1l1AgainstSvd:
+    def test_block_singular_values(self, nk):
+        w = s1l1_field(nk, nk)
+        ours = block_singular_values(w)
+        # absolute 1e-13 pins the ~1e-7 small values, which the cancelling
+        # route sqrt(0.5 * (tr - disc)) would get wrong by ~1e-8
+        np.testing.assert_allclose(ours, svd_oracle(w), rtol=0, atol=1e-13)
+        if nk == 1:
+            assert np.all(ours[..., 1] == 0.0)  # no 2x2 minors: det G = 0
+
+    def test_g_eval(self, nk):
+        w = s1l1_field(nk, nk)
+        per_pixel = [g_eval("s1l1", w[i:i + 1, j:j + 1]) for i, j in np.ndindex(w.shape[:2])]
+        oracle = svd_oracle(w).sum(axis=-1)
+        np.testing.assert_allclose(per_pixel, oracle.ravel(), rtol=1e-13)
+        assert g_eval("s1l1", w) == pytest.approx(oracle.sum(), rel=1e-13)
+
+    def test_prox(self, nk):
+        lam = 1.0
+        w = s1l1_field(nk, nk)
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
+        oracle = u @ (np.minimum(s, lam)[..., None] * vt)
+        np.testing.assert_allclose(prox_conj("s1l1", w, lam), oracle, atol=1e-12)
+
+
 class TestProxConj:
     @pytest.mark.parametrize("kind", ["l221", "l111", "s1l1"])
     def test_inside_ball_unchanged(self, kind):

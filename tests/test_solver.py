@@ -6,6 +6,7 @@ from mrcakit.harness import SceneParams, synth_scene
 from mrcakit.operators import LinearOp, identity
 from mrcakit.regularizers import metric_norm, tv_op
 from mrcakit.solver import (
+    RHO_O,
     ReconstructionPreset,
     SolverConfig,
     SolverDiverged,
@@ -213,6 +214,42 @@ class TestResidualReuse:
         xhat, trace = jodefu_solve(A, L, g, y, cfg)
         assert trace.cost_iters[-1] == q_max - 1
         assert trace.costs[-1] == objective(A, L, g, cfg.resolved_lambda(), y, xhat)
+
+
+def two_adjoint_reference(A, L, g, y, cfg):
+    """The iteration with L*(W) and L*(W_half) both applied afresh."""
+    lam = cfg.resolved_lambda()
+    tau = 0.99 / A.norm_bound ** 2
+    sigma = 1.0 / (tau * L.norm_bound ** 2)
+    x = A.adjoint_apply(y)
+    w = L.apply(x)
+    for _ in range(cfg.q_max):
+        v = A.adjoint_apply(A.apply(x) - y)
+        x_half = x - tau * (v + L.adjoint_apply(w))
+        w_half = g.prox_conj(w + sigma * L.apply(x_half), lam)
+        x = x - RHO_O * tau * (v + L.adjoint_apply(w_half))
+        w = w + RHO_O * (w_half - w)
+    return x
+
+
+class TestCarriedAdjoint:
+    @pytest.mark.parametrize("q_max", [1, 7, 20])
+    def test_one_gradient_adjoint_per_iteration(self, q_max):
+        A, L, g, y = TestResidualReuse._problem()
+        applies = 0
+
+        def adjoint(w):
+            nonlocal applies
+            applies += 1
+            return L.adjoint_apply(w)
+
+        counting = LinearOp(L.input_shape, L.output_shape, L.apply, adjoint,
+                            L.norm_bound, name=L.name)
+        cfg = SolverConfig(q_max=q_max)
+        x, _ = jodefu_solve(A, counting, g, y, cfg)
+        assert applies == q_max + 1
+        reference = two_adjoint_reference(A, L, g, y, cfg)
+        assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 class TestPresets:
