@@ -52,27 +52,18 @@ def _check_boundary(boundary: str) -> None:
         raise ValueError(f"unknown boundary {boundary!r}; choose from {BOUNDARIES}")
 
 
-def _diff(x: np.ndarray, axis: int, boundary: str) -> np.ndarray:
-    d = np.diff(x, axis=axis, prepend=0.0)
-    if boundary == "replicate":
-        d[(slice(None),) * axis + (0,)] = 0.0
-    return d
-
-
-def _diff_adjoint(w: np.ndarray, axis: int, boundary: str) -> np.ndarray:
-    if boundary == "replicate":
-        w = w.copy()
-        w[(slice(None),) * axis + (0,)] = 0.0
-    return -np.diff(w, axis=axis, append=0.0)
-
-
 def tv_forward(x: np.ndarray, boundary: str = "zero") -> np.ndarray:
     """Per-band backward differences; returns the (ni, nj, nk, 2) field."""
     _check_boundary(boundary)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected a 3-D cube, got shape {x.shape}")
-    return np.stack([_diff(x, 0, boundary), _diff(x, 1, boundary)], axis=3)
+    w = np.empty(x.shape + (2,))
+    for axis in (0, 1):
+        src, d = np.moveaxis(x, axis, 0), np.moveaxis(w[..., axis], axis, 0)
+        np.subtract(src[1:], src[:-1], out=d[1:])
+        d[0] = src[0] if boundary == "zero" else 0.0
+    return w
 
 
 def tv_adjoint(w: np.ndarray, boundary: str = "zero") -> np.ndarray:
@@ -82,7 +73,15 @@ def tv_adjoint(w: np.ndarray, boundary: str = "zero") -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 4 or w.shape[3] != 2:
         raise ValueError(f"expected an (ni, nj, nk, 2) field, got shape {w.shape}")
-    return _diff_adjoint(w[..., 0], 0, boundary) + _diff_adjoint(w[..., 1], 1, boundary)
+    out, part = np.empty(w.shape[:3]), np.empty(w.shape[:3])
+    for axis, buf in ((0, out), (1, part)):
+        d, a = np.moveaxis(w[..., axis], axis, 0), np.moveaxis(buf, axis, 0)
+        np.subtract(d[:-1], d[1:], out=a[:-1])
+        a[-1] = d[-1]
+        if boundary == "replicate":  # the forward pins d[0] to 0, so it drops out
+            a[0] = -d[1] if len(d) > 1 else 0.0
+    out += part
+    return out
 
 
 def tv_op(shape: tuple[int, int, int], boundary: str = "zero") -> LinearOp:

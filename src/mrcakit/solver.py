@@ -13,11 +13,17 @@ Loris-Verhoeven iteration.  One iteration runs, verbatim:
     R        = A(X_new) - y
 
 Start: X = A*(y), W = L(X), LtW = L*(W).  R is formed once per iterate (A
-runs q_max + 1 times per solve), L*(W) is carried by linearity instead of
-recomputed (L* runs q_max + 1 times per solve), and the tracked cost
-0.5 ||R||^2 + lam * g(L(X)) reuses R.  The steps come from the certified
-norm bounds, tau = 0.99 / |A|^2 and sigma = 1 / (tau |L|^2); rho_o is fixed
-at 1.9; no early exit.
+runs q_max + 1 times per solve), and L*(W) is carried by linearity instead
+of recomputed (L* runs q_max + 1 times per solve).  The cost
+0.5 ||R||^2 + lam * g(L(X)) reuses R and is tracked at the final iterate
+only, unless ``SolverConfig.cost_stride`` asks for more, so by default L
+runs q_max + 2 times and g.eval once per solve.  X, W, LtW and R are
+updated in place, in buffers allocated once per solve, with the operations
+above in the same order, so the in-place form changes no bit.  Arrays the
+operators return are only read: an operator may hand back its input or a
+view of it.  The steps come from the certified norm bounds,
+tau = 0.99 / |A|^2 and sigma = 1 / (tau |L|^2); rho_o is fixed at 1.9; no
+early exit.
 """
 
 from __future__ import annotations
@@ -54,19 +60,21 @@ class SolverConfig:
     """Iteration parameters.
 
     The regularization weight is ``lambda_bar`` times the observation
-    dynamic range ``rho_y``.  The cost is tracked every ``cost_stride``
-    iterations and at the last one.
+    dynamic range ``rho_y``.  The cost is tracked at the last iteration
+    only, or, with an integer ``cost_stride``, also at every iteration q
+    with ``q % cost_stride == 0``; each tracked cost costs one L and one
+    g.eval.  The iterates are updated in place either way.
     """
 
     lambda_bar: float = 1e-3
     rho_y: float = 1.0
     q_max: int = 250
-    cost_stride: int = 1
+    cost_stride: int | None = None
 
     def __post_init__(self):
         if self.q_max < 1:
             raise ValueError("need at least one iteration")
-        if self.cost_stride < 1:
+        if self.cost_stride is not None and self.cost_stride < 1:
             raise ValueError("cost stride must be positive")
 
     def resolved_lambda(self) -> float:
@@ -121,24 +129,38 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
     tau = 0.99 / A.norm_bound ** 2
     sigma = 1.0 / (tau * L.norm_bound ** 2)
 
-    x = A.adjoint_apply(y)
-    w = L.apply(x)
-    ltw = L.adjoint_apply(w)
+    # x, w and ltw are owned and updated in place; an operator's output may
+    # be its input (identity) or a view of it, so it is only ever read
+    x = A.adjoint_apply(y).copy()
+    w = L.apply(x).copy()
+    ltw = L.adjoint_apply(w).copy()
     r = A.apply(x) - y
+    x_half, step, field_buf = np.empty_like(x), np.empty_like(x), np.empty_like(w)
     trace = SolverTrace()
     start = time.perf_counter()
 
     for q in range(cfg.q_max):
         v = A.adjoint_apply(r)
-        x_half = x - tau * (v + ltw)
-        w_half = g.prox_conj(w + sigma * L.apply(x_half), lam)
+        np.add(v, ltw, out=step)
+        step *= tau
+        np.subtract(x, step, out=x_half)
+        np.multiply(L.apply(x_half), sigma, out=field_buf)
+        field_buf += w
+        w_half = g.prox_conj(field_buf, lam)
         ltw_half = L.adjoint_apply(w_half)
-        x_next = x - RHO_O * tau * (v + ltw_half)
-        w = w + RHO_O * (w_half - w)
-        ltw += RHO_O * (ltw_half - ltw)  # in place: no extra cube per iteration
+        np.add(v, ltw_half, out=step)
+        step *= RHO_O * tau
+        x_next = np.subtract(x, step, out=x_half)
+        np.subtract(ltw_half, ltw, out=step)
+        step *= RHO_O
+        ltw += step  # = L*(w_next) by linearity
+        np.subtract(w_half, w, out=field_buf)
+        field_buf *= RHO_O
+        w += field_buf
+        del v, w_half, ltw_half  # operator outputs: free them before the next A*
 
-        change = float(np.linalg.norm((x_next - x).ravel()))
-        x = x_next
+        change = float(np.linalg.norm(np.subtract(x_next, x, out=step).ravel()))
+        x, x_half = x_next, x
         if not np.all(np.isfinite(x)):
             raise SolverDiverged(
                 f"non-finite iterate at q={q}; check the norm bounds of "
@@ -147,11 +169,11 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
             raise SolverDiverged(
                 f"non-finite dual iterate at q={q}; check the norm bound of "
                 f"{L.name} (={L.norm_bound:g})")
-        r = A.apply(x) - y
+        np.subtract(A.apply(x), y, out=r)
         trace.primal_change.append(change)
         trace.wall_time.append(time.perf_counter() - start)
         trace.iterations = q + 1
-        if q % cfg.cost_stride == 0 or q == cfg.q_max - 1:
+        if q == cfg.q_max - 1 or (cfg.cost_stride and q % cfg.cost_stride == 0):
             trace.cost_iters.append(q)
             trace.costs.append(_cost(r, L.apply(x), g, lam))
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,7 @@ class TestSolve:
         shape = (8, 8, 2)
         y = synth_scene(SceneParams(8, 8, 2), seed=4).values
         y = y + rng.normal(0, 0.05, shape)
-        cfg = SolverConfig(lambda_bar=0.05, q_max=80)
+        cfg = SolverConfig(lambda_bar=0.05, q_max=80, cost_stride=1)
         _, trace = jodefu_solve(identity(shape), tv_op(shape), metric_norm("l221"), y, cfg)
         assert trace.costs[-1] <= trace.costs[0]
         assert min(trace.costs) == pytest.approx(trace.costs[-1], rel=1e-6)
@@ -186,25 +188,30 @@ class TestResidualReuse:
         y = model.op.apply(synth_scene(SceneParams(8, 8, 4), seed=6).values)
         return model.op, tv_op(model.op.input_shape), metric_norm("l221"), y
 
-    @pytest.mark.parametrize("stride", ["one", "q_max"])
-    def test_one_forward_and_one_adjoint_per_iterate(self, stride):
+    @pytest.mark.parametrize("stride", [None, 1, "q_max"])
+    def test_operator_and_eval_counts(self, stride):
         A, L, g, y = self._problem()
-        calls = {"A": 0, "At": 0}
+        calls = {"A": 0, "At": 0, "L": 0, "eval": 0}
 
-        def forward(x):
-            calls["A"] += 1
-            return A.apply(x)
+        def counted(key, fn):
+            def call(*args):
+                calls[key] += 1
+                return fn(*args)
+            return call
 
-        def adjoint(r):
-            calls["At"] += 1
-            return A.adjoint_apply(r)
-
-        counting = LinearOp(A.input_shape, A.output_shape, forward, adjoint,
-                            A.norm_bound, name=A.name)
+        counting_A = LinearOp(A.input_shape, A.output_shape, counted("A", A.apply),
+                              counted("At", A.adjoint_apply), A.norm_bound, name=A.name)
+        counting_L = LinearOp(L.input_shape, L.output_shape, counted("L", L.apply),
+                              L.adjoint_apply, L.norm_bound, name=L.name)
+        counting_g = SimpleNamespace(eval=counted("eval", g.eval), prox_conj=g.prox_conj)
         q_max = 12
-        cfg = SolverConfig(q_max=q_max, cost_stride=1 if stride == "one" else q_max)
-        x, _ = jodefu_solve(counting, L, g, y, cfg)
-        assert calls == {"A": q_max + 1, "At": q_max + 1}
+        cfg = SolverConfig(q_max=q_max, cost_stride=q_max if stride == "q_max" else stride)
+        x, trace = jodefu_solve(counting_A, counting_L, counting_g, y, cfg)
+        # the cost is tracked at the final iterate only, unless a stride is set
+        costs = {None: 1, 1: q_max, "q_max": 2}[stride]
+        assert len(trace.costs) == costs
+        assert calls == {"A": q_max + 1, "At": q_max + 1, "L": q_max + 1 + costs,
+                         "eval": costs}
         np.testing.assert_array_equal(x, jodefu_solve(A, L, g, y, cfg)[0])
 
     @pytest.mark.parametrize("q_max", [1, 7, 20])
@@ -248,6 +255,42 @@ class TestCarriedAdjoint:
         cfg = SolverConfig(q_max=q_max)
         x, _ = jodefu_solve(A, counting, g, y, cfg)
         assert applies == q_max + 1
+        reference = two_adjoint_reference(A, L, g, y, cfg)
+        assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+class TestAliasing:
+    """Operators may return their input or a view of it; the solver updates
+    only the arrays it allocated, never the caller's observation."""
+
+    @staticmethod
+    def _gradient(kind, shape):
+        # The bounds of the two view-returning maps are loose on purpose: with
+        # the exact norm, sigma * tau * L L* is the identity on the range of L,
+        # W cancels out of the dual step and a clobbered W would not show.
+        field = shape + (2,)
+        if kind == "tv":
+            return tv_op(shape)
+        if kind == "embedding":  # x in direction 0; the adjoint is a view of W
+            def forward(x):
+                w = np.zeros(field)
+                w[..., 0] = x
+                return w
+            return LinearOp(shape, field, forward, lambda w: w[..., 0], 1.5, name=kind)
+        # x in both directions, as a read-only view of x
+        return LinearOp(shape, field, lambda x: np.broadcast_to(x[..., None], field),
+                        lambda w: w.sum(axis=3), 2.0, name=kind)
+
+    @pytest.mark.parametrize("gradient", ["tv", "embedding", "broadcast"])
+    def test_identity_leaves_observation_untouched(self, rng, gradient):
+        shape = (6, 5, 2)
+        y = rng.standard_normal(shape)
+        y_before = y.copy()
+        A, L, g = identity(shape), self._gradient(gradient, shape), metric_norm("l221")
+        cfg = SolverConfig(lambda_bar=0.05, q_max=15)
+        x, _ = jodefu_solve(A, L, g, y, cfg)
+        np.testing.assert_array_equal(y.view(np.uint64), y_before.view(np.uint64))
+        assert not np.shares_memory(x, y)
         reference = two_adjoint_reference(A, L, g, y, cfg)
         assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
