@@ -46,6 +46,7 @@ import scipy.fft
 from .masks import (
     Mask,
     BUILTIN_TILES,
+    PeriodicTile,
     builtin_tile,
     parse_mask_file,
     periodic_mask,
@@ -75,6 +76,7 @@ __all__ = [
     "FormationModel",
     "formation_preset",
     "build_formation",
+    "preset_compression_ratio",
     "add_gaussian_noise",
     "equalize_lri_stats",
 ]
@@ -154,12 +156,7 @@ def gaussian_blur_bank(nk: int, ratio: int, gain_at_nyquist: float = 0.3,
     Kernels are normalized to unit sum (unit DC gain).  ``max_radius``
     truncates the support so the kernel fits small images.
     """
-    if not 0.0 < gain_at_nyquist < 1.0:
-        raise ValueError("gain at Nyquist must lie in (0, 1)")
-    if ratio < 1:
-        raise ValueError("ratio must be >= 1")
-    f = 1.0 / (2.0 * ratio)
-    sigma = np.sqrt(-np.log(gain_at_nyquist) / (2.0 * np.pi ** 2 * f ** 2))
+    sigma = _gaussian_sigma(ratio, gain_at_nyquist)
     radius = max(1, int(np.ceil(4.0 * sigma)))
     if max_radius is not None:
         radius = min(radius, max(0, max_radius))
@@ -168,6 +165,15 @@ def gaussian_blur_bank(nk: int, ratio: int, gain_at_nyquist: float = 0.3,
     kernel = np.outer(taps, taps)
     kernel /= kernel.sum()
     return BlurBank(np.repeat(kernel[:, :, None], nk, axis=2))
+
+
+def _gaussian_sigma(ratio: int, gain_at_nyquist: float) -> float:
+    if not 0.0 < gain_at_nyquist < 1.0:
+        raise ValueError("gain at Nyquist must lie in (0, 1)")
+    if ratio < 1:
+        raise ValueError("ratio must be >= 1")
+    f = 1.0 / (2.0 * ratio)
+    return np.sqrt(-np.log(gain_at_nyquist) / (2.0 * np.pi ** 2 * f ** 2))
 
 
 @dataclass(frozen=True)
@@ -266,13 +272,15 @@ def _circular_convolve(K: np.ndarray, shape, name: str = "spatial_convolve") -> 
     half = np.ascontiguousarray(K[:, :grid[1] // 2 + 1])
     half_conj = np.conj(half)
 
-    def forward(x):
-        return scipy.fft.irfft2(scipy.fft.rfft2(x, axes=(0, 1)) * half, s=grid, axes=(0, 1))
+    # The spectrum is this call's own buffer: multiply it in place and let
+    # the inverse transform overwrite it.
+    def filtered(x, transfer):
+        spec = scipy.fft.rfft2(x, axes=(0, 1))
+        spec *= transfer
+        return scipy.fft.irfft2(spec, s=grid, axes=(0, 1), overwrite_x=True)
 
-    def adjoint(y):
-        return scipy.fft.irfft2(scipy.fft.rfft2(y, axes=(0, 1)) * half_conj, s=grid, axes=(0, 1))
-
-    return LinearOp(shape, shape, forward, adjoint, bound, name=name)
+    return LinearOp(shape, shape, lambda x: filtered(x, half), lambda y: filtered(y, half_conj),
+                    bound, name=name)
 
 
 class ConvNormBound(NamedTuple):
@@ -303,12 +311,7 @@ def decimate(shape: tuple[int, int, int], ratio: int) -> LinearOp:
     The adjoint scatters the kept samples back with zeros elsewhere; as a
     selection operator the norm is exactly 1.
     """
-    ni, nj, nk = shape
-    if ratio < 1:
-        raise ValueError("ratio must be a positive integer")
-    if ni % ratio or nj % ratio:
-        raise ValueError(f"ratio {ratio} does not divide image dims {(ni, nj)}")
-    out_shape = (ni // ratio, nj // ratio, nk)
+    out_shape = _decimated_shape(shape, ratio)
 
     def forward(x):
         return x[::ratio, ::ratio, :].copy()
@@ -319,6 +322,15 @@ def decimate(shape: tuple[int, int, int], ratio: int) -> LinearOp:
         return x
 
     return LinearOp(shape, out_shape, forward, adjoint, 1.0, name=f"decimate({ratio})")
+
+
+def _decimated_shape(shape: tuple[int, int, int], ratio: int) -> tuple[int, int, int]:
+    ni, nj, nk = shape
+    if ratio < 1:
+        raise ValueError("ratio must be a positive integer")
+    if ni % ratio or nj % ratio:
+        raise ValueError(f"ratio {ratio} does not divide image dims {(ni, nj)}")
+    return (ni // ratio, nj // ratio, nk)
 
 
 def mask_apply(mask: Mask) -> LinearOp:
@@ -388,12 +400,16 @@ def mosaic(mask: Mask, shift: ShiftMap | None = None) -> LinearOp:
 
 def _butterworth_transfer(ni: int, nj: int, rho_b: float, order: int) -> np.ndarray:
     """Butterworth magnitude on the (ni, nj) DFT grid."""
+    _check_butterworth(rho_b, order)
+    f = np.hypot(np.fft.fftfreq(ni)[:, None], np.fft.fftfreq(nj)[None, :])
+    return 1.0 / np.sqrt(1.0 + (f * rho_b) ** (2 * order))
+
+
+def _check_butterworth(rho_b: float, order: int) -> None:
     if rho_b <= 0:
         raise ValueError("blur diameter must be positive")
     if order < 1:
         raise ValueError("filter order must be >= 1")
-    f = np.hypot(np.fft.fftfreq(ni)[:, None], np.fft.fftfreq(nj)[None, :])
-    return 1.0 / np.sqrt(1.0 + (f * rho_b) ** (2 * order))
 
 
 def butterworth_blur(shape, rho_b: float, order: int = 1) -> LinearOp:
@@ -637,8 +653,17 @@ class FormationModel:
 def _resolve_masks(preset: FormationPreset) -> tuple[Mask, Mask | None, tuple[int, int] | None]:
     """The LRI and PAN masks of a preset, and the tile period (None for the
     random code)."""
-    if preset.mask == "random":
+    tile = _resolve_tile(preset)
+    if tile is None:
         return random_code_mask(preset.ni, preset.nj, preset.nk, seed=preset.seed), None, None
+    return (*periodic_mask(tile, preset.ni, preset.nj), tile.period)
+
+
+def _resolve_tile(preset: FormationPreset) -> PeriodicTile | None:
+    """The preset's mask tile, checked against its sizes (None for the
+    random code)."""
+    if preset.mask == "random":
+        return None
     if preset.mask in BUILTIN_TILES:
         tile = builtin_tile(preset.mask)
     else:
@@ -650,7 +675,7 @@ def _resolve_masks(preset: FormationPreset) -> tuple[Mask, Mask | None, tuple[in
         raise ValueError(
             f"mask {preset.mask!r} has period {tile.period}, which does not divide "
             f"the image size {(preset.ni, preset.nj)}")
-    return (*periodic_mask(tile, preset.ni, preset.nj), tile.period)
+    return tile
 
 
 def _lri_blur(preset: FormationPreset) -> tuple[LinearOp, np.ndarray]:
@@ -709,10 +734,7 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         return FormationModel(preset, op, h_lri=h_lri, shift=shift, lri_support=support)
 
     # full compressed acquisition on one focal plane
-    if h_pan is None:
-        raise ValueError("the mrca preset needs a mask with PAN pixels (e.g. bt4pan)")
-    if preset.np_bands != 1:
-        raise ValueError("the mrca preset models a single PAN channel")
+    _check_mrca(preset, h_pan is not None)
     w = average_weights(nk, 1)
     branch_p = compose(mosaic(h_pan), spectral_degrade(w, shape))
     transfer = None
@@ -726,6 +748,36 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     op.name = "mrca"
     return FormationModel(preset, op, h_lri=h_lri, lri_support=h_lri.pixel_support(),
                           hri_support=h_pan.pixel_support())
+
+
+def _check_mrca(preset: FormationPreset, has_pan: bool) -> None:
+    if not has_pan:
+        raise ValueError("the mrca preset needs a mask with PAN pixels (e.g. bt4pan)")
+    if preset.np_bands != 1:
+        raise ValueError("the mrca preset models a single PAN channel")
+
+
+def preset_compression_ratio(preset: FormationPreset) -> float:
+    """``build_formation(preset).compression_ratio`` from the preset's sizes.
+
+    Runs the checks of :func:`build_formation` in its order, so a preset it
+    rejects is rejected here with the same error, but builds no mask,
+    operator or norm.
+    """
+    ni, nj, nk = preset.ni, preset.nj, preset.nk
+    if preset.name == "multires":
+        _gaussian_sigma(preset.ratio, preset.lri_blur_gain)
+        ci, cj, _ = _decimated_shape((ni, nj, nk), preset.ratio)
+        acquired = ni * nj * preset.np_bands + ci * cj * nk
+    else:
+        tile = _resolve_tile(preset)
+        acquired = ni * (nj + nk - 1) if preset.name == "cassi" else ni * nj
+        if preset.name == "mrca":
+            _check_mrca(preset, tile is not None)
+            if preset.hri_blur == "butterworth":
+                _check_butterworth(preset.rho_b, preset.butter_order)
+            _gaussian_sigma(preset.ratio, preset.lri_blur_gain)
+    return acquired / (ni * nj * nk)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from conftest import random_shift_map, to_dense
 
@@ -27,6 +28,7 @@ from mrcakit.formation import (
     spectral_degrade,
     sum_channels,
 )
+from mrcakit.formation import _padded_kernel_fft
 from mrcakit.masks import Mask, builtin_tile, periodic_mask, random_code_mask
 from mrcakit.operators import (
     add,
@@ -111,6 +113,23 @@ class TestSpatialConvolve:
             bank = BlurBank(rng.standard_normal((3, 2, shape[2])))
             op = spatial_convolve(bank, shape)
             assert adjoint_dot_test(op, trials=20, seed=2) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(16, 16, 4), (65, 68, 4), (9, 11, 3)])
+    def test_bitwise_equal_to_out_of_place_real_fft(self, rng, shape):
+        # the operator multiplies the spectrum in place and lets irfft2
+        # overwrite it; neither may change a bit of either output
+        ni, nj, nk = shape
+        kernels = rng.standard_normal((3, 4, nk))
+        op = spatial_convolve(BlurBank(kernels), shape)
+        half = _padded_kernel_fft(kernels, ni, nj)[:, :nj // 2 + 1]
+        x = rng.standard_normal(shape)
+
+        def out_of_place(transfer):
+            spec = scipy.fft.rfft2(x, axes=(0, 1))
+            return scipy.fft.irfft2(spec * transfer, s=(ni, nj), axes=(0, 1))
+
+        assert np.array_equal(op.apply(x), out_of_place(half))
+        assert np.array_equal(op.adjoint_apply(x), out_of_place(np.conj(half)))
 
     def test_kernel_larger_than_image(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mrcakit.datacube import DataCube
-from mrcakit.formation import add_gaussian_noise, formation_preset
+from mrcakit.formation import add_gaussian_noise, build_formation, formation_preset
 from mrcakit.harness import SceneParams, synth_scene
+from mrcakit.masks import builtin_tile, write_mask_file
 from mrcakit.metrics import (
     QualityReport,
     compression_ratio,
@@ -78,10 +79,45 @@ class TestSam:
             sam(_cube(np.ones((2, 2, 1))), _cube(np.ones((2, 2, 1))))
 
 
+def _ssim_oracle(ref, est):
+    """SSIM with the explicit 11x11 window summed tap by tap, band by band."""
+    t = np.arange(11) - 5.0
+    g = np.exp(-0.5 * (t / 1.5) ** 2)
+    window = np.outer(g, g)
+    window /= window.sum()
+
+    def filt(img):
+        ni, nj = img.shape[0] - 10, img.shape[1] - 10
+        out = np.zeros((ni, nj))
+        for di, dj in np.ndindex(11, 11):
+            out += window[di, dj] * img[di:di + ni, dj:dj + nj]
+        return out
+
+    c1, c2 = (0.01 * ref.rho) ** 2, (0.03 * ref.rho) ** 2
+    scores = []
+    for k in range(ref.nk):
+        a, b = ref.values[:, :, k], est.values[:, :, k]
+        mu_a, mu_b = filt(a), filt(b)
+        var_a = filt(a * a) - mu_a ** 2
+        var_b = filt(b * b) - mu_b ** 2
+        cov = filt(a * b) - mu_a * mu_b
+        num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+        den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
+        scores.append(np.mean(num / den))
+    return float(np.mean(scores))
+
+
 class TestSsim:
-    def test_perfect_is_one(self, rng):
-        ref = synth_scene(SceneParams(16, 16, 3), seed=2)
+    @pytest.mark.parametrize("shape", [(16, 16, 3), (13, 29, 3)])
+    def test_perfect_is_one(self, rng, shape):
+        ref = synth_scene(SceneParams(*shape), seed=2)
         assert ssim(ref, ref) == 1.0
+
+    @pytest.mark.parametrize("shape", [(11, 11, 1), (13, 29, 3), (64, 64, 4)])
+    def test_matches_2d_window_oracle(self, rng, shape):
+        ref = DataCube(rng.random(shape), rho=1.0)
+        est = DataCube(np.clip(ref.values + rng.normal(0, 0.1, shape), 0, 1), rho=1.0)
+        assert ssim(ref, est) == pytest.approx(_ssim_oracle(ref, est), rel=1e-12, abs=0)
 
     def test_noise_degrades_textured_image(self, rng):
         ref = synth_scene(SceneParams(32, 32, 2), seed=3)
@@ -123,6 +159,45 @@ class TestCompressionRatio:
         ratio = compression_ratio(formation_preset("cassi", 64, 512, 4))
         assert ratio == pytest.approx(515 / 2048, abs=1e-12)
         assert round(ratio, 3) == 0.251
+
+    @pytest.mark.parametrize("preset", [
+        formation_preset("mrca", 16, 16, 4),
+        formation_preset("mrca", 16, 16, 4, hri_blur="butterworth"),
+        formation_preset("multires", 16, 16, 4, ratio=2),
+        formation_preset("multires", 16, 16, 4, ratio=4),
+        formation_preset("multires", 16, 16, 4, np_bands=2),
+        formation_preset("cfa", 16, 16, 4),
+        formation_preset("cassi", 16, 64, 4),
+    ], ids=lambda p: f"{p.name}-{p.ni}x{p.nj}-r{p.ratio}-np{p.np_bands}-{p.hri_blur}")
+    def test_preset_ratio_equals_built_formation(self, preset):
+        assert compression_ratio(preset) == build_formation(preset).compression_ratio
+
+    @pytest.mark.parametrize("preset", [
+        formation_preset("mrca", 18, 16, 4),  # bt4pan period does not divide 18
+        formation_preset("cfa", 16, 16, 4, mask="bayer"),  # 3-channel tile, 4 bands
+        formation_preset("cassi", 16, 17, 4, mask="quad4"),
+        formation_preset("mrca", 16, 16, 4, mask="no-such-tile.txt"),  # read as a file
+        formation_preset("mrca", 16, 16, 4, mask="random"),
+        formation_preset("mrca", 16, 16, 4, np_bands=2),
+        formation_preset("mrca", 16, 16, 4, hri_blur="butterworth", rho_b=0.0),
+        formation_preset("mrca", 16, 16, 4, butter_order=0, hri_blur="butterworth"),
+        formation_preset("mrca", 16, 16, 4, lri_blur_gain=1.0),
+        formation_preset("multires", 16, 16, 4, ratio=3),
+        formation_preset("multires", 16, 16, 4, ratio=0),
+        formation_preset("multires", 16, 16, 4, lri_blur_gain=0.0),
+    ])
+    def test_preset_rejected_as_build_formation_rejects_it(self, preset):
+        with pytest.raises((ValueError, OSError)) as built:
+            build_formation(preset)
+        with pytest.raises((ValueError, OSError)) as counted:
+            compression_ratio(preset)
+        assert (type(counted.value), str(counted.value)) == (type(built.value), str(built.value))
+
+    def test_mask_file_ratio(self, tmp_path):
+        path = str(tmp_path / "tile.txt")
+        write_mask_file(path, builtin_tile("bt4pan"))
+        preset = formation_preset("mrca", 16, 16, 4, mask=path)
+        assert compression_ratio(preset) == build_formation(preset).compression_ratio
 
     def test_in_unit_interval_for_all_presets(self):
         for name in ("mrca", "multires", "cfa", "cassi"):
