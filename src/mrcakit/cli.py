@@ -43,6 +43,8 @@ def _add_formation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-sigma", type=float, default=0.0,
                    help="noise std as a fraction of the dynamic range")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rho-b", type=float, default=None,
+                   help="Butterworth blur diameter (px) on the PAN samples of the device")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -59,6 +61,8 @@ def _preset_from_args(args) -> FormationPreset:
     overrides = dict(ratio=args.ratio, noise_sigma=args.noise_sigma, seed=args.seed)
     if args.mask is not None:
         overrides["mask"] = args.mask
+    if args.rho_b is not None:
+        overrides.update(hri_blur="butterworth", rho_b=args.rho_b)
     return formation_preset(args.formation, args.ni, args.nj, args.nk, **overrides)
 
 
@@ -101,7 +105,6 @@ def _cmd_evaluate(args) -> int:
 def _cmd_pipeline(args) -> int:
     spec = PipelineSpec(
         formation=_preset_from_args(args),
-        rho_b=args.rho_b,
         dataset=args.inp or "synthetic",
         rho=args.rho,
         seed=args.seed,
@@ -164,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--in", dest="inp", default=None, help="reference datacube stem")
     p.add_argument("--rho", type=float, default=1.0, help="synthetic dynamic range")
-    p.add_argument("--rho-b", type=float, default=None,
-                   help="blur diameter (px) on the PAN samples of the simulated device")
     p.add_argument("--out", default=None, help="artifact directory")
     p.add_argument("--report", default="csv", choices=("csv", "json"))
     p.set_defaults(func=_cmd_pipeline)

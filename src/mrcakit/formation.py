@@ -140,10 +140,6 @@ class BlurBank:
         object.__setattr__(self, "kernels", k)
 
     @property
-    def extent(self) -> tuple[int, int]:
-        return self.kernels.shape[:2]
-
-    @property
     def nbands(self) -> int:
         return self.kernels.shape[2]
 
@@ -589,6 +585,8 @@ class FormationPreset:
             raise ValueError("dimensions must be positive")
         if self.hri_blur not in ("identity", "butterworth"):
             raise ValueError(f"unknown blur choice {self.hri_blur!r}")
+        if self.hri_blur == "butterworth":
+            _check_butterworth(self.rho_b, self.butter_order)
         if self.noise_sigma < 0:
             raise ValueError("noise level must be nonnegative")
 
@@ -774,8 +772,6 @@ def preset_compression_ratio(preset: FormationPreset) -> float:
         acquired = ni * (nj + nk - 1) if preset.name == "cassi" else ni * nj
         if preset.name == "mrca":
             _check_mrca(preset, tile is not None)
-            if preset.hri_blur == "butterworth":
-                _check_butterworth(preset.rho_b, preset.butter_order)
             _gaussian_sigma(preset.ratio, preset.lri_blur_gain)
     return acquired / (ni * nj * nk)
 

@@ -187,9 +187,9 @@ class PipelineSpec:
     solver fields override the reconstruction preset defaults.  The scene
     and the noise draw both derive from ``seed`` (see :func:`simulate`).
 
-    The simulated device is ``formation`` plus the PAN blur the method
-    models (``rho_b``, else the 1.4 px Butterworth blur of jodefu-v2), and
-    every reconstruction uses the model of the device it is given.
+    The simulated device is ``formation``, which keeps its own PAN blur; a
+    device without one takes the blur the method models (the 1.4 px
+    Butterworth blur of jodefu-v2).  Reconstructions use the device model.
 
     ``equalize`` applies the LRI/HRI statistics equalization before
     reconstructing.  It compensates radiometric mismatch between real
@@ -204,7 +204,6 @@ class PipelineSpec:
     iters: int = 250
     norm_kind: str | None = None
     boundary: str = "zero"
-    rho_b: float | None = None
     equalize: bool = False
     dataset: str = "synthetic"
     rho: float = 1.0
@@ -257,19 +256,13 @@ def load_reference(preset: FormationPreset, dataset: str = "synthetic", rho: flo
 
 
 def _effective_preset(spec: PipelineSpec, preset: FormationPreset) -> FormationPreset:
-    """Fold the method's PAN-blur choice into the acquisition device.
-
-    The blur on the PAN samples belongs to the image formation (it is what
-    spreads information from suppressed pixels into their neighbors), so
-    the simulation and the reconstruction model must share it.
-    """
-    if spec.method == "baseline":
-        return preset
-    rp = jodefu_presets(spec.method)
-    if spec.rho_b is not None:
-        return dataclasses.replace(preset, hri_blur="butterworth", rho_b=spec.rho_b)
-    if rp.hri_blur == "butterworth":
-        return dataclasses.replace(preset, hri_blur="butterworth", rho_b=rp.rho_b)
+    """The device: ``preset`` with its own PAN blur, or if it has none the
+    jodefu method's.  The blur belongs to the image formation (it spreads
+    suppressed pixels into their neighbors), so simulation and model share it."""
+    if spec.method != "baseline" and preset.hri_blur == "identity":
+        rp = jodefu_presets(spec.method)
+        if rp.hri_blur == "butterworth":
+            return dataclasses.replace(preset, hri_blur="butterworth", rho_b=rp.rho_b)
     return preset
 
 
@@ -325,10 +318,11 @@ def reconstruct(spec: PipelineSpec, model: FormationModel, y: np.ndarray,
     """Reconstruct stage: optionally equalize the observation, then run the
     baseline or ``jodefu_solve`` with the solver fields of ``spec`` on the
     device model ``model``."""
-    if (spec.equalize and model.lri_support is not None
-            and model.hri_support is not None
-            and model.lri_support.any() and model.hri_support.any()):
-        y = equalize_lri_stats(y, model.lri_support, model.hri_support)
+    if spec.equalize:
+        lri, hri = model.lri_support, model.hri_support
+        if lri is None or hri is None or not (lri.any() and hri.any()):
+            raise ValueError(f"equalize needs both sensor classes; {model.preset.name} lacks one")
+        y = equalize_lri_stats(y, lri, hri)
     if spec.method == "baseline":
         return baseline_reconstruct(y, model)
     rp = jodefu_presets(spec.method)
@@ -383,10 +377,16 @@ SWEEP_AXES = ("lambda_bar", "norm_kind", "rho_b")
 
 
 def run_sweep(spec: PipelineSpec, axis: str, values) -> list[QualityReport]:
-    """Vary one study axis (regularization weight, norm kind or blur
-    diameter) around a base run, one report row per point."""
+    """Vary one study axis (regularization weight, norm kind or the device's
+    PAN blur diameter) around a base run, one report row per point."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+
+    def fields(value):  # the blur diameter is a field of the device
+        if axis != "rho_b":
+            return {axis: value}
+        blurred = dataclasses.replace(spec.formation, hri_blur="butterworth", rho_b=value)
+        return {"formation": blurred}
     # every point is checked before the first one runs
-    points = [dataclasses.replace(spec, **{axis: value}, out_dir=None) for value in values]
+    points = [dataclasses.replace(spec, **fields(value), out_dir=None) for value in values]
     return [run_pipeline(point).report for point in points]

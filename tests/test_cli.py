@@ -93,6 +93,9 @@ class TestStagedMatchesPipeline:
     FLAGS = ("--ni", 16, "--nj", 16, "--nk", 4, "--seed", 11, "--noise-sigma", 0.01)
     FORMATIONS = ("mrca", "multires", "cfa", "cassi")
 
+    # the PAN blur the pipeline gives a jodefu-v2 device without one
+    DEVICE_FLAGS = {"baseline": (), "jodefu-v1": (), "jodefu-v2": ("--rho-b", 1.4)}
+
     def pipeline(self, tmp_path, formation, method):
         rundir = tmp_path / "run"
         assert run("pipeline", "--formation", formation, *self.FLAGS, "--method", method,
@@ -100,11 +103,12 @@ class TestStagedMatchesPipeline:
         return rundir
 
     @pytest.mark.parametrize("formation", FORMATIONS)
-    @pytest.mark.parametrize("method", ("baseline", "jodefu-v1"))
+    @pytest.mark.parametrize("method", METHODS)
     def test_simulate_writes_the_pipeline_files(self, tmp_path, formation, method):
         rundir = self.pipeline(tmp_path, formation, method)
         obs = tmp_path / "obs"
-        assert run("simulate", "--formation", formation, *self.FLAGS, "--out", obs) == 0
+        assert run("simulate", "--formation", formation, *self.FLAGS,
+                   *self.DEVICE_FLAGS[method], "--out", obs) == 0
         blocks = ("_hri", "_lri") if formation == "multires" else ("",)
         pairs = [("obs.preset", "acquisition.preset")]
         for ext in (".raw", ".hdr"):
@@ -137,6 +141,14 @@ class TestFailures:
         assert run("evaluate", "--ref", "/nonexistent/a", "--est", "/nonexistent/b",
                    "--out", "/tmp/r.csv") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("formation", ["mrca", "cfa"])
+    def test_bad_blur_diameter(self, tmp_path, capsys, command, formation):
+        assert run(command, "--formation", formation, "--ni", 16, "--nj", 16,
+                   "--rho-b", -1, "--out", tmp_path / "o") == 1
+        assert "blur diameter" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_bad_mask_name(self, tmp_path, capsys):
         assert run("simulate", "--formation", "cfa", "--mask", "nope",

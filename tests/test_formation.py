@@ -601,6 +601,17 @@ class TestPresetSerialization:
         with pytest.raises(ValueError):
             FormationPreset.from_text("name=cfa\nni=4.5\nnj=4\nnk=3\n")
 
+    @pytest.mark.parametrize("name", ["mrca", "cfa", "cassi", "multires"])
+    @pytest.mark.parametrize("blur, message", [
+        ({"rho_b": 0.0}, "blur diameter must be positive"),
+        ({"rho_b": -1.0}, "blur diameter must be positive"),
+        ({"butter_order": 0}, "filter order must be >= 1"),
+    ])
+    def test_bad_butterworth_rejected_at_construction(self, name, blur, message):
+        with pytest.raises(ValueError, match=message):
+            formation_preset(name, 16, 16, 4, hri_blur="butterworth", **blur)
+        assert formation_preset(name, 16, 16, 4, **blur).hri_blur == "identity"
+
     def test_unknown_formation_rejected(self):
         with pytest.raises(ValueError, match="preset"):
             formation_preset("sparkle", 4, 4, 3)

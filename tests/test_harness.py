@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mrcakit.datacube import DataCube, read_datacube
-from mrcakit.formation import build_formation, formation_preset
+from mrcakit.formation import FormationPreset, build_formation, formation_preset
 from mrcakit.harness import (
     PipelineSpec,
     SceneParams,
@@ -197,6 +197,30 @@ class TestPipeline:
                                SolverConfig(lambda_bar=spec.lambda_bar, rho_y=1.0, q_max=20))
         np.testing.assert_array_equal(eq.estimate.values, xhat)
 
+    @pytest.mark.parametrize("formation", ["cassi", "cfa"])
+    def test_equalize_without_a_sensor_class_rejected(self, formation):
+        from mrcakit.harness import reconstruct
+        model = build_formation(formation_preset(formation, 16, 16, 4))
+        y = model.op.apply(synth_scene(SceneParams(16, 16, 4), seed=3).values)
+        spec = PipelineSpec(formation=model.preset, method="baseline", equalize=True)
+        with pytest.raises(ValueError, match=formation):
+            reconstruct(spec, model, y, 1.0)
+
+    def test_blurred_device_is_the_same_for_every_method(self):
+        device = formation_preset("mrca", 16, 16, 4, noise_sigma=0.01,
+                                  hri_blur="butterworth", rho_b=2.0)
+        runs = [run_pipeline(PipelineSpec(formation=device, method=method, iters=2, seed=3))
+                for method in ("baseline", "jodefu-v1", "jodefu-v2")]
+        for other in runs[1:]:
+            np.testing.assert_array_equal(other.observation, runs[0].observation)
+
+    def test_v2_keeps_the_blur_of_its_device(self, tmp_path):
+        device = formation_preset("mrca", 16, 16, 4, hri_blur="butterworth", rho_b=2.0)
+        run_pipeline(PipelineSpec(formation=device, method="jodefu-v2", iters=2,
+                                  out_dir=str(tmp_path)))
+        saved = FormationPreset.from_text((tmp_path / "acquisition.preset").read_text())
+        assert saved == device
+
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
             PipelineSpec(formation=self.SPEC.formation, method="magic")
@@ -222,15 +246,26 @@ class TestSweep:
         rows = run_sweep(spec, "norm_kind", ["l221", "l111"])
         assert len(rows) == 2
 
-    def test_bad_point_rejected_before_the_first_run(self, monkeypatch):
+    def test_blur_axis_varies_the_device(self):
+        spec = dataclasses.replace(TestPipeline.SPEC, formation=formation_preset("mrca", 16, 16, 4),
+                                   iters=2)
+        rows = run_sweep(spec, "rho_b", [2.0])
+        device = dataclasses.replace(spec.formation, hri_blur="butterworth", rho_b=2.0)
+        assert rows == [run_pipeline(dataclasses.replace(spec, formation=device)).report]
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("norm_kind", ["l221", "l2"], "norm_kind"),
+        ("rho_b", [1.4, -1.0], "blur diameter"),
+    ])
+    def test_bad_point_rejected_before_the_first_run(self, monkeypatch, axis, values, message):
         import mrcakit.harness as harness
 
         def no_run(spec):
             raise AssertionError("a point ran before the sweep was checked")
 
         monkeypatch.setattr(harness, "run_pipeline", no_run)
-        with pytest.raises(ValueError, match="norm_kind"):
-            run_sweep(TestPipeline.SPEC, "norm_kind", ["l221", "l2"])
+        with pytest.raises(ValueError, match=message):
+            run_sweep(TestPipeline.SPEC, axis, values)
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError, match="axis"):

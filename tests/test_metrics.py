@@ -179,8 +179,6 @@ class TestCompressionRatio:
         formation_preset("mrca", 16, 16, 4, mask="no-such-tile.txt"),  # read as a file
         formation_preset("mrca", 16, 16, 4, mask="random"),
         formation_preset("mrca", 16, 16, 4, np_bands=2),
-        formation_preset("mrca", 16, 16, 4, hri_blur="butterworth", rho_b=0.0),
-        formation_preset("mrca", 16, 16, 4, butter_order=0, hri_blur="butterworth"),
         formation_preset("mrca", 16, 16, 4, lri_blur_gain=1.0),
         formation_preset("multires", 16, 16, 4, ratio=3),
         formation_preset("multires", 16, 16, 4, ratio=0),
