@@ -47,8 +47,8 @@ class DataCube:
             raise ValueError(f"datacube must be 3-D with positive dims, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("datacube samples must be finite")
-        if not (float(self.rho) > 0):
-            raise ValueError(f"dynamic range must be positive, got {self.rho}")
+        if not 0 < float(self.rho) < np.inf:
+            raise ValueError(f"dynamic range must be positive and finite, got rho={self.rho}")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

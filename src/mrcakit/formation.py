@@ -402,8 +402,8 @@ def _butterworth_transfer(ni: int, nj: int, rho_b: float, order: int) -> np.ndar
 
 
 def _check_butterworth(rho_b: float, order: int) -> None:
-    if rho_b <= 0:
-        raise ValueError("blur diameter must be positive")
+    if not 0 < rho_b < np.inf:
+        raise ValueError(f"blur diameter must be positive and finite, got rho_b={rho_b}")
     if order < 1:
         raise ValueError("filter order must be >= 1")
 
@@ -587,8 +587,9 @@ class FormationPreset:
             raise ValueError(f"unknown blur choice {self.hri_blur!r}")
         if self.hri_blur == "butterworth":
             _check_butterworth(self.rho_b, self.butter_order)
-        if self.noise_sigma < 0:
-            raise ValueError("noise level must be nonnegative")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(
+                f"noise level must be nonnegative and finite, got noise_sigma={self.noise_sigma}")
 
     def to_text(self) -> str:
         pairs = dataclasses.asdict(self)
@@ -632,8 +633,9 @@ class FormationModel:
     ``h_lri`` and ``shift`` are the mask and the shear that the baseline
     reconstructor reads.  ``lri_support`` / ``hri_support`` are boolean
     maps over the observation telling which samples come from the low-
-    resp. high-resolution sensor class, used only by the statistics
-    equalization; either may be None when that sensor class is absent.
+    resp. high-resolution sensor class, read only by the statistics
+    equalization.  Only ``mrca`` and ``multires`` have both sensor classes
+    and carry them; on ``cfa`` and ``cassi`` both are None.
     """
 
     preset: FormationPreset
@@ -720,16 +722,11 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     h_lri, h_pan, period = _resolve_masks(preset)
 
     if preset.name == "cfa":
-        op = mosaic(h_lri)
-        return FormationModel(
-            preset, op, h_lri=h_lri, lri_support=h_lri.pixel_support(),
-            hri_support=h_pan.pixel_support() if h_pan is not None else None)
+        return FormationModel(preset, mosaic(h_lri), h_lri=h_lri)
 
     if preset.name == "cassi":
         shift = cassi_shift_map(ni, nj, nk)
-        op = mosaic(h_lri, shift)
-        support = op.apply(np.ones(shape)) > 0
-        return FormationModel(preset, op, h_lri=h_lri, shift=shift, lri_support=support)
+        return FormationModel(preset, mosaic(h_lri, shift), h_lri=h_lri, shift=shift)
 
     # full compressed acquisition on one focal plane
     _check_mrca(preset, h_pan is not None)
@@ -738,8 +735,8 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     transfer = None
     if preset.hri_blur == "butterworth":
         transfer = _butterworth_transfer(ni, nj, preset.rho_b, preset.butter_order)
-        branch_p = compose(
-            butterworth_blur((ni, nj), preset.rho_b, preset.butter_order), branch_p)
+        blur_p = _circular_convolve(transfer, (ni, nj), name=f"butterworth({preset.rho_b:g})")
+        branch_p = compose(blur_p, branch_p)
     blur, K = _lri_blur(preset)
     op = add(compose(mosaic(h_lri), blur), branch_p)
     op.norm_bound = _mrca_norm(shape, period, K, h_lri, h_pan, w, transfer) * (1 + _NORM_MARGIN)
@@ -783,8 +780,8 @@ def preset_compression_ratio(preset: FormationPreset) -> float:
 
 def add_gaussian_noise(y: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:
     """Seeded zero-mean iid Gaussian noise of standard deviation sigma."""
-    if sigma < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"noise level must be nonnegative and finite, got sigma={sigma}")
     y = np.asarray(y, dtype=np.float64)
     if sigma == 0:
         return y.copy()

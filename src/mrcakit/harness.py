@@ -216,8 +216,8 @@ class PipelineSpec:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.iters < 1:
             raise ValueError("need at least one iteration")
-        if not self.lambda_bar > 0:
-            raise ValueError(f"lambda_bar must be positive, got {self.lambda_bar}")
+        if not 0 < self.lambda_bar < np.inf:
+            raise ValueError(f"lambda_bar must be positive and finite, got {self.lambda_bar}")
         if self.norm_kind is not None and self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm_kind {self.norm_kind!r}; choose from {NORM_KINDS}")
         if self.boundary not in BOUNDARIES:

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .datacube import DataCube
-from .formation import FormationModel, FormationPreset, preset_compression_ratio
+from .formation import preset_compression_ratio
 
 __all__ = [
     "psnr",
@@ -107,14 +107,8 @@ def ssim(ref: DataCube, est: DataCube) -> float:
     return float(np.mean(np.mean(num / den, axis=(1, 2))))
 
 
-def compression_ratio(formation: FormationModel | FormationPreset) -> float:
-    """Acquired sample count over reconstructed sample count.
-
-    A preset's ratio follows from its sizes; no formation is built.
-    """
-    if isinstance(formation, FormationModel):
-        return formation.compression_ratio
-    return preset_compression_ratio(formation)
+# Acquired over reconstructed sample count of a preset, from its sizes.
+compression_ratio = preset_compression_ratio
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ __all__ = [
     "metric_norm",
     "g_eval",
     "prox_conj",
-    "block_singular_values",
 ]
 
 TV_NORM_BOUND = float(np.sqrt(8.0))
@@ -136,15 +135,6 @@ def _gram2_eigs(g11: np.ndarray, g22: np.ndarray, g12: np.ndarray,
 def _check_two_directions(w: np.ndarray) -> None:
     if w.ndim != 4 or w.shape[3] != 2:
         raise ValueError(f"s1l1 needs an (ni, nj, nk, 2) field, got shape {w.shape}")
-
-
-def block_singular_values(w: np.ndarray) -> np.ndarray:
-    """Singular values of every per-pixel (nk, 2) block, largest first, from
-    the closed-form 2x2 Gram eigen-decomposition."""
-    w = np.asarray(w, dtype=np.float64)
-    _check_two_directions(w)
-    mu1, mu2 = _gram2_eigs(*_gram2(w))
-    return np.stack([np.sqrt(mu1), np.sqrt(mu2)], axis=-1)
 
 
 def g_eval(kind: str, w: np.ndarray) -> float:

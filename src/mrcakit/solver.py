@@ -18,17 +18,16 @@ of recomputed (L* runs q_max + 1 times per solve).  The cost
 0.5 ||R||^2 + lam * g(L(X)) reuses R and is tracked at the final iterate
 only, unless ``SolverConfig.cost_stride`` asks for more, so by default L
 runs q_max + 2 times and g.eval once per solve.  X, W, LtW and R are
-updated in place, in buffers allocated once per solve, with the operations
-above in the same order, so the in-place form changes no bit.  Arrays the
-operators return are only read: an operator may hand back its input or a
-view of it.  The steps come from the certified norm bounds,
+updated in place, in buffers allocated once per solve (X_half is a scratch
+buffer), with the operations above in the same order, so the in-place form
+changes no bit.  Arrays the operators return are only read: an operator
+may hand back its input or a view of it.  The steps come from the certified norm bounds,
 tau = 0.99 / |A|^2 and sigma = 1 / (tau |L|^2); rho_o is fixed at 1.9; no
 early exit.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,10 +59,11 @@ class SolverConfig:
     """Iteration parameters.
 
     The regularization weight is ``lambda_bar`` times the observation
-    dynamic range ``rho_y``.  The cost is tracked at the last iteration
-    only, or, with an integer ``cost_stride``, also at every iteration q
-    with ``q % cost_stride == 0``; each tracked cost costs one L and one
-    g.eval.  The iterates are updated in place either way.
+    dynamic range ``rho_y``; it must be positive and finite.  The cost is
+    tracked at the last iteration only, or, with an integer
+    ``cost_stride``, also at every iteration q with
+    ``q % cost_stride == 0``; each tracked cost costs one L and one g.eval.
+    The iterates are updated in place either way.
     """
 
     lambda_bar: float = 1e-3
@@ -76,22 +76,22 @@ class SolverConfig:
             raise ValueError("need at least one iteration")
         if self.cost_stride is not None and self.cost_stride < 1:
             raise ValueError("cost stride must be positive")
+        lam = self.lambda_bar * self.rho_y
+        if not 0 < lam < np.inf:
+            raise ValueError("regularization weight must be positive and finite, got "
+                             f"lambda_bar * rho_y = {self.lambda_bar} * {self.rho_y} = {lam}")
 
     def resolved_lambda(self) -> float:
-        lam = self.lambda_bar * self.rho_y
-        if not lam > 0:
-            raise ValueError(f"regularization weight must be positive, got {lam}")
-        return float(lam)
+        return float(self.lambda_bar * self.rho_y)
 
 
 @dataclass
 class SolverTrace:
-    """Per-iteration history of one solve."""
+    """What one solve reports: the number of iterations run and the costs
+    tracked at the iterations ``cost_iters`` (see ``SolverConfig``)."""
 
     cost_iters: list[int] = field(default_factory=list)
     costs: list[float] = field(default_factory=list)
-    primal_change: list[float] = field(default_factory=list)
-    wall_time: list[float] = field(default_factory=list)
     iterations: int = 0
 
 
@@ -137,7 +137,6 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
     r = A.apply(x) - y
     x_half, step, field_buf = np.empty_like(x), np.empty_like(x), np.empty_like(w)
     trace = SolverTrace()
-    start = time.perf_counter()
 
     for q in range(cfg.q_max):
         v = A.adjoint_apply(r)
@@ -150,7 +149,7 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
         ltw_half = L.adjoint_apply(w_half)
         np.add(v, ltw_half, out=step)
         step *= RHO_O * tau
-        x_next = np.subtract(x, step, out=x_half)
+        x -= step
         np.subtract(ltw_half, ltw, out=step)
         step *= RHO_O
         ltw += step  # = L*(w_next) by linearity
@@ -159,8 +158,6 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
         w += field_buf
         del v, w_half, ltw_half  # operator outputs: free them before the next A*
 
-        change = float(np.linalg.norm(np.subtract(x_next, x, out=step).ravel()))
-        x, x_half = x_next, x
         if not np.all(np.isfinite(x)):
             raise SolverDiverged(
                 f"non-finite iterate at q={q}; check the norm bounds of "
@@ -170,8 +167,6 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
                 f"non-finite dual iterate at q={q}; check the norm bound of "
                 f"{L.name} (={L.norm_bound:g})")
         np.subtract(A.apply(x), y, out=r)
-        trace.primal_change.append(change)
-        trace.wall_time.append(time.perf_counter() - start)
         trace.iterations = q + 1
         if q == cfg.q_max - 1 or (cfg.cost_stride and q % cfg.cost_stride == 0):
             trace.cost_iters.append(q)

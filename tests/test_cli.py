@@ -150,6 +150,21 @@ class TestFailures:
         assert "blur diameter" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--noise-sigma", "nan", "noise_sigma"), ("--noise-sigma", "inf", "noise_sigma"),
+        ("--lambda-bar", "inf", "lambda_bar"), ("--rho-b", "inf", "rho_b")])
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, flag, value, field):
+        assert run("pipeline", "--ni", 16, "--nj", 16, "--iters", 2, flag, value,
+                   "--out", tmp_path / "o") == 1
+        assert field in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_equalize_on_a_cfa_mosaic_rejected(self, tmp_path, capsys):
+        assert run("pipeline", "--formation", "cfa", "--mask", "bt4pan", "--equalize",
+                   "--ni", 16, "--nj", 16, "--iters", 2, "--out", tmp_path / "o") == 1
+        assert "equalize needs both sensor classes; cfa lacks one" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_bad_mask_name(self, tmp_path, capsys):
         assert run("simulate", "--formation", "cfa", "--mask", "nope",
                    "--ni", 8, "--nj", 8, "--nk", 3, "--out", tmp_path / "o") == 1

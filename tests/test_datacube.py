@@ -19,6 +19,11 @@ class TestDataCube:
         with pytest.raises(ValueError, match="positive"):
             DataCube(np.zeros((2, 2, 1)), rho=0.0)
 
+    @pytest.mark.parametrize("rho", [float("inf"), float("nan")])
+    def test_rejects_non_finite_rho(self, rho):
+        with pytest.raises(ValueError, match=f"finite, got rho={rho}"):
+            DataCube(np.zeros((2, 2, 1)), rho=rho)
+
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             DataCube(np.zeros((2, 2)))

@@ -466,10 +466,18 @@ class TestPresetReductions:
         assert build_formation(
             formation_preset("multires", 8, 8, 4, ratio=2)).compression_ratio == pytest.approx(0.5)
 
-    def test_mrca_supports_partition_plane(self):
-        model = build_formation(formation_preset("mrca", 8, 8, 4))
+    @pytest.mark.parametrize("name", ["mrca", "multires"])
+    def test_sensor_supports_partition_the_observation(self, name):
+        model = build_formation(formation_preset(name, 8, 8, 4))
+        assert model.lri_support.shape == model.op.output_shape
         assert not np.any(model.lri_support & model.hri_support)
         assert np.all(model.lri_support | model.hri_support)
+
+    @pytest.mark.parametrize("name, mask", [("cfa", "quad4"), ("cfa", "bt4pan"),
+                                            ("cassi", "random")])
+    def test_single_sensor_formations_carry_no_supports(self, name, mask):
+        model = build_formation(formation_preset(name, 8, 8, 4, mask=mask))
+        assert model.lri_support is None and model.hri_support is None
 
 
 class TestExactNorms:
@@ -535,9 +543,10 @@ class TestNoise:
         np.testing.assert_array_equal(add_gaussian_noise(y, 0.1, seed=7),
                                       add_gaussian_noise(y, 0.1, seed=7))
 
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            add_gaussian_noise(np.zeros(3), -1.0)
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match=f"got sigma={sigma}"):
+            add_gaussian_noise(np.zeros(3), sigma)
 
 
 class TestEqualize:
@@ -606,11 +615,18 @@ class TestPresetSerialization:
         ({"rho_b": 0.0}, "blur diameter must be positive"),
         ({"rho_b": -1.0}, "blur diameter must be positive"),
         ({"butter_order": 0}, "filter order must be >= 1"),
+        ({"rho_b": float("nan")}, "blur diameter must be positive and finite, got rho_b=nan"),
+        ({"rho_b": float("inf")}, "blur diameter must be positive and finite, got rho_b=inf"),
     ])
     def test_bad_butterworth_rejected_at_construction(self, name, blur, message):
         with pytest.raises(ValueError, match=message):
             formation_preset(name, 16, 16, 4, hri_blur="butterworth", **blur)
         assert formation_preset(name, 16, 16, 4, **blur).hri_blur == "identity"
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_bad_noise_level_rejected_at_construction(self, sigma):
+        with pytest.raises(ValueError, match=f"got noise_sigma={sigma}"):
+            formation_preset("mrca", 16, 16, 4, noise_sigma=sigma)
 
     def test_unknown_formation_rejected(self):
         with pytest.raises(ValueError, match="preset"):

@@ -53,8 +53,7 @@ class TestBaseline:
         from mrcakit.formation import FormationModel, mosaic
         mask = Mask(np.ones((6, 6, 1)), (0,))
         model = FormationModel(formation_preset("cfa", 6, 6, 1, mask="quad4"),
-                               mosaic(mask), h_lri=mask,
-                               lri_support=mask.pixel_support())
+                               mosaic(mask), h_lri=mask)
         y = rng.random((6, 6))
         out = baseline_reconstruct(y, model)
         np.testing.assert_array_equal(out[:, :, 0], y)
@@ -133,8 +132,7 @@ class TestPipeline:
         cube = synth_scene(SceneParams(12, 12, 1), seed=6)
         mask = Mask(np.ones((12, 12, 1)), (0,))
         model = FormationModel(formation_preset("cfa", 12, 12, 1, mask="quad4"),
-                               mosaic(mask),
-                               h_lri=mask, lri_support=mask.pixel_support())
+                               mosaic(mask), h_lri=mask)
         y = model.op.apply(cube.values)
         out = baseline_reconstruct(y, model)
         assert psnr(cube, DataCube(out, rho=cube.rho)) == np.inf
@@ -182,11 +180,12 @@ class TestPipeline:
         assert report.sam == sam(cube, est)
         assert report.ssim == ssim(cube, est)
 
-    def test_equalize_keeps_the_raw_observation(self):
+    @pytest.mark.parametrize("formation", ["mrca", "multires"])
+    def test_equalize_keeps_the_raw_observation(self, formation):
         from mrcakit.formation import equalize_lri_stats
         from mrcakit.regularizers import metric_norm, tv_op
         from mrcakit.solver import SolverConfig, jodefu_solve
-        spec = PipelineSpec(formation=formation_preset("mrca", 16, 16, 4, noise_sigma=0.01),
+        spec = PipelineSpec(formation=formation_preset(formation, 16, 16, 4, noise_sigma=0.01),
                             iters=20, seed=3)
         raw = run_pipeline(spec)
         eq = run_pipeline(dataclasses.replace(spec, equalize=True))
@@ -197,10 +196,13 @@ class TestPipeline:
                                SolverConfig(lambda_bar=spec.lambda_bar, rho_y=1.0, q_max=20))
         np.testing.assert_array_equal(eq.estimate.values, xhat)
 
-    @pytest.mark.parametrize("formation", ["cassi", "cfa"])
-    def test_equalize_without_a_sensor_class_rejected(self, formation):
+    @pytest.mark.parametrize("formation, mask", [
+        pytest.param("cassi", "random", id="cassi"), pytest.param("cfa", "quad4", id="cfa"),
+        # a PAN cell of a cfa mosaic is an empty cell, not a sensor
+        pytest.param("cfa", "bt4pan", id="cfa-bt4pan")])
+    def test_equalize_without_a_sensor_class_rejected(self, formation, mask):
         from mrcakit.harness import reconstruct
-        model = build_formation(formation_preset(formation, 16, 16, 4))
+        model = build_formation(formation_preset(formation, 16, 16, 4, mask=mask))
         y = model.op.apply(synth_scene(SceneParams(16, 16, 4), seed=3).values)
         spec = PipelineSpec(formation=model.preset, method="baseline", equalize=True)
         with pytest.raises(ValueError, match=formation):
@@ -227,7 +229,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("field, value", [
         ("report_format", "xml"), ("norm_kind", "l2"), ("boundary", "periodic"),
-        ("lambda_bar", 0.0), ("lambda_bar", -1e-3), ("lambda_bar", float("nan"))])
+        ("lambda_bar", 0.0), ("lambda_bar", -1e-3), ("lambda_bar", float("nan")),
+        ("lambda_bar", float("inf"))])
     def test_bad_field_rejected_at_construction(self, tmp_path, field, value):
         out = tmp_path / "run"
         with pytest.raises(ValueError, match=field):

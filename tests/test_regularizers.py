@@ -7,7 +7,6 @@ from conftest import to_dense
 from mrcakit.operators import adjoint_dot_test, power_iteration_norm
 from mrcakit.regularizers import (
     TV_NORM_BOUND,
-    block_singular_values,
     g_eval,
     metric_norm,
     prox_conj,
@@ -162,29 +161,6 @@ class TestGEval:
             g_eval("l212", np.zeros((1, 1, 1, 2)))
 
 
-class TestBlockSingularValues:
-    def test_gram_route_matches_svd_oracle(self):
-        for seed in range(20):
-            w = random_field(seed, shape=(5, 4, 3, 2))
-            ours = block_singular_values(w)
-            oracle = np.linalg.svd(w.reshape(-1, 3, 2), compute_uv=False).reshape(5, 4, 2)
-            np.testing.assert_allclose(ours, oracle, atol=1e-12)
-
-    def test_near_degenerate_blocks(self):
-        w = np.zeros((1, 1, 2, 2))
-        w[0, 0] = np.eye(2) * 3.0  # equal singular values
-        np.testing.assert_allclose(block_singular_values(w)[0, 0], [3.0, 3.0], atol=1e-14)
-
-    def test_three_directions_rejected(self, rng):
-        # the closed form covers two directions; a third must not be dropped
-        with pytest.raises(ValueError, match=r"\(2, 3, 4, 3\)"):
-            block_singular_values(rng.standard_normal((2, 3, 4, 3)))
-
-    def test_s1l1_prox_three_directions_rejected(self, rng):
-        with pytest.raises(ValueError, match=r"\(2, 3, 4, 3\)"):
-            prox_conj("s1l1", rng.standard_normal((2, 3, 4, 3)), 1.0)
-
-
 def s1l1_field(seed, nk):
     """(2, 5, nk, 2) field: random blocks on row 0, near-rank-1 blocks on
     row 1 (second singular value about 1e-7 of the first)."""
@@ -203,17 +179,14 @@ def svd_oracle(w):
     return padded
 
 
+def s1l1_prox_oracle(w, lam):
+    """Per-pixel projection onto the spectral-norm ball through the SVD."""
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    return u @ (np.minimum(s, lam)[..., None] * vt)
+
+
 @pytest.mark.parametrize("nk", [1, 2, 3, 4, 7])
 class TestS1l1AgainstSvd:
-    def test_block_singular_values(self, nk):
-        w = s1l1_field(nk, nk)
-        ours = block_singular_values(w)
-        # absolute 1e-13 pins the ~1e-7 small values, which the cancelling
-        # route sqrt(0.5 * (tr - disc)) would get wrong by ~1e-8
-        np.testing.assert_allclose(ours, svd_oracle(w), rtol=0, atol=1e-13)
-        if nk == 1:
-            assert np.all(ours[..., 1] == 0.0)  # no 2x2 minors: det G = 0
-
     def test_g_eval(self, nk):
         w = s1l1_field(nk, nk)
         per_pixel = [g_eval("s1l1", w[i:i + 1, j:j + 1]) for i, j in np.ndindex(w.shape[:2])]
@@ -224,9 +197,19 @@ class TestS1l1AgainstSvd:
     def test_prox(self, nk):
         lam = 1.0
         w = s1l1_field(nk, nk)
-        u, s, vt = np.linalg.svd(w, full_matrices=False)
-        oracle = u @ (np.minimum(s, lam)[..., None] * vt)
-        np.testing.assert_allclose(prox_conj("s1l1", w, lam), oracle, atol=1e-12)
+        np.testing.assert_allclose(prox_conj("s1l1", w, lam), s1l1_prox_oracle(w, lam),
+                                   atol=1e-12)
+
+    def test_prox_below_the_small_singular_values(self, nk):
+        # every singular value is clipped to lam, the ~1e-7 small ones
+        # included, which scales them by lam / s: the small values must be
+        # right to about 1e-13, which the cancelling route
+        # sqrt(0.5 * (tr - disc)) misses by ~1e-8, an error of 1e-3 lam or more
+        lam = 1e-9
+        w = s1l1_field(nk, nk)
+        assert svd_oracle(w)[..., :min(nk, 2)].min() > 10 * lam
+        np.testing.assert_allclose(prox_conj("s1l1", w, lam), s1l1_prox_oracle(w, lam),
+                                   rtol=0, atol=1e-5 * lam)
 
 
 class TestProxConj:
@@ -260,11 +243,23 @@ class TestProxConj:
         lam = 0.8
         w = random_field(11, shape=(3, 3, 4, 2), scale=2.0)
         out = prox_conj("s1l1", w, lam)
-        sv = block_singular_values(out)
+        sv = np.linalg.svd(out, compute_uv=False)
         assert sv.max() <= lam * (1 + 1e-12)
         # directions preserved: scaling back blocks with small sv unchanged
-        small = block_singular_values(w).max(axis=-1) <= lam
+        small = np.linalg.svd(w, compute_uv=False).max(axis=-1) <= lam
         np.testing.assert_allclose(out[small], w[small], atol=1e-12)
+
+    @pytest.mark.parametrize("lam, expected", [(1.0, np.eye(2)), (4.0, 3.0 * np.eye(2))])
+    def test_s1l1_equal_singular_values(self, lam, expected):
+        # a block 3 I has no singular gap: both values are clipped together
+        w = np.zeros((1, 1, 2, 2))
+        w[0, 0] = 3.0 * np.eye(2)
+        np.testing.assert_allclose(prox_conj("s1l1", w, lam)[0, 0], expected, atol=1e-14)
+
+    def test_s1l1_three_directions_rejected(self, rng):
+        # the closed form covers two directions; a third must not be dropped
+        with pytest.raises(ValueError, match=r"\(2, 3, 4, 3\)"):
+            prox_conj("s1l1", rng.standard_normal((2, 3, 4, 3)), 1.0)
 
     def test_s1l1_matches_svd_oracle(self):
         lam = 0.6

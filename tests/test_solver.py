@@ -30,6 +30,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(lambda_bar=-1.0).resolved_lambda()
 
+    @pytest.mark.parametrize("fields", [
+        {"lambda_bar": float("inf")}, {"lambda_bar": float("nan")},
+        {"rho_y": float("inf")}, {"lambda_bar": 1e300, "rho_y": 1e300}])
+    def test_non_finite_lambda_rejected_at_construction(self, fields):
+        with pytest.raises(ValueError, match=r"finite, got lambda_bar \* rho_y"):
+            SolverConfig(**fields)
+
 
 class TestObjective:
     def test_perfect_fit_zero_gradients(self):
@@ -107,14 +114,24 @@ class TestSolve:
 
     def test_saddle_point_is_stationary(self):
         # constant data with replicate-boundary gradients: X0 = y has zero
-        # gradient field, so every iterate must stay put to the ulp
+        # gradient field, so every iterate must stay put to the ulp; the
+        # solver hands each iterate to A once, so A records them all
         shape = (6, 6, 2)
         y = np.full(shape, 3.0)
         L = tv_op(shape, boundary="replicate")
+        iterates = []
+
+        def recording(x):
+            iterates.append(x.copy())
+            return x
+
+        A = LinearOp(shape, shape, recording, lambda r: r, 1.0, name="recording_identity")
         cfg = SolverConfig(lambda_bar=1e-6, q_max=20)
-        xhat, trace = jodefu_solve(identity(shape), L, metric_norm("l221"), y, cfg)
+        xhat, _ = jodefu_solve(A, L, metric_norm("l221"), y, cfg)
         np.testing.assert_array_equal(xhat, y)
-        assert max(trace.primal_change) == 0.0
+        assert len(iterates) == cfg.q_max + 1  # X0 and every iterate after it
+        for x in iterates:
+            np.testing.assert_array_equal(x, y)
 
     def test_divergence_detected_with_bad_bound(self, rng):
         shape = (6, 6, 1)
@@ -178,7 +195,7 @@ class TestSolve:
         cfg = SolverConfig(lambda_bar=0.01, q_max=30, cost_stride=10)
         _, trace = jodefu_solve(identity(shape), tv_op(shape), metric_norm("l221"), y, cfg)
         assert trace.cost_iters == [0, 10, 20, 29]
-        assert len(trace.wall_time) == 30
+        assert trace.iterations == 30
 
 
 class TestResidualReuse:
