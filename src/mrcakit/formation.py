@@ -377,19 +377,38 @@ def sum_channels(shape: tuple[int, int, int]) -> LinearOp:
 def mosaic(mask: Mask, shift: ShiftMap | None = None) -> LinearOp:
     """Masking, optional shifting, then channel summation.
 
+    Without a shift the three steps run as one block: the forward is one
+    contraction over the bands (no masked cube is formed), and the adjoint
+    replicates the image into every band and masks that copy in place.
+    With a shift, mask -> shift -> sum runs as a composed chain.
+
     The generic composition bound (sqrt(nk) times the mask peak) is
     tightened to the exact norm: the shift is injective, so distinct
     focal-plane cells consume disjoint samples and the Gramian is diagonal
     with entries equal to the mask energy deposited on each cell.
     """
-    chain = mask_apply(mask)
-    if shift is not None:
+    h = mask.values
+    if shift is None:
+        ni, nj, nk = h.shape
+
+        def adjoint(y):
+            out = np.repeat(y[:, :, None], nk, axis=2)
+            out *= h
+            return out
+
+        op = LinearOp(h.shape, (ni, nj), lambda x: np.einsum("ijk,ijk->ij", x, h), adjoint,
+                      np.sqrt(nk) * h.max(initial=0.0))
+        # the contraction may round differently from a sum over the bands;
+        # the bound keeps the sum's rounding
+        energy = np.sum(h * h, axis=2)
+    else:
         if shift.input_shape != mask.shape:
             raise ValueError(f"shift consumes {shift.input_shape}, mask produces {mask.shape}")
-        chain = compose(shift_apply(shift), chain)
-    op = compose(sum_channels(chain.output_shape), chain)
+        chain = compose(shift_apply(shift), mask_apply(mask))
+        op = compose(sum_channels(chain.output_shape), chain)
+        energy = op.apply(h)
     # diag(AA*) is the mosaic of the mask itself
-    op.norm_bound = min(op.norm_bound, float(np.sqrt(op.apply(mask.values).max())))
+    op.norm_bound = min(op.norm_bound, float(np.sqrt(energy.max())))
     op.name = "mosaic"
     return op
 

@@ -132,6 +132,12 @@ def _gram2_eigs(g11: np.ndarray, g22: np.ndarray, g12: np.ndarray,
     return mu1, mu2
 
 
+def _l221_norms(w: np.ndarray) -> np.ndarray:
+    """Per-pixel l2 norms of the (nk x nm) blocks of a 4-way field, in one
+    contraction (no squared field is formed)."""
+    return np.sqrt(np.einsum("ijkm,ijkm->ij", w, w))
+
+
 def _check_two_directions(w: np.ndarray) -> None:
     if w.ndim != 4 or w.shape[3] != 2:
         raise ValueError(f"s1l1 needs an (ni, nj, nk, 2) field, got shape {w.shape}")
@@ -141,7 +147,7 @@ def g_eval(kind: str, w: np.ndarray) -> float:
     """Evaluate the chosen metric norm on a gradient field."""
     w = np.asarray(w, dtype=np.float64)
     if kind == "l221":
-        return float(np.sum(np.sqrt(np.sum(w ** 2, axis=(2, 3)))))
+        return float(np.sum(_l221_norms(w)))
     if kind == "l111":
         return float(np.sum(np.abs(w)))
     if kind == "s1l1":
@@ -152,7 +158,7 @@ def g_eval(kind: str, w: np.ndarray) -> float:
     raise ValueError(f"unknown norm kind {kind!r}; choose from {NORM_KINDS}")
 
 
-def _prox_conj_s1l1(w: np.ndarray, lam: float) -> np.ndarray:
+def _prox_conj_s1l1(w: np.ndarray, lam: float, out: np.ndarray | None) -> np.ndarray:
     """Per-pixel projection onto the spectral-norm ball of radius lam."""
     _check_two_directions(w)
     g11, g22, g12, det = _gram2(w)
@@ -169,31 +175,42 @@ def _prox_conj_s1l1(w: np.ndarray, lam: float) -> np.ndarray:
     m00 = alpha + beta * g11
     m11 = alpha + beta * g22
     m01 = beta * g12
-    out = np.empty_like(w)
-    out[..., 0] = w[..., 0] * m00[..., None] + w[..., 1] * m01[..., None]
-    out[..., 1] = w[..., 0] * m01[..., None] + w[..., 1] * m11[..., None]
+    # both directions read both input directions: form them before writing
+    # either, so that ``out`` may be ``w``
+    new0 = w[..., 0] * m00[..., None] + w[..., 1] * m01[..., None]
+    new1 = w[..., 0] * m01[..., None] + w[..., 1] * m11[..., None]
+    if out is None:
+        out = np.empty_like(w)
+    out[..., 0] = new0
+    out[..., 1] = new1
     return out
 
 
-def prox_conj(kind: str, w: np.ndarray, lam: float) -> np.ndarray:
+def prox_conj(kind: str, w: np.ndarray, lam: float,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Proximal operator of the Fenchel conjugate of ``lam * g``: the
     pixel-separable projection onto the dual-norm ball of radius lam.
 
-    Idempotent and nonexpansive for every kind.
+    Idempotent and nonexpansive for every kind.  The projection is written
+    into ``out`` when given (a float64 array of the field's shape, which
+    may be ``w`` itself: the result is bitwise the same) and into a new
+    array otherwise; either is returned.
     """
     if lam <= 0:
         raise ValueError("the regularization weight must be positive")
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 4:
         raise ValueError(f"expected a 4-D field, got shape {w.shape}")
+    if out is not None and (out.shape != w.shape or out.dtype != np.float64):
+        raise ValueError(f"out must be a float64 array of shape {w.shape}, "
+                         f"got {out.dtype} {out.shape}")
     if kind == "l221":
-        norms = np.sqrt(np.sum(w ** 2, axis=(2, 3)))
-        scale = 1.0 / np.maximum(norms / lam, 1.0)
-        return w * scale[:, :, None, None]
+        scale = 1.0 / np.maximum(_l221_norms(w) / lam, 1.0)
+        return np.multiply(w, scale[:, :, None, None], out=out)
     if kind == "l111":
-        return np.clip(w, -lam, lam)
+        return np.clip(w, -lam, lam, out=out)
     if kind == "s1l1":
-        return _prox_conj_s1l1(w, lam)
+        return _prox_conj_s1l1(w, lam, out)
     raise ValueError(f"unknown norm kind {kind!r}; choose from {NORM_KINDS}")
 
 
@@ -210,8 +227,9 @@ class MetricNorm:
     def eval(self, w: np.ndarray) -> float:
         return g_eval(self.kind, w)
 
-    def prox_conj(self, w: np.ndarray, lam: float) -> np.ndarray:
-        return prox_conj(self.kind, w, lam)
+    def prox_conj(self, w: np.ndarray, lam: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        return prox_conj(self.kind, w, lam, out)
 
 
 def metric_norm(kind: str) -> MetricNorm:

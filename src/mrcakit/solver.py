@@ -17,13 +17,23 @@ runs q_max + 1 times per solve), and L*(W) is carried by linearity instead
 of recomputed (L* runs q_max + 1 times per solve).  The cost
 0.5 ||R||^2 + lam * g(L(X)) reuses R and is tracked at the final iterate
 only, unless ``SolverConfig.cost_stride`` asks for more, so by default L
-runs q_max + 2 times and g.eval once per solve.  X, W, LtW and R are
-updated in place, in buffers allocated once per solve (X_half is a scratch
-buffer), with the operations above in the same order, so the in-place form
-changes no bit.  Arrays the operators return are only read: an operator
-may hand back its input or a view of it.  The steps come from the certified norm bounds,
-tau = 0.99 / |A|^2 and sigma = 1 / (tau |L|^2); rho_o is fixed at 1.9; no
-early exit.
+runs q_max + 2 times and g.eval once per solve.
+
+The solve owns seven buffers, allocated once: X, W, LtW and R, updated in
+place, and three scratch arrays: X_half, a cube-sized step and a
+field-sized buffer.  The field buffer takes W + sigma * L(X_half), is
+projected in place into W_half (``prox_conj(..., out=...)``) and then
+becomes the dual step rho_o * (W_half - W).  The operations run in the
+order above, so the in-place form changes no bit.  Arrays the operators
+return are only read: an operator may hand back its input or a view of
+it.  L*(W_half) is freed as soon as LtW has taken it in; A*(R) is kept
+until the next A* result replaces it.  Freeing that cube as well lets the
+C heap shrink at the end of every iteration and fault the same pages back
+in during the next A, A* and L*, which costs more time than the cube
+saves in memory.
+
+The steps come from the certified norm bounds, tau = 0.99 / |A|^2 and
+sigma = 1 / (tau |L|^2); rho_o is fixed at 1.9; no early exit.
 """
 
 from __future__ import annotations
@@ -145,18 +155,18 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
         np.subtract(x, step, out=x_half)
         np.multiply(L.apply(x_half), sigma, out=field_buf)
         field_buf += w
-        w_half = g.prox_conj(field_buf, lam)
-        ltw_half = L.adjoint_apply(w_half)
+        g.prox_conj(field_buf, lam, out=field_buf)  # field_buf now holds w_half
+        ltw_half = L.adjoint_apply(field_buf)
         np.add(v, ltw_half, out=step)
         step *= RHO_O * tau
         x -= step
         np.subtract(ltw_half, ltw, out=step)
         step *= RHO_O
         ltw += step  # = L*(w_next) by linearity
-        np.subtract(w_half, w, out=field_buf)
+        del ltw_half  # v lives on until the next A* result replaces it
+        field_buf -= w
         field_buf *= RHO_O
         w += field_buf
-        del v, w_half, ltw_half  # operator outputs: free them before the next A*
 
         if not np.all(np.isfinite(x)):
             raise SolverDiverged(

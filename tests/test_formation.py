@@ -343,6 +343,42 @@ class TestMosaic:
             mosaic(Mask(np.ones((2, 2, 2)), (0, 1)), cassi_shift_map(3, 2, 2))
 
 
+def _unshifted_masks():
+    quad4, _ = periodic_mask(builtin_tile("quad4"), 8, 8)
+    lri, pan = periodic_mask(builtin_tile("bt4pan"), 8, 8)
+    graded = Mask(np.random.default_rng(8).uniform(0.0, 2.0, (8, 6, 3)), (0, 1, 2))
+    return {"cfa-quad4": quad4, "mrca-lri": lri, "mrca-pan": pan, "graded": graded}
+
+
+class TestFusedMosaic:
+    """Without a shift, mosaic runs as one block; it must agree with the
+    mask -> sum chain it replaces."""
+
+    @staticmethod
+    def _chain(mask):
+        chain = compose(sum_channels(mask.shape), mask_apply(mask))
+        chain.norm_bound = min(chain.norm_bound,
+                               float(np.sqrt(chain.apply(mask.values).max())))
+        return chain
+
+    @pytest.mark.parametrize("name", list(_unshifted_masks()))
+    def test_matches_chain(self, rng, name):
+        mask = _unshifted_masks()[name]
+        op, chain = mosaic(mask), self._chain(mask)
+        x = rng.standard_normal(mask.shape)
+        expected = chain.apply(x)
+        assert np.linalg.norm(op.apply(x) - expected) <= 1e-15 * np.linalg.norm(expected)
+        y = rng.standard_normal(mask.shape[:2])
+        np.testing.assert_array_equal(op.adjoint_apply(y), chain.adjoint_apply(y))
+        assert op.norm_bound == chain.norm_bound
+
+    @pytest.mark.parametrize("name", list(_unshifted_masks()))
+    def test_adjoint_and_bound(self, name):
+        op = mosaic(_unshifted_masks()[name])
+        assert adjoint_dot_test(op) < 1e-10
+        assert power_iteration_norm(op, iters=100) <= op.norm_bound
+
+
 class TestButterworth:
     def test_constant_unchanged(self):
         op = butterworth_blur((8, 8), rho_b=1.4)

@@ -161,6 +161,17 @@ class TestGEval:
             g_eval("l212", np.zeros((1, 1, 1, 2)))
 
 
+@pytest.mark.parametrize("nk", [1, 4])
+def test_l221_matches_squared_field_reference(nk):
+    # the block norms come from one contraction, summed in another order
+    # than the squared-field reference: 8 terms, a few ulps at most
+    w = random_field(nk, shape=(6, 5, nk, 2), scale=2.0)
+    norms = np.sqrt(np.sum(w ** 2, axis=(2, 3)))
+    assert g_eval("l221", w) == pytest.approx(np.sum(norms), rel=2e-15)
+    reference = w * (1.0 / np.maximum(norms / 0.9, 1.0))[:, :, None, None]
+    np.testing.assert_allclose(prox_conj("l221", w, 0.9), reference, rtol=2e-15, atol=0)
+
+
 def s1l1_field(seed, nk):
     """(2, 5, nk, 2) field: random blocks on row 0, near-rank-1 blocks on
     row 1 (second singular value about 1e-7 of the first)."""
@@ -299,13 +310,34 @@ class TestProxConj:
         with pytest.raises(ValueError, match="positive"):
             prox_conj("l221", np.zeros((1, 1, 1, 2)), 0.0)
 
+    @pytest.mark.parametrize("nk", [1, 4])
+    @pytest.mark.parametrize("kind", ["l221", "l111", "s1l1"])
+    def test_in_place_bitwise_equal(self, kind, nk):
+        # s1l1 reads both input directions for each output direction, so
+        # writing one before the other is read would show here
+        w = random_field(nk, shape=(5, 4, nk, 2), scale=2.0)
+        expected = prox_conj(kind, w, 0.9)
+        buffer = np.full_like(w, np.nan)
+        assert prox_conj(kind, w, 0.9, out=buffer) is buffer
+        assert prox_conj(kind, w, 0.9, out=w) is w
+        for got in (buffer, w):
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("out", [np.empty((5, 4, 2, 2)), np.empty((5, 4, 2, 2), np.float32)])
+    def test_out_must_match_the_field(self, out):
+        with pytest.raises(ValueError, match="out"):
+            prox_conj("l221", random_field(0, shape=(5, 4, 3, 2)), 0.9, out=out)
+
 
 class TestMetricNorm:
     def test_bundles_eval_and_prox(self):
         g = metric_norm("l221")
         w = random_field(0)
         assert g.eval(w) == g_eval("l221", w)
-        np.testing.assert_array_equal(g.prox_conj(w, 0.3), prox_conj("l221", w, 0.3))
+        expected = prox_conj("l221", w, 0.3)
+        np.testing.assert_array_equal(g.prox_conj(w, 0.3), expected)
+        assert g.prox_conj(w, 0.3, out=w) is w
+        np.testing.assert_array_equal(w, expected)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
