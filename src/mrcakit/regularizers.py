@@ -16,6 +16,12 @@ lambda, applied pixel by pixel):
 * ``l111``  plain l1 over everything (LASSO);
 * ``s1l1``  sum over pixels of the nuclear norm of the gradient block.
 
+``s1l1``'s evaluation and projection share one Gram pass: the field is
+copied once plane-major, (2, nk, ni, nj), the 2x2 Gramians come from
+contiguous contractions, with the determinant summed from the 2x2 minors
+(Cauchy-Binet), and the projection writes both directions band by band
+from the copy.  Since the copy holds the input, ``out`` may be ``w``.
+
 Alternative gradient transforms can be plugged into the solver as any
 LinearOp producing a 4-way field with a self-declared norm bound; ``l221``
 and ``l111`` take any number of directions, ``s1l1`` exactly two.
@@ -24,6 +30,7 @@ and ``l111`` take any number of directions, ``s1l1`` exactly two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -99,37 +106,26 @@ def tv_op(shape: tuple[int, int, int], boundary: str = "zero") -> LinearOp:
 # ---------------------------------------------------------------------------
 
 
-def _gram2(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Entries g11, g22, g12 and determinant of the 2x2 Gramians W^T W,
-    vectorized over the leading axes of an (..., nk, 2) field.
+def _gram2(w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Plane-major copy of an (ni, nj, nk, 2) field and the entries g11,
+    g22, g12 and determinant of its per-pixel 2x2 Gramians W^T W.
 
-    The determinant is the sum of the squared nk(nk-1)/2 distinct 2x2
-    minors (Cauchy-Binet), which avoids the catastrophic cancellation of
-    g11*g22 - g12^2 on near-rank-1 blocks; with nk = 1 it is 0.
+    The copy, (2, nk, ni, nj), holds every plane contiguously for the
+    Gramian and for the caller.  The determinant is the sum of the squared
+    nk(nk-1)/2 distinct 2x2 minors (Cauchy-Binet), which avoids the
+    catastrophic cancellation of g11*g22 - g12^2 on near-rank-1 blocks;
+    with nk = 1 it is 0.
     """
-    b1, b2 = w[..., 0], w[..., 1]
-    g11 = np.einsum("...k,...k->...", b1, b1)
-    g22 = np.einsum("...k,...k->...", b2, b2)
-    g12 = np.einsum("...k,...k->...", b1, b2)
-    det = np.zeros(w.shape[:-2])
-    for i in range(w.shape[-2] - 1):
-        minors = b1[..., i, None] * b2[..., i + 1:] - b1[..., i + 1:] * b2[..., i, None]
-        det += np.einsum("...k,...k->...", minors, minors)
-    return g11, g22, g12, det
-
-
-def _gram2_eigs(g11: np.ndarray, g22: np.ndarray, g12: np.ndarray,
-                det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (mu1 >= mu2) of the 2x2 Gramians from :func:`_gram2`.
-
-    The small eigenvalue is det/mu1, free of the cancellation of
-    0.5 * (tr - disc) on near-rank-1 blocks.
-    """
-    disc = np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 ** 2, 0.0))
-    mu1 = 0.5 * (g11 + g22 + disc)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu2 = np.where(mu1 > 0.0, det / np.where(mu1 > 0.0, mu1, 1.0), 0.0)
-    return mu1, mu2
+    _check_two_directions(w)
+    planes = np.ascontiguousarray(w.transpose(3, 2, 0, 1))
+    b1, b2 = planes
+    g11, g22, g12 = (np.einsum("kij,kij->ij", a, b) for a, b in ((b1, b1), (b2, b2), (b1, b2)))
+    det, minor, term = np.zeros(w.shape[:2]), np.empty(w.shape[:2]), np.empty(w.shape[:2])
+    for i, j in combinations(range(w.shape[2]), 2):
+        np.multiply(b1[i], b2[j], out=minor)
+        minor -= np.multiply(b1[j], b2[i], out=term)
+        det += np.square(minor, out=minor)
+    return planes, g11, g22, g12, det
 
 
 def _l221_norms(w: np.ndarray) -> np.ndarray:
@@ -152,37 +148,42 @@ def g_eval(kind: str, w: np.ndarray) -> float:
         return float(np.sum(np.abs(w)))
     if kind == "s1l1":
         # nuclear norm of an (nk x 2) block: (s1 + s2)^2 = tr G + 2 sqrt(det G)
-        _check_two_directions(w)
-        g11, g22, _, det = _gram2(w)
+        _, g11, g22, _, det = _gram2(w)
         return float(np.sum(np.sqrt(g11 + g22 + 2.0 * np.sqrt(det))))
     raise ValueError(f"unknown norm kind {kind!r}; choose from {NORM_KINDS}")
 
 
 def _prox_conj_s1l1(w: np.ndarray, lam: float, out: np.ndarray | None) -> np.ndarray:
-    """Per-pixel projection onto the spectral-norm ball of radius lam."""
-    _check_two_directions(w)
-    g11, g22, g12, det = _gram2(w)
-    mu1, mu2 = _gram2_eigs(g11, g22, g12, det)
-    xi1, xi2 = np.sqrt(mu1), np.sqrt(mu2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c1 = np.where(xi1 > lam, lam / xi1, 1.0)
-        c2 = np.where(xi2 > lam, lam / xi2, 1.0)
-    # any scalar function of the symmetric 2x2 Gramian is alpha*I + beta*G
+    """Per-pixel projection onto the spectral-norm ball of radius lam.
+
+    Every read goes to the plane copy of :func:`_gram2`, so ``out`` may be
+    ``w``."""
+    (b1, b2), g11, g22, g12, det = _gram2(w)
+    # Gramian eigenvalues mu1 >= mu2; mu2 = det/mu1 is free of the
+    # cancellation of 0.5 * (tr - disc) on near-rank-1 blocks.  mu1 is 0
+    # only on a zero block, whose det (0 up to underflow) is left in place.
+    mu1 = 0.5 * (g11 + g22 + np.sqrt((g11 - g22) ** 2 + 4.0 * g12 ** 2))
+    mu2 = np.divide(det, mu1, out=det, where=mu1 > 0.0)
+    # singular values above lam are scaled to it: c = lam / max(xi, lam)
+    c1 = lam / np.maximum(np.sqrt(mu1), lam)
+    c2 = lam / np.maximum(np.sqrt(mu2), lam)
+    # any scalar function of the symmetric 2x2 Gramian is alpha*I + beta*G;
+    # an infinite gap sets beta to 0 where the eigenvalues (nearly) coincide
     gap = mu1 - mu2
-    safe = gap > 1e-12 * np.maximum(mu1, 1e-300)
-    beta = np.where(safe, (c1 - c2) / np.where(safe, gap, 1.0), 0.0)
+    gap[gap <= 1e-12 * np.maximum(mu1, 1e-300)] = np.inf
+    beta = (c1 - c2) / gap
     alpha = c1 - beta * mu1
-    m00 = alpha + beta * g11
-    m11 = alpha + beta * g22
-    m01 = beta * g12
-    # both directions read both input directions: form them before writing
-    # either, so that ``out`` may be ``w``
-    new0 = w[..., 0] * m00[..., None] + w[..., 1] * m01[..., None]
-    new1 = w[..., 0] * m01[..., None] + w[..., 1] * m11[..., None]
+    m00, m11, m01 = alpha + beta * g11, alpha + beta * g22, beta * g12
     if out is None:
         out = np.empty_like(w)
-    out[..., 0] = new0
-    out[..., 1] = new1
+    # band by band through two (ni, nj) maps: a field-sized temporary here
+    # lets the C heap shrink after each call and fault back in the next
+    s1, s2 = np.empty_like(m01), np.empty_like(m01)
+    for k in range(len(b1)):
+        for d, (ma, mb) in enumerate(((m00, m01), (m01, m11))):
+            np.multiply(b1[k], ma, out=s1)
+            s1 += np.multiply(b2[k], mb, out=s2)
+            out[:, :, k, d] = s1
     return out
 
 
@@ -196,8 +197,8 @@ def prox_conj(kind: str, w: np.ndarray, lam: float,
     may be ``w`` itself: the result is bitwise the same) and into a new
     array otherwise; either is returned.
     """
-    if lam <= 0:
-        raise ValueError("the regularization weight must be positive")
+    if not 0 < lam < np.inf:  # s1l1's lam / max(xi, lam) is NaN at lam = inf
+        raise ValueError(f"the regularization weight must be positive and finite, got {lam}")
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 4:
         raise ValueError(f"expected a 4-D field, got shape {w.shape}")

@@ -55,7 +55,12 @@ __all__ = [
     "jodefu_solve",
 ]
 
-# Over-relaxation; the iteration converges for any value in (0, 2).
+# Over-relaxation, an empirical choice.  As we read Condat et al. (SIAM
+# Review 2023), the Loris-Verhoeven relaxation is certified only below
+# 2 - tau*beta/2, with beta = |A|^2 the Lipschitz constant of the data
+# term's gradient: about 1.505 at the tau*beta = 0.99 used here, so 1.9
+# lies outside that range.  It is kept because any other value moves
+# every estimate.
 RHO_O = 1.9
 
 

@@ -223,6 +223,70 @@ class TestS1l1AgainstSvd:
                                    rtol=0, atol=1e-5 * lam)
 
 
+def s1l1_prox_reference(w, lam):
+    """The s1l1 projection in its strided form: Gramians and Cauchy-Binet
+    minors read from the w[..., 0] / w[..., 1] views, np.where clipping,
+    both output directions formed before either is written."""
+    b1, b2 = w[..., 0], w[..., 1]
+    g11, g22, g12 = (np.einsum("...k,...k->...", a, b) for a, b in ((b1, b1), (b2, b2), (b1, b2)))
+    det = np.zeros(w.shape[:-2])
+    for i in range(w.shape[-2] - 1):
+        minors = b1[..., i, None] * b2[..., i + 1:] - b1[..., i + 1:] * b2[..., i, None]
+        det += np.einsum("...k,...k->...", minors, minors)
+    mu1 = 0.5 * (g11 + g22 + np.sqrt(np.maximum((g11 - g22) ** 2 + 4.0 * g12 ** 2, 0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu2 = np.where(mu1 > 0.0, det / np.where(mu1 > 0.0, mu1, 1.0), 0.0)
+        xi1, xi2 = np.sqrt(mu1), np.sqrt(mu2)
+        c1 = np.where(xi1 > lam, lam / xi1, 1.0)
+        c2 = np.where(xi2 > lam, lam / xi2, 1.0)
+    gap = mu1 - mu2
+    safe = gap > 1e-12 * np.maximum(mu1, 1e-300)
+    beta = np.where(safe, (c1 - c2) / np.where(safe, gap, 1.0), 0.0)
+    alpha = c1 - beta * mu1
+    m00, m11, m01 = alpha + beta * g11, alpha + beta * g22, beta * g12
+    return np.stack([b1 * m00[..., None] + b2 * m01[..., None],
+                     b1 * m01[..., None] + b2 * m11[..., None]], axis=-1)
+
+
+def reference_field(kind, nk, seed=0):
+    """(6, 5, nk, 2) fields of one block structure, with a radius lam that
+    puts them where the name says."""
+    rng = np.random.default_rng(seed)
+    shape = (6, 5, nk, 2)
+    if kind == "random":
+        w = rng.standard_normal(shape)
+        return w, float(np.median(svd_oracle(w)[..., 0]))
+    if kind == "rank1":
+        w = rng.standard_normal((6, 5, nk, 1)) * rng.standard_normal((6, 5, 1, 2))
+        return w, float(np.median(svd_oracle(w)[..., 0]))
+    if kind == "equal":
+        # s * Q with orthonormal columns; a 1 x 2 block has equal singular
+        # values only when it is zero
+        if nk == 1:
+            return np.zeros(shape), 1.0
+        q = np.linalg.qr(rng.standard_normal(shape))[0]
+        w = q * rng.uniform(0.5, 2.0, (6, 5, 1, 1))
+        return w, 1.0
+    w = rng.standard_normal(shape)
+    norms = svd_oracle(w)[..., 0]
+    return w, float(2.0 * norms.max() if kind == "inside" else 0.5 * norms.min())
+
+
+@pytest.mark.parametrize("nk", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("kind", ["random", "rank1", "equal", "inside", "outside"])
+def test_s1l1_matches_strided_reference(kind, nk):
+    w, lam = reference_field(kind, nk)
+    reference = s1l1_prox_reference(w, lam)
+    if kind == "inside":
+        np.testing.assert_array_equal(reference, w)
+    if kind == "outside":
+        np.testing.assert_allclose(svd_oracle(reference)[..., 0], lam, rtol=1e-13)
+    atol = 1e-14 * np.abs(reference).max()
+    np.testing.assert_allclose(prox_conj("s1l1", w, lam), reference, rtol=0, atol=atol)
+    assert prox_conj("s1l1", w, lam, out=w) is w
+    np.testing.assert_allclose(w, reference, rtol=0, atol=atol)
+
+
 class TestProxConj:
     @pytest.mark.parametrize("kind", ["l221", "l111", "s1l1"])
     def test_inside_ball_unchanged(self, kind):
@@ -309,6 +373,12 @@ class TestProxConj:
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             prox_conj("l221", np.zeros((1, 1, 1, 2)), 0.0)
+
+    @pytest.mark.parametrize("kind", ["l221", "l111", "s1l1"])
+    @pytest.mark.parametrize("lam", [np.inf, np.nan])
+    def test_non_finite_lambda_rejected(self, kind, lam):
+        with pytest.raises(ValueError, match="finite"):
+            prox_conj(kind, np.ones((1, 1, 2, 2)), lam)
 
     @pytest.mark.parametrize("nk", [1, 4])
     @pytest.mark.parametrize("kind", ["l221", "l111", "s1l1"])

@@ -245,14 +245,14 @@ class TestWorkingSet:
     """The memory a solve holds at its peak, in cubes, above its inputs.
 
     Measured at 64x64x4 with tracemalloc: 12.8 cubes on cassi with l221,
-    17.3 on the blurred mrca with s1l1.  Each bound leaves half a cube of
+    15.1 on the blurred mrca with s1l1.  Each bound leaves half a cube of
     slack, so one more field-sized temporary (two cubes) alive at the peak
     fails, such as an out-of-place dual projection.
     """
 
     @pytest.mark.parametrize("name, kind, overrides, bound", [
         ("cassi", "l221", {}, 13.3),
-        ("mrca", "s1l1", {"hri_blur": "butterworth", "rho_b": 1.4}, 17.8),
+        ("mrca", "s1l1", {"hri_blur": "butterworth", "rho_b": 1.4}, 15.6),
     ])
     def test_peak_cubes(self, name, kind, overrides, bound):
         shape = (64, 64, 4)
