@@ -1,39 +1,43 @@
 """Primal-dual reconstruction of a datacube from a compressed acquisition.
 
-Minimizes ``0.5 ||A(X) - y||^2 + lam * g(L(X))`` with an over-relaxed
-Loris-Verhoeven iteration.  One iteration runs, verbatim:
+Minimizes ``0.5 ||A(X) - y||^2 + lam * g(L(X))`` with the plain
+Loris-Verhoeven iteration (Loris & Verhoeven 2011), its dual carried
+scaled by the primal step: Wt = tau * W.  One iteration runs, verbatim:
 
-    V        = A*(R)                                # R = A(X) - y
-    X_half   = X - tau * (V + LtW)                  # LtW = L*(W)
-    W_half   = prox(W + sigma * L(X_half))          # dual-ball projection
-    LtW_half = L*(W_half)
-    X_new    = X - rho_o * tau * (V + LtW_half)     # V reused, per the scheme
-    W_new    = W + rho_o * (W_half - W)
-    LtW      = LtW + rho_o * (LtW_half - LtW)       # = L*(W_new) by linearity
-    R        = A(X_new) - y
+    V   = A*(tau * R)                   # R = A(X) - y, scaled in place
+    X   = X - V
+    Xk  = kappa * (X - LtW)             # = kappa * X_half, LtW = L*(Wt)
+    Wt  = P_{tau lam}(Wt + L(Xk))       # dual-ball projection
+    LtW = L*(Wt)
+    X   = X - LtW                       # = X - (V + L*(Wt)), per the scheme
+    R   = A(X) - y
 
-Start: X = A*(y), W = L(X), LtW = L*(W).  R is formed once per iterate (A
-runs q_max + 1 times per solve), and L*(W) is carried by linearity instead
-of recomputed (L* runs q_max + 1 times per solve).  The cost
-0.5 ||R||^2 + lam * g(L(X)) reuses R and is tracked at the final iterate
-only, unless ``SolverConfig.cost_stride`` asks for more, so by default L
-runs q_max + 2 times and g.eval once per solve.
+with kappa = tau * sigma = 1 / |L|^2.  Start: X = A*(y), Wt = tau * L(X).
+Scaling the residual and the cube before L, rather than the cube after A*
+and the field after L, leaves one cube-sized scale pass per iteration.  R is
+formed once per iterate (A runs q_max + 1 times per solve), and L*(Wt) of
+one iteration is the one the next iteration starts from (L* runs q_max + 1
+times per solve).  The cost 0.5 ||R||^2 + lam * g(L(X)) reuses R and is
+tracked at the final iterate only, unless ``SolverConfig.cost_stride`` asks
+for more, so by default L runs q_max + 2 times and g.eval once per solve.
 
-The solve owns seven buffers, allocated once: X, W, LtW and R, updated in
-place, and three scratch arrays: X_half, a cube-sized step and a
-field-sized buffer.  The field buffer takes W + sigma * L(X_half), is
-projected in place into W_half (``prox_conj(..., out=...)``) and then
-becomes the dual step rho_o * (W_half - W).  The operations run in the
-order above, so the in-place form changes no bit.  Arrays the operators
-return are only read: an operator may hand back its input or a view of
-it.  L*(W_half) is freed as soon as LtW has taken it in; A*(R) is kept
-until the next A* result replaces it.  Freeing that cube as well lets the
-C heap shrink at the end of every iteration and fault the same pages back
-in during the next A, A* and L*, which costs more time than the cube
-saves in memory.
+The solve owns four buffers, allocated once and updated in place: X, Wt,
+R and a cube-sized scratch Xk.  The dual step adds L(Xk) to Wt and
+projects Wt in place (``prox_conj(..., out=...)``): unrelaxed, the
+iteration never needs the previous dual again.  Arrays the operators
+return are only read: an operator may hand back its input, a view of it
+or a read-only broadcast.  A*(tau R) is kept until the next A* result
+replaces it.  Freeing it after its use lets the C heap shrink at the end
+of every iteration and fault the same pages back in during the next A, A*
+and L*, which costs more time than the cube saves in memory.
 
-The steps come from the certified norm bounds, tau = 0.99 / |A|^2 and
-sigma = 1 / (tau |L|^2); rho_o is fixed at 1.9; no early exit.
+The steps come from the certified norm bounds: tau = 1.9 / |A|^2 and
+sigma = 1 / (tau |L|^2), with no relaxation.  Loris-Verhoeven converges
+for tau * beta < 2, beta = |A|^2 the Lipschitz constant of the data
+term's gradient, and tau * sigma * |L|^2 <= 1, with any relaxation below
+2 - tau * beta / 2 = 1.05 (Condat, Kitahara, Contreras & Hirabayashi,
+SIAM Review 2023).  tau * beta = 1.9 took the fewest iterations to
+quality in a sweep from 1.5 to 1.99 on mrca at 256x256x4.  No early exit.
 """
 
 from __future__ import annotations
@@ -54,14 +58,6 @@ __all__ = [
     "objective",
     "jodefu_solve",
 ]
-
-# Over-relaxation, an empirical choice.  As we read Condat et al. (SIAM
-# Review 2023), the Loris-Verhoeven relaxation is certified only below
-# 2 - tau*beta/2, with beta = |A|^2 the Lipschitz constant of the data
-# term's gradient: about 1.505 at the tau*beta = 0.99 used here, so 1.9
-# lies outside that range.  It is kept because any other value moves
-# every estimate.
-RHO_O = 1.9
 
 
 class SolverDiverged(RuntimeError):
@@ -141,37 +137,32 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
     if A.norm_bound <= 0 or L.norm_bound <= 0:
         raise ValueError("solver needs strictly positive norm bounds")
 
-    tau = 0.99 / A.norm_bound ** 2
-    sigma = 1.0 / (tau * L.norm_bound ** 2)
+    # certified for plain LV (see the module docstring); the dual is
+    # carried scaled by tau, so sigma enters only through kappa
+    tau = 1.9 / A.norm_bound ** 2
+    kappa = 1.0 / L.norm_bound ** 2  # = tau * sigma
+    radius = tau * lam
 
-    # x, w and ltw are owned and updated in place; an operator's output may
-    # be its input (identity) or a view of it, so it is only ever read
+    # x, w and r are owned and updated in place; an operator's output may
+    # be its input (identity), a view of it or a read-only broadcast, so it
+    # is only ever read
     x = A.adjoint_apply(y).copy()
-    w = L.apply(x).copy()
-    ltw = L.adjoint_apply(w).copy()
+    w = np.multiply(L.apply(x), tau)
+    ltw = L.adjoint_apply(w)
     r = A.apply(x) - y
-    x_half, step, field_buf = np.empty_like(x), np.empty_like(x), np.empty_like(w)
+    step = np.empty_like(x)
     trace = SolverTrace()
 
     for q in range(cfg.q_max):
-        v = A.adjoint_apply(r)
-        np.add(v, ltw, out=step)
-        step *= tau
-        np.subtract(x, step, out=x_half)
-        np.multiply(L.apply(x_half), sigma, out=field_buf)
-        field_buf += w
-        g.prox_conj(field_buf, lam, out=field_buf)  # field_buf now holds w_half
-        ltw_half = L.adjoint_apply(field_buf)
-        np.add(v, ltw_half, out=step)
-        step *= RHO_O * tau
-        x -= step
-        np.subtract(ltw_half, ltw, out=step)
-        step *= RHO_O
-        ltw += step  # = L*(w_next) by linearity
-        del ltw_half  # v lives on until the next A* result replaces it
-        field_buf -= w
-        field_buf *= RHO_O
-        w += field_buf
+        r *= tau
+        v = A.adjoint_apply(r)  # lives on until the next A* result replaces it
+        x -= v
+        np.subtract(x, ltw, out=step)  # X_half, since x holds X - V
+        step *= kappa
+        w += L.apply(step)  # ltw may view w: it is not read again until recomputed
+        g.prox_conj(w, radius, out=w)
+        ltw = L.adjoint_apply(w)
+        x -= ltw
 
         if not np.all(np.isfinite(x)):
             raise SolverDiverged(
