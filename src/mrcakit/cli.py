@@ -29,7 +29,7 @@ from .harness import (
 )
 from .masks import BUILTIN_TILES, builtin_tile, parse_mask_file, write_mask_file
 from .metrics import compression_ratio, write_report
-from .regularizers import BOUNDARIES, NORM_KINDS
+from .regularizers import NORM_KINDS
 
 
 def _add_formation_flags(p: argparse.ArgumentParser) -> None:
@@ -52,7 +52,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-bar", type=float, default=1e-3)
     p.add_argument("--iters", type=int, default=250)
     p.add_argument("--norm", default=None, choices=NORM_KINDS)
-    p.add_argument("--boundary", default="zero", choices=BOUNDARIES)
     p.add_argument("--equalize", action="store_true",
                    help="equalize LRI sample statistics to the HRI samples first")
 
@@ -68,7 +67,7 @@ def _preset_from_args(args) -> FormationPreset:
 
 def _solver_fields(args) -> dict:
     return dict(method=args.method, lambda_bar=args.lambda_bar, iters=args.iters,
-                norm_kind=args.norm, boundary=args.boundary, equalize=args.equalize)
+                norm_kind=args.norm, equalize=args.equalize)
 
 
 def _cmd_simulate(args) -> int:
@@ -79,7 +78,7 @@ def _cmd_simulate(args) -> int:
     if not args.inp:
         write_datacube(args.out + "_reference", reference)
     print(f"wrote observation {args.out} ({model.op.output_shape}, "
-          f"compression ratio {model.compression_ratio:.3f})")
+          f"compression ratio {compression_ratio(device):.3f})")
     return 0
 
 

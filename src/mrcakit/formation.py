@@ -17,6 +17,12 @@ samples summed on one focal plane), the plain multiresolution bundle, the
 filter-array mosaic, and the coded-aperture acquisition with the one-pixel
 per-band horizontal shear.
 
+Three device constants are fixed rather than configurable: one PAN
+channel (the mean of the bands), a Gaussian LRI blur with gain 0.3 at the
+Nyquist frequency of the 1/ratio grid, and a first-order Butterworth PAN
+blur.  A preset text naming one of their retired keys (``np_bands``,
+``lri_blur_gain``, ``butter_order``) is rejected with the key named.
+
 Every preset carries its exact norm.  ``mrca`` and ``multires`` commute
 with shifts by the tile period resp. the ratio; :func:`alias_domain_norm`
 computes their norm from one small matrix per coarse frequency.  ``cfa``
@@ -114,9 +120,9 @@ class SpectralWeights:
         return self.W.shape[1]
 
 
-def average_weights(nk: int, n_out: int = 1) -> SpectralWeights:
-    """Channel-average model: every output is the mean of the nk bands."""
-    return SpectralWeights(np.full((n_out, nk), 1.0 / nk))
+def average_weights(nk: int) -> SpectralWeights:
+    """Channel-average model: the one PAN channel is the mean of the nk bands."""
+    return SpectralWeights(np.full((1, nk), 1.0 / nk))
 
 
 @dataclass(frozen=True)
@@ -144,15 +150,20 @@ class BlurBank:
         return self.kernels.shape[2]
 
 
-def gaussian_blur_bank(nk: int, ratio: int, gain_at_nyquist: float = 0.3,
-                       max_radius: int | None = None) -> BlurBank:
-    """Isotropic Gaussian kernels whose frequency response equals
-    ``gain_at_nyquist`` at the Nyquist frequency of the 1/ratio grid.
+# Frequency response of the LRI blur at the Nyquist frequency of the
+# 1/ratio grid (the MTF match of the LRI sensor).
+_LRI_GAIN_AT_NYQUIST = 0.3
+
+
+def gaussian_blur_bank(nk: int, ratio: int, max_radius: int | None = None) -> BlurBank:
+    """Isotropic Gaussian kernels whose frequency response equals 0.3 at
+    the Nyquist frequency of the 1/ratio grid (``ratio`` >= 1).
 
     Kernels are normalized to unit sum (unit DC gain).  ``max_radius``
     truncates the support so the kernel fits small images.
     """
-    sigma = _gaussian_sigma(ratio, gain_at_nyquist)
+    f = 1.0 / (2.0 * ratio)
+    sigma = np.sqrt(-np.log(_LRI_GAIN_AT_NYQUIST) / (2.0 * np.pi ** 2 * f ** 2))
     radius = max(1, int(np.ceil(4.0 * sigma)))
     if max_radius is not None:
         radius = min(radius, max(0, max_radius))
@@ -161,15 +172,6 @@ def gaussian_blur_bank(nk: int, ratio: int, gain_at_nyquist: float = 0.3,
     kernel = np.outer(taps, taps)
     kernel /= kernel.sum()
     return BlurBank(np.repeat(kernel[:, :, None], nk, axis=2))
-
-
-def _gaussian_sigma(ratio: int, gain_at_nyquist: float) -> float:
-    if not 0.0 < gain_at_nyquist < 1.0:
-        raise ValueError("gain at Nyquist must lie in (0, 1)")
-    if ratio < 1:
-        raise ValueError("ratio must be >= 1")
-    f = 1.0 / (2.0 * ratio)
-    return np.sqrt(-np.log(gain_at_nyquist) / (2.0 * np.pi ** 2 * f ** 2))
 
 
 @dataclass(frozen=True)
@@ -413,29 +415,27 @@ def mosaic(mask: Mask, shift: ShiftMap | None = None) -> LinearOp:
     return op
 
 
-def _butterworth_transfer(ni: int, nj: int, rho_b: float, order: int) -> np.ndarray:
-    """Butterworth magnitude on the (ni, nj) DFT grid."""
-    _check_butterworth(rho_b, order)
+def _butterworth_transfer(ni: int, nj: int, rho_b: float) -> np.ndarray:
+    """First-order Butterworth magnitude on the (ni, nj) DFT grid."""
+    _check_butterworth(rho_b)
     f = np.hypot(np.fft.fftfreq(ni)[:, None], np.fft.fftfreq(nj)[None, :])
-    return 1.0 / np.sqrt(1.0 + (f * rho_b) ** (2 * order))
+    return 1.0 / np.sqrt(1.0 + (f * rho_b) ** 2)
 
 
-def _check_butterworth(rho_b: float, order: int) -> None:
+def _check_butterworth(rho_b: float) -> None:
     if not 0 < rho_b < np.inf:
         raise ValueError(f"blur diameter must be positive and finite, got rho_b={rho_b}")
-    if order < 1:
-        raise ValueError("filter order must be >= 1")
 
 
-def butterworth_blur(shape, rho_b: float, order: int = 1) -> LinearOp:
-    """Zero-phase low-pass with magnitude 1/sqrt(1 + (f/fc)^(2n)).
+def butterworth_blur(shape, rho_b: float) -> LinearOp:
+    """Zero-phase first-order low-pass with magnitude 1/sqrt(1 + (f/fc)^2).
 
     ``rho_b`` is the blur diameter in pixels; the bilateral cutoff sits at
     fc = 1/rho_b cycles/px on the radial frequency axis.  Real even
     transfer, hence self-adjoint; the bound is the max transfer magnitude
     (1, at DC).  Works on flat images (2-D) and band-wise on cubes (3-D).
     """
-    transfer = _butterworth_transfer(shape[0], shape[1], rho_b, order)
+    transfer = _butterworth_transfer(shape[0], shape[1], rho_b)
     if len(shape) == 3:
         transfer = transfer[:, :, None]
     return _circular_convolve(transfer, shape, name=f"butterworth({rho_b:g})")
@@ -580,32 +580,34 @@ class FormationPreset:
 
     ``noise_sigma`` is the additive-noise standard deviation expressed as a
     fraction of the scene dynamic range; ``seed`` drives the random coded
-    aperture when ``mask == "random"``.
+    aperture when ``mask == "random"``.  The PAN channel count (one), the
+    LRI blur gain at Nyquist (0.3) and the Butterworth order (one) are
+    fixed constants, not fields; :meth:`from_text` rejects their retired
+    keys ``np_bands``, ``lri_blur_gain`` and ``butter_order`` by name.
     """
 
     name: str
     ni: int
     nj: int
     nk: int
-    np_bands: int = 1
     ratio: int = 2
     mask: str = "bt4pan"
-    lri_blur_gain: float = 0.3
     hri_blur: str = "identity"
     rho_b: float = 1.4
-    butter_order: int = 1
     noise_sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         if self.name not in PRESET_NAMES:
             raise ValueError(f"unknown formation preset {self.name!r}; choose from {PRESET_NAMES}")
-        if min(self.ni, self.nj, self.nk, self.np_bands) < 1:
+        if min(self.ni, self.nj, self.nk) < 1:
             raise ValueError("dimensions must be positive")
+        if self.ratio < 1:
+            raise ValueError(f"ratio must be >= 1, got ratio={self.ratio}")
         if self.hri_blur not in ("identity", "butterworth"):
             raise ValueError(f"unknown blur choice {self.hri_blur!r}")
         if self.hri_blur == "butterworth":
-            _check_butterworth(self.rho_b, self.butter_order)
+            _check_butterworth(self.rho_b)
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(
                 f"noise level must be nonnegative and finite, got noise_sigma={self.noise_sigma}")
@@ -664,10 +666,6 @@ class FormationModel:
     lri_support: np.ndarray | None = None
     hri_support: np.ndarray | None = None
 
-    @property
-    def compression_ratio(self) -> float:
-        return float(np.prod(self.op.output_shape) / np.prod(self.op.input_shape))
-
 
 def _resolve_masks(preset: FormationPreset) -> tuple[Mask, Mask | None, tuple[int, int] | None]:
     """The LRI and PAN masks of a preset, and the tile period (None for the
@@ -700,8 +698,7 @@ def _resolve_tile(preset: FormationPreset) -> PeriodicTile | None:
 def _lri_blur(preset: FormationPreset) -> tuple[LinearOp, np.ndarray]:
     """The per-band Gaussian blur of the LRI samples and its kernel spectra."""
     ni, nj, nk = preset.ni, preset.nj, preset.nk
-    bank = gaussian_blur_bank(nk, preset.ratio, preset.lri_blur_gain,
-                              max_radius=(min(ni, nj) - 1) // 2)
+    bank = gaussian_blur_bank(nk, preset.ratio, max_radius=(min(ni, nj) - 1) // 2)
     K = _padded_kernel_fft(bank.kernels, ni, nj)
     return _circular_convolve(K, (ni, nj, nk)), K
 
@@ -727,7 +724,7 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     ni, nj, nk = shape
 
     if preset.name == "multires":
-        w = average_weights(nk, preset.np_bands)
+        w = average_weights(nk)
         hri_op = spectral_degrade(w, shape)
         blur, K = _lri_blur(preset)
         lri_op = compose(decimate(shape, preset.ratio), blur)
@@ -748,12 +745,12 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         return FormationModel(preset, mosaic(h_lri, shift), h_lri=h_lri, shift=shift)
 
     # full compressed acquisition on one focal plane
-    _check_mrca(preset, h_pan is not None)
-    w = average_weights(nk, 1)
+    _check_mrca(h_pan is not None)
+    w = average_weights(nk)
     branch_p = compose(mosaic(h_pan), spectral_degrade(w, shape))
     transfer = None
     if preset.hri_blur == "butterworth":
-        transfer = _butterworth_transfer(ni, nj, preset.rho_b, preset.butter_order)
+        transfer = _butterworth_transfer(ni, nj, preset.rho_b)
         blur_p = _circular_convolve(transfer, (ni, nj), name=f"butterworth({preset.rho_b:g})")
         branch_p = compose(blur_p, branch_p)
     blur, K = _lri_blur(preset)
@@ -764,15 +761,14 @@ def build_formation(preset: FormationPreset) -> FormationModel:
                           hri_support=h_pan.pixel_support())
 
 
-def _check_mrca(preset: FormationPreset, has_pan: bool) -> None:
+def _check_mrca(has_pan: bool) -> None:
     if not has_pan:
         raise ValueError("the mrca preset needs a mask with PAN pixels (e.g. bt4pan)")
-    if preset.np_bands != 1:
-        raise ValueError("the mrca preset models a single PAN channel")
 
 
 def preset_compression_ratio(preset: FormationPreset) -> float:
-    """``build_formation(preset).compression_ratio`` from the preset's sizes.
+    """Observation size over cube size of ``build_formation(preset).op``,
+    from the preset's sizes.
 
     Runs the checks of :func:`build_formation` in its order, so a preset it
     rejects is rejected here with the same error, but builds no mask,
@@ -780,15 +776,13 @@ def preset_compression_ratio(preset: FormationPreset) -> float:
     """
     ni, nj, nk = preset.ni, preset.nj, preset.nk
     if preset.name == "multires":
-        _gaussian_sigma(preset.ratio, preset.lri_blur_gain)
         ci, cj, _ = _decimated_shape((ni, nj, nk), preset.ratio)
-        acquired = ni * nj * preset.np_bands + ci * cj * nk
+        acquired = ni * nj + ci * cj * nk
     else:
         tile = _resolve_tile(preset)
         acquired = ni * (nj + nk - 1) if preset.name == "cassi" else ni * nj
         if preset.name == "mrca":
-            _check_mrca(preset, tile is not None)
-            _gaussian_sigma(preset.ratio, preset.lri_blur_gain)
+            _check_mrca(tile is not None)
     return acquired / (ni * nj * nk)
 
 

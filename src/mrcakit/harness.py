@@ -29,8 +29,8 @@ from .formation import (
     equalize_lri_stats,
     mosaic,
 )
-from .metrics import QualityReport, psnr, sam, ssim, write_report
-from .regularizers import BOUNDARIES, NORM_KINDS, metric_norm, tv_op
+from .metrics import QualityReport, compression_ratio, psnr, sam, ssim, write_report
+from .regularizers import NORM_KINDS, metric_norm, tv_op
 from .solver import SolverConfig, jodefu_presets, jodefu_solve
 
 __all__ = [
@@ -203,7 +203,6 @@ class PipelineSpec:
     lambda_bar: float = 1e-3
     iters: int = 250
     norm_kind: str | None = None
-    boundary: str = "zero"
     equalize: bool = False
     dataset: str = "synthetic"
     rho: float = 1.0
@@ -220,8 +219,6 @@ class PipelineSpec:
             raise ValueError(f"lambda_bar must be positive and finite, got {self.lambda_bar}")
         if self.norm_kind is not None and self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm_kind {self.norm_kind!r}; choose from {NORM_KINDS}")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"unknown boundary {self.boundary!r}; choose from {BOUNDARIES}")
         if self.report_format not in ("csv", "json"):
             raise ValueError(f"unknown report_format {self.report_format!r}; choose csv or json")
 
@@ -326,7 +323,7 @@ def reconstruct(spec: PipelineSpec, model: FormationModel, y: np.ndarray,
     if spec.method == "baseline":
         return baseline_reconstruct(y, model)
     rp = jodefu_presets(spec.method)
-    grad = tv_op(model.op.input_shape, spec.boundary)
+    grad = tv_op(model.op.input_shape)
     norm = metric_norm(spec.norm_kind or rp.norm_kind)
     cfg = SolverConfig(lambda_bar=spec.lambda_bar, rho_y=rho, q_max=spec.iters)
     xhat, _ = jodefu_solve(model.op, grad, norm, y, cfg)
@@ -354,12 +351,13 @@ def run_pipeline(spec: PipelineSpec) -> PipelineResult:
     """
     reference, preset, dataset_label = load_reference(spec.formation, spec.dataset,
                                                       spec.rho, spec.seed)
-    model, y = simulate(_effective_preset(spec, preset), reference, spec.seed)
+    device = _effective_preset(spec, preset)
+    model, y = simulate(device, reference, spec.seed)
     xhat = reconstruct(spec, model, y, reference.rho)
     estimate = DataCube(xhat, rho=reference.rho, band_labels=reference.band_labels)
     report = evaluate(reference, estimate, dataset_label, preset.name, spec.method,
                       None if spec.method == "baseline" else spec.lambda_bar,
-                      model.compression_ratio)
+                      compression_ratio(device))
 
     if spec.out_dir is not None:
         os.makedirs(spec.out_dir, exist_ok=True)

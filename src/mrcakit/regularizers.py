@@ -2,11 +2,11 @@
 
 The gradient of an (ni, nj, nk) cube is a 4-way field (ni, nj, nk, 2)
 holding backward differences along rows (direction 0) and columns
-(direction 1).  Out-of-range neighbors count as zero, so the first
-row/column carries the raw sample value; a ``replicate`` boundary variant
-(zero gradient at the border) is available as a switch.  The adjoint is the
-exact transpose of whichever variant is selected, certified by the
-inner-product test rather than transcribed from a closed form.
+(direction 1).  Out-of-range neighbors count as zero, so the first row
+(direction 0) and the first column (direction 1) carry the sample value
+itself.  The adjoint is the exact transpose, a negative divergence,
+certified by the inner-product test rather than transcribed from a closed
+form.
 
 Three metric norms are shipped, each with the proximal operator of its
 Fenchel conjugate (the projection onto the dual-norm ball of radius
@@ -50,17 +50,10 @@ __all__ = [
 TV_NORM_BOUND = float(np.sqrt(8.0))
 
 NORM_KINDS = ("l221", "l111", "s1l1")
-BOUNDARIES = ("zero", "replicate")
 
 
-def _check_boundary(boundary: str) -> None:
-    if boundary not in BOUNDARIES:
-        raise ValueError(f"unknown boundary {boundary!r}; choose from {BOUNDARIES}")
-
-
-def tv_forward(x: np.ndarray, boundary: str = "zero") -> np.ndarray:
+def tv_forward(x: np.ndarray) -> np.ndarray:
     """Per-band backward differences; returns the (ni, nj, nk, 2) field."""
-    _check_boundary(boundary)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected a 3-D cube, got shape {x.shape}")
@@ -68,14 +61,12 @@ def tv_forward(x: np.ndarray, boundary: str = "zero") -> np.ndarray:
     for axis in (0, 1):
         src, d = np.moveaxis(x, axis, 0), np.moveaxis(w[..., axis], axis, 0)
         np.subtract(src[1:], src[:-1], out=d[1:])
-        d[0] = src[0] if boundary == "zero" else 0.0
+        d[0] = src[0]
     return w
 
 
-def tv_adjoint(w: np.ndarray, boundary: str = "zero") -> np.ndarray:
-    """Exact adjoint of :func:`tv_forward` (a negative divergence whose
-    border handling mirrors the forward convention)."""
-    _check_boundary(boundary)
+def tv_adjoint(w: np.ndarray) -> np.ndarray:
+    """Exact adjoint of :func:`tv_forward` (a negative divergence)."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 4 or w.shape[3] != 2:
         raise ValueError(f"expected an (ni, nj, nk, 2) field, got shape {w.shape}")
@@ -84,21 +75,14 @@ def tv_adjoint(w: np.ndarray, boundary: str = "zero") -> np.ndarray:
         d, a = np.moveaxis(w[..., axis], axis, 0), np.moveaxis(buf, axis, 0)
         np.subtract(d[:-1], d[1:], out=a[:-1])
         a[-1] = d[-1]
-        if boundary == "replicate":  # the forward pins d[0] to 0, so it drops out
-            a[0] = -d[1] if len(d) > 1 else 0.0
     out += part
     return out
 
 
-def tv_op(shape: tuple[int, int, int], boundary: str = "zero") -> LinearOp:
+def tv_op(shape: tuple[int, int, int]) -> LinearOp:
     """The gradient transform packaged as a LinearOp."""
-    _check_boundary(boundary)
     ni, nj, nk = shape
-    return LinearOp(
-        shape, (ni, nj, nk, 2),
-        lambda x: tv_forward(x, boundary),
-        lambda w: tv_adjoint(w, boundary),
-        TV_NORM_BOUND, name=f"tv[{boundary}]")
+    return LinearOp(shape, (ni, nj, nk, 2), tv_forward, tv_adjoint, TV_NORM_BOUND, name="tv")
 
 
 # ---------------------------------------------------------------------------

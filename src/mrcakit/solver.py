@@ -192,17 +192,17 @@ class ReconstructionPreset:
 
 
 _PRESETS = {
-    "v1": ReconstructionPreset("l221", "identity", 0.0),
-    "v2": ReconstructionPreset("s1l1", "butterworth", 1.4),
+    "jodefu-v1": ReconstructionPreset("l221", "identity", 0.0),
+    "jodefu-v2": ReconstructionPreset("s1l1", "butterworth", 1.4),
 }
 
 
 def jodefu_presets(name: str) -> ReconstructionPreset:
-    """The two shipped setups: ``v1`` is the fast default (classic gradient,
-    l221 coupling, no blur); ``v2`` trades time for quality (nuclear-norm
-    coupling and a 1.4 px blur on the PAN samples)."""
-    key = name.lower().removeprefix("jodefu-").removeprefix("jodefu_")
+    """The two shipped setups, named as ``harness.METHODS`` names them:
+    ``jodefu-v1`` is the fast default (classic gradient, l221 coupling, no
+    blur); ``jodefu-v2`` trades time for quality (nuclear-norm coupling and
+    a 1.4 px blur on the PAN samples)."""
     try:
-        return _PRESETS[key]
+        return _PRESETS[name]
     except KeyError:
-        raise ValueError(f"unknown solver preset {name!r}; choose v1 or v2")
+        raise ValueError(f"unknown solver preset {name!r}; choose from {tuple(_PRESETS)}")

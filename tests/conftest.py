@@ -74,8 +74,7 @@ def random_block(rng: np.random.Generator, shape) -> LinearOp:
         return shift_apply(random_shift_map(rng, shape))
     if kind == 5:
         return sum_channels(shape)
-    return butterworth_blur(shape, rho_b=float(rng.uniform(0.5, 3.0)),
-                            order=int(rng.integers(1, 4)))
+    return butterworth_blur(shape, rho_b=float(rng.uniform(0.5, 3.0)))
 
 
 def tv_adapter(shape) -> LinearOp:

@@ -60,8 +60,7 @@ def _catalog_operators():
         "butterworth": butterworth_blur(shape, 1.4),
         "mrca": build_formation(formation_preset("mrca", 8, 8, 4)).op,
         "multires": build_formation(formation_preset("multires", 8, 8, 4)).op,
-        "tv_zero": tv_op(shape, "zero"),
-        "tv_replicate": tv_op(shape, "replicate"),
+        "tv": tv_op(shape),
     }
 
 
@@ -171,7 +170,7 @@ def test_criterion_5_preset_reductions_bitwise():
 
     multires = build_formation(formation_preset("multires", 8, 8, 4, ratio=2)).op
     elementary = stack(
-        spectral_degrade(average_weights(4, 1), shape),
+        spectral_degrade(average_weights(4), shape),
         compose(decimate(shape, 2),
                 spatial_convolve(gaussian_blur_bank(4, 2, max_radius=3), shape)))
     ok_mr = np.array_equal(multires.apply(x), elementary.apply(x))

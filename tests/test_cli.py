@@ -84,6 +84,14 @@ class TestPipelineCommand:
             run("pipeline", "--norm", "l212")
         assert exc.value.code != 0
 
+    @pytest.mark.parametrize("command", ["pipeline", "reconstruct"])
+    @pytest.mark.parametrize("value", ["zero", "replicate"])
+    def test_retired_boundary_flag_rejected_by_parser(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--in", "obs", "--out", "est", "--boundary", value)
+        assert exc.value.code == 2
+        assert "--boundary" in capsys.readouterr().err
+
 
 class TestStagedMatchesPipeline:
     """``simulate -> reconstruct -> evaluate`` against ``pipeline --out``

@@ -156,6 +156,16 @@ class TestConvNormBound:
         bound = conv_norm_bound(bank, (8, 8))
         assert bound.exact == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("ratio", [2, 4])
+    def test_gaussian_gain_at_nyquist_is_0_3(self, ratio):
+        # the untruncated kernel's response at the Nyquist frequency
+        # 1/(2 ratio) of the decimated grid, along one axis; sampling the
+        # continuous Gaussian and cutting it at 4 sigma move it by ~2e-5
+        kernel = gaussian_blur_bank(1, ratio).kernels[:, :, 0]
+        t = np.arange(kernel.shape[1]) - kernel.shape[1] // 2
+        gain = np.sum(kernel.sum(axis=0) * np.cos(np.pi * t / ratio))
+        assert gain == pytest.approx(0.3, abs=1e-4)
+
     def test_exact_matches_power_iteration(self, rng):
         bank = BlurBank(rng.standard_normal((3, 3, 2)))
         op = spatial_convolve(bank, (6, 6, 2))
@@ -392,15 +402,15 @@ class TestButterworth:
         np.testing.assert_allclose(op.apply(x), x, atol=1e-12)
 
     def test_impulse_response_matches_transfer_oracle(self):
-        rho_b, order = 2.0, 3
+        rho_b = 2.0
         for ni, nj in ((16, 16), (9, 11)):  # even and odd grids
-            op = butterworth_blur((ni, nj), rho_b, order)
+            op = butterworth_blur((ni, nj), rho_b)
             impulse = np.zeros((ni, nj))
             impulse[0, 0] = 1.0
             response = op.apply(impulse)
             fi = np.fft.fftfreq(ni)[:, None]
             fj = np.fft.fftfreq(nj)[None, :]
-            transfer = 1.0 / np.sqrt(1.0 + (np.hypot(fi, fj) * rho_b) ** (2 * order))
+            transfer = 1.0 / np.sqrt(1.0 + (np.hypot(fi, fj) * rho_b) ** 2)
             np.testing.assert_allclose(np.fft.fft2(response).real, transfer, atol=1e-12)
             np.testing.assert_allclose(np.fft.fft2(response).imag, 0.0, atol=1e-12)
 
@@ -417,14 +427,12 @@ class TestButterworth:
 
     def test_self_adjoint(self, rng):
         for shape in ((5, 7, 2), (9, 11)):
-            op = butterworth_blur(shape, rho_b=1.2, order=2)
+            op = butterworth_blur(shape, rho_b=1.2)
             assert adjoint_dot_test(op, trials=10, seed=5) < 1e-12
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             butterworth_blur((4, 4), rho_b=0.0)
-        with pytest.raises(ValueError):
-            butterworth_blur((4, 4), rho_b=1.0, order=0)
 
 
 class TestPresetReductions:
@@ -437,7 +445,7 @@ class TestPresetReductions:
         model = build_formation(preset)
         shape = self.SHAPE
         elementary = stack(
-            spectral_degrade(average_weights(4, 1), shape),
+            spectral_degrade(average_weights(4), shape),
             compose(decimate(shape, 2),
                     spatial_convolve(gaussian_blur_bank(4, 2, max_radius=3), shape)))
         x = rng.standard_normal(shape)
@@ -493,14 +501,14 @@ class TestPresetReductions:
         shape = (4, 4, 2)
         bank = gaussian_blur_bank(2, 2, max_radius=1)
         dense = (to_dense(mosaic(lri)) @ to_dense(spatial_convolve(bank, shape))
-                 + to_dense(mosaic(pan)) @ to_dense(spectral_degrade(average_weights(2, 1), shape)))
+                 + to_dense(mosaic(pan)) @ to_dense(spectral_degrade(average_weights(2), shape)))
         np.testing.assert_allclose(to_dense(model.op), dense, atol=1e-13)
 
     def test_compression_ratios(self):
-        assert build_formation(
-            formation_preset("mrca", 8, 8, 4)).compression_ratio == pytest.approx(0.25)
-        assert build_formation(
-            formation_preset("multires", 8, 8, 4, ratio=2)).compression_ratio == pytest.approx(0.5)
+        for preset, ratio in ((formation_preset("mrca", 8, 8, 4), 0.25),
+                              (formation_preset("multires", 8, 8, 4, ratio=2), 0.5)):
+            op = build_formation(preset).op
+            assert np.prod(op.output_shape) / np.prod(op.input_shape) == pytest.approx(ratio)
 
     @pytest.mark.parametrize("name", ["mrca", "multires"])
     def test_sensor_supports_partition_the_observation(self, name):
@@ -632,6 +640,20 @@ class TestPresetSerialization:
         with pytest.raises(ValueError, match="unknown preset keys"):
             FormationPreset.from_text("name=cfa\nni=4\nnj=4\nnk=3\nbogus=1\n")
 
+    @pytest.mark.parametrize("line", ["np_bands=1", "lri_blur_gain=0.3", "butter_order=1"])
+    def test_retired_key_rejected_by_name(self, line):
+        # presets written before these constants were fixed carry the keys
+        # at their only values; they fail on reading instead of loading
+        key = line.split("=")[0]
+        with pytest.raises(ValueError, match=rf"unknown preset keys: \['{key}'\]"):
+            FormationPreset.from_text(f"name=mrca\nni=8\nnj=8\nnk=4\n{line}\n")
+
+    def test_text_lists_the_ten_fields(self):
+        keys = [line.split("=")[0] for line in
+                formation_preset("mrca", 8, 8, 4).to_text().splitlines()]
+        assert keys == ["name", "ni", "nj", "nk", "ratio", "mask", "hri_blur", "rho_b",
+                        "noise_sigma", "seed"]
+
     def test_missing_name_rejected(self):
         with pytest.raises(ValueError, match="name"):
             FormationPreset.from_text("ni=4\nnj=4\nnk=3\n")
@@ -650,7 +672,6 @@ class TestPresetSerialization:
     @pytest.mark.parametrize("blur, message", [
         ({"rho_b": 0.0}, "blur diameter must be positive"),
         ({"rho_b": -1.0}, "blur diameter must be positive"),
-        ({"butter_order": 0}, "filter order must be >= 1"),
         ({"rho_b": float("nan")}, "blur diameter must be positive and finite, got rho_b=nan"),
         ({"rho_b": float("inf")}, "blur diameter must be positive and finite, got rho_b=inf"),
     ])
@@ -663,6 +684,12 @@ class TestPresetSerialization:
     def test_bad_noise_level_rejected_at_construction(self, sigma):
         with pytest.raises(ValueError, match=f"got noise_sigma={sigma}"):
             formation_preset("mrca", 16, 16, 4, noise_sigma=sigma)
+
+    @pytest.mark.parametrize("name", ["mrca", "cfa", "cassi", "multires"])
+    @pytest.mark.parametrize("ratio", [0, -2])
+    def test_bad_ratio_rejected_at_construction(self, name, ratio):
+        with pytest.raises(ValueError, match=f"ratio must be >= 1, got ratio={ratio}"):
+            formation_preset(name, 16, 16, 4, ratio=ratio)
 
     def test_unknown_formation_rejected(self):
         with pytest.raises(ValueError, match="preset"):

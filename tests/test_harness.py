@@ -228,7 +228,7 @@ class TestPipeline:
             PipelineSpec(formation=self.SPEC.formation, method="magic")
 
     @pytest.mark.parametrize("field, value", [
-        ("report_format", "xml"), ("norm_kind", "l2"), ("boundary", "periodic"),
+        ("report_format", "xml"), ("norm_kind", "l2"),
         ("lambda_bar", 0.0), ("lambda_bar", -1e-3), ("lambda_bar", float("nan")),
         ("lambda_bar", float("inf"))])
     def test_bad_field_rejected_at_construction(self, tmp_path, field, value):

@@ -146,6 +146,12 @@ class TestPerfectOnlyWhenEqual:
         assert sam(ref, DataCube(skewed, rho=ref.rho)) > 0.0
 
 
+def built_ratio(preset):
+    """Observation size over cube size of the built operator."""
+    op = build_formation(preset).op
+    return float(np.prod(op.output_shape) / np.prod(op.input_shape))
+
+
 class TestCompressionRatio:
     def test_full_acquisition_quarter(self):
         assert compression_ratio(formation_preset("mrca", 64, 64, 4)) == pytest.approx(0.250)
@@ -165,12 +171,11 @@ class TestCompressionRatio:
         formation_preset("mrca", 16, 16, 4, hri_blur="butterworth"),
         formation_preset("multires", 16, 16, 4, ratio=2),
         formation_preset("multires", 16, 16, 4, ratio=4),
-        formation_preset("multires", 16, 16, 4, np_bands=2),
         formation_preset("cfa", 16, 16, 4),
         formation_preset("cassi", 16, 64, 4),
-    ], ids=lambda p: f"{p.name}-{p.ni}x{p.nj}-r{p.ratio}-np{p.np_bands}-{p.hri_blur}")
+    ], ids=lambda p: f"{p.name}-{p.ni}x{p.nj}-r{p.ratio}-{p.hri_blur}")
     def test_preset_ratio_equals_built_formation(self, preset):
-        assert compression_ratio(preset) == build_formation(preset).compression_ratio
+        assert compression_ratio(preset) == built_ratio(preset)
 
     @pytest.mark.parametrize("preset", [
         formation_preset("mrca", 18, 16, 4),  # bt4pan period does not divide 18
@@ -178,11 +183,7 @@ class TestCompressionRatio:
         formation_preset("cassi", 16, 17, 4, mask="quad4"),
         formation_preset("mrca", 16, 16, 4, mask="no-such-tile.txt"),  # read as a file
         formation_preset("mrca", 16, 16, 4, mask="random"),
-        formation_preset("mrca", 16, 16, 4, np_bands=2),
-        formation_preset("mrca", 16, 16, 4, lri_blur_gain=1.0),
         formation_preset("multires", 16, 16, 4, ratio=3),
-        formation_preset("multires", 16, 16, 4, ratio=0),
-        formation_preset("multires", 16, 16, 4, lri_blur_gain=0.0),
     ])
     def test_preset_rejected_as_build_formation_rejects_it(self, preset):
         with pytest.raises((ValueError, OSError)) as built:
@@ -195,7 +196,7 @@ class TestCompressionRatio:
         path = str(tmp_path / "tile.txt")
         write_mask_file(path, builtin_tile("bt4pan"))
         preset = formation_preset("mrca", 16, 16, 4, mask=path)
-        assert compression_ratio(preset) == build_formation(preset).compression_ratio
+        assert compression_ratio(preset) == built_ratio(preset)
 
     def test_in_unit_interval_for_all_presets(self):
         for name in ("mrca", "multires", "cfa", "cassi"):

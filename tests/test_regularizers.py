@@ -31,10 +31,6 @@ class TestTvForward:
         np.testing.assert_array_equal(w[:, 1:, 0, 1], 0.0)
         np.testing.assert_array_equal(w[:, 0, 0, 1], 2.0)
 
-    def test_replicate_boundary_constant_is_zero(self):
-        w = tv_forward(np.full((3, 4, 2), 5.0), boundary="replicate")
-        assert not w.any()
-
     def test_1x2_hand_example(self):
         w = tv_forward(np.array([[[0.0], [1.0]]]))
         np.testing.assert_array_equal(w[0, :, 0, 1], [0.0, 1.0])
@@ -46,65 +42,46 @@ class TestTvForward:
         rhs = a[0] * tv_forward(x) + b[0] * tv_forward(y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_unknown_boundary(self):
-        with pytest.raises(ValueError, match="boundary"):
-            tv_forward(np.zeros((2, 2, 1)), boundary="mirror")
-
 
 # degenerate single-row and single-column cubes, and an odd size
 EDGE_SHAPES = [(1, 5, 2), (4, 1, 3), (5, 7, 2)]
-BOUNDARIES = ["zero", "replicate"]
 
 
-def np_diff_forward(x, boundary):
+def np_diff_forward(x):
     """Reference gradient built from np.diff with a zero row prepended."""
-    fields = []
-    for axis in (0, 1):
-        d = np.diff(x, axis=axis, prepend=0.0)
-        if boundary == "replicate":
-            d[(slice(None),) * axis + (0,)] = 0.0
-        fields.append(d)
-    return np.stack(fields, axis=3)
+    return np.stack([np.diff(x, axis=axis, prepend=0.0) for axis in (0, 1)], axis=3)
 
 
-def np_diff_adjoint(w, boundary):
+def np_diff_adjoint(w):
     """Reference adjoint: minus np.diff with a zero row appended, per direction."""
-    parts = []
-    for axis in (0, 1):
-        d = w[..., axis].copy()
-        if boundary == "replicate":
-            d[(slice(None),) * axis + (0,)] = 0.0
-        parts.append(-np.diff(d, axis=axis, append=0.0))
+    parts = [-np.diff(w[..., axis], axis=axis, append=0.0) for axis in (0, 1)]
     return parts[0] + parts[1]
 
 
 class TestTvAdjoint:
-    @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("shape", [(16, 16, 3), *EDGE_SHAPES])
-    def test_adjoint_identity(self, shape, boundary):
-        op = tv_op(shape, boundary)
+    def test_adjoint_identity(self, shape):
+        op = tv_op(shape)
         assert adjoint_dot_test(op, trials=20, seed=0) < 1e-10
 
     def test_zero_field_zero_cube(self):
         assert not tv_adjoint(np.zeros((4, 4, 2, 2))).any()
 
-    @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("shape", [(8, 8, 1), *EDGE_SHAPES])
-    def test_gram_matches_dense_oracle(self, rng, shape, boundary):
-        op = tv_op(shape, boundary)
+    def test_gram_matches_dense_oracle(self, rng, shape):
+        op = tv_op(shape)
         dense = to_dense(op)
         x = rng.standard_normal(shape)
-        via_op = tv_adjoint(tv_forward(x, boundary), boundary)
+        via_op = tv_adjoint(tv_forward(x))
         via_mat = (dense.T @ dense @ x.ravel()).reshape(shape)
         np.testing.assert_allclose(via_op, via_mat, atol=1e-12)
 
-    @pytest.mark.parametrize("boundary", BOUNDARIES)
     @pytest.mark.parametrize("shape", EDGE_SHAPES)
-    def test_bitwise_equal_to_np_diff_reference(self, rng, shape, boundary):
+    def test_bitwise_equal_to_np_diff_reference(self, rng, shape):
         x = rng.standard_normal(shape)
         w = rng.standard_normal(shape + (2,))
-        for got, ref in ((tv_forward(x, boundary), np_diff_forward(x, boundary)),
-                         (tv_adjoint(w, boundary), np_diff_adjoint(w, boundary))):
+        for got, ref in ((tv_forward(x), np_diff_forward(x)),
+                         (tv_adjoint(w), np_diff_adjoint(w))):
             np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mrcakit.formation import build_formation, formation_preset
-from mrcakit.harness import PipelineSpec, SceneParams, run_pipeline, synth_scene
+from mrcakit.harness import METHODS, PipelineSpec, SceneParams, run_pipeline, synth_scene
 from mrcakit.operators import LinearOp, identity
-from mrcakit.regularizers import metric_norm, tv_op
+from mrcakit.regularizers import TV_NORM_BOUND, metric_norm, tv_adjoint, tv_forward, tv_op
 from mrcakit.solver import (
     ReconstructionPreset,
     SolverConfig,
@@ -113,12 +113,21 @@ class TestSolve:
         np.testing.assert_array_equal(a, b)
 
     def test_saddle_point_is_stationary(self):
-        # constant data with replicate-boundary gradients: X0 = y has zero
-        # gradient field, so every iterate must stay put to the ulp; the
-        # solver hands each iterate to A once, so A records them all
+        # constant data with a zero-border gradient (the first row resp.
+        # column of each direction pinned to 0): X0 = y has zero gradient
+        # field, so every iterate must stay put to the ulp; the solver
+        # hands each iterate to A once, so A records them all
         shape = (6, 6, 2)
         y = np.full(shape, 3.0)
-        L = tv_op(shape, boundary="replicate")
+
+        def zero_border(w):
+            w[0, :, :, 0] = 0.0
+            w[:, 0, :, 1] = 0.0
+            return w
+
+        L = LinearOp(shape, shape + (2,), lambda x: zero_border(tv_forward(x)),
+                     lambda w: tv_adjoint(zero_border(w.copy())), TV_NORM_BOUND,
+                     name="tv_zero_border")
         iterates = []
 
         def recording(x):
@@ -368,7 +377,7 @@ class TestDeskQuality:
 
 class TestPresets:
     def test_v1(self):
-        assert jodefu_presets("v1") == ReconstructionPreset("l221", "identity", 0.0)
+        assert jodefu_presets("jodefu-v1") == ReconstructionPreset("l221", "identity", 0.0)
 
     def test_v2_defaults(self):
         p = jodefu_presets("jodefu-v2")
@@ -377,6 +386,11 @@ class TestPresets:
         assert p.rho_b == pytest.approx(1.4)
         assert 1.0 <= p.rho_b <= 1.5
 
-    def test_unknown_rejected(self):
+    @pytest.mark.parametrize("name", ["v3", "v1", "JODEFU-V1", "jodefu_v2", "baseline"])
+    def test_unknown_rejected(self, name):
         with pytest.raises(ValueError, match="preset"):
-            jodefu_presets("v3")
+            jodefu_presets(name)
+
+    def test_names_are_the_harness_methods(self):
+        kinds = {m: jodefu_presets(m).norm_kind for m in METHODS if m != "baseline"}
+        assert kinds == {"jodefu-v1": "l221", "jodefu-v2": "s1l1"}
