@@ -58,10 +58,10 @@ def tv_forward(x: np.ndarray) -> np.ndarray:
     if x.ndim != 3:
         raise ValueError(f"expected a 3-D cube, got shape {x.shape}")
     w = np.empty(x.shape + (2,))
-    for axis in (0, 1):
-        src, d = np.moveaxis(x, axis, 0), np.moveaxis(w[..., axis], axis, 0)
-        np.subtract(src[1:], src[:-1], out=d[1:])
-        d[0] = src[0]
+    np.subtract(x[1:], x[:-1], out=w[1:, :, :, 0])
+    w[0, :, :, 0] = x[0]
+    np.subtract(x[:, 1:], x[:, :-1], out=w[:, 1:, :, 1])
+    w[:, 0, :, 1] = x[:, 0]
     return w
 
 
@@ -71,10 +71,11 @@ def tv_adjoint(w: np.ndarray) -> np.ndarray:
     if w.ndim != 4 or w.shape[3] != 2:
         raise ValueError(f"expected an (ni, nj, nk, 2) field, got shape {w.shape}")
     out, part = np.empty(w.shape[:3]), np.empty(w.shape[:3])
-    for axis, buf in ((0, out), (1, part)):
-        d, a = np.moveaxis(w[..., axis], axis, 0), np.moveaxis(buf, axis, 0)
-        np.subtract(d[:-1], d[1:], out=a[:-1])
-        a[-1] = d[-1]
+    d0, d1 = w[..., 0], w[..., 1]
+    np.subtract(d0[:-1], d0[1:], out=out[:-1])
+    out[-1] = d0[-1]
+    np.subtract(d1[:, :-1], d1[:, 1:], out=part[:, :-1])
+    part[:, -1] = d1[:, -1]
     out += part
     return out
 

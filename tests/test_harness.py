@@ -193,8 +193,25 @@ class TestPipeline:
         model = build_formation(spec.formation)
         y = equalize_lri_stats(raw.observation, model.lri_support, model.hri_support)
         xhat, _ = jodefu_solve(model.op, tv_op(model.op.input_shape), metric_norm("l221"), y,
-                               SolverConfig(lambda_bar=spec.lambda_bar, rho_y=1.0, q_max=20))
+                               SolverConfig(lambda_bar=spec.lambda_bar, rho_y=1.0, q_max=20,
+                                            x0=baseline_reconstruct(y, model)))
         np.testing.assert_array_equal(eq.estimate.values, xhat)
+
+    @pytest.mark.parametrize("formation", ["mrca", "multires", "cfa", "cassi"])
+    @pytest.mark.parametrize("method, kind", [("jodefu-v1", "l221"), ("jodefu-v2", "s1l1")])
+    def test_pipeline_solves_from_the_baseline(self, formation, method, kind):
+        from mrcakit.harness import _effective_preset
+        from mrcakit.regularizers import metric_norm, tv_op
+        from mrcakit.solver import SolverConfig, jodefu_solve
+        spec = PipelineSpec(formation=formation_preset(formation, 16, 16, 4, noise_sigma=0.01),
+                            method=method, iters=20, seed=3)
+        run = run_pipeline(spec)
+        model = build_formation(_effective_preset(spec, spec.formation))
+        y = run.observation
+        xhat, _ = jodefu_solve(model.op, tv_op(model.op.input_shape), metric_norm(kind), y,
+                               SolverConfig(lambda_bar=spec.lambda_bar, rho_y=1.0, q_max=20,
+                                            x0=baseline_reconstruct(y, model)))
+        np.testing.assert_array_equal(run.estimate.values, xhat)
 
     @pytest.mark.parametrize("formation, mask", [
         pytest.param("cassi", "random", id="cassi"), pytest.param("cfa", "quad4", id="cfa"),
