@@ -1,48 +1,56 @@
 """Primal-dual reconstruction of a datacube from a compressed acquisition.
 
-Minimizes ``0.5 ||A(X) - y||^2 + lam * g(L(X))`` with the plain
-Loris-Verhoeven iteration (Loris & Verhoeven 2011), its dual carried
-scaled by the primal step: Wt = tau * W.  One iteration runs, verbatim:
+Minimizes ``0.5 ||A(X) - y||^2 + lam * g(L(X))`` with the Chambolle-Pock
+iteration (Chambolle & Pock 2011) on the stacked operator K = [A; L]: both
+terms enter through their conjugates, one dual per block, each with its own
+step (Pock & Chambolle 2011, diagonal preconditioning).  The data term's
+conjugate has the closed-form prox u -> (u - sigma_A y) / (1 + sigma_A), and
+the regularizer's is the projection onto the dual-norm ball of radius lam.
+Both duals are carried scaled by the primal step: Ut = tau * U and
+Wt = tau * W.  One iteration runs, verbatim:
 
-    V   = A*(tau * R)                   # R = A(X) - y, scaled in place
-    X   = X - V
-    Xk  = kappa * (X - LtW)             # = kappa * X_half, LtW = L*(Wt)
-    Wt  = P_{tau lam}(Wt + L(Xk))       # dual-ball projection
-    LtW = L*(Wt)
-    X   = X - LtW                       # = X - (V + L*(Wt)), per the scheme
-    R   = A(X) - y
+    Ut  = (Ut + cA * (A(Xbar) - y)) / (1 + sigma_A)
+    Wt  = P_{tau lam}(Wt + L(cL * Xbar))        # dual-ball projection
+    X   = X - A*(Ut) - L*(Wt)
+    Xbar = 2 X - X_prev
+    AX  = A(X)
 
-with kappa = tau * sigma = 1 / |L|^2.  Start: X = ``SolverConfig.x0`` (a
+with cA = tau * sigma_A and cL = tau * sigma_L.  A(Xbar) = 2 A(X) - A(X_prev)
+comes by linearity from the two last AX, so A runs once per iteration, on
+the iterate the solve returns, and once on the start: A and A* run q_max + 1
+times per solve (the first A* forms the start A*(y)), L* q_max times and L
+q_max times plus one per tracked cost.  Start: X = ``SolverConfig.x0`` (a
 float64 copy; the harness passes the interpolation baseline) or, without
-one, X = A*(y); then Wt = tau * L(X).  Loris-Verhoeven converges from any
-start to a minimizer of the same objective, so the start changes only how
-many iterations reach a given quality: from A*(y), in the null space of A
-only the dual moves X, and pure mosaics crawl.
-Scaling the residual and the cube before L, rather than the cube after A*
-and the field after L, leaves one cube-sized scale pass per iteration.  R is
-formed once per iterate (A runs q_max + 1 times per solve), and L*(Wt) of
-one iteration is the one the next iteration starts from (L* runs q_max + 1
-times per solve).  The cost 0.5 ||R||^2 + lam * g(L(X)) reuses R and is
-tracked at the final iterate only, unless ``SolverConfig.cost_stride`` asks
-for more, so by default L runs q_max + 2 times and g.eval once per solve.
+one, X = A*(y); Xbar = X and both duals are 0.  The cost
+0.5 ||A(X) - y||^2 + lam * g(L(X)) reuses AX and is tracked at the final
+iterate only, unless ``SolverConfig.cost_stride`` asks for more; each
+tracked cost runs L and g.eval once.
 
-The solve owns four buffers, allocated once and updated in place: X, Wt,
-R and a cube-sized scratch Xk.  The dual step adds L(Xk) to Wt and
-projects Wt in place (``prox_conj(..., out=...)``): unrelaxed, the
-iteration never needs the previous dual again.  Arrays the operators
-return are only read: an operator may hand back its input, a view of it
-or a read-only broadcast.  A*(tau R) is kept until the next A* result
-replaces it.  Freeing it after its use lets the C heap shrink at the end
-of every iteration and fault the same pages back in during the next A, A*
-and L*, which costs more time than the cube saves in memory.
+The steps come from the certified norm bounds and lambda_bar only:
 
-The steps come from the certified norm bounds: tau = 1.9 / |A|^2 and
-sigma = 1 / (tau |L|^2), with no relaxation.  Loris-Verhoeven converges
-for tau * beta < 2, beta = |A|^2 the Lipschitz constant of the data
-term's gradient, and tau * sigma * |L|^2 <= 1, with any relaxation below
-2 - tau * beta / 2 = 1.05 (Condat, Kitahara, Contreras & Hirabayashi,
-SIAM Review 2023).  tau * beta = 1.9 took the fewest iterations to
-quality in a sweep from 1.5 to 1.99 on mrca at 256x256x4.  No early exit.
+    tau = 0.01 / (lambda_bar |A|^2),  cA = 0.495 / |A|^2,  cL = 0.495 / |L|^2,
+
+so tau (sigma_A |A|^2 + sigma_L |L|^2) = 0.99 < 1 bounds
+tau |sigma_A A*A + sigma_L L*L| below 1, the convergence condition of the
+preconditioned iteration, for every lambda_bar.  No gradient step caps tau:
+the data term sits in the dual.  In the null space of A only Wt moves X, by
+up to tau * lam per iteration, and tau * lam = 0.01 rho_y / |A|^2 does not
+depend on lambda_bar.  A fixed tau |A|^2 = 10 instead lost PSNR at
+lambda_bar >= 3e-3 on the sweep of ``scripts/parameter_sweep.py``.  At the
+default lambda_bar = 1e-3, tau |A|^2 = 10 took the fewest iterations to
+quality on mrca among 2, 5, 10, 20 and 50.  No relaxation and no early exit.
+
+The solve owns six buffers, allocated once and updated in place: the cubes
+X and Xbar (held scaled, cL * Xbar), the field Wt, and Ut, AX and the
+residual R on the observation grid.  The dual step adds L(cL * Xbar) to Wt
+and projects Wt in place (``prox_conj(..., out=...)``): unrelaxed, the
+iteration never needs the previous duals again.  Arrays the operators
+return are only read: an operator may hand back its input, a view of it or
+a read-only broadcast.  A*(Ut) is kept until the next A* result replaces
+it.  Freeing it after its use lets the C heap shrink at the end of every
+iteration and fault the same pages back in during the next iteration
+(~2000 against ~70 minor faults per iteration at 256x256x4), which costs
+more time than the cube saves in memory.
 """
 
 from __future__ import annotations
@@ -158,35 +166,38 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
         raise ValueError(f"x0 shape {np.shape(cfg.x0)} does not match operator "
                          f"input {A.input_shape}")
 
-    # certified for plain LV (see the module docstring); the dual is
-    # carried scaled by tau, so sigma enters only through kappa
-    tau = 1.9 / A.norm_bound ** 2
-    kappa = 1.0 / L.norm_bound ** 2  # = tau * sigma
+    # certified steps (see the module docstring); both duals are carried
+    # scaled by tau, so sigma_A and sigma_L enter through c_a and c_l
+    tau = 0.01 / (cfg.lambda_bar * A.norm_bound ** 2)
+    c_a = 0.495 / A.norm_bound ** 2  # = tau * sigma_A
+    c_l = 0.495 / L.norm_bound ** 2  # = tau * sigma_L
+    shrink = 1.0 / (1.0 + c_a / tau)  # = 1 / (1 + sigma_A)
     radius = tau * lam
 
-    # x, w and r are owned and updated in place; an operator's output may
+    # every buffer is owned and updated in place; an operator's output may
     # be its input (identity), a view of it or a read-only broadcast, so it
     # is only ever read
     if cfg.x0 is None:
         x = A.adjoint_apply(y).copy()
     else:
         x = np.array(cfg.x0, dtype=np.float64)
-    w = np.multiply(L.apply(x), tau)
-    ltw = L.adjoint_apply(w)
-    r = A.apply(x) - y
-    step = np.empty_like(x)
+    xbar = np.multiply(x, c_l)  # c_l * Xbar
+    ax = A.apply(x).copy()
+    r = ax - y  # A(Xbar) - y
+    u = np.zeros_like(r)
+    w = np.zeros(L.output_shape)
     trace = SolverTrace()
 
     for q in range(cfg.q_max):
-        r *= tau
-        v = A.adjoint_apply(r)  # lives on until the next A* result replaces it
-        x -= v
-        np.subtract(x, ltw, out=step)  # X_half, since x holds X - V
-        step *= kappa
-        w += L.apply(step)  # ltw may view w: it is not read again until recomputed
+        r *= c_a
+        u += r
+        u *= shrink
+        w += L.apply(xbar)
         g.prox_conj(w, radius, out=w)
-        ltw = L.adjoint_apply(w)
-        x -= ltw
+        np.copyto(xbar, x)  # X_prev
+        v = A.adjoint_apply(u)  # lives on until the next A* result replaces it
+        x -= v
+        x -= L.adjoint_apply(w)
 
         if not np.all(np.isfinite(x)):
             raise SolverDiverged(
@@ -196,11 +207,18 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
             raise SolverDiverged(
                 f"non-finite dual iterate at q={q}; check the norm bound of "
                 f"{L.name} (={L.norm_bound:g})")
-        np.subtract(A.apply(x), y, out=r)
+        np.subtract(x, xbar, out=xbar)
+        xbar += x
+        xbar *= c_l  # c_l * (2 X - X_prev)
+        ax_new = A.apply(x)
+        np.subtract(ax_new, y, out=r)
         trace.iterations = q + 1
         if q == cfg.q_max - 1 or (cfg.cost_stride and q % cfg.cost_stride == 0):
             trace.cost_iters.append(q)
             trace.costs.append(_cost(r, L.apply(x), g, lam))
+        r += ax_new
+        r -= ax  # 2 A(X) - A(X_prev) - y
+        np.copyto(ax, ax_new)
 
     return x, trace
 
