@@ -19,7 +19,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--size", type=int, default=64)
     ap.add_argument("--bands", type=int, default=4)
-    ap.add_argument("--iters", type=int, default=250)
+    ap.add_argument("--iters", type=int, default=250,
+                    help="cap on the solver iterations of each jodefu solve")
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--out", default="sweep.csv")
     args = ap.parse_args()

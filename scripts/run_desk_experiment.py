@@ -29,7 +29,8 @@ def main() -> int:
     ap.add_argument("--size", type=int, default=64)
     ap.add_argument("--bands", type=int, default=4)
     ap.add_argument("--noise", type=float, default=0.01)
-    ap.add_argument("--iters", type=int, default=250)
+    ap.add_argument("--iters", type=int, default=250,
+                    help="cap on the solver iterations of each jodefu solve")
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--out", default=None, help="optional report file (csv)")
     args = ap.parse_args()

@@ -50,7 +50,9 @@ def _add_formation_flags(p: argparse.ArgumentParser) -> None:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", default="jodefu-v1", choices=METHODS)
     p.add_argument("--lambda-bar", type=float, default=1e-3)
-    p.add_argument("--iters", type=int, default=250)
+    p.add_argument("--iters", type=int, default=250,
+                   help="cap on the solver iterations; a solve stops earlier once "
+                        "its residuals have converged")
     p.add_argument("--norm", default=None, choices=NORM_KINDS)
     p.add_argument("--equalize", action="store_true",
                    help="equalize LRI sample statistics to the HRI samples first")

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mrcakit import harness
+from mrcakit.datacube import DataCube
 from mrcakit.formation import build_formation, formation_preset
 from mrcakit.harness import (
     METHODS,
@@ -16,6 +18,7 @@ from mrcakit.harness import (
     run_sweep,
     synth_scene,
 )
+from mrcakit.metrics import psnr
 from mrcakit.operators import LinearOp, identity
 from mrcakit.regularizers import TV_NORM_BOUND, metric_norm, tv_adjoint, tv_forward, tv_op
 from mrcakit.solver import (
@@ -144,8 +147,9 @@ class TestSolve:
     def test_saddle_point_is_stationary(self):
         # constant data with a zero-border gradient (the first row resp.
         # column of each direction pinned to 0): X0 = y has zero gradient
-        # field, so every iterate must stay put to the ulp; the solver
-        # hands each iterate to A once, so A records them all
+        # field, so every iterate must stay put to the ulp and both
+        # residuals are 0 after the first iteration, which ends the solve;
+        # the solver hands each iterate to A once, so A records them all
         shape = (6, 6, 2)
         y = np.full(shape, 3.0)
 
@@ -165,9 +169,10 @@ class TestSolve:
 
         A = LinearOp(shape, shape, recording, lambda r: r, 1.0, name="recording_identity")
         cfg = SolverConfig(lambda_bar=1e-6, q_max=20)
-        xhat, _ = jodefu_solve(A, L, metric_norm("l221"), y, cfg)
+        xhat, trace = jodefu_solve(A, L, metric_norm("l221"), y, cfg)
         np.testing.assert_array_equal(xhat, y)
-        assert len(iterates) == cfg.q_max + 1  # X0 and every iterate after it
+        assert trace.iterations == 1 and trace.converged
+        assert len(iterates) == 2  # X0 and the one iterate after it
         for x in iterates:
             np.testing.assert_array_equal(x, y)
 
@@ -228,12 +233,24 @@ class TestSolve:
             assert np.all(np.isfinite(xhat))
 
     def test_trace_cost_stride(self, rng):
+        # lambda_bar = 0.1 does not meet the stop tolerance within 30
+        # iterations, so the solve runs to the cap
         shape = (6, 6, 1)
         y = rng.standard_normal(shape)
-        cfg = SolverConfig(lambda_bar=0.01, q_max=30, cost_stride=10)
+        cfg = SolverConfig(lambda_bar=0.1, q_max=30, cost_stride=10)
         _, trace = jodefu_solve(identity(shape), tv_op(shape), metric_norm("l221"), y, cfg)
         assert trace.cost_iters == [0, 10, 20, 29]
-        assert trace.iterations == 30
+        assert trace.iterations == 30 and not trace.converged
+
+    def test_cost_tracked_at_the_stopping_iterate(self, rng):
+        shape = (6, 6, 1)
+        y = rng.standard_normal(shape)
+        A, L, g = identity(shape), tv_op(shape), metric_norm("l221")
+        cfg = SolverConfig(lambda_bar=0.01, q_max=30, cost_stride=10)
+        xhat, trace = jodefu_solve(A, L, g, y, cfg)
+        assert trace.converged and trace.iterations < cfg.q_max
+        assert trace.cost_iters == [0, 10, trace.iterations - 1]
+        assert trace.costs[-1] == objective(A, L, g, cfg.resolved_lambda(), y, xhat)
 
 
 class TestStart:
@@ -356,12 +373,12 @@ class TestWorkingSet:
 def plain_cp_reference(A, L, g, y, cfg):
     """Textbook Chambolle-Pock on K = [A; L]: unscaled duals U and W, the
     steps written out, the extrapolated iterate formed explicitly and A
-    applied to it afresh."""
+    applied to it afresh.  It runs all ``cfg.q_max`` iterations."""
     lam = cfg.resolved_lambda()
     tau = 0.01 / (cfg.lambda_bar * A.norm_bound ** 2)
     sigma_a = 0.495 / (tau * A.norm_bound ** 2)
     sigma_l = 0.495 / (tau * L.norm_bound ** 2)
-    x = A.adjoint_apply(y)
+    x = A.adjoint_apply(y) if cfg.x0 is None else np.asarray(cfg.x0, dtype=np.float64)
     x_bar = x
     u = np.zeros(A.output_shape)
     w = np.zeros(L.output_shape)
@@ -430,36 +447,83 @@ class TestAliasing:
 
 
 @functools.lru_cache(maxsize=None)
-def desk_psnr(formation: str, method: str, seed: int = 11) -> float:
-    """PSNR of one desk experiment row: 64x64x4, 250 iterations, sigma =
-    0.01, through run_pipeline; the desk experiment runs scene seed 11."""
+def desk_row(formation: str, method: str, seed: int = 11):
+    """One desk experiment row: 64x64x4, 250 iterations, sigma = 0.01,
+    through run_pipeline; the desk experiment runs scene seed 11.  Returns
+    the pipeline result and, for a jodefu method, the arguments and the
+    trace of its solve."""
+    solves = []
+
+    def recording(*args):
+        x, trace = jodefu_solve(*args)
+        solves.append((args, trace))
+        return x, trace
+
     spec = PipelineSpec(formation=formation_preset(formation, 64, 64, 4, noise_sigma=0.01),
                         method=method, iters=250, seed=seed)
-    return run_pipeline(spec).report.psnr
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "jodefu_solve", recording)
+        result = run_pipeline(spec)
+    return result, (solves[0] if solves else None)
+
+
+def desk_psnr(formation: str, method: str, seed: int = 11) -> float:
+    """PSNR of one desk experiment row (see ``desk_row``)."""
+    return desk_row(formation, method, seed)[0].report.psnr
 
 
 class TestDeskQuality:
-    """The jodefu rows of the desk experiment score no lower than a
-    recorded PSNR less 0.005 dB, so a solver change cannot quietly lose
-    desk quality.  The mrca and multires rows record the over-relaxed step
-    rule (tau * beta = 0.99, relaxation 1.9) that the plain step replaced;
-    the cfa and cassi rows record the plain step started from the
-    interpolation baseline."""
+    """The jodefu rows of the desk experiment score no lower than the PSNR
+    that Chambolle-Pock reached in all 250 iterations, before the solve
+    stopped on its residuals, less 0.005 dB, so neither a solver change nor
+    an early stop can quietly lose desk quality: at STOP_TOL = 3e-3, cfa
+    jodefu-v1 stopped 0.006 dB low."""
 
-    FLOOR_DB = {  # PSNR measured through run_pipeline
-        ("mrca", "jodefu-v1"): 26.59600269033193,
-        ("mrca", "jodefu-v2"): 26.776662288230998,
-        ("multires", "jodefu-v1"): 27.768417980746477,
-        ("multires", "jodefu-v2"): 28.201029138656494,
-        ("cfa", "jodefu-v1"): 24.835252618423436,
-        ("cfa", "jodefu-v2"): 24.9898032742855,
-        ("cassi", "jodefu-v1"): 21.341171249734337,
-        ("cassi", "jodefu-v2"): 21.811634698397363,
+    FLOOR_DB = {  # PSNR measured through run_pipeline, 250 iterations
+        ("mrca", "jodefu-v1"): 26.59940073761167,
+        ("mrca", "jodefu-v2"): 26.778146662825133,
+        ("multires", "jodefu-v1"): 27.791725177236888,
+        ("multires", "jodefu-v2"): 28.22904244545817,
+        ("cfa", "jodefu-v1"): 25.411606421794414,
+        ("cfa", "jodefu-v2"): 25.43195637896222,
+        ("cassi", "jodefu-v1"): 24.66453447259869,
+        ("cassi", "jodefu-v2"): 25.09418256736129,
     }
 
     @pytest.mark.parametrize("formation, method", list(FLOOR_DB))
     def test_psnr_at_least_the_replaced_rule(self, formation, method):
         assert desk_psnr(formation, method) >= self.FLOOR_DB[formation, method] - 0.005
+
+
+class TestStop:
+    """The solve stops once its primal and data-dual residuals are both
+    within ``STOP_TOL``; ``q_max`` is a cap."""
+
+    def test_rerun_stops_at_the_same_iteration_bitwise(self):
+        model = build_formation(formation_preset("mrca", 8, 8, 4))
+        y = model.op.apply(synth_scene(SceneParams(8, 8, 4), seed=5).values)
+        L, g = tv_op(model.op.input_shape), metric_norm("l221")
+        a, trace_a = jodefu_solve(model.op, L, g, y)
+        b, trace_b = jodefu_solve(model.op, L, g, y)
+        assert trace_a.converged and trace_a.iterations < SolverConfig().q_max
+        assert trace_a == trace_b
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("formation", ["mrca", "multires"])
+    @pytest.mark.parametrize("method", ["jodefu-v1", "jodefu-v2"])
+    def test_desk_rows_stop_before_the_cap(self, formation, method):
+        _, (_, trace) = desk_row(formation, method)
+        assert trace.converged and trace.iterations < 250
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("formation", ["mrca", "multires", "cfa", "cassi"])
+    @pytest.mark.parametrize("method", ["jodefu-v1", "jodefu-v2"])
+    def test_within_a_hundredth_of_a_db_of_the_full_textbook_run(self, formation, method, seed):
+        result, (args, _) = desk_row(formation, method, seed)
+        reference = result.reference
+        x = plain_cp_reference(*args)
+        full = psnr(reference, DataCube(x, rho=reference.rho))
+        assert abs(result.report.psnr - full) <= 0.01
 
 
 class TestAboveTheFloor:
