@@ -1,5 +1,6 @@
 """Shared test helpers: dense materialization oracles and random operator
-generators used by the adjoint/norm property suites."""
+generators used by the adjoint/norm property suites, and the textbook
+solver the solver suites compare against."""
 
 from __future__ import annotations
 
@@ -102,6 +103,27 @@ def random_composition(rng: np.random.Generator, depth: int = 3) -> LinearOp:
     elif choice == 1:
         op = add(op, op)
     return op
+
+
+def plain_cp_reference(A, L, g, y, cfg):
+    """Textbook Chambolle-Pock on K = [A; L]: unscaled duals U and W, the
+    steps written out, the extrapolated iterate formed explicitly and A
+    applied to it afresh.  It runs all ``cfg.q_max`` iterations."""
+    lam = cfg.resolved_lambda()
+    tau = 0.01 / (cfg.lambda_bar * A.norm_bound ** 2)
+    sigma_a = 0.495 / (tau * A.norm_bound ** 2)
+    sigma_l = 0.495 / (tau * L.norm_bound ** 2)
+    x = A.adjoint_apply(y) if cfg.x0 is None else np.asarray(cfg.x0, dtype=np.float64)
+    x_bar = x
+    u = np.zeros(A.output_shape)
+    w = np.zeros(L.output_shape)
+    for _ in range(cfg.q_max):
+        u = (u + sigma_a * (A.apply(x_bar) - y)) / (1.0 + sigma_a)
+        w = g.prox_conj(w + sigma_l * L.apply(x_bar), lam)
+        x_next = x - tau * (A.adjoint_apply(u) + L.adjoint_apply(w))
+        x_bar = 2.0 * x_next - x
+        x = x_next
+    return x
 
 
 @pytest.fixture

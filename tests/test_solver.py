@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import plain_cp_reference
 from mrcakit import harness
 from mrcakit.datacube import DataCube
 from mrcakit.formation import build_formation, formation_preset
@@ -125,24 +126,32 @@ class TestSolve:
         assert min(trace.costs) == pytest.approx(trace.costs[-1], rel=1e-6)
 
     def test_denoise_matches_long_run_self_oracle(self, rng):
+        # the long run is the textbook iteration, which has no stop, so it
+        # runs all 5000 iterations however early the solve under test stops
         scene = synth_scene(SceneParams(8, 8, 1), seed=3)
         noisy = scene.values + rng.normal(0, 0.05, scene.shape)
         L, g = tv_op(scene.shape), metric_norm("l221")
         A = identity(scene.shape)
         x_fast, _ = jodefu_solve(A, L, g, noisy, SolverConfig(lambda_bar=0.05, q_max=250))
-        x_ref, _ = jodefu_solve(A, L, g, noisy, SolverConfig(lambda_bar=0.05, q_max=5000))
+        x_ref = plain_cp_reference(A, L, g, noisy, SolverConfig(lambda_bar=0.05, q_max=5000))
         o_fast = objective(A, L, g, 0.05, noisy, x_fast)
         o_ref = objective(A, L, g, 0.05, noisy, x_ref)
         assert abs(o_fast - o_ref) / o_ref < 1e-4
 
-    def test_deterministic_bitwise(self, rng):
+    @pytest.mark.parametrize("q_max, converged", [(30, False), (SolverConfig().q_max, True)])
+    def test_deterministic_bitwise(self, q_max, converged):
+        # at the cap and at the stop alike, a rerun ends at the same
+        # iteration with the same bits
         model = build_formation(formation_preset("mrca", 8, 8, 4))
         y = model.op.apply(synth_scene(SceneParams(8, 8, 4), seed=5).values)
         L, g = tv_op(model.op.input_shape), metric_norm("l221")
-        cfg = SolverConfig(lambda_bar=1e-3, q_max=30)
-        a, _ = jodefu_solve(model.op, L, g, y, cfg)
-        b, _ = jodefu_solve(model.op, L, g, y, cfg)
-        np.testing.assert_array_equal(a, b)
+        cfg = SolverConfig(lambda_bar=1e-3, q_max=q_max)
+        a, trace_a = jodefu_solve(model.op, L, g, y, cfg)
+        b, trace_b = jodefu_solve(model.op, L, g, y, cfg)
+        assert trace_a.converged == converged
+        assert (trace_a.iterations < q_max) == converged
+        assert trace_a == trace_b
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_saddle_point_is_stationary(self):
         # constant data with a zero-border gradient (the first row resp.
@@ -370,27 +379,6 @@ class TestWorkingSet:
         assert peak / (np.prod(shape) * 8) <= bound
 
 
-def plain_cp_reference(A, L, g, y, cfg):
-    """Textbook Chambolle-Pock on K = [A; L]: unscaled duals U and W, the
-    steps written out, the extrapolated iterate formed explicitly and A
-    applied to it afresh.  It runs all ``cfg.q_max`` iterations."""
-    lam = cfg.resolved_lambda()
-    tau = 0.01 / (cfg.lambda_bar * A.norm_bound ** 2)
-    sigma_a = 0.495 / (tau * A.norm_bound ** 2)
-    sigma_l = 0.495 / (tau * L.norm_bound ** 2)
-    x = A.adjoint_apply(y) if cfg.x0 is None else np.asarray(cfg.x0, dtype=np.float64)
-    x_bar = x
-    u = np.zeros(A.output_shape)
-    w = np.zeros(L.output_shape)
-    for _ in range(cfg.q_max):
-        u = (u + sigma_a * (A.apply(x_bar) - y)) / (1.0 + sigma_a)
-        w = g.prox_conj(w + sigma_l * L.apply(x_bar), lam)
-        x_next = x - tau * (A.adjoint_apply(u) + L.adjoint_apply(w))
-        x_bar = 2.0 * x_next - x
-        x = x_next
-    return x
-
-
 class TestOneAdjointPerIteration:
     @pytest.mark.parametrize("q_max", [1, 7, 20])
     def test_one_gradient_adjoint_per_iteration(self, q_max):
@@ -498,16 +486,6 @@ class TestDeskQuality:
 class TestStop:
     """The solve stops once its primal and data-dual residuals are both
     within ``STOP_TOL``; ``q_max`` is a cap."""
-
-    def test_rerun_stops_at_the_same_iteration_bitwise(self):
-        model = build_formation(formation_preset("mrca", 8, 8, 4))
-        y = model.op.apply(synth_scene(SceneParams(8, 8, 4), seed=5).values)
-        L, g = tv_op(model.op.input_shape), metric_norm("l221")
-        a, trace_a = jodefu_solve(model.op, L, g, y)
-        b, trace_b = jodefu_solve(model.op, L, g, y)
-        assert trace_a.converged and trace_a.iterations < SolverConfig().q_max
-        assert trace_a == trace_b
-        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     @pytest.mark.parametrize("formation", ["mrca", "multires"])
     @pytest.mark.parametrize("method", ["jodefu-v1", "jodefu-v2"])
