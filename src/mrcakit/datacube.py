@@ -1,4 +1,4 @@
-"""Datacube container and raw file I/O.
+"""Datacube container, raw file I/O and the package's text rule.
 
 A datacube is a 3-way array (rows x cols x bands).  All public indices are
 0-based.  The operators act on (ni, nj, nk) arrays, and stacked
@@ -7,6 +7,9 @@ observations ravel in numpy's row-major order.
 Acquisitions (single-channel raw images) are handled as plain 2-D
 ``float64`` arrays of shape (ni, nj); stacked multi-part acquisitions as
 1-D concatenations (see :mod:`mrcakit.operators`).
+
+Text formats (``.hdr``, ``.preset``, mask tiles) skip blank lines and ``#``
+comments; the first two hold ``key=value`` lines.  Read errors name the file.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class DataCube:
         if v.ndim != 3 or min(v.shape) < 1:
             raise ValueError(f"datacube must be 3-D with positive dims, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
-            raise ValueError("datacube samples must be finite")
+            raise ValueError(f"{np.sum(~np.isfinite(v))} of {v.size} samples are not finite")
         if not 0 < float(self.rho) < np.inf:
             raise ValueError(f"dynamic range must be positive and finite, got rho={self.rho}")
         v = v.copy()
@@ -75,12 +78,37 @@ class DataCube:
         return self.values.shape
 
 
-
 # ---------------------------------------------------------------------------
 # File format: <stem>.raw holds the payload as little-endian float32, planar
 # band-sequential (band 0 row-major plane, then band 1, ...); <stem>.hdr is a
-# text sidecar with one key=value pair per line (ni, nj, nk, rho, bands).
+# key=value text sidecar (ni, nj, nk, rho, bands).
 # ---------------------------------------------------------------------------
+
+
+def text_lines(text: str) -> list[str]:
+    """The stripped lines of ``text`` that are neither blank nor comments."""
+    return [line for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#")]
+
+
+def parse_key_values(text: str, source: str) -> dict[str, str]:
+    """The ``key=value`` pairs of ``text``; errors name ``source``."""
+    pairs = {}
+    for line in text_lines(text):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"{source}: malformed line {line!r}, expected key=value")
+        pairs[key.strip()] = value.strip()
+    return pairs
+
+
+def format_key_values(pairs: dict) -> str:
+    return "".join(f"{key}={value}\n" for key, value in pairs.items())
+
+
+# How a text cell reads, by the annotation of the dataclass field it fills.
+PARSE_CELL = {"str": str, "int": int, "float": float,
+              "float | None": lambda text: float(text) if text else None}
 
 
 def _stem(path: str) -> str:
@@ -94,36 +122,28 @@ def write_datacube(path: str, cube: DataCube) -> None:
     with open(stem + ".raw", "wb") as fh:
         fh.write(np.ascontiguousarray(planar, dtype="<f4").tobytes())
     with open(stem + ".hdr", "w", encoding="ascii") as fh:
-        fh.write(f"ni={cube.ni}\n")
-        fh.write(f"nj={cube.nj}\n")
-        fh.write(f"nk={cube.nk}\n")
-        fh.write(f"rho={cube.rho!r}\n")
-        fh.write(f"bands={','.join(cube.band_labels)}\n")
+        fh.write(format_key_values({"ni": cube.ni, "nj": cube.nj, "nk": cube.nk,
+                                    "rho": cube.rho, "bands": ",".join(cube.band_labels)}))
 
 
 def read_datacube(path: str) -> DataCube:
     """Read a datacube written by :func:`write_datacube`."""
     stem = _stem(path)
-    header: dict[str, str] = {}
-    with open(stem + ".hdr", "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed header line: {line!r}")
-            key, value = line.split("=", 1)
-            header[key.strip()] = value.strip()
+    hdr, raw = stem + ".hdr", stem + ".raw"
+    with open(hdr, "r", encoding="ascii") as fh:
+        header = parse_key_values(fh.read(), hdr)
     try:
         ni, nj, nk = int(header["ni"]), int(header["nj"]), int(header["nk"])
         rho = float(header["rho"])
-    except KeyError as exc:
-        raise ValueError(f"header missing key {exc}") from exc
-    labels = tuple(header.get("bands", "").split(",")) if header.get("bands") else ()
-    payload = np.fromfile(stem + ".raw", dtype="<f4")
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{hdr}: missing or non-numeric size or rho: {exc}") from None
+    labels = tuple(header["bands"].split(",")) if header.get("bands") else ()
+    payload = np.fromfile(raw, dtype="<f4")
     if payload.size != ni * nj * nk:
-        raise ValueError(
-            f"payload holds {payload.size} samples, header implies {ni * nj * nk}"
-        )
+        raise ValueError(f"{raw}: payload holds {payload.size} samples, header says {ni * nj * nk}")
     values = payload.reshape(nk, ni, nj).transpose(1, 2, 0).astype(np.float64)
-    return DataCube(values, rho=rho, band_labels=labels)
+    try:
+        return DataCube(values, rho=rho, band_labels=labels)
+    except ValueError as exc:  # the samples come from the .raw, all else from the .hdr
+        source = raw if not np.isfinite(values).all() else hdr
+        raise ValueError(f"{source}: {exc}") from None

@@ -49,6 +49,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
+from .datacube import PARSE_CELL, format_key_values, parse_key_values
 from .masks import (
     Mask,
     BUILTIN_TILES,
@@ -613,29 +614,20 @@ class FormationPreset:
                 f"noise level must be nonnegative and finite, got noise_sigma={self.noise_sigma}")
 
     def to_text(self) -> str:
-        pairs = dataclasses.asdict(self)
-        return "".join(f"{k}={v}\n" for k, v in pairs.items())
+        return format_key_values(dataclasses.asdict(self))
 
     @classmethod
-    def from_text(cls, text: str) -> "FormationPreset":
-        raw: dict[str, str] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed preset line: {line!r}")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
-        kwargs: dict = {}
-        for f in dataclasses.fields(cls):
-            if f.name in raw:
-                kwargs[f.name] = {"str": str, "int": int, "float": float}[f.type](raw.pop(f.name))
-        if raw:
-            raise ValueError(f"unknown preset keys: {sorted(raw)}")
-        if "name" not in kwargs:
-            raise ValueError("preset file misses the formation name")
-        return cls(**kwargs)
+    def from_text(cls, text: str, source: str = "preset") -> "FormationPreset":
+        """Parse :meth:`to_text` output; every error names ``source``."""
+        raw = parse_key_values(text, source)
+        try:
+            kwargs = {f.name: PARSE_CELL[f.type](raw.pop(f.name))
+                      for f in dataclasses.fields(cls) if f.name in raw}
+            if raw:
+                raise ValueError(f"unknown preset keys: {sorted(raw)}")
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:  # TypeError: a required key is missing
+            raise ValueError(f"{source}: {exc}") from None
 
 
 _DEFAULT_MASKS = {"mrca": "bt4pan", "cfa": "quad4", "cassi": "random", "multires": "bt4pan"}

@@ -285,18 +285,23 @@ def simulate(device: FormationPreset, reference: DataCube,
 
 def read_preset(path: str) -> FormationPreset:
     with open(path, "r", encoding="ascii") as fh:
-        return FormationPreset.from_text(fh.read())
+        return FormationPreset.from_text(fh.read(), path)
+
+
+def _observation_blocks(stem: str, model: FormationModel) -> list[tuple[str, tuple]]:
+    """The datacube stem and cube shape of each block of an observation."""
+    if model.op.parts is None:
+        return [(stem, (*model.op.output_shape, 1))]
+    return list(zip((stem + "_hri", stem + "_lri"), model.op.parts.shapes))
 
 
 def write_observation(stem: str, model: FormationModel, y: np.ndarray, rho: float) -> None:
     """Write an observation as datacubes (``<stem>``, or ``<stem>_hri`` and
     ``<stem>_lri`` for a stacked pair; float32 samples) plus the device it
     came from as ``<stem>.preset``."""
-    if model.op.parts is not None:
-        for label, block in zip(("hri", "lri"), model.op.parts.split(y)):
-            write_datacube(f"{stem}_{label}", DataCube(np.atleast_3d(block), rho=rho))
-    else:
-        write_datacube(stem, DataCube(y[:, :, None], rho=rho))
+    blocks = model.op.parts.split(y) if model.op.parts is not None else [y]
+    for (name, shape), block in zip(_observation_blocks(stem, model), blocks):
+        write_datacube(name, DataCube(block.reshape(shape), rho=rho))
     with open(stem + ".preset", "w", encoding="ascii") as fh:
         fh.write(model.preset.to_text())
 
@@ -305,13 +310,16 @@ def read_observation(stem: str, preset_path: str | None = None
                      ) -> tuple[FormationModel, np.ndarray, float]:
     """Read what :func:`write_observation` wrote: the device model (from
     ``preset_path``, default ``<stem>.preset``), the observation and its
-    dynamic range."""
-    model = build_formation(read_preset(preset_path or stem + ".preset"))
-    if model.op.parts is not None:
-        blocks = [read_datacube(f"{stem}_{label}") for label in ("hri", "lri")]
-        return model, model.op.parts.join([b.values for b in blocks]), blocks[0].rho
-    acq = read_datacube(stem)
-    return model, acq.values[:, :, 0], acq.rho
+    dynamic range.  Each block must have the shape the device produces."""
+    preset_path = preset_path or stem + ".preset"
+    model = build_formation(read_preset(preset_path))
+    cubes = []
+    for name, shape in _observation_blocks(stem, model):
+        cubes.append(read_datacube(name))
+        if cubes[-1].shape != shape:
+            raise ValueError(f"{name}: shape {cubes[-1].shape}, preset {preset_path} wants {shape}")
+    y = np.concatenate([c.values.ravel() for c in cubes]).reshape(model.op.output_shape)
+    return model, y, cubes[0].rho
 
 
 def reconstruct(spec: PipelineSpec, model: FormationModel, y: np.ndarray,
@@ -370,8 +378,7 @@ def run_pipeline(spec: PipelineSpec) -> PipelineResult:
         write_datacube(os.path.join(spec.out_dir, "reference"), reference)
         write_datacube(os.path.join(spec.out_dir, "estimate"), estimate)
         write_observation(os.path.join(spec.out_dir, "acquisition"), model, y, reference.rho)
-        ext = "json" if spec.report_format == "json" else "csv"
-        write_report(os.path.join(spec.out_dir, f"report.{ext}"),
+        write_report(os.path.join(spec.out_dir, f"report.{spec.report_format}"),
                      [report], spec.report_format)
 
     return PipelineResult(report, reference, y, estimate)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datacube import text_lines
+
 __all__ = [
     "Mask",
     "PeriodicTile",
@@ -158,7 +160,7 @@ def random_code_mask(ni: int, nj: int, nk: int, seed: int = 0) -> Mask:
 
 # ---------------------------------------------------------------------------
 # Tile file format: first line "th tw nk", then th rows of tw integers
-# (-1 for PAN).  Blank lines and #-comments are ignored.
+# (-1 for PAN), under the comment rule of datacube.text_lines.
 # ---------------------------------------------------------------------------
 
 
@@ -171,24 +173,21 @@ def write_mask_file(path: str, tile: PeriodicTile) -> None:
 
 
 def parse_mask_file(path: str) -> PeriodicTile:
+    """Read a tile file; every error names ``path``."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh
-                 if ln.strip() and not ln.strip().startswith("#")]
-    if not lines:
-        raise ValueError(f"{path}: empty mask file")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"{path}: header must be 'th tw nk', got {lines[0]!r}")
+        lines = text_lines(fh.read())
     try:
-        th, tw, nk = (int(v) for v in header)
+        if not lines:
+            raise ValueError("empty mask file")
+        if len(lines[0].split()) != 3:
+            raise ValueError(f"header must be 'th tw nk', got {lines[0]!r}")
+        th, tw, nk = (int(v) for v in lines[0].split())
+        rows = [[int(v) for v in ln.split()] for ln in lines[1:]]
+        if len(rows) != th:
+            raise ValueError(f"expected {th} tile rows, found {len(rows)}")
+        for ln, row in zip(lines[1:], rows):
+            if len(row) != tw:
+                raise ValueError(f"row {ln!r} has {len(row)} entries, expected {tw}")
+        return PeriodicTile(np.array(rows), nk)
     except ValueError as exc:
-        raise ValueError(f"{path}: non-integer header field") from exc
-    if len(lines) - 1 != th:
-        raise ValueError(f"{path}: expected {th} tile rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        row = [int(v) for v in ln.split()]
-        if len(row) != tw:
-            raise ValueError(f"{path}: row {ln!r} has {len(row)} entries, expected {tw}")
-        rows.append(row)
-    return PeriodicTile(np.array(rows), nk)
+        raise ValueError(f"{path}: {exc}") from None

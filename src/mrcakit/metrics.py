@@ -5,7 +5,8 @@ empirical max), SAM is the mean per-pixel spectral angle in degrees, SSIM
 is the classic windowed index (11x11 Gaussian window, sigma 1.5, applied as
 two 1-D passes of 11 taps; constants (0.01 rho)^2 and (0.03 rho)^2)
 averaged over bands.  All three hit their perfect values (+inf, 0, 1)
-exactly when the estimate equals the reference.
+exactly when the estimate equals the reference.  Report columns, in CSV and
+JSON alike, are the fields of :class:`QualityReport` in declaration order.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .datacube import DataCube
+from .datacube import PARSE_CELL, DataCube
 from .formation import preset_compression_ratio
 
 __all__ = [
@@ -124,12 +125,6 @@ class QualityReport:
     sam: float
     compression_ratio: float
 
-    FIELDS = ("dataset", "formation", "reconstruction", "lambda_bar",
-              "ssim", "psnr", "sam", "compression_ratio")
-
-    def to_row(self) -> list:
-        return [getattr(self, f) for f in self.FIELDS]
-
 
 def write_report(path: str, rows: list[QualityReport], fmt: str = "csv") -> None:
     """Serialize report rows as CSV (header + rows) or a JSON array.
@@ -139,14 +134,11 @@ def write_report(path: str, rows: list[QualityReport], fmt: str = "csv") -> None
     """
     if fmt == "csv":
         with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(QualityReport.FIELDS)
-            for row in rows:
-                writer.writerow(row.to_row())
+            header = [f.name for f in fields(QualityReport)]
+            csv.writer(fh).writerows([header, *map(astuple, rows)])
     elif fmt == "json":
         with open(path, "w", encoding="ascii") as fh:
-            json.dump([asdict(r) for r in rows], fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps([asdict(r) for r in rows], indent=2) + "\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}; choose csv or json")
 
@@ -157,17 +149,6 @@ def read_report(path: str) -> list[QualityReport]:
         with open(path, "r", encoding="ascii") as fh:
             return [QualityReport(**row) for row in json.load(fh)]
     with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            rows.append(QualityReport(
-                dataset=rec["dataset"],
-                formation=rec["formation"],
-                reconstruction=rec["reconstruction"],
-                lambda_bar=None if rec["lambda_bar"] == "" else float(rec["lambda_bar"]),
-                ssim=float(rec["ssim"]),
-                psnr=float(rec["psnr"]),
-                sam=float(rec["sam"]),
-                compression_ratio=float(rec["compression_ratio"]),
-            ))
-        return rows
+        return [QualityReport(**{f.name: PARSE_CELL[f.type](rec[f.name])
+                                 for f in fields(QualityReport)})
+                for rec in csv.DictReader(fh)]

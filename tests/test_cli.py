@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mrcakit.cli import main
-from mrcakit.datacube import read_datacube, write_datacube
+from mrcakit.datacube import DataCube, read_datacube, write_datacube
 from mrcakit.harness import METHODS, SceneParams, synth_scene
 from mrcakit.masks import parse_mask_file
 from mrcakit.metrics import read_report
@@ -172,6 +172,36 @@ class TestFailures:
                    "--ni", 16, "--nj", 16, "--iters", 2, "--out", tmp_path / "o") == 1
         assert "equalize needs both sensor classes; cfa lacks one" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_reconstruct_reference_cube_against_its_preset(self, tmp_path, capsys):
+        obs = tmp_path / "obs"
+        assert run("simulate", "--formation", "cfa", "--ni", 16, "--nj", 16, "--out", obs) == 0
+        assert run("reconstruct", "--in", f"{obs}_reference", "--preset", f"{obs}.preset",
+                   "--iters", 2, "--out", tmp_path / "est") == 1
+        err = capsys.readouterr().err
+        assert f"{obs}_reference: shape (16, 16, 4)" in err and "(16, 16, 1)" in err
+        assert not (tmp_path / "est.raw").exists()
+
+    def test_reconstruct_against_a_smaller_preset(self, tmp_path, capsys):
+        for name, n in (("small", 16), ("big", 32)):
+            assert run("simulate", "--ni", n, "--nj", n, "--out", tmp_path / name) == 0
+        assert run("reconstruct", "--in", tmp_path / "big", "--preset", tmp_path / "small.preset",
+                   "--iters", 2, "--out", tmp_path / "est") == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'big'}: shape (32, 32, 1), preset {tmp_path / 'small.preset'}" in err
+
+    def test_evaluate_non_finite_estimate_names_its_file(self, tmp_path, capsys):
+        ref = tmp_path / "ref"
+        cube = synth_scene(SceneParams(12, 12, 3), seed=4)
+        write_datacube(str(ref), cube)
+        values = cube.values.copy()
+        write_datacube(str(tmp_path / "est"), DataCube(values))
+        values[3, 4, 1] = np.nan
+        values.transpose(2, 0, 1).astype("<f4").tofile(tmp_path / "est.raw")
+        assert run("evaluate", "--ref", ref, "--est", tmp_path / "est",
+                   "--out", tmp_path / "r.csv") == 1
+        assert f"{tmp_path / 'est'}.raw: 1 of 432 samples are not finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_bad_mask_name(self, tmp_path, capsys):
         assert run("simulate", "--formation", "cfa", "--mask", "nope",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ class TestDataCube:
     def test_rejects_nan(self):
         vals = np.zeros((2, 2, 1))
         vals[0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="1 of 4 samples are not finite"):
             DataCube(vals)
 
     def test_rejects_nonpositive_rho(self):
@@ -73,4 +75,59 @@ class TestFileFormat:
         with open(stem + ".hdr", "w") as fh:
             fh.write("ni=2\nnj=2\n")
         with pytest.raises(ValueError, match="missing"):
+            read_datacube(stem)
+
+    def test_errors_name_the_file(self, tmp_path):
+        stem = str(tmp_path / "cube")
+        write_datacube(stem, DataCube(np.zeros((4, 4, 2))))
+        with open(stem + ".raw", "r+b") as fh:
+            fh.truncate(10)
+        with pytest.raises(ValueError, match=f"^{re.escape(stem)}.raw: payload"):
+            read_datacube(stem)
+        with open(stem + ".hdr", "w") as fh:
+            fh.write("ni=2\nnj=2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(stem)}.hdr: missing .*: 'nk'"):
+            read_datacube(stem)
+        with open(stem + ".hdr", "w") as fh:
+            fh.write("ni=2\nnj=2\nnk=two\nrho=1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(stem)}.hdr: .*'two'"):
+            read_datacube(stem)
+
+    def test_non_finite_payload_names_the_raw_file(self, tmp_path):
+        stem = str(tmp_path / "cube")
+        write_datacube(stem, DataCube(np.zeros((2, 2, 2))))
+        payload = np.zeros(8, dtype="<f4")
+        payload[[1, 6]] = [np.nan, np.inf]
+        payload.tofile(stem + ".raw")
+        with pytest.raises(ValueError) as info:
+            read_datacube(stem)
+        assert str(info.value) == f"{stem}.raw: 2 of 8 samples are not finite"
+
+    def test_malformed_header_line_names_the_hdr_file(self, tmp_path):
+        stem = str(tmp_path / "cube")
+        write_datacube(stem, DataCube(np.zeros((2, 2, 1))))
+        with open(stem + ".hdr", "w") as fh:
+            fh.write("ni=2\nnj 2\n")
+        with pytest.raises(ValueError) as info:
+            read_datacube(stem)
+        assert str(info.value) == f"{stem}.hdr: malformed line 'nj 2', expected key=value"
+
+    def test_header_comments_and_blank_lines_skipped(self, tmp_path):
+        stem = str(tmp_path / "cube")
+        cube = DataCube(np.arange(4.0).reshape(2, 2, 1), rho=4.0)
+        write_datacube(stem, cube)
+        with open(stem + ".hdr") as fh:
+            text = fh.read()
+        with open(stem + ".hdr", "w") as fh:
+            fh.write("# written by hand\n\n" + text.replace("nk=1\n", "  nk = 1  \n# end\n"))
+        back = read_datacube(stem)
+        assert back.shape == cube.shape and back.rho == 4.0
+        np.testing.assert_array_equal(back.values, cube.values)
+
+    def test_bad_rho_names_the_hdr_file(self, tmp_path):
+        stem = str(tmp_path / "cube")
+        write_datacube(stem, DataCube(np.zeros((2, 2, 1))))
+        with open(stem + ".hdr", "w") as fh:
+            fh.write("ni=2\nnj=2\nnk=1\nrho=0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(stem)}.hdr: dynamic range"):
             read_datacube(stem)

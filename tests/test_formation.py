@@ -658,6 +658,24 @@ class TestPresetSerialization:
         with pytest.raises(ValueError, match="name"):
             FormationPreset.from_text("ni=4\nnj=4\nnk=3\n")
 
+    def test_missing_size_rejected_as_a_value_error(self):
+        with pytest.raises(ValueError, match="^obs.preset: .*'ni'"):
+            FormationPreset.from_text("name=cfa\nnj=4\nnk=3\n", "obs.preset")
+
+    @pytest.mark.parametrize("text, message", [
+        ("name=cfa\nni=4\nnj=4\nnk=3\nbogus=1\n", "unknown preset keys: ['bogus']"),
+        ("name=cfa\nni 4\nnj=4\nnk=3\n", "malformed line 'ni 4', expected key=value"),
+        ("name=cfa\nni=4.5\nnj=4\nnk=3\n", "invalid literal for int()"),
+        ("name=cfa\nni=4\nnj=4\nnk=3\nratio=0\n", "ratio must be >= 1"),
+    ])
+    def test_errors_name_the_source(self, text, message):
+        with pytest.raises(ValueError, match=f"^obs.preset: {re.escape(message)}"):
+            FormationPreset.from_text(text, "obs.preset")
+
+    def test_comments_and_blank_lines_skipped(self):
+        text = "# device of obs\n\n" + formation_preset("cfa", 8, 8, 4).to_text() + "\n# end\n"
+        assert FormationPreset.from_text(text) == formation_preset("cfa", 8, 8, 4)
+
     def test_fields_parse_to_their_annotated_types(self):
         back = FormationPreset.from_text("name=mrca\nni=8\nnj=8\nnk=4\nrho_b=2\nseed=3\n")
         assert type(back.name) is str

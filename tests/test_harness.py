@@ -4,16 +4,20 @@ import hashlib
 import numpy as np
 import pytest
 
-from mrcakit.datacube import DataCube, read_datacube
+from mrcakit.datacube import DataCube, read_datacube, write_datacube
 from mrcakit.formation import FormationPreset, build_formation, formation_preset
 from mrcakit.harness import (
     PipelineSpec,
     SceneParams,
     baseline_reconstruct,
     flat_patch_region,
+    read_observation,
+    read_preset,
     run_pipeline,
     run_sweep,
+    simulate,
     synth_scene,
+    write_observation,
 )
 from mrcakit.masks import Mask
 from mrcakit.metrics import read_report
@@ -290,3 +294,52 @@ class TestSweep:
     def test_unknown_axis(self):
         with pytest.raises(ValueError, match="axis"):
             run_sweep(TestPipeline.SPEC, "iters", [10])
+
+
+class TestObservationFiles:
+    @staticmethod
+    def observe(tmp_path, name, formation, n):
+        preset = formation_preset(formation, n, n, 4, noise_sigma=0.01)
+        model, y = simulate(preset, synth_scene(SceneParams(n, n, 4), seed=1), seed=1)
+        stem = str(tmp_path / name)
+        write_observation(stem, model, y, 1.0)
+        return stem, y
+
+    @pytest.mark.parametrize("formation", ["mrca", "multires", "cfa", "cassi"])
+    def test_round_trip(self, tmp_path, formation):
+        stem, y = self.observe(tmp_path, "obs", formation, 16)
+        model, back, rho = read_observation(stem)
+        assert model.preset.name == formation and rho == 1.0
+        np.testing.assert_array_equal(back, y.astype(np.float32))
+
+    def test_reference_cube_rejected_as_a_focal_plane(self, tmp_path):
+        stem, _ = self.observe(tmp_path, "obs", "cfa", 16)
+        ref = str(tmp_path / "ref")
+        write_datacube(ref, synth_scene(SceneParams(16, 16, 4), seed=1))
+        with pytest.raises(ValueError) as info:
+            read_observation(ref, stem + ".preset")
+        assert str(info.value) == (
+            f"{ref}: shape (16, 16, 4), preset {stem}.preset wants (16, 16, 1)")
+
+    def test_observation_larger_than_its_preset_rejected(self, tmp_path):
+        small, _ = self.observe(tmp_path, "small", "mrca", 16)
+        big, _ = self.observe(tmp_path, "big", "mrca", 32)
+        with pytest.raises(ValueError) as info:
+            read_observation(big, small + ".preset")
+        assert str(info.value) == (
+            f"{big}: shape (32, 32, 1), preset {small}.preset wants (16, 16, 1)")
+
+    def test_stacked_block_checked_against_its_part(self, tmp_path):
+        small, _ = self.observe(tmp_path, "small", "multires", 16)
+        big, _ = self.observe(tmp_path, "big", "multires", 32)
+        with pytest.raises(ValueError) as info:
+            read_observation(big, small + ".preset")
+        assert str(info.value).startswith(f"{big}_hri: shape (32, 32, 1), preset {small}.preset")
+
+    def test_bad_preset_names_its_path(self, tmp_path):
+        path = str(tmp_path / "obs.preset")
+        with open(path, "w") as fh:
+            fh.write("name=cfa\nni=16\nnj=16\nnk=4\nbogus=1\n")
+        with pytest.raises(ValueError) as info:
+            read_preset(path)
+        assert str(info.value) == f"{path}: unknown preset keys: ['bogus']"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -140,6 +142,18 @@ class TestTileFile:
         open(path, "w").write("1 2 2\n0 5\n")
         with pytest.raises(ValueError, match="entries"):
             parse_mask_file(path)
+
+    @pytest.mark.parametrize("text", ["1 2 2\n0 5\n", "1 2 2\n0 x\n", "1 2\n0 1\n", "# empty\n"])
+    def test_errors_name_the_file(self, tmp_path, text):
+        path = str(tmp_path / "bad.txt")
+        open(path, "w").write(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: "):
+            parse_mask_file(path)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = str(tmp_path / "tile.txt")
+        open(path, "w").write("# a 2x2 tile\n\n2 2 3\n  0 1  \n# second row\n1 2\n")
+        np.testing.assert_array_equal(parse_mask_file(path).cells, [[0, 1], [1, 2]])
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

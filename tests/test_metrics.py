@@ -230,6 +230,26 @@ class TestReports:
             assert back.psnr == math.inf
             assert back.lambda_bar is None
 
+    # one row with both special cells: an infinite PSNR and no lambda_bar
+    PINNED = QualityReport(dataset="synthetic:1", formation="mrca", reconstruction="baseline",
+                           lambda_bar=None, ssim=0.91, psnr=math.inf, sam=4.2,
+                           compression_ratio=0.25)
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report(str(path), [self.PINNED], "csv")
+        assert path.read_bytes() == (
+            b"dataset,formation,reconstruction,lambda_bar,ssim,psnr,sam,compression_ratio\r\n"
+            b"synthetic:1,mrca,baseline,,0.91,inf,4.2,0.25\r\n")
+
+    def test_json_bytes_pinned(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_report(str(path), [self.PINNED], "json")
+        assert path.read_text() == (
+            '[\n  {\n    "dataset": "synthetic:1",\n    "formation": "mrca",\n'
+            '    "reconstruction": "baseline",\n    "lambda_bar": null,\n    "ssim": 0.91,\n'
+            '    "psnr": Infinity,\n    "sam": 4.2,\n    "compression_ratio": 0.25\n  }\n]\n')
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             write_report(str(tmp_path / "x.xml"), [self.ROW], "xml")
