@@ -37,7 +37,9 @@ class DataCube:
         Peak intensity of the data (e.g. 255 for 8-bit data). Strictly
         positive.
     band_labels : tuple of str, optional
-        One label per band; defaults to ``b0, b1, ...``.
+        One label per band; defaults to ``b0, b1, ...``.  Each must be
+        non-empty printable ASCII with no comma and no surrounding spaces,
+        so that the ``.hdr`` sidecar carries it unchanged.
     """
 
     values: np.ndarray
@@ -59,6 +61,12 @@ class DataCube:
         labels = tuple(self.band_labels) or tuple(f"b{k}" for k in range(v.shape[2]))
         if len(labels) != v.shape[2]:
             raise ValueError("need one band label per band")
+        for label in labels:  # each must survive the .hdr's comma-joined ASCII line
+            if not (isinstance(label, str) and label and label == label.strip()
+                    and label.isascii() and label.isprintable() and "," not in label):
+                raise ValueError(f"band label {label!r} cannot be stored in a .hdr: "
+                                 "use non-empty printable ASCII with no comma and "
+                                 "no surrounding spaces")
         object.__setattr__(self, "band_labels", labels)
 
     @property

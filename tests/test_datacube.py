@@ -39,6 +39,16 @@ class TestDataCube:
         cube = DataCube(np.zeros((2, 2, 3)))
         assert cube.band_labels == ("b0", "b1", "b2")
 
+    # Each label the .hdr's comma-joined ASCII line cannot carry: a comma
+    # splits into two labels on reading, a newline breaks the header, the
+    # reader strips spaces, "" reads back as a missing label, and a
+    # non-ASCII label fails only after the .raw is written.
+    @pytest.mark.parametrize("label", ["red, near-ir", "red\nnir", " red ", "", "rouge-é"],
+                             ids=["comma", "newline", "surrounding-spaces", "empty", "non-ascii"])
+    def test_rejects_a_label_the_header_cannot_carry(self, label):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            DataCube(np.zeros((2, 2, 2)), band_labels=("blue", label))
+
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path, rng):
@@ -51,6 +61,12 @@ class TestFileFormat:
         assert back.rho == cube.rho
         assert back.band_labels == cube.band_labels
         np.testing.assert_array_equal(back.values, cube.values)
+
+    def test_valid_labels_round_trip_unchanged(self, tmp_path):
+        labels = ("near ir", "B8A=865nm", "#3", "x", "(red)")
+        stem = str(tmp_path / "cube")
+        write_datacube(stem, DataCube(np.zeros((2, 2, 5)), band_labels=labels))
+        assert read_datacube(stem).band_labels == labels
 
     def test_payload_is_band_sequential_float32(self, tmp_path):
         cube = DataCube(np.arange(8, dtype=float).reshape(2, 2, 2))

@@ -464,8 +464,8 @@ class TestDeskQuality:
     """The jodefu rows of the desk experiment score no lower than the PSNR
     that Chambolle-Pock reached in all 250 iterations, before the solve
     stopped on its residuals, less 0.005 dB, so neither a solver change nor
-    an early stop can quietly lose desk quality: at STOP_TOL = 3e-3, cfa
-    jodefu-v1 stopped 0.006 dB low."""
+    an early stop can quietly lose desk quality: with one tolerance of 3e-3
+    on both residuals, cfa jodefu-v1 stopped 0.006 dB low."""
 
     FLOOR_DB = {  # PSNR measured through run_pipeline, 250 iterations
         ("mrca", "jodefu-v1"): 26.59940073761167,
@@ -484,24 +484,31 @@ class TestDeskQuality:
 
 
 class TestStop:
-    """The solve stops once its primal and data-dual residuals are both
-    within ``STOP_TOL``; ``q_max`` is a cap."""
+    """The solve stops once its primal residual is within ``PRIMAL_TOL``
+    and its data-dual residual within ``DUAL_TOL``; ``q_max`` is a cap.
+    One tolerance of 2e-3 on both kept the mrca and multires desk rows
+    running for up to 239 iterations, and stopped cfa jodefu-v1 at seed 3
+    0.0094 dB below its 250-iteration PSNR."""
 
     @pytest.mark.parametrize("formation", ["mrca", "multires"])
     @pytest.mark.parametrize("method", ["jodefu-v1", "jodefu-v2"])
     def test_desk_rows_stop_before_the_cap(self, formation, method):
         _, (_, trace) = desk_row(formation, method)
-        assert trace.converged and trace.iterations < 250
+        assert trace.converged and trace.iterations < 150
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("formation", ["mrca", "multires", "cfa", "cassi"])
     @pytest.mark.parametrize("method", ["jodefu-v1", "jodefu-v2"])
-    def test_within_a_hundredth_of_a_db_of_the_full_textbook_run(self, formation, method, seed):
+    def test_at_most_three_thousandths_of_a_db_below_the_full_textbook_run(self, formation,
+                                                                          method, seed):
         result, (args, _) = desk_row(formation, method, seed)
         reference = result.reference
         x = plain_cp_reference(*args)
         full = psnr(reference, DataCube(x, rho=reference.rho))
-        assert abs(result.report.psnr - full) <= 0.01
+        # A stop may read higher than the full run on a row whose PSNR peaks
+        # before it settles: multires jodefu-v2 at seed 3 stops at iteration
+        # 103, 0.0072 dB above it.
+        assert -0.003 <= result.report.psnr - full <= 0.01
 
 
 class TestAboveTheFloor:
