@@ -27,6 +27,7 @@ from .harness import (
     PipelineSpec,
     SceneParams,
     baseline_reconstruct,
+    jodefu_presets,
     run_pipeline,
     run_sweep,
     synth_scene,
@@ -51,6 +52,6 @@ from .regularizers import (
     tv_forward,
     tv_op,
 )
-from .solver import SolverConfig, SolverTrace, jodefu_presets, jodefu_solve, objective
+from .solver import SolverConfig, SolverTrace, jodefu_solve, objective
 
 __version__ = "0.1.0"

@@ -518,13 +518,13 @@ def _alias_spectra(K: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
 
 
 def _mrca_norm(shape, period, K, h_lri: Mask, h_pan: Mask, weights: SpectralWeights,
-               transfer: np.ndarray | None) -> float:
-    """Exact norm of mosaic(h_lri) conv(K) + [transfer] mosaic(h_pan) W.
+               transfer: np.ndarray) -> float:
+    """Exact norm of mosaic(h_lri) conv(K) + transfer mosaic(h_pan) W.
 
     A(w) = C diag(s) + T Q: column (k, a') of C holds band k's LRI mask
     circulant, s the kernel spectra at the aliases, T the transfer at the
-    output aliases and Q = W (x) C_pan.  Its Gram matrix
-    C diag(|s|^2) C^H + (C diag(s) Q^H T + h.c.) + T Q Q^H T
+    output aliases (ones without a PAN blur) and Q = W (x) C_pan.  Its Gram
+    matrix C diag(|s|^2) C^H + (C diag(s) Q^H T + h.c.) + T Q Q^H T
     is linear in |s|^2 and s, so each batch takes two matrix products.
     """
     c = _mask_circulants(h_lri, period)
@@ -538,13 +538,13 @@ def _mrca_norm(shape, period, K, h_lri: Mask, h_pan: Mask, weights: SpectralWeig
         s = _alias_spectra(K, fi, fj)
         g = ((s.real ** 2 + s.imag ** 2) @ power).reshape(-1, p, p)
         x = (s @ cross).reshape(-1, p, p)
-        if transfer is None:
-            g += pan
-        else:
-            t = transfer[fi, fj]
-            x *= t[:, None, :]
-            g += t[:, :, None] * pan * t[:, None, :]
-        return g + x + x.conj().swapaxes(1, 2)
+        t = transfer[fi, fj]
+        # g + T pan T + x T + (x T)^H, each term formed in place
+        tpt = t[:, :, None] * pan
+        g += np.multiply(tpt, t[:, None, :], out=tpt)
+        g += np.multiply(x, t[:, None, :], out=x)
+        g += np.conj(x, out=x).swapaxes(1, 2)
+        return g
 
     return alias_domain_norm(shape[:2], period, grams)
 
@@ -643,20 +643,18 @@ def formation_preset(name: str, ni: int, nj: int, nk: int, **overrides) -> Forma
 class FormationModel:
     """A built acquisition operator together with its mask geometry.
 
-    ``h_lri`` and ``shift`` are the mask and the shear that the baseline
-    reconstructor reads.  ``lri_support`` / ``hri_support`` are boolean
-    maps over the observation telling which samples come from the low-
-    resp. high-resolution sensor class, read only by the statistics
-    equalization.  Only ``mrca`` and ``multires`` have both sensor classes
-    and carry them; on ``cfa`` and ``cassi`` both are None.
+    ``h_lri`` is the channel mask the baseline reconstructor reads; on
+    ``cfa`` and ``cassi``, ``op`` is its mosaic, shear included.
+    ``lri_support`` maps the observation samples of the low-resolution
+    sensor class; the others are high-resolution.  Only ``mrca`` and
+    ``multires`` have two sensor classes and carry it (read only by the
+    statistics equalization); on ``cfa`` and ``cassi`` it is None.
     """
 
     preset: FormationPreset
     op: LinearOp
     h_lri: Mask | None = None
-    shift: ShiftMap | None = None
     lri_support: np.ndarray | None = None
-    hri_support: np.ndarray | None = None
 
 
 def _resolve_masks(preset: FormationPreset) -> tuple[Mask, Mask | None, tuple[int, int] | None]:
@@ -711,6 +709,9 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     the ratio, and carry their exact alias-domain norm (see
     :func:`alias_domain_norm`) with a relative margin of 1e-9.  ``cfa`` and
     ``cassi`` carry the exact diagonal-Gramian norm of :func:`mosaic`.
+
+    ``lri_support`` is the LRI block of ``multires`` and the channel pixels
+    of ``mrca``; a tile with no channel cells leaves it empty.
     """
     shape = (preset.ni, preset.nj, preset.nk)
     ni, nj, nk = shape
@@ -722,10 +723,9 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         lri_op = compose(decimate(shape, preset.ratio), blur)
         op = stack(hri_op, lri_op)
         op.norm_bound = _multires_norm(shape, preset.ratio, K, w) * (1 + _NORM_MARGIN)
-        n_h = int(np.prod(hri_op.output_shape))
-        hri_support = np.zeros(op.output_shape, dtype=bool)
-        hri_support[:n_h] = True
-        return FormationModel(preset, op, lri_support=~hri_support, hri_support=hri_support)
+        lri_support = np.zeros(op.output_shape, dtype=bool)
+        lri_support[int(np.prod(hri_op.output_shape)):] = True
+        return FormationModel(preset, op, lri_support=lri_support)
 
     h_lri, h_pan, period = _resolve_masks(preset)
 
@@ -733,14 +733,13 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         return FormationModel(preset, mosaic(h_lri), h_lri=h_lri)
 
     if preset.name == "cassi":
-        shift = cassi_shift_map(ni, nj, nk)
-        return FormationModel(preset, mosaic(h_lri, shift), h_lri=h_lri, shift=shift)
+        return FormationModel(preset, mosaic(h_lri, cassi_shift_map(ni, nj, nk)), h_lri=h_lri)
 
     # full compressed acquisition on one focal plane
     _check_mrca(h_pan is not None)
     w = average_weights(nk)
     branch_p = compose(mosaic(h_pan), spectral_degrade(w, shape))
-    transfer = None
+    transfer = np.ones((ni, nj))  # no PAN blur: a unit transfer, exact in the norm
     if preset.hri_blur == "butterworth":
         transfer = _butterworth_transfer(ni, nj, preset.rho_b)
         blur_p = _circular_convolve(transfer, (ni, nj), name=f"butterworth({preset.rho_b:g})")
@@ -749,8 +748,7 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     op = add(compose(mosaic(h_lri), blur), branch_p)
     op.norm_bound = _mrca_norm(shape, period, K, h_lri, h_pan, w, transfer) * (1 + _NORM_MARGIN)
     op.name = "mrca"
-    return FormationModel(preset, op, h_lri=h_lri, lri_support=h_lri.pixel_support(),
-                          hri_support=h_pan.pixel_support())
+    return FormationModel(preset, op, h_lri=h_lri, lri_support=h_lri.pixel_support())
 
 
 def _check_mrca(has_pan: bool) -> None:
@@ -794,23 +792,21 @@ def add_gaussian_noise(y: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray
     return y + rng.normal(0.0, sigma, y.shape)
 
 
-def equalize_lri_stats(y: np.ndarray, lri_support: np.ndarray,
-                       hri_support: np.ndarray) -> np.ndarray:
-    """Affinely rescale the LRI samples so their mean and standard
-    deviation match the HRI samples (population statistics).
+def equalize_lri_stats(y: np.ndarray, lri_support: np.ndarray) -> np.ndarray:
+    """Affinely rescale the LRI samples (``lri_support``) so their mean and
+    standard deviation match the other, HRI samples (population statistics).
 
     A fixed point once applied; degenerate (zero-variance) LRI samples are
     rejected.
     """
     y = np.asarray(y, dtype=np.float64)
     lri_support = np.asarray(lri_support, dtype=bool)
-    hri_support = np.asarray(hri_support, dtype=bool)
-    if lri_support.shape != y.shape or hri_support.shape != y.shape:
-        raise ValueError("supports must match the observation shape")
-    if not lri_support.any() or not hri_support.any():
+    if lri_support.shape != y.shape:
+        raise ValueError("the support must match the observation shape")
+    if lri_support.all() or not lri_support.any():
         raise ValueError("both sensor classes need at least one sample")
     lri = y[lri_support]
-    hri = y[hri_support]
+    hri = y[~lri_support]
     s_l = lri.std()
     if s_l == 0:
         raise ValueError("LRI samples have zero variance; cannot equalize")

@@ -3,9 +3,12 @@
 The stages are public (``load_reference``, ``simulate``,
 ``write_observation``/``read_observation``, ``reconstruct``, ``evaluate``);
 ``run_pipeline`` is their composition and ``run_sweep`` varies one axis of
-it.  Synthetic scenes stand in for license-gated satellite bundles:
-piecewise constant patches (gradient-friendly), a smooth ramp and one-pixel
-lines (gradient-adversarial), all deterministic from a seed.  The baseline
+it.  The method table lives here too: ``METHODS`` are the names of the
+solver setups of :func:`jodefu_presets` plus ``"baseline"``.
+
+Synthetic scenes stand in for license-gated satellite bundles: piecewise
+constant patches (gradient-friendly), a smooth ramp and one-pixel lines
+(gradient-adversarial), all deterministic from a seed.  The baseline
 reconstructor is a deliberately simple floor: per-channel normalized
 low-pass interpolation of the mosaic samples, or plain bicubic upsampling
 for stacked multiresolution bundles.  It is also where every jodefu solve
@@ -33,11 +36,14 @@ from .formation import (
     equalize_lri_stats,
     mosaic,
 )
-from .metrics import QualityReport, compression_ratio, psnr, sam, ssim, write_report
+from .metrics import (QualityReport, check_ssim_size, compression_ratio, psnr, sam, ssim,
+                      write_report)
 from .regularizers import NORM_KINDS, metric_norm, tv_op
-from .solver import SolverConfig, jodefu_presets, jodefu_solve
+from .solver import SolverConfig, jodefu_solve
 
 __all__ = [
+    "ReconstructionPreset",
+    "jodefu_presets",
     "SceneParams",
     "flat_patch_region",
     "synth_scene",
@@ -55,7 +61,34 @@ __all__ = [
     "run_sweep",
 ]
 
-METHODS = ("jodefu-v1", "jodefu-v2", "baseline")
+
+@dataclass(frozen=True)
+class ReconstructionPreset:
+    """Named solver setup: metric norm and the blur on the PAN samples of
+    the device the method models."""
+
+    norm_kind: str
+    hri_blur: str
+    rho_b: float
+
+
+_PRESETS = {
+    "jodefu-v1": ReconstructionPreset("l221", "identity", 0.0),
+    "jodefu-v2": ReconstructionPreset("s1l1", "butterworth", 1.4),
+}
+
+METHODS = (*_PRESETS, "baseline")
+
+
+def jodefu_presets(name: str) -> ReconstructionPreset:
+    """The two solver setups of :data:`METHODS`: ``jodefu-v1`` is the fast
+    default (classic gradient, l221 coupling, no blur); ``jodefu-v2``
+    trades time for quality (nuclear-norm coupling and a 1.4 px blur on
+    the PAN samples)."""
+    try:
+        return _PRESETS[name]
+    except KeyError:
+        raise ValueError(f"unknown solver preset {name!r}; choose from {tuple(_PRESETS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +169,11 @@ def baseline_reconstruct(y: np.ndarray, model: FormationModel) -> np.ndarray:
     Mask-based formations: each focal-plane cell is spread back over the
     samples it collects (undoing the shear when present), in proportion to
     their mask weights and divided by the mask energy the cell collects,
-    i.e. the minimum-norm solution A*(AA*)^-1 y of the mosaic, whose
-    Gramian is diagonal.  A cell that collects one band gives that band's
-    value back exactly.  The gaps are then filled by normalized low-pass
+    i.e. the minimum-norm solution A*(AA*)^+ y of the mosaic A of the
+    channel mask, whose Gramian is diagonal.  On cfa and cassi A is the
+    device operator itself; on mrca it leaves out the PAN branch, whose
+    cells collect no channel energy.  A cell that collects one band gives
+    that band's value back exactly.  The gaps are then filled by normalized low-pass
     interpolation, i.e. the Gaussian smoothing of the samples divided by
     the smoothing of the mask; known samples are kept.  Stacked
     multiresolution bundles: bicubic upsampling of the LRI plus a mean
@@ -158,7 +193,7 @@ def baseline_reconstruct(y: np.ndarray, model: FormationModel) -> np.ndarray:
     if model.h_lri is None:
         raise ValueError("baseline needs the formation masks")
     h = model.h_lri.values
-    M = mosaic(model.h_lri, model.shift)
+    M = mosaic(model.h_lri) if model.preset.name == "mrca" else model.op
     energy = M.apply(h)  # diag(AA*): the mask energy each cell collects
     back = M.adjoint_apply(np.divide(y, energy, out=np.zeros_like(y), where=energy > 0))
 
@@ -329,10 +364,10 @@ def reconstruct(spec: PipelineSpec, model: FormationModel, y: np.ndarray,
     and, for a jodefu method, ``jodefu_solve`` from it with the solver
     fields of ``spec`` on the device model ``model``."""
     if spec.equalize:
-        lri, hri = model.lri_support, model.hri_support
-        if lri is None or hri is None or not (lri.any() and hri.any()):
+        lri = model.lri_support
+        if lri is None or lri.all() or not lri.any():
             raise ValueError(f"equalize needs both sensor classes; {model.preset.name} lacks one")
-        y = equalize_lri_stats(y, lri, hri)
+        y = equalize_lri_stats(y, lri)
     baseline = baseline_reconstruct(y, model)
     if spec.method == "baseline":
         return baseline
@@ -365,6 +400,7 @@ def run_pipeline(spec: PipelineSpec) -> PipelineResult:
     """
     reference, preset, dataset_label = load_reference(spec.formation, spec.dataset,
                                                       spec.rho, spec.seed)
+    check_ssim_size(preset.ni, preset.nj)  # fail before the solve, not in evaluate
     device = _effective_preset(spec, preset)
     model, y = simulate(device, reference, spec.seed)
     xhat = reconstruct(spec, model, y, reference.rho)

@@ -88,12 +88,16 @@ def _ssim_filter(maps: np.ndarray) -> np.ndarray:
     return sliding_window_view(rows, _SSIM_WINDOW_SIZE, axis=-2) @ _SSIM_TAPS
 
 
+def check_ssim_size(ni: int, nj: int) -> None:
+    """Reject an image too small for the SSIM window."""
+    if min(ni, nj) < _SSIM_WINDOW_SIZE:
+        raise ValueError(f"image {ni}x{nj} is smaller than the {_SSIM_WINDOW_SIZE}-tap window")
+
+
 def ssim(ref: DataCube, est: DataCube) -> float:
     """Structural similarity, averaged over bands (Gaussian window)."""
     _check_same_shape(ref, est)
-    if min(ref.ni, ref.nj) < _SSIM_WINDOW_SIZE:
-        raise ValueError(
-            f"image {ref.ni}x{ref.nj} is smaller than the {_SSIM_WINDOW_SIZE}-tap window")
+    check_ssim_size(ref.ni, ref.nj)
     c1 = (0.01 * ref.rho) ** 2
     c2 = (0.03 * ref.rho) ** 2
     a = ref.values.transpose(2, 0, 1)

@@ -110,8 +110,6 @@ __all__ = [
     "SolverConfig",
     "SolverTrace",
     "SolverDiverged",
-    "ReconstructionPreset",
-    "jodefu_presets",
     "objective",
     "jodefu_solve",
 ]
@@ -286,30 +284,3 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
         np.copyto(ax, ax_new)
 
     return x, trace
-
-
-@dataclass(frozen=True)
-class ReconstructionPreset:
-    """Named solver setup: metric norm and the blur on the PAN samples of
-    the device the method models."""
-
-    norm_kind: str
-    hri_blur: str
-    rho_b: float
-
-
-_PRESETS = {
-    "jodefu-v1": ReconstructionPreset("l221", "identity", 0.0),
-    "jodefu-v2": ReconstructionPreset("s1l1", "butterworth", 1.4),
-}
-
-
-def jodefu_presets(name: str) -> ReconstructionPreset:
-    """The two shipped setups, named as ``harness.METHODS`` names them:
-    ``jodefu-v1`` is the fast default (classic gradient, l221 coupling, no
-    blur); ``jodefu-v2`` trades time for quality (nuclear-norm coupling and
-    a 1.4 px blur on the PAN samples)."""
-    try:
-        return _PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown solver preset {name!r}; choose from {tuple(_PRESETS)}")

@@ -95,6 +95,21 @@ class TestBaseline:
                             method="baseline", seed=11)
         assert run_pipeline(spec).report.psnr >= 12.0
 
+    @pytest.mark.parametrize("name, mask, nk", [("cfa", "bayer", 3), ("cassi", "random", 3),
+                                                ("mrca", "bt4pan", 4)])
+    def test_samples_are_the_minimum_norm_solution(self, rng, name, mask, nk):
+        # at every sampled position the baseline keeps pinv(M) y, M the
+        # mosaic of the channel mask (sheared on cassi)
+        from conftest import to_dense
+        from mrcakit.formation import cassi_shift_map, mosaic
+        model = build_formation(formation_preset(name, 8, 8, nk, mask=mask))
+        y = rng.random(model.op.output_shape)
+        M = mosaic(model.h_lri, cassi_shift_map(8, 8, nk) if name == "cassi" else None)
+        oracle = (np.linalg.pinv(to_dense(M)) @ y.ravel()).reshape(8, 8, nk)
+        sampled = model.h_lri.values > 0
+        np.testing.assert_allclose(baseline_reconstruct(y, model)[sampled], oracle[sampled],
+                                   rtol=0, atol=1e-12)
+
     def test_cassi_floor_runs(self, rng):
         model = build_formation(formation_preset("cassi", 8, 8, 3, seed=4))
         y = model.op.apply(synth_scene(SceneParams(8, 8, 3), seed=4).values)
@@ -195,7 +210,7 @@ class TestPipeline:
         eq = run_pipeline(dataclasses.replace(spec, equalize=True))
         np.testing.assert_array_equal(eq.observation, raw.observation)
         model = build_formation(spec.formation)
-        y = equalize_lri_stats(raw.observation, model.lri_support, model.hri_support)
+        y = equalize_lri_stats(raw.observation, model.lri_support)
         xhat, _ = jodefu_solve(model.op, tv_op(model.op.input_shape), metric_norm("l221"), y,
                                SolverConfig(lambda_bar=spec.lambda_bar, rho_y=1.0, q_max=20,
                                             x0=baseline_reconstruct(y, model)))
@@ -243,6 +258,23 @@ class TestPipeline:
                                   out_dir=str(tmp_path)))
         saved = FormationPreset.from_text((tmp_path / "acquisition.preset").read_text())
         assert saved == device
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["synthetic", "datacube"])
+    def test_image_below_the_ssim_window_rejected_before_the_solve(
+            self, tmp_path, monkeypatch, stored):
+        from mrcakit import harness
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the size check")
+        monkeypatch.setattr(harness, "build_formation", never)
+        monkeypatch.setattr(harness, "jodefu_solve", never)
+        spec = dataclasses.replace(self.SPEC, formation=formation_preset("mrca", 8, 8, 4))
+        if stored:  # the stored cube resizes the 32x32 preset
+            stem = str(tmp_path / "cube")
+            write_datacube(stem, synth_scene(SceneParams(8, 8, 4), seed=3))
+            spec = dataclasses.replace(self.SPEC, dataset=stem)
+        with pytest.raises(ValueError, match="image 8x8 is smaller than the 11-tap window"):
+            run_pipeline(spec)
 
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError, match="method"):

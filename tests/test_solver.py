@@ -11,10 +11,11 @@ from mrcakit import harness
 from mrcakit.datacube import DataCube
 from mrcakit.formation import build_formation, formation_preset
 from mrcakit.harness import (
-    METHODS,
     PipelineSpec,
+    ReconstructionPreset,
     SceneParams,
     baseline_reconstruct,
+    jodefu_presets,
     run_pipeline,
     run_sweep,
     synth_scene,
@@ -23,10 +24,8 @@ from mrcakit.metrics import psnr
 from mrcakit.operators import LinearOp, identity
 from mrcakit.regularizers import TV_NORM_BOUND, metric_norm, tv_adjoint, tv_forward, tv_op
 from mrcakit.solver import (
-    ReconstructionPreset,
     SolverConfig,
     SolverDiverged,
-    jodefu_presets,
     jodefu_solve,
     objective,
 )
@@ -572,7 +571,3 @@ class TestPresets:
     def test_unknown_rejected(self, name):
         with pytest.raises(ValueError, match="preset"):
             jodefu_presets(name)
-
-    def test_names_are_the_harness_methods(self):
-        kinds = {m: jodefu_presets(m).norm_kind for m in METHODS if m != "baseline"}
-        assert kinds == {"jodefu-v1": "l221", "jodefu-v2": "s1l1"}
