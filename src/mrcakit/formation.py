@@ -9,6 +9,9 @@ and a certified norm bound:
 * ``mask_apply``         per-pixel per-band weighting (self-adjoint);
 * ``shift_apply``        injective sample relocation (norm 1);
 * ``sum_channels``       collapse of the band dimension onto one focal plane;
+* ``mosaic``             the three above as one block, shifted or not: a
+  shift moves the mask once, at build time, and the cube before one
+  contraction over the bands;
 * ``butterworth_blur``   zero-phase frequency-domain low-pass.
 
 ``build_formation`` wires them into the four shipped presets: the full
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +55,7 @@ import scipy.fft
 
 from .datacube import PARSE_CELL, format_key_values, parse_key_values
 from .masks import (
+    PAN,
     Mask,
     BUILTIN_TILES,
     PeriodicTile,
@@ -378,42 +383,40 @@ def sum_channels(shape: tuple[int, int, int]) -> LinearOp:
 
 
 def mosaic(mask: Mask, shift: ShiftMap | None = None) -> LinearOp:
-    """Masking, optional shifting, then channel summation.
+    """Masking, optional shifting, then channel summation, as one block.
 
-    Without a shift the three steps run as one block: the forward is one
-    contraction over the bands (no masked cube is formed), and the adjoint
-    replicates the image into every band and masks that copy in place.
-    With a shift, mask -> shift -> sum runs as a composed chain.
+    A shift moves the mask values once, at build time, and is composed in
+    front of the block.  The forward is one contraction over the bands (no
+    masked cube is formed), and the adjoint replicates the image into every
+    band and masks that copy in place.
 
-    The generic composition bound (sqrt(nk) times the mask peak) is
-    tightened to the exact norm: the shift is injective, so distinct
+    The bound is the exact norm: the shift is injective, so distinct
     focal-plane cells consume disjoint samples and the Gramian is diagonal
     with entries equal to the mask energy deposited on each cell.
     """
     h = mask.values
-    if shift is None:
-        ni, nj, nk = h.shape
-
-        def adjoint(y):
-            out = np.repeat(y[:, :, None], nk, axis=2)
-            out *= h
-            return out
-
-        op = LinearOp(h.shape, (ni, nj), lambda x: np.einsum("ijk,ijk->ij", x, h), adjoint,
-                      np.sqrt(nk) * h.max(initial=0.0))
-        # the contraction may round differently from a sum over the bands;
-        # the bound keeps the sum's rounding
-        energy = np.sum(h * h, axis=2)
-    else:
+    if shift is not None:
         if shift.input_shape != mask.shape:
             raise ValueError(f"shift consumes {shift.input_shape}, mask produces {mask.shape}")
-        chain = compose(shift_apply(shift), mask_apply(mask))
-        op = compose(sum_channels(chain.output_shape), chain)
-        energy = op.apply(h)
-    # diag(AA*) is the mosaic of the mask itself
-    op.norm_bound = min(op.norm_bound, float(np.sqrt(energy.max())))
-    op.name = "mosaic"
-    return op
+        move = shift_apply(shift)
+        h = move.apply(h)
+    ni, nj, nk = h.shape
+
+    def adjoint(y):
+        out = np.repeat(y[:, :, None], nk, axis=2)
+        out *= h
+        return out
+
+    # diag(AA*) is the mosaic of the mask itself; the bound is the least
+    # double whose square is at least its largest entry (a root rounded to
+    # nearest may fall half an ulp below the norm)
+    top = float(np.sum(h * h, axis=2).max(initial=0.0))
+    bound = float(np.sqrt(top))
+    if Fraction(bound) ** 2 < Fraction(top):
+        bound = float(np.nextafter(bound, np.inf))
+    op = LinearOp(h.shape, (ni, nj), lambda x: np.einsum("ijk,ijk->ij", x, h), adjoint,
+                  bound, name="mosaic")
+    return op if shift is None else compose(op, move)
 
 
 def _butterworth_transfer(ni: int, nj: int, rho_b: float) -> np.ndarray:
@@ -657,31 +660,25 @@ class FormationModel:
     lri_support: np.ndarray | None = None
 
 
-def _resolve_masks(preset: FormationPreset) -> tuple[Mask, Mask | None, tuple[int, int] | None]:
-    """The LRI and PAN masks of a preset, and the tile period (None for the
-    random code)."""
-    tile = _resolve_tile(preset)
-    if tile is None:
-        return random_code_mask(preset.ni, preset.nj, preset.nk, seed=preset.seed), None, None
-    return (*periodic_mask(tile, preset.ni, preset.nj), tile.period)
-
-
 def _resolve_tile(preset: FormationPreset) -> PeriodicTile | None:
     """The preset's mask tile, checked against its sizes (None for the
-    random code)."""
-    if preset.mask == "random":
-        return None
-    if preset.mask in BUILTIN_TILES:
-        tile = builtin_tile(preset.mask)
-    else:
-        tile = parse_mask_file(preset.mask)
-    if tile.nchannels != preset.nk:
-        raise ValueError(
-            f"mask {preset.mask!r} carries {tile.nchannels} channels, preset wants {preset.nk}")
-    if preset.ni % tile.period[0] or preset.nj % tile.period[1]:
-        raise ValueError(
-            f"mask {preset.mask!r} has period {tile.period}, which does not divide "
-            f"the image size {(preset.ni, preset.nj)}")
+    random code).  An mrca tile must hold PAN cells; the random code has
+    none."""
+    tile = None
+    if preset.mask != "random":
+        if preset.mask in BUILTIN_TILES:
+            tile = builtin_tile(preset.mask)
+        else:
+            tile = parse_mask_file(preset.mask)
+        if tile.nchannels != preset.nk:
+            raise ValueError(
+                f"mask {preset.mask!r} carries {tile.nchannels} channels, preset wants {preset.nk}")
+        if preset.ni % tile.period[0] or preset.nj % tile.period[1]:
+            raise ValueError(
+                f"mask {preset.mask!r} has period {tile.period}, which does not divide "
+                f"the image size {(preset.ni, preset.nj)}")
+    if preset.name == "mrca" and (tile is None or not np.any(tile.cells == PAN)):
+        raise ValueError("the mrca preset needs a mask with PAN pixels (e.g. bt4pan)")
     return tile
 
 
@@ -727,7 +724,9 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         lri_support[int(np.prod(hri_op.output_shape)):] = True
         return FormationModel(preset, op, lri_support=lri_support)
 
-    h_lri, h_pan, period = _resolve_masks(preset)
+    tile = _resolve_tile(preset)
+    h_lri, h_pan = (periodic_mask(tile, ni, nj) if tile is not None
+                    else (random_code_mask(ni, nj, nk, seed=preset.seed), None))
 
     if preset.name == "cfa":
         return FormationModel(preset, mosaic(h_lri), h_lri=h_lri)
@@ -736,7 +735,6 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         return FormationModel(preset, mosaic(h_lri, cassi_shift_map(ni, nj, nk)), h_lri=h_lri)
 
     # full compressed acquisition on one focal plane
-    _check_mrca(h_pan is not None)
     w = average_weights(nk)
     branch_p = compose(mosaic(h_pan), spectral_degrade(w, shape))
     transfer = np.ones((ni, nj))  # no PAN blur: a unit transfer, exact in the norm
@@ -746,14 +744,10 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         branch_p = compose(blur_p, branch_p)
     blur, K = _lri_blur(preset)
     op = add(compose(mosaic(h_lri), blur), branch_p)
-    op.norm_bound = _mrca_norm(shape, period, K, h_lri, h_pan, w, transfer) * (1 + _NORM_MARGIN)
+    op.norm_bound = (_mrca_norm(shape, tile.period, K, h_lri, h_pan, w, transfer)
+                     * (1 + _NORM_MARGIN))
     op.name = "mrca"
     return FormationModel(preset, op, h_lri=h_lri, lri_support=h_lri.pixel_support())
-
-
-def _check_mrca(has_pan: bool) -> None:
-    if not has_pan:
-        raise ValueError("the mrca preset needs a mask with PAN pixels (e.g. bt4pan)")
 
 
 def preset_compression_ratio(preset: FormationPreset) -> float:
@@ -769,10 +763,8 @@ def preset_compression_ratio(preset: FormationPreset) -> float:
         ci, cj, _ = _decimated_shape((ni, nj, nk), preset.ratio)
         acquired = ni * nj + ci * cj * nk
     else:
-        tile = _resolve_tile(preset)
+        _resolve_tile(preset)
         acquired = ni * (nj + nk - 1) if preset.name == "cassi" else ni * nj
-        if preset.name == "mrca":
-            _check_mrca(tile is not None)
     return acquired / (ni * nj * nk)
 
 

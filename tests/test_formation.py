@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -353,38 +354,48 @@ class TestMosaic:
             mosaic(Mask(np.ones((2, 2, 2)), (0, 1)), cassi_shift_map(3, 2, 2))
 
 
-def _unshifted_masks():
+def _mosaics():
+    """(mask, shift) pairs: the unshifted masks and cassi's sheared random code."""
     quad4, _ = periodic_mask(builtin_tile("quad4"), 8, 8)
     lri, pan = periodic_mask(builtin_tile("bt4pan"), 8, 8)
     graded = Mask(np.random.default_rng(8).uniform(0.0, 2.0, (8, 6, 3)), (0, 1, 2))
-    return {"cfa-quad4": quad4, "mrca-lri": lri, "mrca-pan": pan, "graded": graded}
+    return {"cfa-quad4": (quad4, None), "mrca-lri": (lri, None), "mrca-pan": (pan, None),
+            "graded": (graded, None),
+            "cassi-sheared": (random_code_mask(8, 6, 3, seed=4), cassi_shift_map(8, 6, 3))}
 
 
 class TestFusedMosaic:
-    """Without a shift, mosaic runs as one block; it must agree with the
-    mask -> sum chain it replaces."""
+    """Every mosaic runs as one block; it must agree with the mask ->
+    (shift ->) sum chain it replaces."""
 
     @staticmethod
-    def _chain(mask):
-        chain = compose(sum_channels(mask.shape), mask_apply(mask))
+    def _chain(mask, shift):
+        chain = mask_apply(mask)
+        if shift is not None:
+            chain = compose(shift_apply(shift), chain)
+        chain = compose(sum_channels(chain.output_shape), chain)
         chain.norm_bound = min(chain.norm_bound,
                                float(np.sqrt(chain.apply(mask.values).max())))
         return chain
 
-    @pytest.mark.parametrize("name", list(_unshifted_masks()))
+    @pytest.mark.parametrize("name", list(_mosaics()))
     def test_matches_chain(self, rng, name):
-        mask = _unshifted_masks()[name]
-        op, chain = mosaic(mask), self._chain(mask)
+        mask, shift = _mosaics()[name]
+        op, chain = mosaic(mask, shift), self._chain(mask, shift)
         x = rng.standard_normal(mask.shape)
         expected = chain.apply(x)
         assert np.linalg.norm(op.apply(x) - expected) <= 1e-15 * np.linalg.norm(expected)
-        y = rng.standard_normal(mask.shape[:2])
+        y = rng.standard_normal(op.output_shape)
         np.testing.assert_array_equal(op.adjoint_apply(y), chain.adjoint_apply(y))
-        assert op.norm_bound == chain.norm_bound
+        # the chain's root rounds to nearest; the block's is the least double
+        # whose square is at least the largest cell energy
+        top = Fraction(float(chain.apply(mask.values).max()))
+        assert Fraction(op.norm_bound) ** 2 >= top > Fraction(np.nextafter(op.norm_bound, 0)) ** 2
+        assert op.norm_bound in (chain.norm_bound, np.nextafter(chain.norm_bound, np.inf))
 
-    @pytest.mark.parametrize("name", list(_unshifted_masks()))
+    @pytest.mark.parametrize("name", list(_mosaics()))
     def test_adjoint_and_bound(self, name):
-        op = mosaic(_unshifted_masks()[name])
+        op = mosaic(*_mosaics()[name])
         assert adjoint_dot_test(op) < 1e-10
         assert power_iteration_norm(op, iters=100) <= op.norm_bound
 

@@ -6,7 +6,7 @@ import pytest
 from mrcakit.datacube import DataCube
 from mrcakit.formation import add_gaussian_noise, build_formation, formation_preset
 from mrcakit.harness import SceneParams, synth_scene
-from mrcakit.masks import builtin_tile, write_mask_file
+from mrcakit.masks import PeriodicTile, builtin_tile, write_mask_file
 from mrcakit.metrics import (
     QualityReport,
     compression_ratio,
@@ -15,6 +15,16 @@ from mrcakit.metrics import (
     sam,
     ssim,
     write_report,
+)
+
+
+# a tile file with channel cells only, written by the test that names it
+_PAN_FREE_FILE = "pan-free-tile.txt"
+# periodic mrca tiles without a PAN cell
+_PAN_FREE_TILES = (
+    formation_preset("mrca", 16, 16, 4, mask="quad4"),
+    formation_preset("mrca", 16, 16, 3, mask="bayer"),
+    formation_preset("mrca", 16, 16, 4, mask=_PAN_FREE_FILE),
 )
 
 
@@ -184,13 +194,18 @@ class TestCompressionRatio:
         formation_preset("mrca", 16, 16, 4, mask="no-such-tile.txt"),  # read as a file
         formation_preset("mrca", 16, 16, 4, mask="random"),
         formation_preset("multires", 16, 16, 4, ratio=3),
+        *_PAN_FREE_TILES,
     ])
-    def test_preset_rejected_as_build_formation_rejects_it(self, preset):
+    def test_preset_rejected_as_build_formation_rejects_it(self, preset, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_mask_file(_PAN_FREE_FILE, PeriodicTile(np.arange(16).reshape(4, 4) % 4, 4))
         with pytest.raises((ValueError, OSError)) as built:
             build_formation(preset)
         with pytest.raises((ValueError, OSError)) as counted:
             compression_ratio(preset)
         assert (type(counted.value), str(counted.value)) == (type(built.value), str(built.value))
+        if preset in _PAN_FREE_TILES:
+            assert "PAN pixels" in str(built.value)
 
     def test_mask_file_ratio(self, tmp_path):
         path = str(tmp_path / "tile.txt")
