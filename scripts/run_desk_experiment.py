@@ -8,9 +8,11 @@ shipped formations.
 Each row is one ``run_pipeline`` call with the same ``--seed``, which
 derives both the scene and the noise draw.  Every reconstruction uses the
 model of the device it is given, and ``run_pipeline`` simulates the
-preset plus the PAN blur the method models: the mrca jodefu-v2 row
-therefore sees a device with a 1.4 px Butterworth PAN blur, and a
-different observation than the baseline and jodefu-v1 rows, by design.
+preset plus the PAN blur the method models on a formation that applies
+one: the mrca jodefu-v2 row therefore sees a device with a 1.4 px
+Butterworth PAN blur, and a different observation than the baseline and
+jodefu-v1 rows, by design.  The cfa, cassi and multires devices apply no
+PAN blur, so their three rows share one observation.
 
 Usage:
     python3 scripts/run_desk_experiment.py [--size 64] [--bands 4]

@@ -10,11 +10,12 @@ diagnostic on any failure, 2 on bad flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 from .datacube import DataCube, read_datacube, write_datacube
-from .formation import FormationPreset, PRESET_NAMES, formation_preset
+from .formation import PAN_BLUR_PRESETS, PRESET_NAMES, FormationPreset, formation_preset
 from .harness import (
     METHODS,
     PipelineSpec,
@@ -44,7 +45,7 @@ def _add_formation_flags(p: argparse.ArgumentParser) -> None:
                    help="noise std as a fraction of the dynamic range")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rho-b", type=float, default=None,
-                   help="Butterworth blur diameter (px) on the PAN samples of the device")
+                   help="Butterworth blur diameter (px) on the PAN samples of an mrca device")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -63,6 +64,8 @@ def _preset_from_args(args) -> FormationPreset:
     if args.mask is not None:
         overrides["mask"] = args.mask
     if args.rho_b is not None:
+        if args.formation not in PAN_BLUR_PRESETS:
+            raise ValueError(f"--rho-b: the {args.formation} formation applies no PAN blur")
         overrides.update(hri_blur="butterworth", rho_b=args.rho_b)
     return formation_preset(args.formation, args.ni, args.nj, args.nk, **overrides)
 
@@ -74,7 +77,7 @@ def _solver_fields(args) -> dict:
 
 def _cmd_simulate(args) -> int:
     reference, device, _ = load_reference(_preset_from_args(args), args.inp or "synthetic",
-                                          args.rho, args.seed)
+                                          args.seed)
     model, y = simulate(device, reference, args.seed)
     write_observation(args.out, model, y, reference.rho)
     if not args.inp:
@@ -107,7 +110,6 @@ def _cmd_pipeline(args) -> int:
     spec = PipelineSpec(
         formation=_preset_from_args(args),
         dataset=args.inp or "synthetic",
-        rho=args.rho,
         seed=args.seed,
         out_dir=args.out,
         report_format=args.report,
@@ -138,22 +140,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mrcakit",
         description="Simulate compressed multiresolution acquisitions and reconstruct them.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: a retired flag (--rho) must not pass for another (--rho-b)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("simulate", help="apply a formation model to a cube")
+    p = command("simulate", help="apply a formation model to a cube")
     _add_formation_flags(p)
     p.add_argument("--in", dest="inp", default=None, help="reference datacube stem")
-    p.add_argument("--rho", type=float, default=1.0, help="synthetic dynamic range")
     p.add_argument("--out", required=True, help="observation output stem")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("reconstruct", help="invert a saved observation")
+    p = command("reconstruct", help="invert a saved observation")
     p.add_argument("--in", dest="inp", required=True, help="observation stem")
     p.add_argument("--preset", default=None, help="formation preset file (default: <in>.preset)")
     _add_solver_flags(p)
     p.add_argument("--out", required=True, help="estimate output stem")
     p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("evaluate", help="compare an estimate against a reference")
+    p = command("evaluate", help="compare an estimate against a reference")
     p.add_argument("--ref", required=True)
     p.add_argument("--est", required=True)
     p.add_argument("--preset", default=None, help="formation preset file for the compression ratio")
@@ -163,16 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report file")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("pipeline", help="simulate, reconstruct and evaluate in one go")
+    p = command("pipeline", help="simulate, reconstruct and evaluate in one go")
     _add_formation_flags(p)
     _add_solver_flags(p)
     p.add_argument("--in", dest="inp", default=None, help="reference datacube stem")
-    p.add_argument("--rho", type=float, default=1.0, help="synthetic dynamic range")
     p.add_argument("--out", default=None, help="artifact directory")
     p.add_argument("--report", default="csv", choices=("csv", "json"))
     p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("masks", help="print or write mask tiles")
+    p = command("masks", help="print or write mask tiles")
     p.add_argument("--name", default="bayer", choices=sorted(set(BUILTIN_TILES)))
     p.add_argument("--file", default=None, help="tile file to read instead of a built-in")
     p.add_argument("--out", default=None, help="tile file to write")

@@ -94,6 +94,7 @@ __all__ = [
 ]
 
 PRESET_NAMES = ("mrca", "multires", "cfa", "cassi")
+PAN_BLUR_PRESETS = ("mrca",)  # the presets whose build applies hri_blur and rho_b
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +476,8 @@ def alias_domain_norm(image_shape: tuple[int, int], period: tuple[int, int],
     each, with alias a = ai*pj + aj.  The result is
     sqrt(max_w lambda_max(G(w))).  A real operator has A(-w) = conj(A(w))
     up to an alias permutation, so only the columns wj <= mj/2 are
-    visited, lowest frequencies first and in batches of at most 1 MB of
-    Gram entries.  A batch whose Grams all pass a Cholesky certificate of
+    visited, row by row from w = 0 and in batches of at most 1 MB of Gram
+    entries.  A batch whose Grams all pass a Cholesky certificate of
     t*I - G, against the largest eigenvalue t found so far, costs no
     eigenvalue computation.
     """
@@ -485,14 +486,11 @@ def alias_domain_norm(image_shape: tuple[int, int], period: tuple[int, int],
     if ni % pi or nj % pj:
         raise ValueError(f"period {period} does not divide image size {image_shape}")
     mi, mj = ni // pi, nj // pj
-    wi, wj = np.meshgrid(np.arange(mi), np.arange(mj // 2 + 1), indexing="ij")
-    order = np.argsort(np.hypot(np.fft.fftfreq(mi)[wi], np.fft.fftfreq(mj)[wj]).ravel(),
-                       kind="stable")
+    wi, wj = np.indices((mi, mj // 2 + 1)).reshape(2, -1, 1)
     ai, aj = np.divmod(np.arange(pi * pj), pj)
-    fi = wi.ravel()[order, None] + mi * ai
-    fj = wj.ravel()[order, None] + mj * aj
+    fi, fj = wi + mi * ai, wj + mj * aj
     top = 0.0
-    # the lowest frequency goes alone first: its eigenvalue often certifies all others
+    # w = 0 goes alone first: its eigenvalue often certifies all others
     lo, hi = 0, 1
     while lo < len(fi):
         gram = grams(fi[lo:hi], fj[lo:hi])

@@ -29,6 +29,7 @@ from scipy.ndimage import gaussian_filter, map_coordinates
 
 from .datacube import DataCube, read_datacube, write_datacube
 from .formation import (
+    PAN_BLUR_PRESETS,
     FormationModel,
     FormationPreset,
     add_gaussian_noise,
@@ -36,7 +37,7 @@ from .formation import (
     equalize_lri_stats,
     mosaic,
 )
-from .metrics import (QualityReport, check_ssim_size, compression_ratio, psnr, sam, ssim,
+from .metrics import (QualityReport, check_report_shape, compression_ratio, psnr, sam, ssim,
                       write_report)
 from .regularizers import NORM_KINDS, metric_norm, tv_op
 from .solver import SolverConfig, jodefu_solve
@@ -65,7 +66,7 @@ __all__ = [
 @dataclass(frozen=True)
 class ReconstructionPreset:
     """Named solver setup: metric norm and the blur on the PAN samples of
-    the device the method models."""
+    the device the method models (on a formation that applies one)."""
 
     norm_kind: str
     hri_blur: str
@@ -84,7 +85,7 @@ def jodefu_presets(name: str) -> ReconstructionPreset:
     """The two solver setups of :data:`METHODS`: ``jodefu-v1`` is the fast
     default (classic gradient, l221 coupling, no blur); ``jodefu-v2``
     trades time for quality (nuclear-norm coupling and a 1.4 px blur on
-    the PAN samples)."""
+    the PAN samples, where the formation applies one)."""
     try:
         return _PRESETS[name]
     except KeyError:
@@ -101,7 +102,6 @@ class SceneParams:
     ni: int
     nj: int
     nk: int
-    rho: float = 1.0
 
 
 def flat_patch_region(ni: int, nj: int) -> tuple[slice, slice]:
@@ -118,37 +118,36 @@ def synth_scene(params: SceneParams, seed: int = 0) -> DataCube:
     rectangle (see :func:`flat_patch_region`) is painted last so its
     interior is guaranteed flat, a linear ramp occupies the right half and
     three thin lines cross the right/bottom halves only.  Values stay within
-    [0, rho].
+    [0, 1], the dynamic range of the cube.
     """
-    ni, nj, nk, rho = params.ni, params.nj, params.nk, params.rho
+    ni, nj, nk = params.ni, params.nj, params.nk
     if min(ni, nj, nk) < 1:
         raise ValueError("scene dimensions must be positive")
     rng = np.random.default_rng(seed)
-    scene = np.tile(rng.uniform(0.25, 0.7, nk) * rho, (ni, nj, 1))
+    scene = np.tile(rng.uniform(0.25, 0.7, nk), (ni, nj, 1))
 
     for _ in range(6):
         h = int(rng.integers(max(2, ni // 8), max(3, ni // 2)))
         w = int(rng.integers(max(2, nj // 8), max(3, nj // 2)))
         r = int(rng.integers(0, max(1, ni - h)))
         c = int(rng.integers(0, max(1, nj - w)))
-        scene[r:r + h, c:c + w, :] = rng.uniform(0.1, 0.9, nk) * rho
+        scene[r:r + h, c:c + w, :] = rng.uniform(0.1, 0.9, nk)
 
-    scene[flat_patch_region(ni, nj)] = rng.uniform(0.15, 0.85, nk) * rho
+    scene[flat_patch_region(ni, nj)] = rng.uniform(0.15, 0.85, nk)
 
     # smooth ramp over the right half, away from the guaranteed flat patch
     half = nj // 2
-    if half < nj:
-        ramp = np.linspace(-0.1, 0.1, nj - half) * rho
-        scene[:, half:, :] = np.clip(scene[:, half:, :] + ramp[None, :, None], 0, rho)
+    ramp = np.linspace(-0.1, 0.1, nj - half)
+    scene[:, half:, :] = np.clip(scene[:, half:, :] + ramp[None, :, None], 0, 1)
 
     for _ in range(3):
-        spectrum = rng.uniform(0.05, 0.95, nk) * rho
+        spectrum = rng.uniform(0.05, 0.95, nk)
         if rng.random() < 0.5:
             scene[:, int(rng.integers(half, nj)), :] = spectrum
         else:
             scene[int(rng.integers(ni // 2, ni)), :, :] = spectrum
 
-    return DataCube(np.clip(scene, 0.0, rho), rho=rho)
+    return DataCube(np.clip(scene, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +221,13 @@ class PipelineSpec:
     """Fully seeded description of one reference/simulate/reconstruct/
     compare run.
 
-    ``dataset`` is either ``"synthetic"`` or the stem of a datacube file;
-    solver fields override the reconstruction preset defaults.  The scene
-    and the noise draw both derive from ``seed`` (see :func:`simulate`).
+    ``dataset`` is either ``"synthetic"`` (a scene in [0, 1]) or the stem of
+    a datacube file, which keeps its own range; solver fields override the
+    reconstruction preset defaults.  Scene and noise derive from ``seed``.
 
-    The simulated device is ``formation``, which keeps its own PAN blur; a
-    device without one takes the blur the method models (the 1.4 px
-    Butterworth blur of jodefu-v2).  Reconstructions use the device model.
+    The simulated device is ``formation`` with its own PAN blur, or the
+    blur the method models if it has none and is in ``PAN_BLUR_PRESETS``
+    (jodefu-v2's 1.4 px Butterworth blur).  Reconstructions use its model.
 
     ``equalize`` applies the LRI/HRI statistics equalization before
     reconstructing.  It compensates radiometric mismatch between real
@@ -244,7 +243,6 @@ class PipelineSpec:
     norm_kind: str | None = None
     equalize: bool = False
     dataset: str = "synthetic"
-    rho: float = 1.0
     seed: int = 0
     out_dir: str | None = None
     report_format: str = "csv"
@@ -275,16 +273,15 @@ def _derived_seeds(seed: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def load_reference(preset: FormationPreset, dataset: str = "synthetic", rho: float = 1.0,
+def load_reference(preset: FormationPreset, dataset: str = "synthetic",
                    seed: int = 0) -> tuple[DataCube, FormationPreset, str]:
     """Reference stage: the synthetic scene of ``seed`` (dataset
-    ``"synthetic"``, dynamic range ``rho``) or the datacube stored at the
-    stem ``dataset``.  Returns the cube, the preset resized to it and the
-    dataset label of the report."""
+    ``"synthetic"``, dynamic range 1) or the datacube stored at the stem
+    ``dataset``, which keeps its own.  Returns the cube, the preset resized
+    to it and the dataset label of the report."""
     if dataset == "synthetic":
         scene_seed, _ = _derived_seeds(seed)
-        cube = synth_scene(SceneParams(preset.ni, preset.nj, preset.nk, rho=rho),
-                           seed=scene_seed)
+        cube = synth_scene(SceneParams(preset.ni, preset.nj, preset.nk), seed=scene_seed)
         return cube, preset, f"synthetic:{seed}"
     cube = read_datacube(dataset)
     preset = dataclasses.replace(preset, ni=cube.ni, nj=cube.nj, nk=cube.nk)
@@ -292,13 +289,12 @@ def load_reference(preset: FormationPreset, dataset: str = "synthetic", rho: flo
 
 
 def _effective_preset(spec: PipelineSpec, preset: FormationPreset) -> FormationPreset:
-    """The device: ``preset`` with its own PAN blur, or if it has none the
-    jodefu method's.  The blur belongs to the image formation (it spreads
-    suppressed pixels into their neighbors), so simulation and model share it."""
-    if spec.method != "baseline" and preset.hri_blur == "identity":
-        rp = jodefu_presets(spec.method)
-        if rp.hri_blur == "butterworth":
-            return dataclasses.replace(preset, hri_blur="butterworth", rho_b=rp.rho_b)
+    """The device: ``preset`` with its own PAN blur or, if it has none on a formation
+    that applies one, the jodefu method's.  The blur belongs to the image formation
+    (it spreads suppressed pixels), so simulation and model share it."""
+    rp = _PRESETS.get(spec.method) if preset.name in PAN_BLUR_PRESETS else None
+    if rp and rp.hri_blur == "butterworth" and preset.hri_blur == "identity":
+        return dataclasses.replace(preset, hri_blur="butterworth", rho_b=rp.rho_b)
     return preset
 
 
@@ -398,9 +394,8 @@ def run_pipeline(spec: PipelineSpec) -> PipelineResult:
 
     Fully deterministic: identical specs give bitwise identical outputs.
     """
-    reference, preset, dataset_label = load_reference(spec.formation, spec.dataset,
-                                                      spec.rho, spec.seed)
-    check_ssim_size(preset.ni, preset.nj)  # fail before the solve, not in evaluate
+    reference, preset, dataset_label = load_reference(spec.formation, spec.dataset, spec.seed)
+    check_report_shape(reference)  # fail before the solve, not in evaluate
     device = _effective_preset(spec, preset)
     model, y = simulate(device, reference, spec.seed)
     xhat = reconstruct(spec, model, y, reference.rho)
@@ -424,16 +419,15 @@ SWEEP_AXES = ("lambda_bar", "norm_kind", "rho_b")
 
 
 def run_sweep(spec: PipelineSpec, axis: str, values) -> list[QualityReport]:
-    """Vary one study axis (regularization weight, norm kind or the device's
-    PAN blur diameter) around a base run, one report row per point."""
+    """Vary one study axis (regularization weight, norm kind or the PAN blur
+    diameter of a device that applies one) around a base run, one row per point."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-
-    def fields(value):  # the blur diameter is a field of the device
-        if axis != "rho_b":
-            return {axis: value}
-        blurred = dataclasses.replace(spec.formation, hri_blur="butterworth", rho_b=value)
-        return {"formation": blurred}
+    if axis == "rho_b":  # the blur diameter is a field of the device
+        if spec.formation.name not in PAN_BLUR_PRESETS:
+            raise ValueError(f"rho_b: the {spec.formation.name} formation applies no PAN blur")
+        axis, values = "formation", [dataclasses.replace(
+            spec.formation, hri_blur="butterworth", rho_b=value) for value in values]
     # every point is checked before the first one runs
-    points = [dataclasses.replace(spec, **fields(value), out_dir=None) for value in values]
+    points = [dataclasses.replace(spec, **{axis: value}, out_dir=None) for value in values]
     return [run_pipeline(point).report for point in points]

@@ -58,8 +58,7 @@ def sam(ref: DataCube, est: DataCube) -> float:
     average; NaN when no pixel is left.
     """
     _check_same_shape(ref, est)
-    if ref.nk < 2:
-        raise ValueError("spectral angles need at least two bands")
+    _check_bands(ref.nk)
     r = ref.values.reshape(-1, ref.nk)
     e = est.values.reshape(-1, est.nk)
     nr = np.linalg.norm(r, axis=1)
@@ -88,16 +87,26 @@ def _ssim_filter(maps: np.ndarray) -> np.ndarray:
     return sliding_window_view(rows, _SSIM_WINDOW_SIZE, axis=-2) @ _SSIM_TAPS
 
 
-def check_ssim_size(ni: int, nj: int) -> None:
-    """Reject an image too small for the SSIM window."""
+def _check_ssim_size(ni: int, nj: int) -> None:
     if min(ni, nj) < _SSIM_WINDOW_SIZE:
         raise ValueError(f"image {ni}x{nj} is smaller than the {_SSIM_WINDOW_SIZE}-tap window")
+
+
+def _check_bands(nk: int) -> None:
+    if nk < 2:
+        raise ValueError(f"spectral angles need at least two bands, got {nk}")
+
+
+def check_report_shape(ref: DataCube) -> None:
+    """Reject a reference that a report cannot score: below the SSIM window, or one band."""
+    _check_ssim_size(ref.ni, ref.nj)
+    _check_bands(ref.nk)
 
 
 def ssim(ref: DataCube, est: DataCube) -> float:
     """Structural similarity, averaged over bands (Gaussian window)."""
     _check_same_shape(ref, est)
-    check_ssim_size(ref.ni, ref.nj)
+    _check_ssim_size(ref.ni, ref.nj)
     c1 = (0.01 * ref.rho) ** 2
     c2 = (0.03 * ref.rho) ** 2
     a = ref.values.transpose(2, 0, 1)

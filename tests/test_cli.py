@@ -84,6 +84,14 @@ class TestPipelineCommand:
             run("pipeline", "--norm", "l212")
         assert exc.value.code != 0
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_retired_dynamic_range_flag_rejected_by_parser(self, tmp_path, capsys, command):
+        # a synthetic scene lies in [0, 1]; --rho is not read as a prefix of --rho-b
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--ni", 16, "--nj", 16, "--rho", 2, "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert "--rho 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["pipeline", "reconstruct"])
     @pytest.mark.parametrize("value", ["zero", "replicate"])
     def test_retired_boundary_flag_rejected_by_parser(self, capsys, command, value):
@@ -101,8 +109,9 @@ class TestStagedMatchesPipeline:
     FLAGS = ("--ni", 16, "--nj", 16, "--nk", 4, "--seed", 11, "--noise-sigma", 0.01)
     FORMATIONS = ("mrca", "multires", "cfa", "cassi")
 
-    # the PAN blur the pipeline gives a jodefu-v2 device without one
-    DEVICE_FLAGS = {"baseline": (), "jodefu-v1": (), "jodefu-v2": ("--rho-b", 1.4)}
+    # the PAN blur the pipeline gives a jodefu-v2 device without one, on the
+    # one formation that applies it
+    DEVICE_FLAGS = {("mrca", "jodefu-v2"): ("--rho-b", 1.4)}
 
     def pipeline(self, tmp_path, formation, method):
         rundir = tmp_path / "run"
@@ -116,7 +125,7 @@ class TestStagedMatchesPipeline:
         rundir = self.pipeline(tmp_path, formation, method)
         obs = tmp_path / "obs"
         assert run("simulate", "--formation", formation, *self.FLAGS,
-                   *self.DEVICE_FLAGS[method], "--out", obs) == 0
+                   *self.DEVICE_FLAGS.get((formation, method), ()), "--out", obs) == 0
         blocks = ("_hri", "_lri") if formation == "multires" else ("",)
         pairs = [("obs.preset", "acquisition.preset")]
         for ext in (".raw", ".hdr"):
@@ -151,11 +160,25 @@ class TestFailures:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
-    @pytest.mark.parametrize("formation", ["mrca", "cfa"])
-    def test_bad_blur_diameter(self, tmp_path, capsys, command, formation):
-        assert run(command, "--formation", formation, "--ni", 16, "--nj", 16,
+    def test_bad_blur_diameter(self, tmp_path, capsys, command):
+        assert run(command, "--formation", "mrca", "--ni", 16, "--nj", 16,
                    "--rho-b", -1, "--out", tmp_path / "o") == 1
         assert "blur diameter" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("formation", ["cfa", "cassi", "multires"])
+    def test_blur_on_a_device_without_a_pan_blur_rejected(self, tmp_path, capsys, monkeypatch,
+                                                          command, formation):
+        from mrcakit import harness
+
+        def never(*args, **kwargs):
+            raise AssertionError("built a device for a rejected flag")
+        monkeypatch.setattr(harness, "build_formation", never)
+        assert run(command, "--formation", formation, "--ni", 16, "--nj", 16,
+                   "--rho-b", 2.0, "--out", tmp_path / "o") == 1
+        assert (f"--rho-b: the {formation} formation applies no PAN blur"
+                in capsys.readouterr().err)
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag, value, field", [

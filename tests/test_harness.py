@@ -27,7 +27,7 @@ from mrcakit.regularizers import tv_forward
 class TestSynthScene:
     def test_fixed_seed_fixed_checksum(self):
         # frozen with numpy 2.2 PCG64; the stream is stable per seed
-        cube = synth_scene(SceneParams(32, 32, 4, rho=1.0), seed=7)
+        cube = synth_scene(SceneParams(32, 32, 4), seed=7)
         digest = hashlib.sha256(cube.values.tobytes()).hexdigest()
         assert digest == "ece86a9feb1909facb0c24cf7c9ce27eb40df9feba0ed7b32714f9a9a4cf344a"
 
@@ -38,9 +38,10 @@ class TestSynthScene:
 
     def test_values_in_range(self):
         for seed in range(5):
-            cube = synth_scene(SceneParams(24, 24, 5, rho=2.0), seed=seed)
+            cube = synth_scene(SceneParams(24, 24, 5), seed=seed)
+            assert cube.rho == 1.0
             assert cube.values.min() >= 0.0
-            assert cube.values.max() <= 2.0
+            assert cube.values.max() <= 1.0
 
     def test_flat_patch_interior_has_zero_gradient(self):
         for seed in range(5):
@@ -187,7 +188,7 @@ class TestPipeline:
         from mrcakit.metrics import psnr, sam, ssim
         spec = self.SPEC
         scene_seed, noise_seed = _derived_seeds(spec.seed)
-        cube = synth_scene(SceneParams(32, 32, 4, rho=1.0), seed=scene_seed)
+        cube = synth_scene(SceneParams(32, 32, 4), seed=scene_seed)
         preset = _effective_preset(spec, spec.formation)
         model = build_formation(preset)
         y = add_gaussian_noise(model.op.apply(cube.values),
@@ -252,6 +253,16 @@ class TestPipeline:
         for other in runs[1:]:
             np.testing.assert_array_equal(other.observation, runs[0].observation)
 
+    @pytest.mark.parametrize("formation", ["cfa", "cassi", "multires"])
+    def test_v2_gives_no_blur_to_a_device_that_does_not_apply_it(self, tmp_path, formation):
+        device = formation_preset(formation, 16, 16, 4, noise_sigma=0.01)
+        runs = [run_pipeline(PipelineSpec(formation=device, method=method, iters=2, seed=3,
+                                          out_dir=str(tmp_path / method)))
+                for method in ("jodefu-v1", "jodefu-v2")]
+        np.testing.assert_array_equal(runs[1].observation, runs[0].observation)
+        saved = (tmp_path / "jodefu-v2" / "acquisition.preset").read_text()
+        assert FormationPreset.from_text(saved) == device
+
     def test_v2_keeps_the_blur_of_its_device(self, tmp_path):
         device = formation_preset("mrca", 16, 16, 4, hri_blur="butterworth", rho_b=2.0)
         run_pipeline(PipelineSpec(formation=device, method="jodefu-v2", iters=2,
@@ -260,20 +271,24 @@ class TestPipeline:
         assert saved == device
 
     @pytest.mark.parametrize("stored", [False, True], ids=["synthetic", "datacube"])
+    @pytest.mark.parametrize("formation, shape, message", [
+        ("mrca", (8, 8, 4), "image 8x8 is smaller than the 11-tap window"),
+        ("cassi", (32, 32, 1), "spectral angles need at least two bands, got 1")],
+        ids=["8x8", "one-band"])
     def test_image_below_the_ssim_window_rejected_before_the_solve(
-            self, tmp_path, monkeypatch, stored):
+            self, tmp_path, monkeypatch, stored, formation, shape, message):
         from mrcakit import harness
 
         def never(*args, **kwargs):
             raise AssertionError("ran before the size check")
         monkeypatch.setattr(harness, "build_formation", never)
         monkeypatch.setattr(harness, "jodefu_solve", never)
-        spec = dataclasses.replace(self.SPEC, formation=formation_preset("mrca", 8, 8, 4))
-        if stored:  # the stored cube resizes the 32x32 preset
+        spec = dataclasses.replace(self.SPEC, formation=formation_preset(formation, *shape))
+        if stored:  # the stored cube resizes the 32x32x4 preset
             stem = str(tmp_path / "cube")
-            write_datacube(stem, synth_scene(SceneParams(8, 8, 4), seed=3))
+            write_datacube(stem, synth_scene(SceneParams(*shape), seed=3))
             spec = dataclasses.replace(self.SPEC, dataset=stem)
-        with pytest.raises(ValueError, match="image 8x8 is smaller than the 11-tap window"):
+        with pytest.raises(ValueError, match=message):
             run_pipeline(spec)
 
     def test_bad_method_rejected(self):
@@ -289,6 +304,29 @@ class TestPipeline:
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(self.SPEC, out_dir=str(out), **{field: value})
         assert not out.exists()
+
+
+class TestScaleInvariance:
+    """The quality indices do not depend on the unit of the scene: one scene
+    stored at dynamic range 1 and the same scene times 255 stored at 255
+    score alike.  The stored samples are float32, so the two observations
+    differ by rounding and the bounds are loose."""
+
+    @pytest.mark.parametrize("formation", ["mrca", "multires", "cfa", "cassi"])
+    @pytest.mark.parametrize("method", ["jodefu-v1", "jodefu-v2"])
+    def test_stored_cube_scaled_by_its_range_scores_alike(self, tmp_path, formation, method):
+        scene = synth_scene(SceneParams(32, 32, 4), seed=5)
+        reports = []
+        for rho in (1.0, 255.0):
+            stem = str(tmp_path / f"scene{rho:g}")
+            write_datacube(stem, DataCube(scene.values * rho, rho=rho))
+            spec = PipelineSpec(formation=formation_preset(formation, 32, 32, 4, noise_sigma=0.01),
+                                method=method, dataset=stem, seed=3)
+            reports.append(run_pipeline(spec).report)
+        unit, scaled = reports
+        assert scaled.psnr == pytest.approx(unit.psnr, rel=0, abs=1e-5)
+        assert scaled.ssim == pytest.approx(unit.ssim, rel=0, abs=1e-6)
+        assert scaled.sam == pytest.approx(unit.sam, rel=0, abs=1e-6)
 
 
 class TestSweep:
@@ -309,19 +347,26 @@ class TestSweep:
         device = dataclasses.replace(spec.formation, hri_blur="butterworth", rho_b=2.0)
         assert rows == [run_pipeline(dataclasses.replace(spec, formation=device)).report]
 
-    @pytest.mark.parametrize("axis, values, message", [
-        ("norm_kind", ["l221", "l2"], "norm_kind"),
-        ("rho_b", [1.4, -1.0], "blur diameter"),
+    @pytest.mark.parametrize("formation, axis, values, message", [
+        ("mrca", "norm_kind", ["l221", "l2"], "norm_kind"),
+        ("mrca", "rho_b", [1.4, -1.0], "blur diameter"),
+        ("cfa", "rho_b", [1.4], "rho_b: the cfa formation applies no PAN blur"),
+        ("cassi", "rho_b", [1.4], "rho_b: the cassi formation applies no PAN blur"),
+        ("multires", "rho_b", [1.4], "rho_b: the multires formation applies no PAN blur"),
     ])
-    def test_bad_point_rejected_before_the_first_run(self, monkeypatch, axis, values, message):
+    def test_bad_point_rejected_before_the_first_run(self, monkeypatch, formation, axis, values,
+                                                     message):
         import mrcakit.harness as harness
 
-        def no_run(spec):
+        def no_run(*args, **kwargs):
             raise AssertionError("a point ran before the sweep was checked")
 
         monkeypatch.setattr(harness, "run_pipeline", no_run)
+        monkeypatch.setattr(harness, "build_formation", no_run)
+        spec = dataclasses.replace(TestPipeline.SPEC,
+                                   formation=formation_preset(formation, 32, 32, 4))
         with pytest.raises(ValueError, match=message):
-            run_sweep(TestPipeline.SPEC, axis, values)
+            run_sweep(spec, axis, values)
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError, match="axis"):
