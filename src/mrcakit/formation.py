@@ -650,12 +650,17 @@ class FormationModel:
     sensor class; the others are high-resolution.  Only ``mrca`` and
     ``multires`` have two sensor classes and carry it (read only by the
     statistics equalization); on ``cfa`` and ``cassi`` it is None.
+    ``gram_diag`` is diag(AA*) of ``op`` where AA* is diagonal, i.e. on
+    ``cfa`` and ``cassi``: the mask energy each focal-plane cell collects,
+    which the solver's exact data resolvent divides by.  It is None on
+    ``mrca`` and ``multires``.
     """
 
     preset: FormationPreset
     op: LinearOp
     h_lri: Mask | None = None
     lri_support: np.ndarray | None = None
+    gram_diag: np.ndarray | None = None
 
 
 def _resolve_tile(preset: FormationPreset) -> PeriodicTile | None:
@@ -726,11 +731,9 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     h_lri, h_pan = (periodic_mask(tile, ni, nj) if tile is not None
                     else (random_code_mask(ni, nj, nk, seed=preset.seed), None))
 
-    if preset.name == "cfa":
-        return FormationModel(preset, mosaic(h_lri), h_lri=h_lri)
-
-    if preset.name == "cassi":
-        return FormationModel(preset, mosaic(h_lri, cassi_shift_map(ni, nj, nk)), h_lri=h_lri)
+    if preset.name in ("cfa", "cassi"):
+        op = mosaic(h_lri, cassi_shift_map(ni, nj, nk) if preset.name == "cassi" else None)
+        return FormationModel(preset, op, h_lri=h_lri, gram_diag=op.apply(h_lri.values))
 
     # full compressed acquisition on one focal plane
     w = average_weights(nk)

@@ -370,7 +370,8 @@ def reconstruct(spec: PipelineSpec, model: FormationModel, y: np.ndarray,
     rp = jodefu_presets(spec.method)
     grad = tv_op(model.op.input_shape)
     norm = metric_norm(spec.norm_kind or rp.norm_kind)
-    cfg = SolverConfig(lambda_bar=spec.lambda_bar, rho_y=rho, q_max=spec.iters, x0=baseline)
+    cfg = SolverConfig(lambda_bar=spec.lambda_bar, rho_y=rho, q_max=spec.iters, x0=baseline,
+                       gram_diag=model.gram_diag)
     xhat, _ = jodefu_solve(model.op, grad, norm, y, cfg)
     return xhat
 

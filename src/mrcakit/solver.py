@@ -1,13 +1,56 @@
 """Primal-dual reconstruction of a datacube from a compressed acquisition.
 
 Minimizes ``0.5 ||A(X) - y||^2 + lam * g(L(X))`` with the Chambolle-Pock
-iteration (Chambolle & Pock 2011) on the stacked operator K = [A; L]: both
-terms enter through their conjugates, one dual per block, each with its own
-step (Pock & Chambolle 2011, diagonal preconditioning).  The data term's
-conjugate has the closed-form prox u -> (u - sigma_A y) / (1 + sigma_A), and
-the regularizer's is the projection onto the dual-norm ball of radius lam.
-Both duals are carried scaled by the primal step: Ut = tau * U and
-Wt = tau * W.  One iteration runs, verbatim:
+iteration (Chambolle & Pock 2011).  The regularizer always enters through
+its conjugate, whose prox is the projection onto the dual-norm ball of
+radius lam.  The data term takes one of two places, in one function,
+chosen by what the solve is handed:
+
+* the primal-data update, when ``SolverConfig.gram_diag`` carries
+  e = diag(AA*) of an operator whose AA* is diagonal (cfa and cassi:
+  ``FormationModel.gram_diag``);
+* the dual-data update otherwise (mrca, multires, and any operator
+  without e).
+
+Both start from X = ``SolverConfig.x0`` (a float64 copy; the harness
+passes the interpolation baseline) or, without one, X = A*(y), with
+Xbar = X and every dual 0.  Both carry their duals scaled by the primal
+step (Wt = tau * W, Ut = tau * U), and both track the cost
+0.5 ||A(X) - y||^2 + lam * g(L(X)) at the iterate the solve returns only,
+unless ``SolverConfig.cost_stride`` asks for more; each tracked cost runs
+L and g.eval once and no A.
+
+The primal-data update is Algorithm 1 of Chambolle & Pock with G the data
+term and K = L.  The prox of tau G solves (I + tau A*A) X = X' + tau A*(y),
+and by the Woodbury identity (I + tau A*A)^-1 = I - tau A*(I + tau AA*)^-1 A;
+with AA* = diag(e) it is exact and costs one division per observation
+sample.  One iteration runs, verbatim:
+
+    Wt   = P_{tau lam}(Wt + L(cL * Xbar))     # dual-ball projection
+    X'   = X - L*(Wt)
+    R    = (A(X') - y) / (1 / tau + e)      # = tau (A(X) - y) at the new X
+    X    = X' - A*(R)
+    Xbar = 2 X - X_prev
+
+with cL = tau * sigma = 0.99 / |L|^2 and tau = ``RESOLVENT_STEP`` /
+(lambda_bar |A|^2), ``RESOLVENT_STEP`` = c = 0.1.  A(X) - y at the new X
+is (A(X') - y) / (1 + tau e) by linearity, so the cost reuses R.  The
+iteration converges for tau sigma |L|^2 < 1 (here 0.99), with no
+condition on |A|: tau only sets the speed.  c = 0.1 comes from the probe
+in ``BENCH_23.json`` on the cfa and cassi rows of the 64x64x4 desk
+experiment (scene seeds 1-5 and 11; lambda_bar 1e-4, 1e-3 and 1e-2).  It
+stopped every row at 88-211 iterations.  At the default lambda_bar they
+ended between -0.0175 and +0.33 dB of the PSNR of their minimizer, and
+at 1e-2 down to -0.042 dB (cfa).  c = 0.03 ran every cassi row to the cap
+of 250 and ended up to 0.16 dB low; c = 0.3 and c = 1 lost up to 0.083
+and 0.34 dB on cfa at lambda_bar = 1e-2.  Over n iterations A, L*
+and the prox run n times, A* n times plus the start A*(y) when there is
+no x0, and L n times plus one per tracked cost.
+
+The dual-data update runs on the stacked operator K = [A; L], one dual
+per block, each with its own step (Pock & Chambolle 2011, diagonal
+preconditioning).  The data term's conjugate has the closed-form prox
+u -> (u - sigma_A y) / (1 + sigma_A).  One iteration runs, verbatim:
 
     Ut  = (Ut + cA * (A(Xbar) - y)) / (1 + sigma_A)
     Wt  = P_{tau lam}(Wt + L(cL * Xbar))        # dual-ball projection
@@ -19,14 +62,8 @@ with cA = tau * sigma_A and cL = tau * sigma_L.  A(Xbar) = 2 A(X) - A(X_prev)
 comes by linearity from the two last AX, so A runs once per iteration, on
 the iterate the solve returns, and once on the start: over n iterations A
 and A* run n + 1 times (the first A* forms the start A*(y)), L* n times and
-L n times plus one per tracked cost.  Start: X = ``SolverConfig.x0`` (a
-float64 copy; the harness passes the interpolation baseline) or, without
-one, X = A*(y); Xbar = X and both duals are 0.  The cost
-0.5 ||A(X) - y||^2 + lam * g(L(X)) reuses AX and is tracked at the iterate
-the solve returns only, unless ``SolverConfig.cost_stride`` asks for more;
-each tracked cost runs L and g.eval once.
-
-The steps come from the certified norm bounds and lambda_bar only:
+L n times plus one per tracked cost.  The cost reuses AX.  The steps come
+from the certified norm bounds and lambda_bar only:
 
     tau = 0.01 / (lambda_bar |A|^2),  cA = 0.495 / |A|^2,  cL = 0.495 / |L|^2,
 
@@ -41,19 +78,22 @@ default lambda_bar = 1e-3, tau |A|^2 = 10 took the fewest iterations to
 quality on mrca among 2, 5, 10, 20 and 50.  No relaxation.
 
 The solve stops after the first iteration k + 1 at which the relative
-primal residual is at most ``PRIMAL_TOL`` = 1e-3 and the relative data-dual
-residual at most ``DUAL_TOL`` = 1e-2; ``q_max`` is only a cap, and
-``SolverTrace.converged`` says which ended the solve.  Both come from
-arrays the iteration holds anyway, with no extra A, A*, L, L* or g call,
-and the data-dual norm is taken only once the primal test passes:
+primal residual is at most ``PRIMAL_TOL`` = 1e-3 and, on the dual-data
+update, the relative data-dual residual at most ``DUAL_TOL`` = 1e-2; the
+primal-data update has no data dual, and the primal test alone stops it.
+``q_max`` is only a cap, and ``SolverTrace.converged`` says which ended the
+solve.  Both residuals come from arrays the iteration holds anyway, with no
+extra A, A*, L, L* or g call, and the data-dual norm is taken only once the
+primal test passes:
 
     primal     ||X_k - X_{k+1}|| / ||L*(Wt_{k+1})||
     data dual  ||U_{k+1} - (A(X_{k+1}) - y)|| / ||A(X_{k+1}) - y||
 
-X_k - X_{k+1} = A*(Ut) + L*(Wt) is the primal residual scaled by tau.  The
-data-block dual residual (U_k - U_{k+1}) / sigma_A + A(Xbar_k) - A(X_{k+1})
-equals U_{k+1} + y - A(X_{k+1}) by the closed-form prox, which needs no
-copy of U_k.  The denominators are chosen on purpose.  ||L*(Wt)|| stays
+X_k - X_{k+1} is the primal residual scaled by tau: A*(Ut) + L*(Wt) on the
+dual-data update, L*(Wt) + A*(R) on the primal-data one.  The data-block
+dual residual (U_k - U_{k+1}) / sigma_A + A(Xbar_k) - A(X_{k+1}) equals
+U_{k+1} + y - A(X_{k+1}) by the closed-form prox, which needs no copy of
+U_k.  The denominators are chosen on purpose.  ||L*(Wt)|| stays
 bounded by the dual ball, so a diverging iterate cannot inflate it;
 ||A(X) - y|| falls to 0 only when the data are fit exactly, and the test
 then asks the dual residual to fall with it.  Dividing the primal residual by
@@ -64,8 +104,9 @@ of acceptance criterion 6 at iteration 14, 4e-4 from the data.  With these
 denominators the first raises ``SolverDiverged`` and the second stops at
 iteration 81, 2.6e-12 from the data.
 
-The data-dual tolerance may be the looser one because that residual lags
-the iterate.  By the prox, U is a running average of A(Xbar) - y:
+On the dual-data update the data-dual tolerance may be the looser one
+because that residual lags the iterate.  By the prox, U is a running
+average of A(Xbar) - y:
 U_{k+1} = (1 - w) U_k + w (A(Xbar_k) - y) with w = sigma_A / (1 + sigma_A)
 = 49.5 lambda_bar / (1 + 49.5 lambda_bar), about 0.047 at the default
 lambda_bar = 1e-3.  Once X has settled the residual still shrinks by only
@@ -74,22 +115,21 @@ reach 2e-3, whether or not X still moves, and about 100 to reach 1e-2.
 The primal residual tracks X itself and carries the tight tolerance.  One
 tolerance of 2e-3 on both kept the mrca and multires rows of the 64x64x4
 desk experiment (scene seeds 1-5 and 11) running for 124-250 iterations;
-these two stop them after 91-135, and every jodefu row ends at worst
-0.0016 dB below its PSNR at 250 iterations.  The tight primal tolerance
-keeps the slow tail of cfa jodefu-v1, where the residuals fall as the PSNR
-still climbs, running to the cap: 2e-3 stopped it 0.0094 dB low at seed 3.
-The dual residual of the L block is not tested: it would cost one more L
-call, or two field-sized buffers, per iteration.
+these two stop them after 91-135, and every mrca and multires jodefu row
+ends at worst 0.0016 dB below its PSNR at 250 iterations.  The dual
+residual of the L block is not tested on either update: it would cost one
+more L call, or two field-sized buffers, per iteration.
 
-The solve owns seven buffers, allocated once and updated in place: the
-cubes X and Xbar (held scaled, cL * Xbar), the field Wt, and Ut, AX, the
-residual R and the data-dual residual D on the observation grid.  The dual
-step adds L(cL * Xbar) to Wt and projects Wt in place
-(``prox_conj(..., out=...)``): unrelaxed, the iteration never needs the
-previous duals again.
+The dual-data update owns seven buffers, allocated once and updated in
+place: the cubes X and Xbar (held scaled, cL * Xbar), the field Wt, and
+Ut, AX, the residual R and the data-dual residual D on the observation
+grid.  The primal-data update owns five: X, Xbar, Wt, R and the
+denominator 1 / tau + e.  The dual step adds L(cL * Xbar) to Wt and
+projects Wt in place (``prox_conj(..., out=...)``): unrelaxed, the
+iteration never needs the previous duals again.
 Arrays the operators return are only read: an operator may hand back its
-input, a view of it or a read-only broadcast.  A*(Ut) is kept until the
-next A* result replaces it.  Freeing it after its use lets the C heap
+input, a view of it or a read-only broadcast.  The last A* result is kept
+until the next one replaces it.  Freeing it after its use lets the C heap
 shrink at the end of every iteration and fault the same pages back in
 during the next iteration (~2000 against ~70 minor faults per iteration at
 256x256x4), which costs more time than the cube saves in memory.
@@ -120,6 +160,9 @@ __all__ = [
 PRIMAL_TOL = 1e-3
 DUAL_TOL = 1e-2
 
+# tau * lambda_bar * |A|^2 of the primal-data update (module docstring)
+RESOLVENT_STEP = 0.1
+
 
 class SolverDiverged(RuntimeError):
     """Non-finite primal or dual iterate: some operator norm bound upstream
@@ -140,6 +183,13 @@ class SolverConfig:
     ``x0`` is the start of the primal iterate (default ``None``: A*(y)).
     It must be finite and real; the solve checks its shape against the
     operator and copies it, so the caller's array is never written.
+
+    ``gram_diag`` is e = diag(AA*) of an operator whose AA* is diagonal,
+    such as ``FormationModel.gram_diag`` on cfa and cassi (default
+    ``None``).  With it the solve takes the primal-data update, without it
+    the dual-data one (module docstring).  The solve rejects an e whose
+    shape is not the operator's output shape, or that is not finite and
+    non-negative, before the first iteration.
     """
 
     lambda_bar: float = 1e-3
@@ -147,6 +197,7 @@ class SolverConfig:
     q_max: int = 250
     cost_stride: int | None = None
     x0: np.ndarray | None = field(default=None, compare=False, repr=False)
+    gram_diag: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.q_max < 1:
@@ -217,12 +268,29 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
         raise ValueError(f"x0 shape {np.shape(cfg.x0)} does not match operator "
                          f"input {A.input_shape}")
 
-    # certified steps (see the module docstring); both duals are carried
+    e = None
+    if cfg.gram_diag is not None:
+        e = np.asarray(cfg.gram_diag, dtype=np.float64)
+        where = f"gram_diag of shape {e.shape} (operator output {A.output_shape})"
+        if e.shape != A.output_shape:
+            raise ValueError(f"{where}: the shapes differ")
+        if not np.all(np.isfinite(e)):
+            raise ValueError(f"{where} holds {np.count_nonzero(~np.isfinite(e))} "
+                             "non-finite samples")
+        if np.any(e < 0):
+            raise ValueError(f"{where} holds {np.count_nonzero(e < 0)} negative samples")
+
+    # certified steps (see the module docstring); the duals are carried
     # scaled by tau, so sigma_A and sigma_L enter through c_a and c_l
-    tau = 0.01 / (cfg.lambda_bar * A.norm_bound ** 2)
-    c_a = 0.495 / A.norm_bound ** 2  # = tau * sigma_A
-    c_l = 0.495 / L.norm_bound ** 2  # = tau * sigma_L
-    shrink = 1.0 / (1.0 + c_a / tau)  # = 1 / (1 + sigma_A)
+    if e is None:
+        tau = 0.01 / (cfg.lambda_bar * A.norm_bound ** 2)
+        c_a = 0.495 / A.norm_bound ** 2  # = tau * sigma_A
+        c_l = 0.495 / L.norm_bound ** 2  # = tau * sigma_L
+        shrink = 1.0 / (1.0 + c_a / tau)  # = 1 / (1 + sigma_A)
+    else:
+        tau = RESOLVENT_STEP / (cfg.lambda_bar * A.norm_bound ** 2)
+        c_l = 0.99 / L.norm_bound ** 2  # = tau * sigma_L
+        den = e + 1.0 / tau  # (1 + tau e) / tau
     radius = tau * lam
 
     # every buffer is owned and updated in place; an operator's output may
@@ -233,26 +301,36 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
     else:
         x = np.array(cfg.x0, dtype=np.float64)
     xbar = np.multiply(x, c_l)  # c_l * Xbar
-    ax = A.apply(x).copy()
-    r = ax - y  # A(Xbar) - y
-    u = np.zeros_like(r)
+    if e is None:
+        ax = A.apply(x).copy()
+        r = ax - y  # A(Xbar) - y
+        u = np.zeros_like(r)
+        d = np.empty_like(r)  # data-block dual residual
+    else:
+        r = np.empty_like(y)  # tau (A(X) - y) at the new X
     w = np.zeros(L.output_shape)
-    d = np.empty_like(r)  # data-block dual residual
     trace = SolverTrace()
 
     for q in range(cfg.q_max):
-        r *= c_a
-        u += r
-        u *= shrink
+        if e is None:
+            r *= c_a
+            u += r
+            u *= shrink
         w += L.apply(xbar)
         g.prox_conj(w, radius, out=w)
         np.copyto(xbar, x)  # X_prev
-        v = A.adjoint_apply(u)  # lives on until the next A* result replaces it
-        x -= v
+        if e is None:
+            v = A.adjoint_apply(u)  # lives on until the next A* result replaces it
+            x -= v
         ltw = L.adjoint_apply(w)
         x -= ltw
         ltw_norm = np.linalg.norm(ltw)
         del ltw  # freed before A runs, so the peak holds no extra cube
+        if e is not None:  # the exact resolvent of the data term
+            np.subtract(A.apply(x), y, out=r)
+            r /= den
+            v = A.adjoint_apply(r)
+            x -= v
 
         if not np.all(np.isfinite(x)):
             raise SolverDiverged(
@@ -266,21 +344,25 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
         primal_ok = np.linalg.norm(xbar) <= PRIMAL_TOL * ltw_norm
         xbar += x
         xbar *= c_l  # c_l * (2 X - X_prev)
-        ax_new = A.apply(x)
-        np.subtract(ax_new, y, out=r)
-        if primal_ok:
-            np.multiply(u, 1.0 / tau, out=d)
-            d -= r  # U - (A(X) - y)
-            trace.converged = bool(np.linalg.norm(d) <= DUAL_TOL * np.linalg.norm(r))
+        if e is None:
+            ax_new = A.apply(x)
+            np.subtract(ax_new, y, out=r)
+            if primal_ok:
+                np.multiply(u, 1.0 / tau, out=d)
+                d -= r  # U - (A(X) - y)
+                trace.converged = bool(np.linalg.norm(d) <= DUAL_TOL * np.linalg.norm(r))
+        else:
+            trace.converged = bool(primal_ok)
         trace.iterations = q + 1
         if (trace.converged or q == cfg.q_max - 1
                 or (cfg.cost_stride and q % cfg.cost_stride == 0)):
             trace.cost_iters.append(q)
-            trace.costs.append(_cost(r, L.apply(x), g, lam))
+            trace.costs.append(_cost(r if e is None else r / tau, L.apply(x), g, lam))
         if trace.converged:
             break
-        r += ax_new
-        r -= ax  # 2 A(X) - A(X_prev) - y
-        np.copyto(ax, ax_new)
+        if e is None:
+            r += ax_new
+            r -= ax  # 2 A(X) - A(X_prev) - y
+            np.copyto(ax, ax_new)
 
     return x, trace

@@ -126,6 +126,27 @@ def plain_cp_reference(A, L, g, y, cfg):
     return x
 
 
+def plain_resolvent_reference(A, L, g, y, cfg):
+    """Textbook Chambolle-Pock with the data term in the primal: unscaled
+    dual W, the steps written out, the prox of the data term solved
+    through (I + tau A*A)^-1 = I - tau A*(I + tau AA*)^-1 A with
+    diag(AA*) = ``cfg.gram_diag``, and the extrapolated iterate formed
+    explicitly.  It runs all ``cfg.q_max`` iterations."""
+    lam = cfg.resolved_lambda()
+    tau = 0.1 / (cfg.lambda_bar * A.norm_bound ** 2)
+    sigma = 0.99 / (tau * L.norm_bound ** 2)
+    x = A.adjoint_apply(y) if cfg.x0 is None else np.asarray(cfg.x0, dtype=np.float64)
+    x_bar = x
+    w = np.zeros(L.output_shape)
+    for _ in range(cfg.q_max):
+        w = g.prox_conj(w + sigma * L.apply(x_bar), lam)
+        v = x - tau * L.adjoint_apply(w)
+        x_next = v - tau * A.adjoint_apply((A.apply(v) - y) / (1.0 + tau * cfg.gram_diag))
+        x_bar = 2.0 * x_next - x
+        x = x_next
+    return x
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -214,7 +214,8 @@ class TestPipeline:
         y = equalize_lri_stats(raw.observation, model.lri_support)
         xhat, _ = jodefu_solve(model.op, tv_op(model.op.input_shape), metric_norm("l221"), y,
                                SolverConfig(lambda_bar=spec.lambda_bar, rho_y=1.0, q_max=20,
-                                            x0=baseline_reconstruct(y, model)))
+                                            x0=baseline_reconstruct(y, model),
+                                            gram_diag=model.gram_diag))
         np.testing.assert_array_equal(eq.estimate.values, xhat)
 
     @pytest.mark.parametrize("formation", ["mrca", "multires", "cfa", "cassi"])
@@ -230,7 +231,8 @@ class TestPipeline:
         y = run.observation
         xhat, _ = jodefu_solve(model.op, tv_op(model.op.input_shape), metric_norm(kind), y,
                                SolverConfig(lambda_bar=spec.lambda_bar, rho_y=1.0, q_max=20,
-                                            x0=baseline_reconstruct(y, model)))
+                                            x0=baseline_reconstruct(y, model),
+                                            gram_diag=model.gram_diag))
         np.testing.assert_array_equal(run.estimate.values, xhat)
 
     @pytest.mark.parametrize("formation, mask", [
