@@ -15,7 +15,8 @@ import os
 import sys
 
 from .datacube import DataCube, read_datacube, write_datacube
-from .formation import PAN_BLUR_PRESETS, PRESET_NAMES, FormationPreset, formation_preset
+from .formation import (PAN_BLUR_PRESETS, PRESET_NAMES, RATIO_PRESETS, FormationPreset,
+                        formation_preset)
 from .harness import (
     METHODS,
     PipelineSpec,
@@ -40,7 +41,8 @@ def _add_formation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ni", type=int, default=64)
     p.add_argument("--nj", type=int, default=64)
     p.add_argument("--nk", type=int, default=4)
-    p.add_argument("--ratio", type=int, default=2)
+    p.add_argument("--ratio", type=int, default=None,
+                   help="LRI resolution ratio of an mrca or multires device (default 2)")
     p.add_argument("--noise-sigma", type=float, default=0.0,
                    help="noise std as a fraction of the dynamic range")
     p.add_argument("--seed", type=int, default=0)
@@ -60,9 +62,14 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _preset_from_args(args) -> FormationPreset:
-    overrides = dict(ratio=args.ratio, noise_sigma=args.noise_sigma, seed=args.seed)
+    overrides = dict(noise_sigma=args.noise_sigma, seed=args.seed)
     if args.mask is not None:
         overrides["mask"] = args.mask
+    if args.ratio is not None:
+        if args.formation not in RATIO_PRESETS:
+            raise ValueError(f"--ratio: the {args.formation} formation has one resolution "
+                             "and no ratio")
+        overrides["ratio"] = args.ratio
     if args.rho_b is not None:
         if args.formation not in PAN_BLUR_PRESETS:
             raise ValueError(f"--rho-b: the {args.formation} formation applies no PAN blur")

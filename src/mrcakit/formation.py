@@ -30,7 +30,9 @@ Every preset carries its exact norm.  ``mrca`` and ``multires`` commute
 with shifts by the tile period resp. the ratio; :func:`alias_domain_norm`
 computes their norm from one small matrix per coarse frequency.  ``cfa``
 and ``cassi`` keep the diagonal-Gramian bound of :func:`mosaic`, the only
-exact rule for cassi's random code.
+exact rule for cassi's random code.  The same AA* is the model's ``gram``:
+the diagonal on ``cfa`` and ``cassi``, the alias-domain blocks
+(:class:`AliasGram`) on ``mrca`` and ``multires``.
 
 Convolution uses circular boundaries throughout: the adjoint is then an
 exact correlation and the circulant spectral norm (max DFT magnitude of the
@@ -46,6 +48,7 @@ the nonnegative kernel [0.5, 0.5] it gives sqrt(0.5) while the true norm
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -84,6 +87,7 @@ __all__ = [
     "mosaic",
     "butterworth_blur",
     "alias_domain_norm",
+    "AliasGram",
     "FormationPreset",
     "FormationModel",
     "formation_preset",
@@ -95,6 +99,7 @@ __all__ = [
 
 PRESET_NAMES = ("mrca", "multires", "cfa", "cassi")
 PAN_BLUR_PRESETS = ("mrca",)  # the presets whose build applies hri_blur and rho_b
+RATIO_PRESETS = ("mrca", "multires")  # the presets whose build reads ratio
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +462,20 @@ _ALIAS_CHUNK = 1 << 16
 _GRAM_HEADROOM = 1e-10
 
 
+def _alias_frequencies(image_shape: tuple[int, int], period: tuple[int, int]):
+    """Fine row and column frequency indices, shape (n, pi*pj) each, of the
+    aliases of the coarse frequencies w with wj <= mj/2, row by row from
+    w = 0; alias a = ai*pj + aj sits at (wi + mi*ai, wj + mj*aj)."""
+    ni, nj = image_shape
+    pi, pj = period
+    if ni % pi or nj % pj:
+        raise ValueError(f"period {period} does not divide image size {image_shape}")
+    mi, mj = ni // pi, nj // pj
+    wi, wj = np.indices((mi, mj // 2 + 1)).reshape(2, -1, 1)
+    ai, aj = np.divmod(np.arange(pi * pj), pj)
+    return wi + mi * ai, wj + mj * aj
+
+
 def alias_domain_norm(image_shape: tuple[int, int], period: tuple[int, int],
                       grams) -> float:
     """Exact norm of a formation that commutes with shifts by ``period``.
@@ -481,14 +500,7 @@ def alias_domain_norm(image_shape: tuple[int, int], period: tuple[int, int],
     t*I - G, against the largest eigenvalue t found so far, costs no
     eigenvalue computation.
     """
-    ni, nj = image_shape
-    pi, pj = period
-    if ni % pi or nj % pj:
-        raise ValueError(f"period {period} does not divide image size {image_shape}")
-    mi, mj = ni // pi, nj // pj
-    wi, wj = np.indices((mi, mj // 2 + 1)).reshape(2, -1, 1)
-    ai, aj = np.divmod(np.arange(pi * pj), pj)
-    fi, fj = wi + mi * ai, wj + mj * aj
+    fi, fj = _alias_frequencies(image_shape, period)
     top = 0.0
     # w = 0 goes alone first: its eigenvalue often certifies all others
     lo, hi = 0, 1
@@ -500,6 +512,100 @@ def alias_domain_norm(image_shape: tuple[int, int], period: tuple[int, int],
             top = max(top, float(np.linalg.eigvalsh(gram)[:, -1].max()) * (1 + _GRAM_HEADROOM))
         lo, hi = hi, hi + max(1, _ALIAS_CHUNK // gram[0].size)
     return float(np.sqrt(top))
+
+
+class AliasGram:
+    """AA* of a formation that commutes with shifts by ``period``, kept as
+    the recipe for its alias-domain blocks G(w) = A(w) A(w)^H (see
+    :func:`alias_domain_norm`, whose ``grams`` closure ``make_grams()``
+    rebuilds).
+
+    The observation is a plane on the (ni, nj) grid, followed by
+    ``coarse_bands`` bands on the (mi, mj) grid: mrca has none, multires
+    its LRI cube.  Under the unitary DFT of each grid, coordinate a of the
+    block at w is the plane's alias a and coordinate P + k band k's
+    coefficient at w, and AA* maps each block onto itself by G(w).
+
+    ``step`` is the device's tau * lambda_bar * |A|^2 for the solver's
+    primal-data update (``solver.resolvent_step``).
+
+    Nothing is formed at build time: :meth:`resolvent` forms and inverts
+    the blocks when a solve asks for them, so a model whose solve takes no
+    Gram never holds them.
+    """
+
+    def __init__(self, image_shape: tuple[int, int], period: tuple[int, int], make_grams,
+                 step: float, coarse_bands: int = 0):
+        ni, nj = image_shape
+        mi, mj = ni // period[0], nj // period[1]
+        self.image_shape = (ni, nj)
+        self.period = tuple(period)
+        self.step = step
+        self.coarse_bands = coarse_bands
+        self.shape = (ni, nj) if coarse_bands == 0 else (ni * nj + mi * mj * coarse_bands,)
+        self._make_grams = make_grams
+
+    def resolvent(self, tau: float):
+        """``solve(r)``, which overwrites an observation-shaped float64
+        array r, in any memory layout, with (I/tau + AA*)^-1 r.
+
+        Inverts I/tau + G(w) at the coarse frequencies wj <= mj/2 only, in
+        batches of at most ni*nj Gram entries (and 1 MB), so that forming
+        them holds less than the blocks themselves.  r is real, so its half
+        spectra (``rfft2``, columns up to nj/2 resp. mj/2) hold every
+        coefficient: an alias beyond nj/2 is the conjugate of its mirror
+        -f, and an output beyond the inverted classes the conjugate of
+        the output at -f.  One call runs one plane ``rfft2`` (and one on
+        the coarse bands), two index gathers around one batched
+        matrix-vector product, and the inverse transforms.
+        """
+        (ni, nj), (pi, pj), nc = self.image_shape, self.period, self.coarse_bands
+        mi, mj = ni // pi, nj // pj
+        mh, nh, p = mj // 2 + 1, nj // 2 + 1, pi * pj
+        m = p + nc
+        fi, fj = _alias_frequencies(self.image_shape, self.period)
+        n = len(fi)
+        grams = self._make_grams()
+        inv = np.empty((n, m, m), dtype=complex)
+        batch = max(1, min(_ALIAS_CHUNK, ni * nj) // (m * m))
+        for lo in range(0, n, batch):
+            g = grams(fi[lo:lo + batch], fj[lo:lo + batch])
+            g[:, np.arange(m), np.arange(m)] += 1.0 / tau
+            inv[lo:lo + batch] = np.linalg.inv(g)
+
+        # block coefficients, read from [plane half spectrum, its conjugate,
+        # coarse half spectrum]
+        mirror = fj > nj // 2
+        plane = np.where(mirror, ni * nh + (-fi % ni) * nh + (-fj % nj), fi * nh + fj)
+        coarse = 2 * ni * nh + np.arange(n * nc).reshape(n, nc)
+        gather = np.concatenate([plane, coarse], axis=1)
+        # the plane's output half spectrum, read from [outputs, their conjugate]
+        gi, gj = np.indices((ni, nh))
+        flip = gj % mj >= mh
+        gi, gj = np.where(flip, -gi % ni, gi), np.where(flip, -gj % nj, gj)
+        scatter = flip * (n * m) + ((gi % mi) * mh + gj % mj) * m + (gi // mi) * pj + gj // mj
+        solved = np.empty((n, m, 1), dtype=complex)
+
+        def solve(r):
+            flat = r.reshape(-1)  # a copy unless r is C-contiguous: only read
+            spec = scipy.fft.rfft2(flat[:ni * nj].reshape(ni, nj), norm="ortho").ravel()
+            parts = [spec, spec.conj()]
+            if nc:
+                parts.append(scipy.fft.rfft2(flat[ni * nj:].reshape(mi, mj, nc), axes=(0, 1),
+                                             norm="ortho").ravel())
+            np.matmul(inv, np.concatenate(parts)[gather][:, :, None], out=solved)
+            out = solved.ravel()
+            plane = scipy.fft.irfft2(np.concatenate([out, out.conj()])[scatter], s=(ni, nj),
+                                     norm="ortho")
+            if nc:
+                r[:ni * nj] = plane.ravel()
+                r[ni * nj:] = scipy.fft.irfft2(solved.reshape(mi, mh, m)[..., p:], s=(mi, mj),
+                                               axes=(0, 1), norm="ortho").ravel()
+            else:
+                r[...] = plane
+            return r
+
+        return solve
 
 
 def _mask_circulants(mask: Mask, period: tuple[int, int]) -> np.ndarray:
@@ -518,9 +624,9 @@ def _alias_spectra(K: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
     return np.moveaxis(K[fi, fj], 2, 1).reshape(len(fi), -1)
 
 
-def _mrca_norm(shape, period, K, h_lri: Mask, h_pan: Mask, weights: SpectralWeights,
-               transfer: np.ndarray) -> float:
-    """Exact norm of mosaic(h_lri) conv(K) + transfer mosaic(h_pan) W.
+def _mrca_grams(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights, K,
+                transfer: np.ndarray):
+    """The alias-domain Grams of mosaic(h_lri) conv(K) + transfer mosaic(h_pan) W.
 
     A(w) = C diag(s) + T Q: column (k, a') of C holds band k's LRI mask
     circulant, s the kernel spectra at the aliases, T the transfer at the
@@ -547,14 +653,14 @@ def _mrca_norm(shape, period, K, h_lri: Mask, h_pan: Mask, weights: SpectralWeig
         g += np.conj(x, out=x).swapaxes(1, 2)
         return g
 
-    return alias_domain_norm(shape[:2], period, grams)
+    return grams
 
 
-def _multires_norm(shape, ratio: int, K, weights: SpectralWeights) -> float:
-    """Exact norm of the stack of W and decimate(ratio) conv(K)."""
+def _multires_grams(nk: int, ratio: int, weights: SpectralWeights, K):
+    """The alias-domain Grams of the stack of W and decimate(ratio) conv(K)."""
     p = ratio * ratio
     hri = np.kron(weights.W, np.eye(p))
-    lri = np.kron(np.eye(shape[2]), np.ones((1, p))) / ratio
+    lri = np.kron(np.eye(nk), np.ones((1, p))) / ratio
 
     def grams(fi, fj):
         # HRI rows (j, a): W[j, k] on alias a of band k; LRI row k: the
@@ -563,12 +669,17 @@ def _multires_norm(shape, ratio: int, K, weights: SpectralWeights) -> float:
                             lri * _alias_spectra(K, fi, fj)[:, None, :]], axis=1)
         return a @ a.conj().swapaxes(1, 2)
 
-    return alias_domain_norm(shape[:2], (ratio, ratio), grams)
+    return grams
 
 
 # Relative margin on the alias-domain norms: covers the rounding of the
 # Gram matrices and of their eigenvalues (about 1e-15 relative).
 _NORM_MARGIN = 1e-9
+
+# tau * lambda_bar * |A|^2 of the solver's primal-data update on each
+# device's alias-domain blocks, from the probe of ``BENCH_24.json`` (see
+# the ``solver`` module docstring)
+_ALIAS_RESOLVENT_STEPS = {"mrca": 0.01, "multires": 0.02}
 
 
 # ---------------------------------------------------------------------------
@@ -650,17 +761,22 @@ class FormationModel:
     sensor class; the others are high-resolution.  Only ``mrca`` and
     ``multires`` have two sensor classes and carry it (read only by the
     statistics equalization); on ``cfa`` and ``cassi`` it is None.
-    ``gram_diag`` is diag(AA*) of ``op`` where AA* is diagonal, i.e. on
-    ``cfa`` and ``cassi``: the mask energy each focal-plane cell collects,
-    which the solver's exact data resolvent divides by.  It is None on
-    ``mrca`` and ``multires``.
+
+    ``gram`` is the one owner of AA* of ``op``, which the solver's exact
+    data resolvent inverts.  On ``cfa`` and ``cassi`` AA* is diagonal and
+    ``gram`` is its diagonal, the mask energy each focal-plane cell
+    collects, which the baseline divides by too.  On ``mrca`` and
+    ``multires`` it is an :class:`AliasGram`, the recipe for the
+    alias-domain blocks whose largest eigenvalue is the norm bound; it
+    forms them only when a solve asks for its resolvent, and carries the
+    device's step constant for that solve.
     """
 
     preset: FormationPreset
     op: LinearOp
     h_lri: Mask | None = None
     lri_support: np.ndarray | None = None
-    gram_diag: np.ndarray | None = None
+    gram: np.ndarray | AliasGram | None = None
 
 
 def _resolve_tile(preset: FormationPreset) -> PeriodicTile | None:
@@ -685,12 +801,19 @@ def _resolve_tile(preset: FormationPreset) -> PeriodicTile | None:
     return tile
 
 
-def _lri_blur(preset: FormationPreset) -> tuple[LinearOp, np.ndarray]:
-    """The per-band Gaussian blur of the LRI samples and its kernel spectra."""
+def _lri_spectra(preset: FormationPreset) -> np.ndarray:
+    """The kernel spectra of the per-band Gaussian blur of the LRI samples."""
     ni, nj, nk = preset.ni, preset.nj, preset.nk
     bank = gaussian_blur_bank(nk, preset.ratio, max_radius=(min(ni, nj) - 1) // 2)
-    K = _padded_kernel_fft(bank.kernels, ni, nj)
-    return _circular_convolve(K, (ni, nj, nk)), K
+    return _padded_kernel_fft(bank.kernels, ni, nj)
+
+
+def _pan_transfer(preset: FormationPreset) -> np.ndarray:
+    """The PAN blur's transfer on the (ni, nj) grid; without a PAN blur a
+    unit transfer, exact in the norm."""
+    if preset.hri_blur == "butterworth":
+        return _butterworth_transfer(preset.ni, preset.nj, preset.rho_b)
+    return np.ones((preset.ni, preset.nj))
 
 
 def build_formation(preset: FormationPreset) -> FormationModel:
@@ -707,8 +830,10 @@ def build_formation(preset: FormationPreset) -> FormationModel:
 
     ``mrca`` and ``multires`` commute with shifts by the tile period resp.
     the ratio, and carry their exact alias-domain norm (see
-    :func:`alias_domain_norm`) with a relative margin of 1e-9.  ``cfa`` and
-    ``cassi`` carry the exact diagonal-Gramian norm of :func:`mosaic`.
+    :func:`alias_domain_norm`) with a relative margin of 1e-9, and an
+    :class:`AliasGram` of the same blocks as ``gram``.  ``cfa`` and
+    ``cassi`` carry the exact diagonal-Gramian norm of :func:`mosaic`, and
+    diag(AA*) as ``gram``.
 
     ``lri_support`` is the LRI block of ``multires`` and the channel pixels
     of ``mrca``; a tile with no channel cells leaves it empty.
@@ -719,13 +844,18 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     if preset.name == "multires":
         w = average_weights(nk)
         hri_op = spectral_degrade(w, shape)
-        blur, K = _lri_blur(preset)
-        lri_op = compose(decimate(shape, preset.ratio), blur)
+        K = _lri_spectra(preset)
+        lri_op = compose(decimate(shape, preset.ratio), _circular_convolve(K, shape))
         op = stack(hri_op, lri_op)
-        op.norm_bound = _multires_norm(shape, preset.ratio, K, w) * (1 + _NORM_MARGIN)
+        period = (preset.ratio, preset.ratio)
+        grams = functools.partial(_multires_grams, nk, preset.ratio, w)
+        op.norm_bound = alias_domain_norm((ni, nj), period, grams(K)) * (1 + _NORM_MARGIN)
         lri_support = np.zeros(op.output_shape, dtype=bool)
         lri_support[int(np.prod(hri_op.output_shape)):] = True
-        return FormationModel(preset, op, lri_support=lri_support)
+        # the kernel spectra are rebuilt on demand, so the model holds none
+        gram = AliasGram((ni, nj), period, lambda: grams(_lri_spectra(preset)),
+                         _ALIAS_RESOLVENT_STEPS["multires"], coarse_bands=nk)
+        return FormationModel(preset, op, lri_support=lri_support, gram=gram)
 
     tile = _resolve_tile(preset)
     h_lri, h_pan = (periodic_mask(tile, ni, nj) if tile is not None
@@ -733,22 +863,26 @@ def build_formation(preset: FormationPreset) -> FormationModel:
 
     if preset.name in ("cfa", "cassi"):
         op = mosaic(h_lri, cassi_shift_map(ni, nj, nk) if preset.name == "cassi" else None)
-        return FormationModel(preset, op, h_lri=h_lri, gram_diag=op.apply(h_lri.values))
+        return FormationModel(preset, op, h_lri=h_lri, gram=op.apply(h_lri.values))
 
     # full compressed acquisition on one focal plane
     w = average_weights(nk)
     branch_p = compose(mosaic(h_pan), spectral_degrade(w, shape))
-    transfer = np.ones((ni, nj))  # no PAN blur: a unit transfer, exact in the norm
+    transfer = _pan_transfer(preset)
     if preset.hri_blur == "butterworth":
-        transfer = _butterworth_transfer(ni, nj, preset.rho_b)
         blur_p = _circular_convolve(transfer, (ni, nj), name=f"butterworth({preset.rho_b:g})")
         branch_p = compose(blur_p, branch_p)
-    blur, K = _lri_blur(preset)
-    op = add(compose(mosaic(h_lri), blur), branch_p)
-    op.norm_bound = (_mrca_norm(shape, tile.period, K, h_lri, h_pan, w, transfer)
+    K = _lri_spectra(preset)
+    op = add(compose(mosaic(h_lri), _circular_convolve(K, shape)), branch_p)
+    grams = functools.partial(_mrca_grams, tile.period, h_lri, h_pan, w)
+    op.norm_bound = (alias_domain_norm((ni, nj), tile.period, grams(K, transfer))
                      * (1 + _NORM_MARGIN))
     op.name = "mrca"
-    return FormationModel(preset, op, h_lri=h_lri, lri_support=h_lri.pixel_support())
+    # the spectra and the transfer are rebuilt on demand, so the model holds none
+    gram = AliasGram((ni, nj), tile.period,
+                     lambda: grams(_lri_spectra(preset), _pan_transfer(preset)),
+                     _ALIAS_RESOLVENT_STEPS["mrca"])
+    return FormationModel(preset, op, h_lri=h_lri, lri_support=h_lri.pixel_support(), gram=gram)
 
 
 def preset_compression_ratio(preset: FormationPreset) -> float:

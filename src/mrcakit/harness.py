@@ -170,9 +170,9 @@ def baseline_reconstruct(y: np.ndarray, model: FormationModel) -> np.ndarray:
     their mask weights and divided by the mask energy the cell collects,
     i.e. the minimum-norm solution A*(AA*)^+ y of the mosaic A of the
     channel mask, whose Gramian is diagonal.  On cfa and cassi A is the
-    device operator itself; on mrca it leaves out the PAN branch, whose
-    cells collect no channel energy.  A cell that collects one band gives
-    that band's value back exactly.  The gaps are then filled by normalized low-pass
+    device operator itself, and the energy is its ``model.gram``; on mrca
+    it leaves out the PAN branch, whose cells collect no channel energy.
+    A cell that collects one band gives that band's value back exactly.  The gaps are then filled by normalized low-pass
     interpolation, i.e. the Gaussian smoothing of the samples divided by
     the smoothing of the mask; known samples are kept.  Stacked
     multiresolution bundles: bicubic upsampling of the LRI plus a mean
@@ -192,8 +192,13 @@ def baseline_reconstruct(y: np.ndarray, model: FormationModel) -> np.ndarray:
     if model.h_lri is None:
         raise ValueError("baseline needs the formation masks")
     h = model.h_lri.values
-    M = mosaic(model.h_lri) if model.preset.name == "mrca" else model.op
-    energy = M.apply(h)  # diag(AA*): the mask energy each cell collects
+    if model.preset.name == "mrca":
+        M = mosaic(model.h_lri)
+        energy = M.apply(h)  # diag(MM*): the mask energy each cell collects
+    elif model.gram is None:
+        raise ValueError(f"baseline needs the {model.preset.name} model's gram, diag(AA*)")
+    else:
+        M, energy = model.op, model.gram  # AA* is diagonal: the mask energy
     back = M.adjoint_apply(np.divide(y, energy, out=np.zeros_like(y), where=energy > 0))
 
     out = np.empty((ni, nj, nk))
@@ -371,7 +376,7 @@ def reconstruct(spec: PipelineSpec, model: FormationModel, y: np.ndarray,
     grad = tv_op(model.op.input_shape)
     norm = metric_norm(spec.norm_kind or rp.norm_kind)
     cfg = SolverConfig(lambda_bar=spec.lambda_bar, rho_y=rho, q_max=spec.iters, x0=baseline,
-                       gram_diag=model.gram_diag)
+                       gram=model.gram)
     xhat, _ = jodefu_solve(model.op, grad, norm, y, cfg)
     return xhat
 

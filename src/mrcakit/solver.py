@@ -6,11 +6,13 @@ its conjugate, whose prox is the projection onto the dual-norm ball of
 radius lam.  The data term takes one of two places, in one function,
 chosen by what the solve is handed:
 
-* the primal-data update, when ``SolverConfig.gram_diag`` carries
-  e = diag(AA*) of an operator whose AA* is diagonal (cfa and cassi:
-  ``FormationModel.gram_diag``);
-* the dual-data update otherwise (mrca, multires, and any operator
-  without e).
+* the primal-data update, when ``SolverConfig.gram`` carries AA* of the
+  operator.  ``FormationModel.gram`` is one for every shipped device, and
+  ``harness.reconstruct`` passes it: the diagonal e = diag(AA*) on cfa
+  and cassi, the alias-domain blocks (``AliasGram``) on mrca and
+  multires;
+* the dual-data update for a caller that passes no Gram (an operator
+  built by hand, or a bench that calls ``jodefu_solve`` directly).
 
 Both start from X = ``SolverConfig.x0`` (a float64 copy; the harness
 passes the interpolation baseline) or, without one, X = A*(y), with
@@ -22,30 +24,51 @@ L and g.eval once and no A.
 
 The primal-data update is Algorithm 1 of Chambolle & Pock with G the data
 term and K = L.  The prox of tau G solves (I + tau A*A) X = X' + tau A*(y),
-and by the Woodbury identity (I + tau A*A)^-1 = I - tau A*(I + tau AA*)^-1 A;
-with AA* = diag(e) it is exact and costs one division per observation
-sample.  One iteration runs, verbatim:
+and by the Woodbury identity (I + tau A*A)^-1 = I - tau A*(I + tau AA*)^-1 A,
+so it is exact given (I/tau + AA*)^-1 on the observation grid.  With
+AA* = diag(e) that is one division per observation sample.  With the
+alias-domain blocks G(w) it is one real plane FFT (and one on multires's
+coarse grid), one batched P x P matrix-vector product with the inverses
+of I/tau + G(w), and the inverse FFTs (``AliasGram.resolvent``); the
+inverses are formed once per solve, at its tau.  One iteration runs,
+verbatim:
 
     Wt   = P_{tau lam}(Wt + L(cL * Xbar))     # dual-ball projection
     X'   = X - L*(Wt)
-    R    = (A(X') - y) / (1 / tau + e)      # = tau (A(X) - y) at the new X
+    R    = (I/tau + AA*)^-1 (A(X') - y)       # = tau (A(X) - y) at the new X
     X    = X' - A*(R)
     Xbar = 2 X - X_prev
 
-with cL = tau * sigma = 0.99 / |L|^2 and tau = ``RESOLVENT_STEP`` /
-(lambda_bar |A|^2), ``RESOLVENT_STEP`` = c = 0.1.  A(X) - y at the new X
-is (A(X') - y) / (1 + tau e) by linearity, so the cost reuses R.  The
-iteration converges for tau sigma |L|^2 < 1 (here 0.99), with no
-condition on |A|: tau only sets the speed.  c = 0.1 comes from the probe
-in ``BENCH_23.json`` on the cfa and cassi rows of the 64x64x4 desk
-experiment (scene seeds 1-5 and 11; lambda_bar 1e-4, 1e-3 and 1e-2).  It
-stopped every row at 88-211 iterations.  At the default lambda_bar they
-ended between -0.0175 and +0.33 dB of the PSNR of their minimizer, and
-at 1e-2 down to -0.042 dB (cfa).  c = 0.03 ran every cassi row to the cap
-of 250 and ended up to 0.16 dB low; c = 0.3 and c = 1 lost up to 0.083
-and 0.34 dB on cfa at lambda_bar = 1e-2.  Over n iterations A, L*
-and the prox run n times, A* n times plus the start A*(y) when there is
-no x0, and L n times plus one per tracked cost.
+with cL = tau * sigma = 0.99 / |L|^2 and tau = c / (lambda_bar |A|^2), where
+c = ``resolvent_step(gram)``: ``RESOLVENT_STEP`` on a diagonal, and on
+alias-domain blocks the device's own, which its ``AliasGram.step``
+carries.  A(X) - y at the new X is R / tau by linearity, so the cost
+reuses R.  The iteration converges for tau sigma |L|^2 < 1 (here 0.99),
+with no condition on |A|: c only sets the speed.  Each c comes from a
+probe over the desk rows it serves (64x64x4, scene seeds 1-5 and 11;
+lambda_bar 1e-4, 1e-3 and 1e-2), against the PSNR of each row's
+minimizer:
+
+* ``RESOLVENT_STEP`` = 0.1 on a diagonal (cfa, cassi; ``BENCH_23.json``).
+  It stopped every row at 88-211 iterations.  At the default lambda_bar
+  they ended between -0.0175 and +0.33 dB of the minimizer, and at 1e-2
+  down to -0.042 dB (cfa).  c = 0.03 ran every cassi row to the cap of
+  250 and ended up to 0.16 dB low; c = 0.3 and c = 1 lost up to 0.083
+  and 0.34 dB on cfa at lambda_bar = 1e-2.
+* 0.01 on the mrca blocks and 0.02 on the multires ones
+  (``BENCH_24.json``, grid c = 0.01, 0.02, 0.03, 0.05 and 0.1).  Each is
+  the one c of the grid whose rows all end no more than 0.003 dB below
+  the minimizer at the default lambda_bar: mrca then stops at 47-76
+  iterations, -0.0027 to +0.0028 dB from it, and multires at 37-60,
+  -0.0015 to +0.0065 dB.  Over the three lambda_bar mrca ends -0.0041
+  to +0.0054 dB from it and multires -0.0111 to +0.0100 dB, lowest at
+  1e-2.  c = 0.02 on mrca stopped later (57-84) and lower (-0.0048 dB);
+  on multires c = 0.01 and 0.03 ended 0.0158 and 0.0066 dB low.  The
+  dual-data update stopped the same rows at 91-180 iterations and ran
+  every one to the cap at lambda_bar = 1e-4.
+
+Over n iterations A, L* and the prox run n times, A* n times plus the
+start A*(y) when there is no x0, and L n times plus one per tracked cost.
 
 The dual-data update runs on the stacked operator K = [A; L], one dual
 per block, each with its own step (Pock & Chambolle 2011, diagonal
@@ -104,27 +127,31 @@ of acceptance criterion 6 at iteration 14, 4e-4 from the data.  With these
 denominators the first raises ``SolverDiverged`` and the second stops at
 iteration 81, 2.6e-12 from the data.
 
-On the dual-data update the data-dual tolerance may be the looser one
-because that residual lags the iterate.  By the prox, U is a running
+The dual-data update, which runs only for a caller that passes no Gram,
+may take the looser data-dual tolerance because that residual lags the
+iterate.  By the prox, U is a running
 average of A(Xbar) - y:
 U_{k+1} = (1 - w) U_k + w (A(Xbar_k) - y) with w = sigma_A / (1 + sigma_A)
 = 49.5 lambda_bar / (1 + 49.5 lambda_bar), about 0.047 at the default
 lambda_bar = 1e-3.  Once X has settled the residual still shrinks by only
 1 - w per iteration, so it needs about ln(500) / w ~ 130 iterations to
 reach 2e-3, whether or not X still moves, and about 100 to reach 1e-2.
-The primal residual tracks X itself and carries the tight tolerance.  One
-tolerance of 2e-3 on both kept the mrca and multires rows of the 64x64x4
-desk experiment (scene seeds 1-5 and 11) running for 124-250 iterations;
-these two stop them after 91-135, and every mrca and multires jodefu row
-ends at worst 0.0016 dB below its PSNR at 250 iterations.  The dual
-residual of the L block is not tested on either update: it would cost one
-more L call, or two field-sized buffers, per iteration.
+The primal residual tracks X itself and carries the tight tolerance.
+When the mrca and multires rows of the 64x64x4 desk experiment (scene
+seeds 1-5 and 11) still ran this update (``BENCH_23.json``), one
+tolerance of 2e-3 on both kept them running for 124-250 iterations;
+these two stopped them after 91-135, at worst 0.0016 dB below their PSNR
+at 250 iterations.  The dual residual of the L block is not tested on
+either update: it would cost one more L call, or two field-sized
+buffers, per iteration.
 
 The dual-data update owns seven buffers, allocated once and updated in
 place: the cubes X and Xbar (held scaled, cL * Xbar), the field Wt, and
 Ut, AX, the residual R and the data-dual residual D on the observation
-grid.  The primal-data update owns five: X, Xbar, Wt, R and the
-denominator 1 / tau + e.  The dual step adds L(cL * Xbar) to Wt and
+grid.  The primal-data update owns four, X, Xbar, Wt and R, and the
+resolvent its own: the denominator 1 / tau + e on a diagonal, or the
+inverted blocks (P / nk cubes, 4 on the shipped tiles) and their index
+maps on alias-domain blocks.  The dual step adds L(cL * Xbar) to Wt and
 projects Wt in place (``prox_conj(..., out=...)``): unrelaxed, the
 iteration never needs the previous duals again.
 Arrays the operators return are only read: an operator may hand back its
@@ -151,6 +178,7 @@ __all__ = [
     "SolverTrace",
     "SolverDiverged",
     "objective",
+    "resolvent_step",
     "jodefu_solve",
 ]
 
@@ -160,7 +188,8 @@ __all__ = [
 PRIMAL_TOL = 1e-3
 DUAL_TOL = 1e-2
 
-# tau * lambda_bar * |A|^2 of the primal-data update (module docstring)
+# tau * lambda_bar * |A|^2 of the primal-data update on a diagonal AA*
+# (cfa, cassi); alias-domain blocks carry their own (module docstring)
 RESOLVENT_STEP = 0.1
 
 
@@ -184,12 +213,15 @@ class SolverConfig:
     It must be finite and real; the solve checks its shape against the
     operator and copies it, so the caller's array is never written.
 
-    ``gram_diag`` is e = diag(AA*) of an operator whose AA* is diagonal,
-    such as ``FormationModel.gram_diag`` on cfa and cassi (default
-    ``None``).  With it the solve takes the primal-data update, without it
-    the dual-data one (module docstring).  The solve rejects an e whose
-    shape is not the operator's output shape, or that is not finite and
-    non-negative, before the first iteration.
+    ``gram`` is AA* of the operator, as ``FormationModel.gram`` carries it
+    (default ``None``): an array e = diag(AA*) where AA* is diagonal (cfa,
+    cassi), or an object whose ``resolvent(tau)`` returns the in-place
+    map r -> (I/tau + AA*)^-1 r, whose ``shape`` is the operator's output
+    shape and whose ``step`` is its c (``AliasGram``: mrca, multires).
+    With it the solve takes the primal-data update, without it the
+    dual-data one (module docstring).  The solve rejects a Gram whose
+    shape is not the operator's output shape, or a diagonal that is not
+    finite and non-negative, before the first iteration.
     """
 
     lambda_bar: float = 1e-3
@@ -197,7 +229,7 @@ class SolverConfig:
     q_max: int = 250
     cost_stride: int | None = None
     x0: np.ndarray | None = field(default=None, compare=False, repr=False)
-    gram_diag: np.ndarray | None = field(default=None, compare=False, repr=False)
+    gram: object | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.q_max < 1:
@@ -244,6 +276,13 @@ def objective(A: LinearOp, L: LinearOp, g: MetricNorm, lam: float,
     return _cost(A.apply(x) - np.asarray(y, dtype=np.float64), L.apply(x), g, lam)
 
 
+def resolvent_step(gram) -> float:
+    """tau * lambda_bar * |A|^2 of the primal-data update on ``gram`` (see
+    ``SolverConfig.gram``): ``RESOLVENT_STEP`` on a diagonal, the
+    ``step`` that a Gram with a ``resolvent`` carries."""
+    return float(gram.step) if hasattr(gram, "resolvent") else RESOLVENT_STEP
+
+
 def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
                  cfg: SolverConfig | None = None) -> tuple[np.ndarray, SolverTrace]:
     """Run the iteration and return the estimate with its trace.
@@ -268,29 +307,39 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
         raise ValueError(f"x0 shape {np.shape(cfg.x0)} does not match operator "
                          f"input {A.input_shape}")
 
-    e = None
-    if cfg.gram_diag is not None:
-        e = np.asarray(cfg.gram_diag, dtype=np.float64)
-        where = f"gram_diag of shape {e.shape} (operator output {A.output_shape})"
-        if e.shape != A.output_shape:
+    gram = cfg.gram
+    diagonal = gram is not None and not hasattr(gram, "resolvent")
+    if diagonal:
+        gram = np.asarray(gram, dtype=np.float64)
+    if gram is not None:
+        where = f"gram of shape {gram.shape} (operator output {A.output_shape})"
+        if gram.shape != A.output_shape:
             raise ValueError(f"{where}: the shapes differ")
-        if not np.all(np.isfinite(e)):
-            raise ValueError(f"{where} holds {np.count_nonzero(~np.isfinite(e))} "
-                             "non-finite samples")
-        if np.any(e < 0):
-            raise ValueError(f"{where} holds {np.count_nonzero(e < 0)} negative samples")
+        if diagonal:
+            if not np.all(np.isfinite(gram)):
+                raise ValueError(f"{where} holds {np.count_nonzero(~np.isfinite(gram))} "
+                                 "non-finite samples")
+            if np.any(gram < 0):
+                raise ValueError(f"{where} holds {np.count_nonzero(gram < 0)} negative samples")
 
     # certified steps (see the module docstring); the duals are carried
     # scaled by tau, so sigma_A and sigma_L enter through c_a and c_l
-    if e is None:
+    resolve = None  # r -> (I/tau + AA*)^-1 r in place, on the primal-data update
+    if gram is None:
         tau = 0.01 / (cfg.lambda_bar * A.norm_bound ** 2)
         c_a = 0.495 / A.norm_bound ** 2  # = tau * sigma_A
         c_l = 0.495 / L.norm_bound ** 2  # = tau * sigma_L
         shrink = 1.0 / (1.0 + c_a / tau)  # = 1 / (1 + sigma_A)
     else:
-        tau = RESOLVENT_STEP / (cfg.lambda_bar * A.norm_bound ** 2)
+        tau = resolvent_step(gram) / (cfg.lambda_bar * A.norm_bound ** 2)
         c_l = 0.99 / L.norm_bound ** 2  # = tau * sigma_L
-        den = e + 1.0 / tau  # (1 + tau e) / tau
+        if diagonal:
+            den = gram + 1.0 / tau  # (1 + tau e) / tau
+
+            def resolve(r):
+                return np.divide(r, den, out=r)
+        else:
+            resolve = gram.resolvent(tau)
     radius = tau * lam
 
     # every buffer is owned and updated in place; an operator's output may
@@ -301,34 +350,34 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
     else:
         x = np.array(cfg.x0, dtype=np.float64)
     xbar = np.multiply(x, c_l)  # c_l * Xbar
-    if e is None:
+    if resolve is None:
         ax = A.apply(x).copy()
         r = ax - y  # A(Xbar) - y
         u = np.zeros_like(r)
         d = np.empty_like(r)  # data-block dual residual
     else:
-        r = np.empty_like(y)  # tau (A(X) - y) at the new X
+        r = np.empty(A.output_shape)  # tau (A(X) - y) at the new X
     w = np.zeros(L.output_shape)
     trace = SolverTrace()
 
     for q in range(cfg.q_max):
-        if e is None:
+        if resolve is None:
             r *= c_a
             u += r
             u *= shrink
         w += L.apply(xbar)
         g.prox_conj(w, radius, out=w)
         np.copyto(xbar, x)  # X_prev
-        if e is None:
+        if resolve is None:
             v = A.adjoint_apply(u)  # lives on until the next A* result replaces it
             x -= v
         ltw = L.adjoint_apply(w)
         x -= ltw
         ltw_norm = np.linalg.norm(ltw)
         del ltw  # freed before A runs, so the peak holds no extra cube
-        if e is not None:  # the exact resolvent of the data term
+        if resolve is not None:  # the exact resolvent of the data term
             np.subtract(A.apply(x), y, out=r)
-            r /= den
+            resolve(r)
             v = A.adjoint_apply(r)
             x -= v
 
@@ -344,7 +393,7 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
         primal_ok = np.linalg.norm(xbar) <= PRIMAL_TOL * ltw_norm
         xbar += x
         xbar *= c_l  # c_l * (2 X - X_prev)
-        if e is None:
+        if resolve is None:
             ax_new = A.apply(x)
             np.subtract(ax_new, y, out=r)
             if primal_ok:
@@ -357,10 +406,10 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
         if (trace.converged or q == cfg.q_max - 1
                 or (cfg.cost_stride and q % cfg.cost_stride == 0)):
             trace.cost_iters.append(q)
-            trace.costs.append(_cost(r if e is None else r / tau, L.apply(x), g, lam))
+            trace.costs.append(_cost(r if resolve is None else r / tau, L.apply(x), g, lam))
         if trace.converged:
             break
-        if e is None:
+        if resolve is None:
             r += ax_new
             r -= ax  # 2 A(X) - A(X_prev) - y
             np.copyto(ax, ax_new)

@@ -22,6 +22,7 @@ from mrcakit.formation import (
 from mrcakit.masks import Mask
 from mrcakit.operators import LinearOp, add, compose, stack
 from mrcakit.regularizers import tv_op
+from mrcakit.solver import resolvent_step
 
 
 def to_dense(op: LinearOp) -> np.ndarray:
@@ -129,19 +130,28 @@ def plain_cp_reference(A, L, g, y, cfg):
 def plain_resolvent_reference(A, L, g, y, cfg):
     """Textbook Chambolle-Pock with the data term in the primal: unscaled
     dual W, the steps written out, the prox of the data term solved
-    through (I + tau A*A)^-1 = I - tau A*(I + tau AA*)^-1 A with
-    diag(AA*) = ``cfg.gram_diag``, and the extrapolated iterate formed
-    explicitly.  It runs all ``cfg.q_max`` iterations."""
+    through (I + tau A*A)^-1 = I - tau A*(I + tau AA*)^-1 A with AA* =
+    ``cfg.gram``, and the extrapolated iterate formed explicitly, at tau =
+    ``resolvent_step(cfg.gram)`` / (lambda_bar |A|^2).  A diagonal AA* =
+    diag(e) divides by 1 + tau e; alias-domain blocks apply their
+    ``resolvent(tau)``, (I/tau + AA*)^-1 = tau (I + tau AA*)^-1.  It runs
+    all ``cfg.q_max`` iterations."""
     lam = cfg.resolved_lambda()
-    tau = 0.1 / (cfg.lambda_bar * A.norm_bound ** 2)
+    diagonal = isinstance(cfg.gram, np.ndarray)
+    tau = resolvent_step(cfg.gram) / (cfg.lambda_bar * A.norm_bound ** 2)
     sigma = 0.99 / (tau * L.norm_bound ** 2)
+    if diagonal:
+        def data(r):
+            return tau * r / (1.0 + tau * cfg.gram)
+    else:
+        data = cfg.gram.resolvent(tau)
     x = A.adjoint_apply(y) if cfg.x0 is None else np.asarray(cfg.x0, dtype=np.float64)
     x_bar = x
     w = np.zeros(L.output_shape)
     for _ in range(cfg.q_max):
         w = g.prox_conj(w + sigma * L.apply(x_bar), lam)
         v = x - tau * L.adjoint_apply(w)
-        x_next = v - tau * A.adjoint_apply((A.apply(v) - y) / (1.0 + tau * cfg.gram_diag))
+        x_next = v - A.adjoint_apply(data(A.apply(v) - y))
         x_bar = 2.0 * x_next - x
         x = x_next
     return x

@@ -181,6 +181,28 @@ class TestFailures:
                 in capsys.readouterr().err)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("formation", ["cfa", "cassi"])
+    def test_ratio_on_a_single_resolution_device_rejected(self, tmp_path, capsys, monkeypatch,
+                                                          command, formation):
+        from mrcakit import harness
+
+        def never(*args, **kwargs):
+            raise AssertionError("built a device for a rejected flag")
+        monkeypatch.setattr(harness, "build_formation", never)
+        assert run(command, "--formation", formation, "--ni", 16, "--nj", 16,
+                   "--ratio", 4, "--out", tmp_path / "o") == 1
+        assert (f"--ratio: the {formation} formation has one resolution and no ratio"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("formation", ["mrca", "multires"])
+    def test_ratio_reaches_a_multiresolution_device(self, tmp_path, formation):
+        obs = tmp_path / "obs"
+        assert run("simulate", "--formation", formation, "--ni", 16, "--nj", 16,
+                   "--ratio", 4, "--out", obs) == 0
+        assert "ratio=4" in (tmp_path / "obs.preset").read_text().splitlines()
+
     @pytest.mark.parametrize("flag, value, field", [
         ("--noise-sigma", "nan", "noise_sigma"), ("--noise-sigma", "inf", "noise_sigma"),
         ("--lambda-bar", "inf", "lambda_bar"), ("--rho-b", "inf", "rho_b")])

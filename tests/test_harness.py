@@ -57,8 +57,9 @@ class TestBaseline:
         # an all-ones single-channel mask observes the image directly
         from mrcakit.formation import FormationModel, mosaic
         mask = Mask(np.ones((6, 6, 1)), (0,))
-        model = FormationModel(formation_preset("cfa", 6, 6, 1, mask="quad4"),
-                               mosaic(mask), h_lri=mask)
+        op = mosaic(mask)
+        model = FormationModel(formation_preset("cfa", 6, 6, 1, mask="quad4"), op, h_lri=mask,
+                               gram=op.apply(mask.values))
         y = rng.random((6, 6))
         out = baseline_reconstruct(y, model)
         np.testing.assert_array_equal(out[:, :, 0], y)
@@ -74,9 +75,18 @@ class TestBaseline:
     def test_empty_channel_support_rejected(self, rng):
         from mrcakit.formation import FormationModel, mosaic
         mask = Mask(np.zeros((4, 4, 2)), (0, 1))
-        model = FormationModel(formation_preset("cfa", 4, 4, 2, mask="quad4"),
-                               mosaic(mask), h_lri=mask)
+        op = mosaic(mask)
+        model = FormationModel(formation_preset("cfa", 4, 4, 2, mask="quad4"), op, h_lri=mask,
+                               gram=op.apply(mask.values))
         with pytest.raises(ValueError, match="support"):
+            baseline_reconstruct(rng.random((4, 4)), model)
+
+    def test_missing_gram_rejected(self, rng):
+        from mrcakit.formation import FormationModel, mosaic
+        mask = Mask(np.ones((4, 4, 1)), (0,))
+        model = FormationModel(formation_preset("cfa", 4, 4, 1, mask="quad4"), mosaic(mask),
+                               h_lri=mask)
+        with pytest.raises(ValueError, match=r"baseline needs the cfa model's gram"):
             baseline_reconstruct(rng.random((4, 4)), model)
 
     def test_multires_upsample_shape_and_means(self, rng):
@@ -151,8 +161,9 @@ class TestPipeline:
         from mrcakit.metrics import psnr
         cube = synth_scene(SceneParams(12, 12, 1), seed=6)
         mask = Mask(np.ones((12, 12, 1)), (0,))
-        model = FormationModel(formation_preset("cfa", 12, 12, 1, mask="quad4"),
-                               mosaic(mask), h_lri=mask)
+        op = mosaic(mask)
+        model = FormationModel(formation_preset("cfa", 12, 12, 1, mask="quad4"), op, h_lri=mask,
+                               gram=op.apply(mask.values))
         y = model.op.apply(cube.values)
         out = baseline_reconstruct(y, model)
         assert psnr(cube, DataCube(out, rho=cube.rho)) == np.inf
@@ -215,7 +226,7 @@ class TestPipeline:
         xhat, _ = jodefu_solve(model.op, tv_op(model.op.input_shape), metric_norm("l221"), y,
                                SolverConfig(lambda_bar=spec.lambda_bar, rho_y=1.0, q_max=20,
                                             x0=baseline_reconstruct(y, model),
-                                            gram_diag=model.gram_diag))
+                                            gram=model.gram))
         np.testing.assert_array_equal(eq.estimate.values, xhat)
 
     @pytest.mark.parametrize("formation", ["mrca", "multires", "cfa", "cassi"])
@@ -232,7 +243,7 @@ class TestPipeline:
         xhat, _ = jodefu_solve(model.op, tv_op(model.op.input_shape), metric_norm(kind), y,
                                SolverConfig(lambda_bar=spec.lambda_bar, rho_y=1.0, q_max=20,
                                             x0=baseline_reconstruct(y, model),
-                                            gram_diag=model.gram_diag))
+                                            gram=model.gram))
         np.testing.assert_array_equal(run.estimate.values, xhat)
 
     @pytest.mark.parametrize("formation, mask", [
