@@ -102,7 +102,7 @@ def _gram2(w: np.ndarray) -> tuple[np.ndarray, ...]:
     with nk = 1 it is 0.
     """
     _check_two_directions(w)
-    planes = np.ascontiguousarray(w.transpose(3, 2, 0, 1))
+    planes = w.transpose(3, 2, 0, 1).copy()  # a copy even where the view is C-ordered
     b1, b2 = planes
     g11, g22, g12 = (np.einsum("kij,kij->ij", a, b) for a, b in ((b1, b1), (b2, b2), (b1, b2)))
     det, minor, term = np.zeros(w.shape[:2]), np.empty(w.shape[:2]), np.empty(w.shape[:2])
@@ -144,21 +144,43 @@ def _prox_conj_s1l1(w: np.ndarray, lam: float, out: np.ndarray | None) -> np.nda
     Every read goes to the plane copy of :func:`_gram2`, so ``out`` may be
     ``w``."""
     (b1, b2), g11, g22, g12, det = _gram2(w)
-    # Gramian eigenvalues mu1 >= mu2; mu2 = det/mu1 is free of the
-    # cancellation of 0.5 * (tr - disc) on near-rank-1 blocks.  mu1 is 0
-    # only on a zero block, whose det (0 up to underflow) is left in place.
-    mu1 = 0.5 * (g11 + g22 + np.sqrt((g11 - g22) ** 2 + 4.0 * g12 ** 2))
+    # Each map is formed in place, mostly in one it replaces, so the peak
+    # holds four (ni, nj) maps beside the Gramian's four and the plane copy.
+    # Gramian eigenvalues mu1 >= mu2 = det/mu1, free of the cancellation of
+    # 0.5 * (tr - disc) on near-rank-1 blocks.  mu1 is 0 only on a zero
+    # block, whose det (0 up to underflow) is left in place.
+    t = np.square(g12)
+    t *= 4.0
+    mu1 = np.subtract(g11, g22)
+    np.square(mu1, out=mu1)
+    mu1 += t
+    np.sqrt(mu1, out=mu1)
+    np.add(g11, g22, out=t)
+    t += mu1
+    np.multiply(t, 0.5, out=mu1)  # 0.5 * (g11 + g22 + sqrt((g11 - g22)^2 + 4 g12^2))
     mu2 = np.divide(det, mu1, out=det, where=mu1 > 0.0)
     # singular values above lam are scaled to it: c = lam / max(xi, lam)
-    c1 = lam / np.maximum(np.sqrt(mu1), lam)
-    c2 = lam / np.maximum(np.sqrt(mu2), lam)
+    c1 = np.sqrt(mu1, out=t)
+    np.maximum(c1, lam, out=c1)
+    np.divide(lam, c1, out=c1)
+    c2 = np.sqrt(mu2)
+    np.maximum(c2, lam, out=c2)
+    np.divide(lam, c2, out=c2)
     # any scalar function of the symmetric 2x2 Gramian is alpha*I + beta*G;
     # an infinite gap sets beta to 0 where the eigenvalues (nearly) coincide
-    gap = mu1 - mu2
-    gap[gap <= 1e-12 * np.maximum(mu1, 1e-300)] = np.inf
-    beta = (c1 - c2) / gap
-    alpha = c1 - beta * mu1
-    m00, m11, m01 = alpha + beta * g11, alpha + beta * g22, beta * g12
+    gap = np.subtract(mu1, mu2, out=mu2)
+    floor = np.maximum(mu1, 1e-300)
+    floor *= 1e-12
+    gap[gap <= floor] = np.inf
+    beta = np.subtract(c1, c2, out=c2)
+    beta /= gap
+    alpha = np.subtract(c1, np.multiply(beta, mu1, out=mu1), out=c1)
+    m00 = np.multiply(beta, g11, out=g11)
+    m00 += alpha  # alpha + beta * g11
+    m11 = np.multiply(beta, g22, out=g22)
+    m11 += alpha
+    m01 = np.multiply(beta, g12, out=g12)
+    del gap, floor, mu1, mu2, det, alpha, beta, c1, c2, t
     if out is None:
         out = np.empty_like(w)
     # band by band through two (ni, nj) maps: a field-sized temporary here

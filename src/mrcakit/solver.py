@@ -6,8 +6,8 @@ its conjugate, whose prox is the projection onto the dual-norm ball of
 radius lam.  The data term takes one of two places, in one function,
 chosen by what the solve is handed:
 
-* the primal-data update, when ``SolverConfig.gram`` carries AA* of the
-  operator.  ``FormationModel.gram`` is one for every shipped device, and
+* the over-relaxed primal-data update, when ``SolverConfig.gram``
+  carries AA* of the operator.  ``FormationModel.gram`` is one for every shipped device, and
   ``harness.reconstruct`` passes it: the diagonal e = diag(AA*) on cfa
   and cassi, the alias-domain blocks (``AliasGram``) on mrca and
   multires;
@@ -22,32 +22,64 @@ step (Wt = tau * W, Ut = tau * U), and both track the cost
 unless ``SolverConfig.cost_stride`` asks for more; each tracked cost runs
 L and g.eval once and no A.
 
-The primal-data update is Algorithm 1 of Chambolle & Pock with G the data
-term and K = L.  The prox of tau G solves (I + tau A*A) X = X' + tau A*(y),
-and by the Woodbury identity (I + tau A*A)^-1 = I - tau A*(I + tau AA*)^-1 A,
-so it is exact given (I/tau + AA*)^-1 on the observation grid.  With
+The primal-data update is the over-relaxed Chambolle-Pock iteration
+(Condat 2013, "A primal-dual splitting method for convex optimization
+involving Lipschitzian, proximable and linear composite terms";
+Chambolle & Pock 2016, "On the ergodic convergence rates of a first-order
+primal-dual algorithm") with G the data term and K = L.  One relaxed step
+takes the primal step first and moves both iterates ``RELAXATION`` = rho
+of the way to its result:
+
+    X~  = prox_{tau G}(X - L*(Wt))
+    W~t = P_{tau lam}(Wt + cL L(2 X~ - X))
+    X  <- X + rho (X~ - X),    Wt <- Wt + rho (W~t - Wt)
+
+The prox of tau G at X' = X - L*(Wt) solves (I + tau A*A) X~ = X' +
+tau A*(y), and by the
+Woodbury identity (I + tau A*A)^-1 = I - tau A*(I + tau AA*)^-1 A, so it
+is exact given (I/tau + AA*)^-1 on the observation grid.  With
 AA* = diag(e) that is one division per observation sample.  With the
 alias-domain blocks G(w) it is one real plane FFT (and one on multires's
 coarse grid), one batched P x P matrix-vector product with the inverses
 of I/tau + G(w), and the inverse FFTs (``AliasGram.resolvent``); the
-inverses are formed once per solve, at its tau.  One iteration runs,
-verbatim:
+inverses are formed once per solve, at its tau.
 
-    Wt   = P_{tau lam}(Wt + L(cL * Xbar))     # dual-ball projection
+The loop runs these steps shifted by half a step: an iteration finishes
+the dual half and the relaxation of the step the last one began, then
+takes the primal half of the next, and the solve returns the last X~.
+It starts from X~ = X = X0 and Wt = 0, as if a step from (X0, 0) had
+returned X~ = X0, which it does wherever X0 fits the data (the cfa and
+cassi baselines).  At rho = 1 this is Algorithm 1 of Chambolle & Pock
+2011, iterate for iterate.  One iteration runs, verbatim:
+
+    Wt   = Wt + rho (P_{tau lam}(Wt + L(cL * Xbar)) - Wt)
+    X    = (2 - rho) X~ + (rho - 1) Xbar     # = X + rho (X~ - X)
     X'   = X - L*(Wt)
-    R    = (I/tau + AA*)^-1 (A(X') - y)       # = tau (A(X) - y) at the new X
-    X    = X' - A*(R)
-    Xbar = 2 X - X_prev
+    R    = (I/tau + AA*)^-1 (A(X') - y)      # = tau (A(X~) - y)
+    X~   = X' - A*(R)
+    Xbar = 2 X~ - X
 
 with cL = tau * sigma = 0.99 / |L|^2 and tau = c / (lambda_bar |A|^2), where
 c = ``resolvent_step(gram)``: ``RESOLVENT_STEP`` on a diagonal, and on
 alias-domain blocks the device's own, which its ``AliasGram.step``
-carries.  A(X) - y at the new X is R / tau by linearity, so the cost
-reuses R.  The iteration converges for tau sigma |L|^2 < 1 (here 0.99),
-with no condition on |A|: c only sets the speed.  Each c comes from a
-probe over the desk rows it serves (64x64x4, scene seeds 1-5 and 11;
-lambda_bar 1e-4, 1e-3 and 1e-2), against the PSNR of each row's
-minimizer:
+carries.  A(X~) - y is R / tau by linearity, so the cost of the returned
+X~ reuses R.  The iteration converges for any rho in (0, 2) and
+tau sigma |L|^2 < 1 (here 0.99), with no condition on |A|: c and rho
+only set the speed.
+
+``RELAXATION`` = 1.3 comes from a grid over the 48 desk rows (4
+formations x jodefu-v1/v2 x scene seeds 1-5 and 11, 64x64x4, sigma 0.01,
+lambda_bar 1e-3; ``BENCH_25.json``).  Summed over the rows the stop came
+at 4387 iterations at rho = 1, 3777 at 1.2, 3553 at 1.3, 3262 at 1.5
+and 3188 at 1.7, and at 4013 at 1.9.  At every rho up to 1.5 the rows
+ended between -0.0175 dB (cassi jodefu-v2 at seed 5) and +0.33 dB (cfa
+jodefu-v2 at seed 2) of their minimizer.  From rho = 1.35 on, cfa
+jodefu-v2 on the desk's scene ended below ``TestDeskQuality``'s floor
+(by 0.0034 dB at 1.5), which sits 0.021 dB above that row's minimizer.
+
+Each c comes from a probe of the unrelaxed update (rho = 1) over the
+desk rows it serves (64x64x4, scene seeds 1-5 and 11; lambda_bar 1e-4,
+1e-3 and 1e-2), against the PSNR of each row's minimizer:
 
 * ``RESOLVENT_STEP`` = 0.1 on a diagonal (cfa, cassi; ``BENCH_23.json``).
   It stopped every row at 88-211 iterations.  At the default lambda_bar
@@ -66,6 +98,10 @@ minimizer:
   on multires c = 0.01 and 0.03 ended 0.0158 and 0.0066 dB low.  The
   dual-data update stopped the same rows at 91-180 iterations and ran
   every one to the cap at lambda_bar = 1e-4.
+
+Relaxed, the same rows at the default lambda_bar stop at 79-143
+iterations on cfa and cassi and at 30-62 on mrca and multires (95-185
+and 37-76 unrelaxed).
 
 Over n iterations A, L* and the prox run n times, A* n times plus the
 start A*(y) when there is no x0, and L n times plus one per tracked cost.
@@ -109,11 +145,14 @@ solve.  Both residuals come from arrays the iteration holds anyway, with no
 extra A, A*, L, L* or g call, and the data-dual norm is taken only once the
 primal test passes:
 
-    primal     ||X_k - X_{k+1}|| / ||L*(Wt_{k+1})||
+    primal     ||X_k - X_{k+1}|| / ||L*(Wt_{k+1})||   (dual-data)
+               ||X - X~|| / ||L*(Wt)||                (primal-data)
     data dual  ||U_{k+1} - (A(X_{k+1}) - y)|| / ||A(X_{k+1}) - y||
 
-X_k - X_{k+1} is the primal residual scaled by tau: A*(Ut) + L*(Wt) on the
-dual-data update, L*(Wt) + A*(R) on the primal-data one.  The data-block
+X_k - X_{k+1} is the primal residual scaled by tau, A*(Ut) + L*(Wt); on
+the primal-data update X - X~ = L*(Wt) + A*(R) is the unrelaxed step, so
+the test does not depend on rho and at rho = 1 it is the test of the
+unrelaxed iteration.  The data-block
 dual residual (U_k - U_{k+1}) / sigma_A + A(Xbar_k) - A(X_{k+1}) equals
 U_{k+1} + y - A(X_{k+1}) by the closed-form prox, which needs no copy of
 U_k.  The denominators are chosen on purpose.  ||L*(Wt)|| stays
@@ -126,6 +165,15 @@ one by max(||U||, ||A(X)||) stopped the lambda_bar = 1e-12 identity solve
 of acceptance criterion 6 at iteration 14, 4e-4 from the data.  With these
 denominators the first raises ``SolverDiverged`` and the second stops at
 iteration 81, 2.6e-12 from the data.
+
+The primal-data test needs no guard against its zero denominator.  A
+step taken from Wt = 0 stops every solve whose X0 fits the data (the cfa
+and cassi baselines) after one iteration, with 0 <= PRIMAL_TOL * 0.  Here
+the first primal half already follows the dual's half step from Wt = 0,
+to rho P_{tau lam}(cL L(X0)), which is 0 only where L(X0) = 0.  An X0
+that also fits the data is then the minimizer, and the solve returns it
+after one iteration.  ``SolverDiverged`` on the primal-data update reads
+the norm of the step that the test takes, where a non-finite X~ shows.
 
 The dual-data update, which runs only for a caller that passes no Gram,
 may take the looser data-dual tolerance because that residual lags the
@@ -148,14 +196,19 @@ buffers, per iteration.
 The dual-data update owns seven buffers, allocated once and updated in
 place: the cubes X and Xbar (held scaled, cL * Xbar), the field Wt, and
 Ut, AX, the residual R and the data-dual residual D on the observation
-grid.  The primal-data update owns four, X, Xbar, Wt and R, and the
-resolvent its own: the denominator 1 / tau + e on a diagonal, or the
+grid.  It adds L(cL * Xbar) to Wt and projects Wt in place
+(``prox_conj(..., out=...)``): unrelaxed, it never needs the previous
+duals again.  The primal-data update owns four, X~, Xbar (held scaled,
+cL * Xbar, and in turn X and X~ - X within an iteration), Wt and R, and
+the resolvent its own: the denominator 1 / tau + e on a diagonal, or the
 inverted blocks (P / nk cubes, 4 on the shipped tiles) and their index
-maps on alias-domain blocks.  The dual step adds L(cL * Xbar) to Wt and
-projects Wt in place (``prox_conj(..., out=...)``): unrelaxed, the
-iteration never needs the previous duals again.
-Arrays the operators return are only read: an operator may hand back its
-input, a view of it or a read-only broadcast.  The last A* result is kept
+maps on alias-domain blocks.  Its relaxation needs Wt and W~t at once:
+it forms Wt + L(cL * Xbar) in L's output array, projects it there and
+relaxes Wt from it, so the projection holds one field more than the
+unrelaxed update did.  That array is copied first where it is read-only
+or may overlap Xbar.
+Any other array an operator returns is only read: an operator may hand
+back its input, a view of it or a read-only broadcast.  The last A* result is kept
 until the next one replaces it.  Freeing it after its use lets the C heap
 shrink at the end of every iteration and fault the same pages back in
 during the next iteration (~2000 against ~70 minor faults per iteration at
@@ -174,6 +227,7 @@ from .regularizers import MetricNorm
 __all__ = [
     "PRIMAL_TOL",
     "DUAL_TOL",
+    "RELAXATION",
     "SolverConfig",
     "SolverTrace",
     "SolverDiverged",
@@ -191,6 +245,9 @@ DUAL_TOL = 1e-2
 # tau * lambda_bar * |A|^2 of the primal-data update on a diagonal AA*
 # (cfa, cassi); alias-domain blocks carry their own (module docstring)
 RESOLVENT_STEP = 0.1
+
+# over-relaxation rho of the primal-data update, in (0, 2) (module docstring)
+RELAXATION = 1.3
 
 
 class SolverDiverged(RuntimeError):
@@ -322,96 +379,140 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
             if np.any(gram < 0):
                 raise ValueError(f"{where} holds {np.count_nonzero(gram < 0)} negative samples")
 
-    # certified steps (see the module docstring); the duals are carried
-    # scaled by tau, so sigma_A and sigma_L enter through c_a and c_l
-    resolve = None  # r -> (I/tau + AA*)^-1 r in place, on the primal-data update
-    if gram is None:
-        tau = 0.01 / (cfg.lambda_bar * A.norm_bound ** 2)
-        c_a = 0.495 / A.norm_bound ** 2  # = tau * sigma_A
-        c_l = 0.495 / L.norm_bound ** 2  # = tau * sigma_L
-        shrink = 1.0 / (1.0 + c_a / tau)  # = 1 / (1 + sigma_A)
-    else:
-        tau = resolvent_step(gram) / (cfg.lambda_bar * A.norm_bound ** 2)
-        c_l = 0.99 / L.norm_bound ** 2  # = tau * sigma_L
-        if diagonal:
-            den = gram + 1.0 / tau  # (1 + tau e) / tau
-
-            def resolve(r):
-                return np.divide(r, den, out=r)
-        else:
-            resolve = gram.resolvent(tau)
-    radius = tau * lam
-
     # every buffer is owned and updated in place; an operator's output may
     # be its input (identity), a view of it or a read-only broadcast, so it
-    # is only ever read
+    # is only ever read, except L's on the primal-data update (below)
     if cfg.x0 is None:
         x = A.adjoint_apply(y).copy()
     else:
         x = np.array(cfg.x0, dtype=np.float64)
-    xbar = np.multiply(x, c_l)  # c_l * Xbar
-    if resolve is None:
-        ax = A.apply(x).copy()
-        r = ax - y  # A(Xbar) - y
-        u = np.zeros_like(r)
-        d = np.empty_like(r)  # data-block dual residual
-    else:
-        r = np.empty(A.output_shape)  # tau (A(X) - y) at the new X
-    w = np.zeros(L.output_shape)
     trace = SolverTrace()
+    if gram is None:
+        _dual_data(A, L, g, y, x, cfg, trace)
+    else:
+        _primal_data(A, L, g, y, x, cfg, gram, diagonal, trace)
+    return x, trace
 
+
+def _diverged(q: int, A: LinearOp, L: LinearOp, dual: bool) -> SolverDiverged:
+    if dual:
+        return SolverDiverged(f"non-finite dual iterate at q={q}; check the norm bound of "
+                              f"{L.name} (={L.norm_bound:g})")
+    return SolverDiverged(f"non-finite iterate at q={q}; check the norm bounds of "
+                          f"{A.name} (={A.norm_bound:g}) and {L.name} (={L.norm_bound:g})")
+
+
+def _record(trace: SolverTrace, q: int, cfg: SolverConfig, converged: bool, cost) -> bool:
+    """Close iteration q in the trace, tracking ``cost()`` where it is due;
+    returns whether the solve stops here."""
+    trace.converged = bool(converged)
+    trace.iterations = q + 1
+    if (converged or q == cfg.q_max - 1
+            or (cfg.cost_stride and q % cfg.cost_stride == 0)):
+        trace.cost_iters.append(q)
+        trace.costs.append(cost())
+    return trace.converged
+
+
+def _dual_data(A, L, g, y, x, cfg, trace):
+    """The dual-data update (module docstring), updating ``x`` in place."""
+    # certified steps; the duals are carried scaled by tau, so sigma_A and
+    # sigma_L enter through c_a and c_l
+    lam = cfg.resolved_lambda()
+    tau = 0.01 / (cfg.lambda_bar * A.norm_bound ** 2)
+    c_a = 0.495 / A.norm_bound ** 2  # = tau * sigma_A
+    c_l = 0.495 / L.norm_bound ** 2  # = tau * sigma_L
+    shrink = 1.0 / (1.0 + c_a / tau)  # = 1 / (1 + sigma_A)
+    radius = tau * lam
+    xbar = np.multiply(x, c_l)  # c_l * Xbar
+    ax = A.apply(x).copy()
+    r = ax - y  # A(Xbar) - y
+    u = np.zeros_like(r)
+    d = np.empty_like(r)  # data-block dual residual
+    w = np.zeros(L.output_shape)
     for q in range(cfg.q_max):
-        if resolve is None:
-            r *= c_a
-            u += r
-            u *= shrink
+        r *= c_a
+        u += r
+        u *= shrink
         w += L.apply(xbar)
         g.prox_conj(w, radius, out=w)
         np.copyto(xbar, x)  # X_prev
-        if resolve is None:
-            v = A.adjoint_apply(u)  # lives on until the next A* result replaces it
-            x -= v
+        v = A.adjoint_apply(u)  # lives on until the next A* result replaces it
+        x -= v
         ltw = L.adjoint_apply(w)
         x -= ltw
         ltw_norm = np.linalg.norm(ltw)
         del ltw  # freed before A runs, so the peak holds no extra cube
-        if resolve is not None:  # the exact resolvent of the data term
-            np.subtract(A.apply(x), y, out=r)
-            resolve(r)
-            v = A.adjoint_apply(r)
-            x -= v
 
         if not np.all(np.isfinite(x)):
-            raise SolverDiverged(
-                f"non-finite iterate at q={q}; check the norm bounds of "
-                f"{A.name} (={A.norm_bound:g}) and {L.name} (={L.norm_bound:g})")
+            raise _diverged(q, A, L, dual=False)
         if not np.all(np.isfinite(w)):
-            raise SolverDiverged(
-                f"non-finite dual iterate at q={q}; check the norm bound of "
-                f"{L.name} (={L.norm_bound:g})")
+            raise _diverged(q, A, L, dual=True)
         np.subtract(x, xbar, out=xbar)  # X - X_prev, the primal residual times tau
         primal_ok = np.linalg.norm(xbar) <= PRIMAL_TOL * ltw_norm
         xbar += x
         xbar *= c_l  # c_l * (2 X - X_prev)
-        if resolve is None:
-            ax_new = A.apply(x)
-            np.subtract(ax_new, y, out=r)
-            if primal_ok:
-                np.multiply(u, 1.0 / tau, out=d)
-                d -= r  # U - (A(X) - y)
-                trace.converged = bool(np.linalg.norm(d) <= DUAL_TOL * np.linalg.norm(r))
-        else:
-            trace.converged = bool(primal_ok)
-        trace.iterations = q + 1
-        if (trace.converged or q == cfg.q_max - 1
-                or (cfg.cost_stride and q % cfg.cost_stride == 0)):
-            trace.cost_iters.append(q)
-            trace.costs.append(_cost(r if resolve is None else r / tau, L.apply(x), g, lam))
-        if trace.converged:
+        ax_new = A.apply(x)
+        np.subtract(ax_new, y, out=r)
+        converged = False
+        if primal_ok:
+            np.multiply(u, 1.0 / tau, out=d)
+            d -= r  # U - (A(X) - y)
+            converged = np.linalg.norm(d) <= DUAL_TOL * np.linalg.norm(r)
+        if _record(trace, q, cfg, converged, lambda: _cost(r, L.apply(x), g, lam)):
             break
-        if resolve is None:
-            r += ax_new
-            r -= ax  # 2 A(X) - A(X_prev) - y
-            np.copyto(ax, ax_new)
+        r += ax_new
+        r -= ax  # 2 A(X) - A(X_prev) - y
+        np.copyto(ax, ax_new)
 
-    return x, trace
+
+def _primal_data(A, L, g, y, x, cfg, gram, diagonal, trace):
+    """The over-relaxed primal-data update (module docstring), updating
+    ``x`` in place: on entry X~ = X = X0, on return the last X~."""
+    lam = cfg.resolved_lambda()
+    tau = resolvent_step(gram) / (cfg.lambda_bar * A.norm_bound ** 2)
+    c_l = 0.99 / L.norm_bound ** 2  # = tau * sigma_L
+    radius = tau * lam
+    if diagonal:
+        den = gram + 1.0 / tau  # (1 + tau e) / tau
+
+        def resolve(r):
+            return np.divide(r, den, out=r)
+    else:
+        resolve = gram.resolvent(tau)  # r -> (I/tau + AA*)^-1 r in place
+    xbar = np.multiply(x, c_l)  # c_l * Xbar, with Xbar = 2 X~ - X; then X
+    r = np.empty(A.output_shape)  # tau (A(X~) - y)
+    w = np.zeros(L.output_shape)
+    for q in range(cfg.q_max):
+        s = L.apply(xbar)
+        if not s.flags.writeable or np.may_share_memory(s, xbar):
+            s = s.copy()
+        s += w
+        g.prox_conj(s, radius, out=s)  # W~
+        s *= RELAXATION
+        w *= 1.0 - RELAXATION
+        w += s  # Wt + rho (W~ - Wt)
+        del s
+        xbar *= (RELAXATION - 1.0) / c_l
+        x *= 2.0 - RELAXATION
+        xbar += x  # X + rho (X~ - X) = (2 - rho) X~ + (rho - 1) Xbar
+        ltw = L.adjoint_apply(w)
+        np.subtract(xbar, ltw, out=x)
+        ltw_norm = np.linalg.norm(ltw)
+        del ltw  # freed before A runs, so the peak holds no extra cube
+        np.subtract(A.apply(x), y, out=r)
+        resolve(r)
+        v = A.adjoint_apply(r)  # lives on until the next A* result replaces it
+        x -= v  # X~, the exact resolvent of the data term
+
+        np.subtract(x, xbar, out=xbar)  # X~ - X, the unrelaxed step
+        step = np.linalg.norm(xbar)
+        if not np.isfinite(step):
+            raise _diverged(q, A, L, dual=False)
+        if not np.all(np.isfinite(w)):
+            raise _diverged(q, A, L, dual=True)
+        xbar += x
+        xbar *= c_l  # c_l * (2 X~ - X)
+        if _record(trace, q, cfg, step <= PRIMAL_TOL * ltw_norm,
+                   lambda: _cost(r / tau, L.apply(x), g, lam)):
+            break

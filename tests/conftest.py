@@ -127,15 +127,17 @@ def plain_cp_reference(A, L, g, y, cfg):
     return x
 
 
-def plain_resolvent_reference(A, L, g, y, cfg):
-    """Textbook Chambolle-Pock with the data term in the primal: unscaled
-    dual W, the steps written out, the prox of the data term solved
-    through (I + tau A*A)^-1 = I - tau A*(I + tau AA*)^-1 A with AA* =
-    ``cfg.gram``, and the extrapolated iterate formed explicitly, at tau =
-    ``resolvent_step(cfg.gram)`` / (lambda_bar |A|^2).  A diagonal AA* =
-    diag(e) divides by 1 + tau e; alias-domain blocks apply their
-    ``resolvent(tau)``, (I/tau + AA*)^-1 = tau (I + tau AA*)^-1.  It runs
-    all ``cfg.q_max`` iterations."""
+def plain_resolvent_reference(A, L, g, y, cfg, relaxation=1.0):
+    """Textbook Chambolle-Pock with the data term in the primal, over-relaxed
+    by ``relaxation`` (1: none): unscaled dual W, the steps written out, the
+    prox of the data term solved through (I + tau A*A)^-1 = I - tau A*(I +
+    tau AA*)^-1 A with AA* = ``cfg.gram``, at tau = ``resolvent_step(cfg.gram)``
+    / (lambda_bar |A|^2).  A diagonal AA* = diag(e) divides by 1 + tau e;
+    alias-domain blocks apply their ``resolvent(tau)``, (I/tau + AA*)^-1 =
+    tau (I + tau AA*)^-1.  Each pass finishes the relaxed step that the
+    last one began, (X, W) += relaxation ((X~, W~) - (X, W)), and takes the
+    next primal step X~, from X~ = X = x0 and W = 0; it returns the last
+    X~.  It runs all ``cfg.q_max`` iterations."""
     lam = cfg.resolved_lambda()
     diagonal = isinstance(cfg.gram, np.ndarray)
     tau = resolvent_step(cfg.gram) / (cfg.lambda_bar * A.norm_bound ** 2)
@@ -146,15 +148,15 @@ def plain_resolvent_reference(A, L, g, y, cfg):
     else:
         data = cfg.gram.resolvent(tau)
     x = A.adjoint_apply(y) if cfg.x0 is None else np.asarray(cfg.x0, dtype=np.float64)
-    x_bar = x
+    x_tilde = x
     w = np.zeros(L.output_shape)
     for _ in range(cfg.q_max):
-        w = g.prox_conj(w + sigma * L.apply(x_bar), lam)
+        w_tilde = g.prox_conj(w + sigma * L.apply(2.0 * x_tilde - x), lam)
+        w = w + relaxation * (w_tilde - w)
+        x = x + relaxation * (x_tilde - x)
         v = x - tau * L.adjoint_apply(w)
-        x_next = v - A.adjoint_apply(data(A.apply(v) - y))
-        x_bar = 2.0 * x_next - x
-        x = x_next
-    return x
+        x_tilde = v - A.adjoint_apply(data(A.apply(v) - y))
+    return x_tilde
 
 
 @pytest.fixture

@@ -370,6 +370,15 @@ class TestProxConj:
         for got in (buffer, w):
             np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
+    @pytest.mark.parametrize("kind", ["l221", "l111", "s1l1"])
+    def test_in_place_on_a_single_pixel(self, kind):
+        # the plane-major view of a (1, 1, 1, 2) field is already C-ordered,
+        # and s1l1 must still copy it before writing over its input
+        w = random_field(3, shape=(1, 1, 1, 2), scale=2.0)
+        expected = prox_conj(kind, w, 0.1)
+        assert prox_conj(kind, w, 0.1, out=w) is w
+        np.testing.assert_array_equal(w.view(np.uint64), expected.view(np.uint64))
+
     @pytest.mark.parametrize("out", [np.empty((5, 4, 2, 2)), np.empty((5, 4, 2, 2), np.float32)])
     def test_out_must_match_the_field(self, out):
         with pytest.raises(ValueError, match="out"):

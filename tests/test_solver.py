@@ -25,6 +25,7 @@ from mrcakit.metrics import psnr
 from mrcakit.operators import LinearOp, identity, zero_op
 from mrcakit.regularizers import TV_NORM_BOUND, metric_norm, tv_adjoint, tv_forward, tv_op
 from mrcakit.solver import (
+    RELAXATION,
     SolverConfig,
     SolverDiverged,
     jodefu_solve,
@@ -361,12 +362,15 @@ class TestWorkingSet:
     and 12.0 on the blurred mrca with s1l1, both on the dual-data update,
     and 9.3 on cassi with l221 on the primal-data update, which holds no
     data dual U and no A(X) or D buffer.  The blurred mrca with s1l1 holds
-    16.1 cubes on the primal-data update: its inverted alias-domain
-    blocks, P/nk = 4 cubes at any size, stay alive for the whole solve.
+    16.4 cubes on the over-relaxed primal-data update (16.1 unrelaxed):
+    its inverted alias-domain blocks, P/nk = 4 cubes at any size, stay
+    alive for the whole solve, and the relaxation holds the dual and its
+    projection at once, one field more, which the s1l1 projection's
+    in-place maps pay back but for 0.3 cubes.
     The dual-data bounds were set at the Loris-Verhoeven loop's 9.8 and
     12.1 cubes plus half a cube, the primal-data ones at their own 9.3
     and 16.1 plus half a cube, so one more field-sized array (two cubes)
-    alive at the peak fails, such as a second dual buffer or an
+    alive at the peak fails, such as one more dual-sized buffer or an
     out-of-place s1l1 projection, and so do the blocks formed all at once
     (27.9 cubes) instead of in batches.
     """
@@ -435,17 +439,24 @@ class TestAliasing:
         return LinearOp(shape, field, lambda x: np.broadcast_to(x[..., None], field),
                         lambda w: w.sum(axis=3), 2.0, name=kind)
 
+    @pytest.mark.parametrize("primal_data", [False, True])
     @pytest.mark.parametrize("gradient", ["tv", "embedding", "broadcast"])
-    def test_identity_leaves_observation_untouched(self, rng, gradient):
+    def test_identity_leaves_observation_untouched(self, rng, gradient, primal_data):
+        # the primal-data update writes its dual step into L's output, and
+        # copies it first where that is read-only (broadcast)
         shape = (6, 5, 2)
         y = rng.standard_normal(shape)
         y_before = y.copy()
         A, L, g = identity(shape), self._gradient(gradient, shape), metric_norm("l221")
-        cfg = SolverConfig(lambda_bar=0.05, q_max=15)
-        x, _ = jodefu_solve(A, L, g, y, cfg)
+        cfg = SolverConfig(lambda_bar=0.05, q_max=15, gram=np.ones(shape) if primal_data else None)
+        x, trace = jodefu_solve(A, L, g, y, cfg)
         np.testing.assert_array_equal(y.view(np.uint64), y_before.view(np.uint64))
         assert not np.shares_memory(x, y)
-        reference = plain_cp_reference(A, L, g, y, cfg)
+        cfg = dataclasses.replace(cfg, q_max=trace.iterations)  # the primal-data solves stop at 6
+        if primal_data:
+            reference = plain_resolvent_reference(A, L, g, y, cfg, RELAXATION)
+        else:
+            reference = plain_cp_reference(A, L, g, y, cfg)
         assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
@@ -470,17 +481,24 @@ class TestPrimalData:
 
     @pytest.mark.parametrize("device", list(DEVICES))
     def test_primal_step_is_the_dense_resolvent(self, device):
-        # an L that maps every cube to 0 keeps Wt at 0, so one iteration is
-        # the prox of the data term alone: (I + tau A*A) X = X0 + tau A*(y)
+        # an L that maps every cube to 0 keeps Wt at 0, so each iteration is
+        # the prox of the data term alone, (I + tau A*A) X~ = X + tau A*(y):
+        # from X = X0, then from the relaxed X0 + rho (X~ - X0)
         A, L, g, y, cfg = self._problem(device)
         zero = zero_op(L.input_shape, L.output_shape)
         zero.norm_bound = 1.0  # the solver needs a positive bound; any one will do
-        x1, _ = jodefu_solve(A, zero, g, y, dataclasses.replace(cfg, q_max=1))
         tau = resolvent_step(cfg.gram) / (cfg.lambda_bar * A.norm_bound ** 2)
         M = to_dense(A)
-        dense = np.linalg.solve(np.eye(M.shape[1]) + tau * M.T @ M,
-                                cfg.x0.ravel() + tau * M.T @ y.ravel())
-        assert np.linalg.norm(x1.ravel() - dense) <= 1e-12 * np.linalg.norm(dense)
+
+        def dense(x):
+            return np.linalg.solve(np.eye(M.shape[1]) + tau * M.T @ M,
+                                   x + tau * M.T @ y.ravel())
+
+        first = dense(cfg.x0.ravel())
+        second = dense(cfg.x0.ravel() + RELAXATION * (first - cfg.x0.ravel()))
+        for q_max, expected in ((1, first), (2, second)):
+            x, _ = jodefu_solve(A, zero, g, y, dataclasses.replace(cfg, q_max=q_max))
+            assert np.linalg.norm(x.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("device", ["mrca", "mrca-blur", "multires"])
     @pytest.mark.parametrize("tau", [1e-3, 1.0, 1e3])
@@ -500,8 +518,44 @@ class TestPrimalData:
         cfg = dataclasses.replace(cfg, q_max=q_max)
         x, trace = jodefu_solve(A, L, g, y, cfg)
         assert trace.iterations == q_max
-        reference = plain_resolvent_reference(A, L, g, y, cfg)
+        reference = plain_resolvent_reference(A, L, g, y, cfg, RELAXATION)
         assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("device", list(DEVICES))
+    def test_relaxation_changes_the_speed_not_the_answer(self, device):
+        # relaxed and unrelaxed textbook runs take different paths to one
+        # minimizer.  After 2000 iterations they end 8.1e-14 apart on cassi
+        # (1.2e-7 after 1000) and at most 3.2e-16 apart on the others, so
+        # 1e-12 holds the shared end point; after 20 they still differ
+        A, L, g, y, cfg = self._problem(device)
+        for q_max, apart in ((20, True), (2000, False)):
+            cfg = dataclasses.replace(cfg, q_max=q_max)
+            plain = plain_resolvent_reference(A, L, g, y, cfg)
+            relaxed = plain_resolvent_reference(A, L, g, y, cfg, RELAXATION)
+            gap = np.linalg.norm(relaxed - plain) / np.linalg.norm(plain)
+            assert (gap > 1e-6) if apart else (gap <= 1e-12)
+
+    def test_data_fit_start_runs_past_the_first_iteration(self):
+        # the cfa baseline fits the data exactly, so the first resolvent
+        # step from it barely moves; the dual's first half step, taken from
+        # Wt = 0 before it, keeps that from reading as convergence
+        A, L, g, y, cfg = self._problem("cfa")
+        assert np.linalg.norm(A.apply(cfg.x0) - y) <= 1e-12 * np.linalg.norm(y)
+        x, trace = jodefu_solve(A, L, g, y, dataclasses.replace(cfg, q_max=1000))
+        assert trace.converged and trace.iterations > 1
+        assert np.linalg.norm(x - cfg.x0) > 1e-3 * np.linalg.norm(cfg.x0)
+
+    @pytest.mark.parametrize("device", list(DEVICES))
+    def test_true_fixed_point_stops_at_once(self, device):
+        # X0 = 0 fits y = 0 and L(X0) = 0, so it is the minimizer: Wt stays
+        # 0, the step is 0 <= PRIMAL_TOL * 0, and the solve returns X0 after
+        # one iteration
+        A, L, g, _, cfg = self._problem(device)
+        y, x0 = np.zeros(A.output_shape), np.zeros(A.input_shape)
+        x, trace = jodefu_solve(A, L, g, y, dataclasses.replace(cfg, x0=x0))
+        assert trace.converged and trace.iterations == 1
+        assert trace.costs == [0.0]
+        np.testing.assert_array_equal(x, x0)
 
     @pytest.mark.parametrize("device", list(DEVICES))
     def test_each_block_runs_once_per_iteration(self, device):
@@ -543,8 +597,8 @@ class TestPrimalData:
     @pytest.mark.parametrize("device", list(DEVICES))
     @pytest.mark.parametrize("q_max, converged", [(10, False), (1000, True)])
     def test_deterministic_bitwise(self, device, q_max, converged):
-        # at the cap and at the stop alike (cfa stops at 29, mrca at 57, the
-        # blurred mrca at 53, multires at 26 and the noiseless cassi at 305),
+        # at the cap and at the stop alike (cfa stops at 23, mrca at 44, the
+        # blurred mrca at 41, multires at 20 and the noiseless cassi at 234),
         # a rerun ends at the same iteration with the same bits
         A, L, g, y, cfg = self._problem(device)
         cfg = dataclasses.replace(cfg, q_max=q_max)
@@ -669,8 +723,9 @@ class TestStop:
     tolerance of 2e-3 on both kept the mrca and multires desk rows running
     for up to 239 iterations, and stopped cfa jodefu-v1 at seed 3
     0.0094 dB below its 250-iteration PSNR.  Every desk row now takes the
-    primal-data update and stops on the primal test alone: cfa and cassi
-    at 96-136 iterations on the desk's scene, mrca and multires at 37-71."""
+    over-relaxed primal-data update and stops on the primal test alone:
+    cfa and cassi at 81-110 iterations on the desk's scene (96-136
+    unrelaxed), mrca and multires at 30-58 (37-71 unrelaxed)."""
 
     @pytest.mark.parametrize("formation", ["mrca", "multires", "cfa", "cassi"])
     @pytest.mark.parametrize("method", ["jodefu-v1", "jodefu-v2"])
@@ -689,16 +744,16 @@ class TestStop:
         textbook = plain_resolvent_reference if primal_data else plain_cp_reference
         x = textbook(*args)
         full = psnr(reference, DataCube(x, rho=reference.rho))
-        # A stop may read higher than the full run on a row whose PSNR peaks
-        # before it settles: on the dual-data update multires jodefu-v2 at
-        # seed 3 stopped at iteration 103, 0.0072 dB above it.  The cfa and
-        # cassi rows read -0.0085 dB (cassi jodefu-v2 at seed 5, which stops
-        # at 171) to +0.25 dB (cfa jodefu-v2 at seed 2, stopped at 130 on an
-        # early peak, 0.33 dB above its minimizer); ``TestNearTheMinimizer``
-        # holds them against the minimizer itself.  The mrca and multires
-        # rows keep the bounds of the dual-data update they left; they
-        # read -0.0027 dB (mrca jodefu-v1 at seed 1) to +0.0065 dB
-        # (multires jodefu-v2 at seed 2).
+        # The full run is the unrelaxed one.  A stop may read higher than it
+        # on a row whose PSNR peaks before it settles: on the dual-data
+        # update multires jodefu-v2 at seed 3 stopped at iteration 103,
+        # 0.0072 dB above it.  The relaxed cfa and cassi rows read
+        # -0.0085 dB (cassi jodefu-v2 at seed 5, which stops at 143) to
+        # +0.22 dB (cfa jodefu-v2 at seed 2, 0.30 dB above its minimizer);
+        # ``TestNearTheMinimizer`` holds them against the minimizer itself.
+        # The mrca and multires rows keep the bounds of the dual-data update
+        # they left; they read -0.0023 dB (mrca jodefu-v1 at seed 1) to
+        # +0.0062 dB (multires jodefu-v2 at seed 2).
         low, high = (-0.01, 0.3) if formation in ("cfa", "cassi") else (-0.003, 0.01)
         assert low <= result.report.psnr - full <= high
 
@@ -710,12 +765,13 @@ class TestNearTheMinimizer:
     ``plain_resolvent_reference``, which has no stop; its PSNR moved by at
     most 0.00016 dB (cfa, cassi: ``BENCH_23.json``) and 0.000035 dB (mrca,
     multires, both at c = 0.02: ``BENCH_24.json``) over the last 2000 of
-    them.  The primal-data update ends -0.0175 dB (cassi jodefu-v2 at
-    seed 5) to +0.33 dB (cfa jodefu-v2 at seed 2) from it on cfa and
-    cassi, and -0.0027 dB (mrca jodefu-v1 at seed 1) to +0.0065 dB
-    (multires jodefu-v2 at seed 2) on mrca and multires.  The dual-data
-    update ended 0.14-1.45 dB below it on every cassi row at its cap of
-    250."""
+    them.  The over-relaxed primal-data update ends -0.0175 dB (cassi
+    jodefu-v2 at seed 5) to +0.30 dB (cfa jodefu-v2 at seed 2) from it on
+    cfa and cassi, and -0.0023 dB (mrca jodefu-v1 at seed 1) to
+    +0.0062 dB (multires jodefu-v2 at seed 2) on mrca and multires
+    (``BENCH_25.json``); unrelaxed it ended -0.0175 to +0.33 dB and
+    -0.0027 to +0.0065 dB from it.  The dual-data update ended
+    0.14-1.45 dB below it on every cassi row at its cap of 250."""
 
     CONVERGED_DB = {  # PSNR after 4000 textbook iterations, through run_pipeline's solve
         ("cfa", "jodefu-v1", 1): 22.734834360417757,
