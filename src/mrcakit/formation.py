@@ -51,7 +51,7 @@ import dataclasses
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -516,25 +516,27 @@ def alias_domain_norm(image_shape: tuple[int, int], period: tuple[int, int],
 
 class AliasGram:
     """AA* of a formation that commutes with shifts by ``period``, kept as
-    the recipe for its alias-domain blocks G(w) = A(w) A(w)^H (see
-    :func:`alias_domain_norm`, whose ``grams`` closure ``make_grams()``
-    rebuilds).
+    the recipe for its alias-domain blocks A(w) (see
+    :func:`alias_domain_norm`).  ``make_blocks()`` rebuilds them: the
+    Grams G(w), by the closure that the norm read, and A(w) and its
+    adjoint.
 
     The observation is a plane on the (ni, nj) grid, followed by
     ``coarse_bands`` bands on the (mi, mj) grid: mrca has none, multires
     its LRI cube.  Under the unitary DFT of each grid, coordinate a of the
     block at w is the plane's alias a and coordinate P + k band k's
-    coefficient at w, and AA* maps each block onto itself by G(w).
+    coefficient at w; the cube's coordinate (a, k) is band k's alias a.
+    A maps each block onto itself by A(w), and AA* by G(w) = A(w) A(w)^H.
 
     ``step`` is the device's tau * lambda_bar * |A|^2 for the solver's
     primal-data update (``solver.resolvent_step``).
 
-    Nothing is formed at build time: :meth:`resolvent` forms and inverts
+    Nothing is formed at build time: :meth:`data_step` forms and inverts
     the blocks when a solve asks for them, so a model whose solve takes no
     Gram never holds them.
     """
 
-    def __init__(self, image_shape: tuple[int, int], period: tuple[int, int], make_grams,
+    def __init__(self, image_shape: tuple[int, int], period: tuple[int, int], make_blocks,
                  step: float, coarse_bands: int = 0):
         ni, nj = image_shape
         mi, mj = ni // period[0], nj // period[1]
@@ -543,21 +545,25 @@ class AliasGram:
         self.step = step
         self.coarse_bands = coarse_bands
         self.shape = (ni, nj) if coarse_bands == 0 else (ni * nj + mi * mj * coarse_bands,)
-        self._make_grams = make_grams
+        self._make_blocks = make_blocks
 
-    def resolvent(self, tau: float):
-        """``solve(r)``, which overwrites an observation-shaped float64
-        array r, in any memory layout, with (I/tau + AA*)^-1 r.
+    def data_step(self, tau: float, y: np.ndarray):
+        """``step(x)``, which overwrites a cube-shaped float64 array x, in
+        any memory layout, with x - A*(I/tau + AA*)^-1 (A(x) - y): the
+        exact prox of tau/2 ||A(.) - y||^2, (I + tau A*A)^-1 (x + tau A*(y)),
+        by the Woodbury identity.
 
-        Inverts I/tau + G(w) at the coarse frequencies wj <= mj/2 only, in
-        batches of at most ni*nj Gram entries (and 1 MB), so that forming
-        them holds less than the blocks themselves.  r is real, so its half
-        spectra (``rfft2``, columns up to nj/2 resp. mj/2) hold every
-        coefficient: an alias beyond nj/2 is the conjugate of its mirror
-        -f, and an output beyond the inverted classes the conjugate of
-        the output at -f.  One call runs one plane ``rfft2`` (and one on
-        the coarse bands), two index gathers around one batched
-        matrix-vector product, and the inverse transforms.
+        Block by block that is x(w) - A(w)^H (I/tau + G(w))^-1 (A(w) x(w) -
+        y(w)).  Once per call of this method it inverts I/tau + G(w) at the
+        coarse frequencies wj <= mj/2 only, in batches of at most ni*nj
+        Gram entries (and 1 MB), so that forming them holds less than the
+        blocks themselves, and takes y's coefficients.  x and y are real,
+        so their half spectra (``rfft2``, columns up to nj/2 resp. mj/2)
+        hold every coefficient: an alias beyond nj/2 is the conjugate of
+        its mirror -f, and a cube output beyond the inverted classes the
+        conjugate of the output at -f.  One step runs one band-wise
+        ``rfft2`` of x, an index gather, A(w), one batched m x m product,
+        A(w)^H, an index scatter and one ``irfft2``.
         """
         (ni, nj), (pi, pj), nc = self.image_shape, self.period, self.coarse_bands
         mi, mj = ni // pi, nj // pj
@@ -565,47 +571,75 @@ class AliasGram:
         m = p + nc
         fi, fj = _alias_frequencies(self.image_shape, self.period)
         n = len(fi)
-        grams = self._make_grams()
+        blocks = self._make_blocks()
         inv = np.empty((n, m, m), dtype=complex)
         batch = max(1, min(_ALIAS_CHUNK, ni * nj) // (m * m))
         for lo in range(0, n, batch):
-            g = grams(fi[lo:lo + batch], fj[lo:lo + batch])
+            g = blocks.grams(fi[lo:lo + batch], fj[lo:lo + batch])
             g[:, np.arange(m), np.arange(m)] += 1.0 / tau
             inv[lo:lo + batch] = np.linalg.inv(g)
+        forward, conj_adjoint = blocks.maps(fi, fj)
 
-        # block coefficients, read from [plane half spectrum, its conjugate,
-        # coarse half spectrum]
+        # the half-spectrum cell of each class's aliases, conjugated where mirrored
         mirror = fj > nj // 2
-        plane = np.where(mirror, ni * nh + (-fi % ni) * nh + (-fj % nj), fi * nh + fj)
-        coarse = 2 * ni * nh + np.arange(n * nc).reshape(n, nc)
-        gather = np.concatenate([plane, coarse], axis=1)
-        # the plane's output half spectrum, read from [outputs, their conjugate]
+        gather = np.where(mirror, (-fi % ni) * nh + (-fj % nj), fi * nh + fj).astype(np.int32)
+        flat = np.asarray(y, dtype=np.float64).reshape(-1)
+        if flat.size != np.prod(self.shape):
+            raise ValueError(f"observation of shape {np.shape(y)} does not match the "
+                             f"Gram's {self.shape}")
+        coeffs = np.empty((n, m), dtype=complex)
+        plane = np.take(scipy.fft.rfft2(flat[:ni * nj].reshape(ni, nj), norm="ortho"), gather)
+        coeffs[:, :p] = np.conjugate(plane, out=plane, where=mirror)
+        if nc:
+            coeffs[:, p:] = scipy.fft.rfft2(flat[ni * nj:].reshape(mi, mj, nc), axes=(0, 1),
+                                            norm="ortho").reshape(n, nc)
+        # the class output each cell of the cube's half spectrum reads, and
+        # whether it reads it as is (``conj_adjoint`` returns the conjugate)
+        # or, from its mirror, conjugated
         gi, gj = np.indices((ni, nh))
         flip = gj % mj >= mh
         gi, gj = np.where(flip, -gi % ni, gi), np.where(flip, -gj % nj, gj)
-        scatter = flip * (n * m) + ((gi % mi) * mh + gj % mj) * m + (gi // mi) * pj + gj // mj
-        solved = np.empty((n, m, 1), dtype=complex)
+        scatter = (((gi % mi) * mh + gj % mj) * p + (gi // mi) * pj + gj // mj).astype(
+            np.int32).ravel()
+        keep = ~flip.reshape(-1, 1)
 
-        def solve(r):
-            flat = r.reshape(-1)  # a copy unless r is C-contiguous: only read
-            spec = scipy.fft.rfft2(flat[:ni * nj].reshape(ni, nj), norm="ortho").ravel()
-            parts = [spec, spec.conj()]
-            if nc:
-                parts.append(scipy.fft.rfft2(flat[ni * nj:].reshape(mi, mj, nc), axes=(0, 1),
-                                             norm="ortho").ravel())
-            np.matmul(inv, np.concatenate(parts)[gather][:, :, None], out=solved)
-            out = solved.ravel()
-            plane = scipy.fft.irfft2(np.concatenate([out, out.conj()])[scatter], s=(ni, nj),
-                                     norm="ortho")
-            if nc:
-                r[:ni * nj] = plane.ravel()
-                r[ni * nj:] = scipy.fft.irfft2(solved.reshape(mi, mh, m)[..., p:], s=(mi, mj),
-                                               axes=(0, 1), norm="ortho").ravel()
-            else:
-                r[...] = plane
-            return r
+        def step(x):
+            spec = scipy.fft.rfft2(np.ascontiguousarray(x), axes=(0, 1), norm="ortho")
+            nk = spec.shape[2]
+            spec = spec.reshape(ni * nh, nk)  # a view: the transform is C-contiguous
+            coef = np.take(spec, gather, axis=0)
+            np.conjugate(coef, out=coef, where=mirror[:, :, None])
+            u = forward(coef)
+            del coef  # each cube-sized temporary is freed before the next one is formed
+            u -= coeffs
+            v = np.matmul(inv, u[:, :, None])[:, :, 0]
+            update = np.take(conj_adjoint(v).reshape(n * p, nk), scatter, axis=0)
+            np.conjugate(update, out=update, where=keep)
+            spec -= update
+            del update
+            x[...] = scipy.fft.irfft2(spec.reshape(ni, nh, nk), s=(ni, nj), axes=(0, 1),
+                                      norm="ortho", overwrite_x=True)
+            return x
 
-        return solve
+        return step
+
+
+class _AliasBlocks(NamedTuple):
+    """A periodic formation's alias-domain blocks (see
+    :func:`alias_domain_norm`) at a batch of n coarse frequencies, given by
+    the fine frequencies of their aliases.
+
+    ``grams(fi, fj)`` returns G(w) = A(w) A(w)^H, shape (n, m, m).
+    ``maps(fi, fj)`` returns ``(forward, conj_adjoint)``.  ``forward(x)``
+    is A(w) x(w) for the cube's coefficients x, shape (n, P, nk) with
+    alias a and band k at [w, a, k], and may overwrite x.
+    ``conj_adjoint(v)`` is conj(A(w)^H v(w)), shape (n, P, nk), for v of
+    shape (n, m): conjugated, A(w)^H multiplies by the kernel spectra
+    themselves, so neither map holds their conjugate.
+    """
+
+    grams: Callable
+    maps: Callable
 
 
 def _mask_circulants(mask: Mask, period: tuple[int, int]) -> np.ndarray:
@@ -624,22 +658,27 @@ def _alias_spectra(K: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
     return np.moveaxis(K[fi, fj], 2, 1).reshape(len(fi), -1)
 
 
-def _mrca_grams(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights, K,
-                transfer: np.ndarray):
-    """The alias-domain Grams of mosaic(h_lri) conv(K) + transfer mosaic(h_pan) W.
+def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights, K,
+                 transfer: np.ndarray) -> _AliasBlocks:
+    """The alias-domain blocks of mosaic(h_lri) conv(K) + transfer mosaic(h_pan) W.
 
     A(w) = C diag(s) + T Q: column (k, a') of C holds band k's LRI mask
     circulant, s the kernel spectra at the aliases, T the transfer at the
-    output aliases (ones without a PAN blur) and Q = W (x) C_pan.  Its Gram
-    matrix C diag(|s|^2) C^H + (C diag(s) Q^H T + h.c.) + T Q Q^H T
+    output aliases (ones without a PAN blur) and Q = W (x) C_pan, applied
+    as C_pan (W .).  Its Gram matrix
+    C diag(|s|^2) C^H + (C diag(s) Q^H T + h.c.) + T Q Q^H T
     is linear in |s|^2 and s, so each batch takes two matrix products.
     """
     c = _mask_circulants(h_lri, period)
-    q = np.kron(weights.W, _mask_circulants(h_pan, period))
+    c_pan = _mask_circulants(h_pan, period)
+    q = np.kron(weights.W, c_pan)
     p = c.shape[0]
     power = np.einsum("ac,bc->cab", c, c.conj()).reshape(c.shape[1], p * p)
     cross = np.einsum("ac,bc->cab", c, q.conj()).reshape(c.shape[1], p * p)
     pan = q @ q.conj().T
+    # C with its columns alias-major, (a', k), as the cube's coefficients lie
+    c_cube = c.reshape(p, -1, p).transpose(0, 2, 1).reshape(p, -1)
+    w = weights.W[0]
 
     def grams(fi, fj):
         s = _alias_spectra(K, fi, fj)
@@ -653,14 +692,37 @@ def _mrca_grams(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights, K,
         g += np.conj(x, out=x).swapaxes(1, 2)
         return g
 
-    return grams
+    def maps(fi, fj):
+        s, t = K[fi, fj], transfer[fi, fj]
+
+        def forward(x):  # overwrites x
+            u = t * ((x.reshape(-1, len(w)) @ w).reshape(t.shape) @ c_pan.T)
+            x *= s
+            u += x.reshape(len(x), -1) @ c_cube.T
+            return u
+
+        def conj_adjoint(v):
+            v = v.conj()
+            d = (v @ c_cube).reshape(s.shape)
+            d *= s
+            pan = (t * v) @ c_pan
+            for k, wk in enumerate(w):
+                d[:, :, k] += wk * pan
+            return d
+
+        return forward, conj_adjoint
+
+    return _AliasBlocks(grams, maps)
 
 
-def _multires_grams(nk: int, ratio: int, weights: SpectralWeights, K):
-    """The alias-domain Grams of the stack of W and decimate(ratio) conv(K)."""
+def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights, K) -> _AliasBlocks:
+    """The alias-domain blocks of the stack of W and decimate(ratio) conv(K)."""
     p = ratio * ratio
     hri = np.kron(weights.W, np.eye(p))
     lri = np.kron(np.eye(nk), np.ones((1, p))) / ratio
+    w = weights.W[0]
+    # the sum over the aliases of each band, (a, k) -> k, as one product
+    alias_sum = np.kron(np.ones((p, 1)), np.eye(nk)).astype(complex)
 
     def grams(fi, fj):
         # HRI rows (j, a): W[j, k] on alias a of band k; LRI row k: the
@@ -669,7 +731,25 @@ def _multires_grams(nk: int, ratio: int, weights: SpectralWeights, K):
                             lri * _alias_spectra(K, fi, fj)[:, None, :]], axis=1)
         return a @ a.conj().swapaxes(1, 2)
 
-    return grams
+    def maps(fi, fj):
+        s = K[fi, fj] / ratio
+
+        def forward(x):  # overwrites x
+            hri = (x.reshape(-1, nk) @ w).reshape(len(x), p)
+            x *= s
+            return np.concatenate([hri, x.reshape(len(x), -1) @ alias_sum], axis=1)
+
+        def conj_adjoint(v):
+            v = v.conj()
+            d = (v[:, p:] @ alias_sum.T).reshape(s.shape)
+            d *= s
+            for k, wk in enumerate(w):
+                d[:, :, k] += wk * v[:, :p]
+            return d
+
+        return forward, conj_adjoint
+
+    return _AliasBlocks(grams, maps)
 
 
 # Relative margin on the alias-domain norms: covers the rounding of the
@@ -762,14 +842,17 @@ class FormationModel:
     ``multires`` have two sensor classes and carry it (read only by the
     statistics equalization); on ``cfa`` and ``cassi`` it is None.
 
-    ``gram`` is the one owner of AA* of ``op``, which the solver's exact
-    data resolvent inverts.  On ``cfa`` and ``cassi`` AA* is diagonal and
-    ``gram`` is its diagonal, the mask energy each focal-plane cell
-    collects, which the baseline divides by too.  On ``mrca`` and
-    ``multires`` it is an :class:`AliasGram`, the recipe for the
-    alias-domain blocks whose largest eigenvalue is the norm bound; it
-    forms them only when a solve asks for its resolvent, and carries the
-    device's step constant for that solve.
+    ``gram`` is the one owner of AA* of ``op``, through which the solver
+    takes the exact prox of its data term.  On ``cfa`` and ``cassi`` AA*
+    is diagonal and ``gram`` is its diagonal, the mask energy each
+    focal-plane cell collects, which the baseline divides by too; the
+    solver's data step then runs ``op``, one division and its adjoint.
+    On ``mrca`` and ``multires`` it is an :class:`AliasGram`, the recipe
+    for the alias-domain blocks whose largest eigenvalue is the norm
+    bound; its :meth:`AliasGram.data_step` takes the whole data step in
+    the alias domain, with no call to ``op``, forms the blocks only when
+    a solve asks for it, and the Gram carries the device's step constant
+    for that solve.
     """
 
     preset: FormationPreset
@@ -848,12 +931,12 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         lri_op = compose(decimate(shape, preset.ratio), _circular_convolve(K, shape))
         op = stack(hri_op, lri_op)
         period = (preset.ratio, preset.ratio)
-        grams = functools.partial(_multires_grams, nk, preset.ratio, w)
-        op.norm_bound = alias_domain_norm((ni, nj), period, grams(K)) * (1 + _NORM_MARGIN)
+        blocks = functools.partial(_multires_blocks, nk, preset.ratio, w)
+        op.norm_bound = alias_domain_norm((ni, nj), period, blocks(K).grams) * (1 + _NORM_MARGIN)
         lri_support = np.zeros(op.output_shape, dtype=bool)
         lri_support[int(np.prod(hri_op.output_shape)):] = True
         # the kernel spectra are rebuilt on demand, so the model holds none
-        gram = AliasGram((ni, nj), period, lambda: grams(_lri_spectra(preset)),
+        gram = AliasGram((ni, nj), period, lambda: blocks(_lri_spectra(preset)),
                          _ALIAS_RESOLVENT_STEPS["multires"], coarse_bands=nk)
         return FormationModel(preset, op, lri_support=lri_support, gram=gram)
 
@@ -874,13 +957,13 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         branch_p = compose(blur_p, branch_p)
     K = _lri_spectra(preset)
     op = add(compose(mosaic(h_lri), _circular_convolve(K, shape)), branch_p)
-    grams = functools.partial(_mrca_grams, tile.period, h_lri, h_pan, w)
-    op.norm_bound = (alias_domain_norm((ni, nj), tile.period, grams(K, transfer))
+    blocks = functools.partial(_mrca_blocks, tile.period, h_lri, h_pan, w)
+    op.norm_bound = (alias_domain_norm((ni, nj), tile.period, blocks(K, transfer).grams)
                      * (1 + _NORM_MARGIN))
     op.name = "mrca"
     # the spectra and the transfer are rebuilt on demand, so the model holds none
     gram = AliasGram((ni, nj), tile.period,
-                     lambda: grams(_lri_spectra(preset), _pan_transfer(preset)),
+                     lambda: blocks(_lri_spectra(preset), _pan_transfer(preset)),
                      _ALIAS_RESOLVENT_STEPS["mrca"])
     return FormationModel(preset, op, h_lri=h_lri, lri_support=h_lri.pixel_support(), gram=gram)
 

@@ -7,10 +7,10 @@ radius lam.  The data term takes one of two places, in one function,
 chosen by what the solve is handed:
 
 * the over-relaxed primal-data update, when ``SolverConfig.gram``
-  carries AA* of the operator.  ``FormationModel.gram`` is one for every shipped device, and
-  ``harness.reconstruct`` passes it: the diagonal e = diag(AA*) on cfa
-  and cassi, the alias-domain blocks (``AliasGram``) on mrca and
-  multires;
+  carries AA* of the operator.  ``FormationModel.gram`` is one for every
+  shipped device, and ``harness.reconstruct`` passes it: the diagonal
+  e = diag(AA*) on cfa and cassi, the alias-domain blocks (``AliasGram``)
+  on mrca and multires;
 * the dual-data update for a caller that passes no Gram (an operator
   built by hand, or a bench that calls ``jodefu_solve`` directly).
 
@@ -19,8 +19,7 @@ passes the interpolation baseline) or, without one, X = A*(y), with
 Xbar = X and every dual 0.  Both carry their duals scaled by the primal
 step (Wt = tau * W, Ut = tau * U), and both track the cost
 0.5 ||A(X) - y||^2 + lam * g(L(X)) at the iterate the solve returns only,
-unless ``SolverConfig.cost_stride`` asks for more; each tracked cost runs
-L and g.eval once and no A.
+unless ``SolverConfig.cost_stride`` asks for more.
 
 The primal-data update is the over-relaxed Chambolle-Pock iteration
 (Condat 2013, "A primal-dual splitting method for convex optimization
@@ -34,15 +33,21 @@ of the way to its result:
     W~t = P_{tau lam}(Wt + cL L(2 X~ - X))
     X  <- X + rho (X~ - X),    Wt <- Wt + rho (W~t - Wt)
 
-The prox of tau G at X' = X - L*(Wt) solves (I + tau A*A) X~ = X' +
-tau A*(y), and by the
-Woodbury identity (I + tau A*A)^-1 = I - tau A*(I + tau AA*)^-1 A, so it
-is exact given (I/tau + AA*)^-1 on the observation grid.  With
-AA* = diag(e) that is one division per observation sample.  With the
-alias-domain blocks G(w) it is one real plane FFT (and one on multires's
-coarse grid), one batched P x P matrix-vector product with the inverses
-of I/tau + G(w), and the inverse FFTs (``AliasGram.resolvent``); the
-inverses are formed once per solve, at its tau.
+The prox of tau G is the data step.  At X' = X - L*(Wt) it solves
+(I + tau A*A) X~ = X' + tau A*(y), and by the Woodbury identity
+
+    X~ = X' - A*(I/tau + AA*)^-1 (A(X') - y).
+
+With AA* = diag(e) the solve runs it as written: A, one division per
+observation sample by 1/tau + e, and A*.  Alias-domain blocks take it
+whole (``AliasGram.data_step``), the analytic l2-l2 solution of Zhao,
+Wei, Basarab, Dobigeon, Kouame & Tourneret (2016, "Fast single image
+super-resolution using a new analytical solution for l2-l2 problems"):
+at each coarse frequency w, x(w) - A(w)^H (I/tau + G(w))^-1 (A(w) x(w) -
+y(w)).  One step then runs one band-wise real FFT of X' and its inverse,
+the block products and one batched matrix-vector product, and no A or
+A*; the inverses of I/tau + G(w) and y's coefficients are formed once
+per solve, at its tau.
 
 The loop runs these steps shifted by half a step: an iteration finishes
 the dual half and the relaxation of the step the last one began, then
@@ -55,56 +60,25 @@ cassi baselines).  At rho = 1 this is Algorithm 1 of Chambolle & Pock
     Wt   = Wt + rho (P_{tau lam}(Wt + L(cL * Xbar)) - Wt)
     X    = (2 - rho) X~ + (rho - 1) Xbar     # = X + rho (X~ - X)
     X'   = X - L*(Wt)
-    R    = (I/tau + AA*)^-1 (A(X') - y)      # = tau (A(X~) - y)
-    X~   = X' - A*(R)
+    X~   = X' - A*(I/tau + AA*)^-1 (A(X') - y)   # the data step
     Xbar = 2 X~ - X
 
-with cL = tau * sigma = 0.99 / |L|^2 and tau = c / (lambda_bar |A|^2), where
-c = ``resolvent_step(gram)``: ``RESOLVENT_STEP`` on a diagonal, and on
-alias-domain blocks the device's own, which its ``AliasGram.step``
-carries.  A(X~) - y is R / tau by linearity, so the cost of the returned
-X~ reuses R.  The iteration converges for any rho in (0, 2) and
-tau sigma |L|^2 < 1 (here 0.99), with no condition on |A|: c and rho
-only set the speed.
+with cL = tau * sigma = 0.99 / |L|^2 and tau = c / (lambda_bar |A|^2),
+where c = ``resolvent_step(gram)``: ``RESOLVENT_STEP`` = 0.1 on a
+diagonal, and on alias-domain blocks the device's own, which its
+``AliasGram.step`` carries (0.01 on mrca, 0.02 on multires).  The
+iteration converges for any rho in (0, 2) and tau sigma |L|^2 < 1 (here
+0.99), with no condition on |A|: c and rho only set the speed.  Each c
+was chosen by a probe over the desk rows it serves (64x64x4, scene seeds
+1-5 and 11), rho = 1.3 by one over all 48 of them; the grids and the
+per-row PSNRs are in ``BENCH_23.json`` (c on a diagonal),
+``BENCH_24.json`` (c on the blocks) and ``BENCH_25.json`` (rho).
 
-``RELAXATION`` = 1.3 comes from a grid over the 48 desk rows (4
-formations x jodefu-v1/v2 x scene seeds 1-5 and 11, 64x64x4, sigma 0.01,
-lambda_bar 1e-3; ``BENCH_25.json``).  Summed over the rows the stop came
-at 4387 iterations at rho = 1, 3777 at 1.2, 3553 at 1.3, 3262 at 1.5
-and 3188 at 1.7, and at 4013 at 1.9.  At every rho up to 1.5 the rows
-ended between -0.0175 dB (cassi jodefu-v2 at seed 5) and +0.33 dB (cfa
-jodefu-v2 at seed 2) of their minimizer.  From rho = 1.35 on, cfa
-jodefu-v2 on the desk's scene ended below ``TestDeskQuality``'s floor
-(by 0.0034 dB at 1.5), which sits 0.021 dB above that row's minimizer.
-
-Each c comes from a probe of the unrelaxed update (rho = 1) over the
-desk rows it serves (64x64x4, scene seeds 1-5 and 11; lambda_bar 1e-4,
-1e-3 and 1e-2), against the PSNR of each row's minimizer:
-
-* ``RESOLVENT_STEP`` = 0.1 on a diagonal (cfa, cassi; ``BENCH_23.json``).
-  It stopped every row at 88-211 iterations.  At the default lambda_bar
-  they ended between -0.0175 and +0.33 dB of the minimizer, and at 1e-2
-  down to -0.042 dB (cfa).  c = 0.03 ran every cassi row to the cap of
-  250 and ended up to 0.16 dB low; c = 0.3 and c = 1 lost up to 0.083
-  and 0.34 dB on cfa at lambda_bar = 1e-2.
-* 0.01 on the mrca blocks and 0.02 on the multires ones
-  (``BENCH_24.json``, grid c = 0.01, 0.02, 0.03, 0.05 and 0.1).  Each is
-  the one c of the grid whose rows all end no more than 0.003 dB below
-  the minimizer at the default lambda_bar: mrca then stops at 47-76
-  iterations, -0.0027 to +0.0028 dB from it, and multires at 37-60,
-  -0.0015 to +0.0065 dB.  Over the three lambda_bar mrca ends -0.0041
-  to +0.0054 dB from it and multires -0.0111 to +0.0100 dB, lowest at
-  1e-2.  c = 0.02 on mrca stopped later (57-84) and lower (-0.0048 dB);
-  on multires c = 0.01 and 0.03 ended 0.0158 and 0.0066 dB low.  The
-  dual-data update stopped the same rows at 91-180 iterations and ran
-  every one to the cap at lambda_bar = 1e-4.
-
-Relaxed, the same rows at the default lambda_bar stop at 79-143
-iterations on cfa and cassi and at 30-62 on mrca and multires (95-185
-and 37-76 unrelaxed).
-
-Over n iterations A, L* and the prox run n times, A* n times plus the
-start A*(y) when there is no x0, and L n times plus one per tracked cost.
+Over n iterations L* and the prox run n times, and L n times plus one
+per tracked cost.  On a diagonal A and A* run n times each; on
+alias-domain blocks the data step runs n times and A and A* never run
+in the loop.  Each tracked cost runs A once, for its residual
+A(X~) - y, and A* runs once more at the start when there is no x0.
 
 The dual-data update runs on the stacked operator K = [A; L], one dual
 per block, each with its own step (Pock & Chambolle 2011, diagonal
@@ -131,10 +105,9 @@ tau |sigma_A A*A + sigma_L L*L| below 1, the convergence condition of the
 preconditioned iteration, for every lambda_bar.  No gradient step caps tau:
 the data term sits in the dual.  In the null space of A only Wt moves X, by
 up to tau * lam per iteration, and tau * lam = 0.01 rho_y / |A|^2 does not
-depend on lambda_bar.  A fixed tau |A|^2 = 10 instead lost PSNR at
-lambda_bar >= 3e-3 on the sweep of ``scripts/parameter_sweep.py``.  At the
-default lambda_bar = 1e-3, tau |A|^2 = 10 took the fewest iterations to
-quality on mrca among 2, 5, 10, 20 and 50.  No relaxation.
+depend on lambda_bar.  No relaxation.  The 1/lambda_bar scaling and the
+constant 0.01 come from a probe on the sweep of
+``scripts/parameter_sweep.py`` (``BENCH_16.json``).
 
 The solve stops after the first iteration k + 1 at which the relative
 primal residual is at most ``PRIMAL_TOL`` = 1e-3 and, on the dual-data
@@ -150,21 +123,17 @@ primal test passes:
     data dual  ||U_{k+1} - (A(X_{k+1}) - y)|| / ||A(X_{k+1}) - y||
 
 X_k - X_{k+1} is the primal residual scaled by tau, A*(Ut) + L*(Wt); on
-the primal-data update X - X~ = L*(Wt) + A*(R) is the unrelaxed step, so
-the test does not depend on rho and at rho = 1 it is the test of the
-unrelaxed iteration.  The data-block
-dual residual (U_k - U_{k+1}) / sigma_A + A(Xbar_k) - A(X_{k+1}) equals
-U_{k+1} + y - A(X_{k+1}) by the closed-form prox, which needs no copy of
-U_k.  The denominators are chosen on purpose.  ||L*(Wt)|| stays
-bounded by the dual ball, so a diverging iterate cannot inflate it;
-||A(X) - y|| falls to 0 only when the data are fit exactly, and the test
-then asks the dual residual to fall with it.  Dividing the primal residual by
-max(||A*(U)||, ||L*(W)||) instead "converged" a solve whose lying norm
-bound had driven its iterates to 1e157, at iteration 29; dividing the dual
-one by max(||U||, ||A(X)||) stopped the lambda_bar = 1e-12 identity solve
-of acceptance criterion 6 at iteration 14, 4e-4 from the data.  With these
-denominators the first raises ``SolverDiverged`` and the second stops at
-iteration 81, 2.6e-12 from the data.
+the primal-data update X - X~ is the unrelaxed step, so the test does not
+depend on rho and at rho = 1 it is the test of the unrelaxed iteration.
+The data-block dual residual (U_k - U_{k+1}) / sigma_A + A(Xbar_k) -
+A(X_{k+1}) equals U_{k+1} + y - A(X_{k+1}) by the closed-form prox, which
+needs no copy of U_k.  The denominators are chosen on purpose.
+||L*(Wt)|| stays bounded by the dual ball, so a diverging iterate cannot
+inflate it and "converge" (with max(||A*(U)||, ||L*(W)||) a solve whose
+norm bound lied stopped with its iterates at 1e157); it raises
+``SolverDiverged`` instead.  ||A(X) - y|| falls to 0 only when the data
+are fit exactly, and the test then asks the dual residual to fall with
+it.
 
 The primal-data test needs no guard against its zero denominator.  A
 step taken from Wt = 0 stops every solve whose X0 fits the data (the cfa
@@ -175,21 +144,15 @@ that also fits the data is then the minimizer, and the solve returns it
 after one iteration.  ``SolverDiverged`` on the primal-data update reads
 the norm of the step that the test takes, where a non-finite X~ shows.
 
-The dual-data update, which runs only for a caller that passes no Gram,
-may take the looser data-dual tolerance because that residual lags the
-iterate.  By the prox, U is a running
-average of A(Xbar) - y:
-U_{k+1} = (1 - w) U_k + w (A(Xbar_k) - y) with w = sigma_A / (1 + sigma_A)
-= 49.5 lambda_bar / (1 + 49.5 lambda_bar), about 0.047 at the default
-lambda_bar = 1e-3.  Once X has settled the residual still shrinks by only
-1 - w per iteration, so it needs about ln(500) / w ~ 130 iterations to
-reach 2e-3, whether or not X still moves, and about 100 to reach 1e-2.
-The primal residual tracks X itself and carries the tight tolerance.
-When the mrca and multires rows of the 64x64x4 desk experiment (scene
-seeds 1-5 and 11) still ran this update (``BENCH_23.json``), one
-tolerance of 2e-3 on both kept them running for 124-250 iterations;
-these two stopped them after 91-135, at worst 0.0016 dB below their PSNR
-at 250 iterations.  The dual residual of the L block is not tested on
+The dual-data update may take the looser data-dual tolerance because
+that residual lags the iterate.  By the prox, U is a running average of
+A(Xbar) - y: U_{k+1} = (1 - w) U_k + w (A(Xbar_k) - y) with
+w = sigma_A / (1 + sigma_A) = 49.5 lambda_bar / (1 + 49.5 lambda_bar),
+about 0.047 at the default lambda_bar = 1e-3.  Once X has settled the
+residual still shrinks by only 1 - w per iteration, so it needs about
+100 iterations to reach 1e-2 whether or not X still moves.  The primal
+residual tracks X itself and carries the tight tolerance
+(``BENCH_19.json``).  The dual residual of the L block is not tested on
 either update: it would cost one more L call, or two field-sized
 buffers, per iteration.
 
@@ -198,15 +161,17 @@ place: the cubes X and Xbar (held scaled, cL * Xbar), the field Wt, and
 Ut, AX, the residual R and the data-dual residual D on the observation
 grid.  It adds L(cL * Xbar) to Wt and projects Wt in place
 (``prox_conj(..., out=...)``): unrelaxed, it never needs the previous
-duals again.  The primal-data update owns four, X~, Xbar (held scaled,
-cL * Xbar, and in turn X and X~ - X within an iteration), Wt and R, and
-the resolvent its own: the denominator 1 / tau + e on a diagonal, or the
-inverted blocks (P / nk cubes, 4 on the shipped tiles) and their index
-maps on alias-domain blocks.  Its relaxation needs Wt and W~t at once:
-it forms Wt + L(cL * Xbar) in L's output array, projects it there and
-relaxes Wt from it, so the projection holds one field more than the
-unrelaxed update did.  That array is copied first where it is read-only
-or may overlap Xbar.
+duals again.  The primal-data update owns three, X~, Xbar (held scaled,
+cL * Xbar, and in turn X and X~ - X within an iteration) and Wt, and the
+data step its own: on a diagonal the denominator 1 / tau + e and the
+residual R on the observation grid; on alias-domain blocks the inverted
+blocks (4 to 4.5 cubes on the shipped devices), the kernel spectra at
+the aliases (about a cube), y's coefficients and the index maps.  Each
+alias-domain step allocates its spectra, a few cubes, and frees them.
+The relaxation needs Wt and W~t at once: it forms Wt + L(cL * Xbar) in
+L's output array, projects it there and relaxes Wt from it, so the
+projection holds one field more than the unrelaxed update did.  That
+array is copied first where it is read-only or may overlap Xbar.
 Any other array an operator returns is only read: an operator may hand
 back its input, a view of it or a read-only broadcast.  The last A* result is kept
 until the next one replaces it.  Freeing it after its use lets the C heap
@@ -272,9 +237,10 @@ class SolverConfig:
 
     ``gram`` is AA* of the operator, as ``FormationModel.gram`` carries it
     (default ``None``): an array e = diag(AA*) where AA* is diagonal (cfa,
-    cassi), or an object whose ``resolvent(tau)`` returns the in-place
-    map r -> (I/tau + AA*)^-1 r, whose ``shape`` is the operator's output
-    shape and whose ``step`` is its c (``AliasGram``: mrca, multires).
+    cassi), or an object whose ``data_step(tau, y)`` returns the whole
+    data step, the in-place map x -> x - A*(I/tau + AA*)^-1 (A(x) - y) on
+    cubes, whose ``shape`` is the operator's output shape and whose
+    ``step`` is its c (``AliasGram``: mrca, multires).
     With it the solve takes the primal-data update, without it the
     dual-data one (module docstring).  The solve rejects a Gram whose
     shape is not the operator's output shape, or a diagonal that is not
@@ -336,8 +302,8 @@ def objective(A: LinearOp, L: LinearOp, g: MetricNorm, lam: float,
 def resolvent_step(gram) -> float:
     """tau * lambda_bar * |A|^2 of the primal-data update on ``gram`` (see
     ``SolverConfig.gram``): ``RESOLVENT_STEP`` on a diagonal, the
-    ``step`` that a Gram with a ``resolvent`` carries."""
-    return float(gram.step) if hasattr(gram, "resolvent") else RESOLVENT_STEP
+    ``step`` that a Gram with a ``data_step`` carries."""
+    return float(gram.step) if hasattr(gram, "data_step") else RESOLVENT_STEP
 
 
 def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
@@ -365,7 +331,7 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
                          f"input {A.input_shape}")
 
     gram = cfg.gram
-    diagonal = gram is not None and not hasattr(gram, "resolvent")
+    diagonal = gram is not None and not hasattr(gram, "data_step")
     if diagonal:
         gram = np.asarray(gram, dtype=np.float64)
     if gram is not None:
@@ -475,13 +441,18 @@ def _primal_data(A, L, g, y, x, cfg, gram, diagonal, trace):
     radius = tau * lam
     if diagonal:
         den = gram + 1.0 / tau  # (1 + tau e) / tau
+        r = np.empty(A.output_shape)
+        v = None
 
-        def resolve(r):
-            return np.divide(r, den, out=r)
+        def data(x):
+            nonlocal v
+            np.subtract(A.apply(x), y, out=r)
+            np.divide(r, den, out=r)  # (I/tau + AA*)^-1 (A(x) - y)
+            v = A.adjoint_apply(r)  # lives on until the next A* result replaces it
+            x -= v
     else:
-        resolve = gram.resolvent(tau)  # r -> (I/tau + AA*)^-1 r in place
+        data = gram.data_step(tau, y)  # x -> x - A*(I/tau + AA*)^-1 (A(x) - y) in place
     xbar = np.multiply(x, c_l)  # c_l * Xbar, with Xbar = 2 X~ - X; then X
-    r = np.empty(A.output_shape)  # tau (A(X~) - y)
     w = np.zeros(L.output_shape)
     for q in range(cfg.q_max):
         s = L.apply(xbar)
@@ -499,11 +470,8 @@ def _primal_data(A, L, g, y, x, cfg, gram, diagonal, trace):
         ltw = L.adjoint_apply(w)
         np.subtract(xbar, ltw, out=x)
         ltw_norm = np.linalg.norm(ltw)
-        del ltw  # freed before A runs, so the peak holds no extra cube
-        np.subtract(A.apply(x), y, out=r)
-        resolve(r)
-        v = A.adjoint_apply(r)  # lives on until the next A* result replaces it
-        x -= v  # X~, the exact resolvent of the data term
+        del ltw  # freed before the data step, so the peak holds no extra cube
+        data(x)  # X~, the exact prox of the data term
 
         np.subtract(x, xbar, out=xbar)  # X~ - X, the unrelaxed step
         step = np.linalg.norm(xbar)
@@ -514,5 +482,5 @@ def _primal_data(A, L, g, y, x, cfg, gram, diagonal, trace):
         xbar += x
         xbar *= c_l  # c_l * (2 X~ - X)
         if _record(trace, q, cfg, step <= PRIMAL_TOL * ltw_norm,
-                   lambda: _cost(r / tau, L.apply(x), g, lam)):
+                   lambda: _cost(A.apply(x) - y, L.apply(x), g, lam)):
             break

@@ -132,9 +132,9 @@ def plain_resolvent_reference(A, L, g, y, cfg, relaxation=1.0):
     by ``relaxation`` (1: none): unscaled dual W, the steps written out, the
     prox of the data term solved through (I + tau A*A)^-1 = I - tau A*(I +
     tau AA*)^-1 A with AA* = ``cfg.gram``, at tau = ``resolvent_step(cfg.gram)``
-    / (lambda_bar |A|^2).  A diagonal AA* = diag(e) divides by 1 + tau e;
-    alias-domain blocks apply their ``resolvent(tau)``, (I/tau + AA*)^-1 =
-    tau (I + tau AA*)^-1.  Each pass finishes the relaxed step that the
+    / (lambda_bar |A|^2).  A diagonal AA* = diag(e) divides by 1 + tau e
+    between A and A*; alias-domain blocks take their whole
+    ``data_step(tau, y)``.  Each pass finishes the relaxed step that the
     last one began, (X, W) += relaxation ((X~, W~) - (X, W)), and takes the
     next primal step X~, from X~ = X = x0 and W = 0; it returns the last
     X~.  It runs all ``cfg.q_max`` iterations."""
@@ -143,10 +143,10 @@ def plain_resolvent_reference(A, L, g, y, cfg, relaxation=1.0):
     tau = resolvent_step(cfg.gram) / (cfg.lambda_bar * A.norm_bound ** 2)
     sigma = 0.99 / (tau * L.norm_bound ** 2)
     if diagonal:
-        def data(r):
-            return tau * r / (1.0 + tau * cfg.gram)
+        def data(v):
+            return v - A.adjoint_apply(tau * (A.apply(v) - y) / (1.0 + tau * cfg.gram))
     else:
-        data = cfg.gram.resolvent(tau)
+        data = cfg.gram.data_step(tau, y)
     x = A.adjoint_apply(y) if cfg.x0 is None else np.asarray(cfg.x0, dtype=np.float64)
     x_tilde = x
     w = np.zeros(L.output_shape)
@@ -154,8 +154,7 @@ def plain_resolvent_reference(A, L, g, y, cfg, relaxation=1.0):
         w_tilde = g.prox_conj(w + sigma * L.apply(2.0 * x_tilde - x), lam)
         w = w + relaxation * (w_tilde - w)
         x = x + relaxation * (x_tilde - x)
-        v = x - tau * L.adjoint_apply(w)
-        x_tilde = v - A.adjoint_apply(data(A.apply(v) - y))
+        x_tilde = data(x - tau * L.adjoint_apply(w))
     return x_tilde
 
 

@@ -359,20 +359,24 @@ class TestWorkingSet:
     """The memory a solve holds at its peak, in cubes, above its inputs.
 
     Measured at 64x64x4 with tracemalloc: 9.8 cubes on cassi with l221
-    and 12.0 on the blurred mrca with s1l1, both on the dual-data update,
+    and 11.8 on the blurred mrca with s1l1, both on the dual-data update,
     and 9.3 on cassi with l221 on the primal-data update, which holds no
-    data dual U and no A(X) or D buffer.  The blurred mrca with s1l1 holds
-    16.4 cubes on the over-relaxed primal-data update (16.1 unrelaxed):
-    its inverted alias-domain blocks, P/nk = 4 cubes at any size, stay
-    alive for the whole solve, and the relaxation holds the dual and its
-    projection at once, one field more, which the s1l1 projection's
-    in-place maps pay back but for 0.3 cubes.
+    data dual U and no A(X) or D buffer.  On the over-relaxed primal-data
+    update the blurred mrca with s1l1 holds 16.5 cubes and multires with
+    s1l1 16.1: the alias-domain data step keeps its inverted blocks
+    (4.5 resp. 4.25 cubes here) and the kernel spectra at the aliases
+    (about one cube) for the whole solve, and the relaxation holds the
+    dual and its projection at once, one field more, which the s1l1
+    projection's in-place maps pay back but for 0.3 cubes.  Both peak in
+    the s1l1 projection; the data step's own spectra, about four cubes,
+    are freed before it.
     The dual-data bounds were set at the Loris-Verhoeven loop's 9.8 and
-    12.1 cubes plus half a cube, the primal-data ones at their own 9.3
-    and 16.1 plus half a cube, so one more field-sized array (two cubes)
-    alive at the peak fails, such as one more dual-sized buffer or an
-    out-of-place s1l1 projection, and so do the blocks formed all at once
-    (27.9 cubes) instead of in batches.
+    12.1 cubes plus half a cube, the primal-data ones at their own 9.3,
+    16.1 (mrca, with the plane-only resolvent that A and A* wrapped) and
+    16.1 (multires) plus half a cube, so one more field-sized array (two
+    cubes) alive at the peak fails, such as one more dual-sized buffer or
+    an out-of-place s1l1 projection, and so do the blocks formed all at
+    once (29.0 cubes on mrca, 28.8 on multires) instead of in batches.
     """
 
     @pytest.mark.parametrize("name, kind, overrides, primal_data, bound", [
@@ -380,6 +384,7 @@ class TestWorkingSet:
         ("mrca", "s1l1", {"hri_blur": "butterworth", "rho_b": 1.4}, False, 12.6),
         ("cassi", "l221", {}, True, 9.8),
         ("mrca", "s1l1", {"hri_blur": "butterworth", "rho_b": 1.4}, True, 16.6),
+        ("multires", "s1l1", {}, True, 16.6),
     ])
     def test_peak_cubes(self, name, kind, overrides, primal_data, bound):
         shape = (64, 64, 4)
@@ -500,16 +505,58 @@ class TestPrimalData:
             x, _ = jodefu_solve(A, zero, g, y, dataclasses.replace(cfg, q_max=q_max))
             assert np.linalg.norm(x.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    @pytest.mark.parametrize("device", ["mrca", "mrca-blur", "multires"])
+    # the alias-domain devices: the shipped tiles at periods 4 (bt4pan, and
+    # bt8pan with 8 bands) and 2 and 4 (multires ratio), on a square image
+    # and on a 12x20 one, whose coarse grid at period 4 is 3x5: non-square,
+    # of odd width, so that its mirrored aliases and cube outputs differ
+    ALIAS_DEVICES = {"mrca": ("mrca", 4, {}),
+                     "mrca-blur": ("mrca", 4, {"hri_blur": "butterworth", "rho_b": 1.4}),
+                     "mrca-bt8pan": ("mrca", 8, {"mask": "bt8pan"}),
+                     "multires": ("multires", 4, {}),
+                     "multires-ratio4": ("multires", 4, {"ratio": 4})}
+
+    @classmethod
+    def _alias_step(cls, device, size, rng):
+        name, nk, overrides = cls.ALIAS_DEVICES[device]
+        model = build_formation(formation_preset(name, *size, nk, **overrides))
+        A = model.op
+        return A, model.gram, rng.standard_normal(A.input_shape), rng.standard_normal(
+            A.output_shape)
+
+    @pytest.mark.parametrize("device", list(ALIAS_DEVICES))
+    @pytest.mark.parametrize("size", [(8, 8), (12, 20)])
     @pytest.mark.parametrize("tau", [1e-3, 1.0, 1e3])
-    def test_alias_resolvent_is_the_dense_inverse(self, rng, device, tau):
-        A, _, _, _, cfg = self._problem(device)
+    def test_alias_data_step_is_the_dense_prox(self, rng, device, size, tau):
+        A, gram, x, y = self._alias_step(device, size, rng)
         M = to_dense(A)
-        r = rng.standard_normal(A.output_shape)
-        dense = np.linalg.solve(np.eye(M.shape[0]) / tau + M @ M.T, r.ravel())
-        got = cfg.gram.resolvent(tau)(r.copy())
-        assert got.shape == A.output_shape
+        dense = np.linalg.solve(np.eye(M.shape[1]) + tau * M.T @ M,
+                                x.ravel() + tau * M.T @ y.ravel())
+        got = gram.data_step(tau, y)(x)
+        assert got is x
         assert np.linalg.norm(got.ravel() - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("device", list(ALIAS_DEVICES))
+    @pytest.mark.parametrize("size", [(8, 8), (12, 20)])
+    def test_alias_data_step_reads_and_writes_any_layout(self, rng, device, size):
+        A, gram, x, y = self._alias_step(device, size, rng)
+        expected = gram.data_step(3.0, y)(x.copy())
+        for layout in ("F", "strided"):
+            def arrange(a):
+                if layout == "F":
+                    return np.array(a, order="F")
+                out = np.zeros(tuple(2 * n for n in a.shape))[(slice(None, None, 2),) * a.ndim]
+                out[...] = a
+                return out
+
+            other = arrange(x)
+            assert gram.data_step(3.0, arrange(y))(other) is other
+            np.testing.assert_array_equal(other.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("device", ["mrca", "multires"])
+    def test_alias_data_step_rejects_another_observation_size(self, rng, device):
+        A, gram, _, y = self._alias_step(device, (8, 8), rng)
+        with pytest.raises(ValueError, match=r"observation of shape .* does not match"):
+            gram.data_step(1.0, np.append(y, 0.0))
 
     @pytest.mark.parametrize("device", list(DEVICES))
     @pytest.mark.parametrize("q_max", [1, 7, 20])
@@ -574,14 +621,21 @@ class TestPrimalData:
                               counted("Lt", L.adjoint_apply), L.norm_bound, name=L.name)
         counting_g = SimpleNamespace(eval=counted("eval", g.eval),
                                      prox_conj=counted("prox", g.prox_conj))
+        gram, diagonal = cfg.gram, isinstance(cfg.gram, np.ndarray)
+        if not diagonal:
+            calls["data"] = 0
+            gram = SimpleNamespace(shape=gram.shape, step=gram.step, data_step=lambda tau, y:
+                                   counted("data", cfg.gram.data_step(tau, y)))
         q_max = 12
         x, trace = jodefu_solve(counting_A, counting_L, counting_g, y,
-                                dataclasses.replace(cfg, q_max=q_max))
-        # the start is the baseline, so no A*(y); the cost runs L and eval
-        # once, at the returned iterate
+                                dataclasses.replace(cfg, q_max=q_max, gram=gram))
+        # the start is the baseline, so no A*(y); the cost runs A, L and eval
+        # once, at the returned iterate.  On a diagonal the data step runs A
+        # and A* once per iteration; alias-domain blocks take it whole, in
+        # the alias domain, and run neither
         assert trace.iterations == q_max
-        assert calls == {"A": q_max, "At": q_max, "L": q_max + 1, "Lt": q_max,
-                         "prox": q_max, "eval": 1}
+        data = {"A": q_max + 1, "At": q_max} if diagonal else {"A": 1, "At": 0, "data": q_max}
+        assert calls == {**data, "L": q_max + 1, "Lt": q_max, "prox": q_max, "eval": 1}
 
     @pytest.mark.parametrize("device", list(DEVICES))
     @pytest.mark.parametrize("q_max", [1, 7, 20, SolverConfig().q_max])
@@ -634,7 +688,7 @@ class TestPrimalData:
     @pytest.mark.parametrize("device", ["mrca", "mrca-blur"])
     @pytest.mark.parametrize("q_max", [7, 1000])
     def test_fortran_ordered_observation_gives_the_same_bits(self, device, q_max):
-        # the resolvent reads and writes its residual buffer in any layout
+        # the data step reads the observation in any layout
         A, L, g, y, cfg = self._problem(device)
         cfg = dataclasses.replace(cfg, q_max=q_max)
         a, trace_a = jodefu_solve(A, L, g, y, cfg)
@@ -642,18 +696,6 @@ class TestPrimalData:
         assert trace_a.iterations == trace_b.iterations
         assert trace_a.costs == trace_b.costs
         np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
-
-    @pytest.mark.parametrize("device", ["mrca", "mrca-blur", "multires"])
-    def test_alias_resolvent_writes_any_layout(self, rng, device):
-        A, _, _, _, cfg = self._problem(device)
-        solve = cfg.gram.resolvent(3.0)
-        r = rng.standard_normal(A.output_shape)
-        expected = solve(r.copy())
-        strided = np.zeros(tuple(2 * n for n in r.shape))[(slice(None, None, 2),) * r.ndim]
-        for other in (np.array(r, order="F"), strided):
-            other[...] = r
-            assert solve(other) is other
-            np.testing.assert_array_equal(other, expected)
 
     @pytest.mark.parametrize("device", ["cfa", "mrca"])
     def test_tiny_lambda_fits_the_data(self, device):
