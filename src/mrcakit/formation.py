@@ -601,20 +601,25 @@ class AliasGram:
         gi, gj = np.where(flip, -gi % ni, gi), np.where(flip, -gj % nj, gj)
         scatter = (((gi % mi) * mh + gj % mj) * p + (gi // mi) * pj + gj // mj).astype(
             np.int32).ravel()
-        keep = ~flip.reshape(-1, 1)
+        # the conjugations as signs on the imaginary parts, which cost less
+        # than masked conjugates and give the same bits; the gather's
+        # depends on the class only through wj, the scatter's on the column
+        mirror_sign = np.where(mirror[:mh], -1.0, 1.0)[:, :, None]
+        keep_sign = np.where(flip[0], 1.0, -1.0)[:, None]
 
         def step(x):
             spec = scipy.fft.rfft2(np.ascontiguousarray(x), axes=(0, 1), norm="ortho")
             nk = spec.shape[2]
             spec = spec.reshape(ni * nh, nk)  # a view: the transform is C-contiguous
             coef = np.take(spec, gather, axis=0)
-            np.conjugate(coef, out=coef, where=mirror[:, :, None])
+            coef.reshape(mi, mh, p, nk).imag *= mirror_sign
             u = forward(coef)
             del coef  # each cube-sized temporary is freed before the next one is formed
             u -= coeffs
             v = np.matmul(inv, u[:, :, None])[:, :, 0]
+            del u
             update = np.take(conj_adjoint(v).reshape(n * p, nk), scatter, axis=0)
-            np.conjugate(update, out=update, where=keep)
+            update.reshape(ni, nh, nk).imag *= keep_sign
             spec -= update
             del update
             x[...] = scipy.fft.irfft2(spec.reshape(ni, nh, nk), s=(ni, nj), axes=(0, 1),
@@ -634,8 +639,8 @@ class _AliasBlocks(NamedTuple):
     is A(w) x(w) for the cube's coefficients x, shape (n, P, nk) with
     alias a and band k at [w, a, k], and may overwrite x.
     ``conj_adjoint(v)`` is conj(A(w)^H v(w)), shape (n, P, nk), for v of
-    shape (n, m): conjugated, A(w)^H multiplies by the kernel spectra
-    themselves, so neither map holds their conjugate.
+    shape (n, m), and may overwrite v: conjugated, A(w)^H multiplies by
+    the kernel spectra themselves, so neither map holds their conjugate.
     """
 
     grams: Callable
@@ -678,7 +683,9 @@ def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights, K,
     pan = q @ q.conj().T
     # C with its columns alias-major, (a', k), as the cube's coefficients lie
     c_cube = c.reshape(p, -1, p).transpose(0, 2, 1).reshape(p, -1)
-    w = weights.W[0]
+    w = weights.W[0].astype(complex)
+    # a -> (a, k) weighted by W, the PAN branch's adjoint band spread
+    spread = np.kron(np.eye(p), weights.W)
 
     def grams(fi, fj):
         s = _alias_spectra(K, fi, fj)
@@ -701,14 +708,13 @@ def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights, K,
             u += x.reshape(len(x), -1) @ c_cube.T
             return u
 
-        def conj_adjoint(v):
-            v = v.conj()
-            d = (v @ c_cube).reshape(s.shape)
-            d *= s
-            pan = (t * v) @ c_pan
-            for k, wk in enumerate(w):
-                d[:, :, k] += wk * pan
-            return d
+        def conj_adjoint(v):  # overwrites v
+            v = np.conjugate(v, out=v)
+            d = v @ c_cube
+            d *= s.reshape(d.shape)
+            v *= t
+            d += (v @ c_pan) @ spread
+            return d.reshape(s.shape)
 
         return forward, conj_adjoint
 
@@ -720,9 +726,11 @@ def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights, K) -> _Alias
     p = ratio * ratio
     hri = np.kron(weights.W, np.eye(p))
     lri = np.kron(np.eye(nk), np.ones((1, p))) / ratio
-    w = weights.W[0]
+    w = weights.W[0].astype(complex)
     # the sum over the aliases of each band, (a, k) -> k, as one product
     alias_sum = np.kron(np.ones((p, 1)), np.eye(nk)).astype(complex)
+    # a -> (a, k) weighted by W, the HRI branch's adjoint band spread
+    spread = np.kron(np.eye(p), weights.W)
 
     def grams(fi, fj):
         # HRI rows (j, a): W[j, k] on alias a of band k; LRI row k: the
@@ -739,13 +747,12 @@ def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights, K) -> _Alias
             x *= s
             return np.concatenate([hri, x.reshape(len(x), -1) @ alias_sum], axis=1)
 
-        def conj_adjoint(v):
-            v = v.conj()
-            d = (v[:, p:] @ alias_sum.T).reshape(s.shape)
-            d *= s
-            for k, wk in enumerate(w):
-                d[:, :, k] += wk * v[:, :p]
-            return d
+        def conj_adjoint(v):  # overwrites v
+            v = np.conjugate(v, out=v)
+            d = v[:, p:] @ alias_sum.T
+            d *= s.reshape(d.shape)
+            d += v[:, :p] @ spread
+            return d.reshape(s.shape)
 
         return forward, conj_adjoint
 

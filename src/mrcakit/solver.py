@@ -74,11 +74,30 @@ was chosen by a probe over the desk rows it serves (64x64x4, scene seeds
 per-row PSNRs are in ``BENCH_23.json`` (c on a diagonal),
 ``BENCH_24.json`` (c on the blocks) and ``BENCH_25.json`` (rho).
 
+Nothing in the loop ties the Gram to A: a diagonal enters the data step
+only through 1/tau + e, and on alias-domain blocks the loop runs neither
+A nor A*.  A Gram of another operator with the same output shape would
+solve another problem while the trace reports A's cost.  Before the
+first iteration the update therefore takes one data step from X' = 0
+and checks its result X~ against the prox's optimality condition
+X~ + tau A*(A(X~) - y) = 0.  It raises ``ValueError`` when the
+norm of the left side exceeds ``GRAM_TOL`` = 1e-10 times
+(1 + tau |A|^2) (||X~|| + tau |A| ||y||), which bounds what rounding
+leaves: where G(w) is near singular (multires) the data step itself
+carries an error of about eps tau |A| ||y||, and the check multiplies it
+by up to tau |A|^2.  On every shipped device at 8x8 to 256x256 and
+lambda_bar from 1e-12 to 10 the left side reads at most 2e-16 of that
+bound.  A Gram of another operator reads 2e-3 to 1.4e-2 of it at
+lambda_bar >= 1e-3 (the blurred mrca's blocks handed to mrca without
+the blur, or the reverse, or twice cfa's diagonal) and 2.5e-8 to 7.5e-8
+at 1e-8, so the check catches it down to a lambda_bar of about 1e-10.
+
 Over n iterations L* and the prox run n times, and L n times plus one
 per tracked cost.  On a diagonal A and A* run n times each; on
 alias-domain blocks the data step runs n times and A and A* never run
 in the loop.  Each tracked cost runs A once, for its residual
-A(X~) - y, and A* runs once more at the start when there is no x0.
+A(X~) - y.  The Gram check runs one data step, A and A* once more per
+solve, and A* runs once more at the start when there is no x0.
 
 The dual-data update runs on the stacked operator K = [A; L], one dual
 per block, each with its own step (Pock & Chambolle 2011, diagonal
@@ -105,9 +124,11 @@ tau |sigma_A A*A + sigma_L L*L| below 1, the convergence condition of the
 preconditioned iteration, for every lambda_bar.  No gradient step caps tau:
 the data term sits in the dual.  In the null space of A only Wt moves X, by
 up to tau * lam per iteration, and tau * lam = 0.01 rho_y / |A|^2 does not
-depend on lambda_bar.  No relaxation.  The 1/lambda_bar scaling and the
-constant 0.01 come from a probe on the sweep of
-``scripts/parameter_sweep.py`` (``BENCH_16.json``).
+depend on lambda_bar.  A fixed tau |A|^2 = 10 instead lost PSNR at
+lambda_bar >= 3e-3 on the sweep of ``scripts/parameter_sweep.py``
+(``BENCH_16.json``).  At the default lambda_bar = 1e-3, tau |A|^2 = 10
+took the fewest iterations to quality on mrca among 2, 5, 10, 20 and 50.
+No relaxation.
 
 The solve stops after the first iteration k + 1 at which the relative
 primal residual is at most ``PRIMAL_TOL`` = 1e-3 and, on the dual-data
@@ -129,11 +150,14 @@ The data-block dual residual (U_k - U_{k+1}) / sigma_A + A(Xbar_k) -
 A(X_{k+1}) equals U_{k+1} + y - A(X_{k+1}) by the closed-form prox, which
 needs no copy of U_k.  The denominators are chosen on purpose.
 ||L*(Wt)|| stays bounded by the dual ball, so a diverging iterate cannot
-inflate it and "converge" (with max(||A*(U)||, ||L*(W)||) a solve whose
-norm bound lied stopped with its iterates at 1e157); it raises
-``SolverDiverged`` instead.  ||A(X) - y|| falls to 0 only when the data
-are fit exactly, and the test then asks the dual residual to fall with
-it.
+inflate it; ||A(X) - y|| falls to 0 only when the data are fit exactly,
+and the test then asks the dual residual to fall with it.  Dividing the
+primal residual by max(||A*(U)||, ||L*(W)||) instead "converged" a solve
+whose lying norm bound had driven its iterates to 1e157, at iteration
+29; dividing the dual one by max(||U||, ||A(X)||) stopped the
+lambda_bar = 1e-12 identity solve at iteration 14, 4e-4 from the data.
+With these denominators the first raises ``SolverDiverged`` and the
+second stops at iteration 81, 2.6e-12 from the data.
 
 The primal-data test needs no guard against its zero denominator.  A
 step taken from Wt = 0 stops every solve whose X0 fits the data (the cfa
@@ -144,17 +168,22 @@ that also fits the data is then the minimizer, and the solve returns it
 after one iteration.  ``SolverDiverged`` on the primal-data update reads
 the norm of the step that the test takes, where a non-finite X~ shows.
 
-The dual-data update may take the looser data-dual tolerance because
-that residual lags the iterate.  By the prox, U is a running average of
-A(Xbar) - y: U_{k+1} = (1 - w) U_k + w (A(Xbar_k) - y) with
-w = sigma_A / (1 + sigma_A) = 49.5 lambda_bar / (1 + 49.5 lambda_bar),
-about 0.047 at the default lambda_bar = 1e-3.  Once X has settled the
-residual still shrinks by only 1 - w per iteration, so it needs about
-100 iterations to reach 1e-2 whether or not X still moves.  The primal
-residual tracks X itself and carries the tight tolerance
-(``BENCH_19.json``).  The dual residual of the L block is not tested on
-either update: it would cost one more L call, or two field-sized
-buffers, per iteration.
+The dual-data update, which runs only for a caller that passes no Gram,
+may take the looser data-dual tolerance because that residual lags the
+iterate.  By the prox, U is a running average of A(Xbar) - y:
+U_{k+1} = (1 - w) U_k + w (A(Xbar_k) - y) with w = sigma_A / (1 + sigma_A)
+= 49.5 lambda_bar / (1 + 49.5 lambda_bar), about 0.047 at the default
+lambda_bar = 1e-3.  Once X has settled the residual still shrinks by only
+1 - w per iteration, so it needs about ln(500) / w ~ 130 iterations to
+reach 2e-3, whether or not X still moves, and about 100 to reach 1e-2.
+The primal residual tracks X itself and carries the tight tolerance.
+When the mrca and multires rows of the 64x64x4 desk experiment (scene
+seeds 1-5 and 11) still ran this update (``BENCH_23.json``), one
+tolerance of 2e-3 on both kept them running for 124-250 iterations;
+these two stopped them after 91-135, at worst 0.0016 dB below their PSNR
+at 250 iterations (``BENCH_19.json``).  The dual residual of the L block
+is not tested on either update: it would cost one more L call, or two
+field-sized buffers, per iteration.
 
 The dual-data update owns seven buffers, allocated once and updated in
 place: the cubes X and Xbar (held scaled, cL * Xbar), the field Wt, and
@@ -214,6 +243,10 @@ RESOLVENT_STEP = 0.1
 # over-relaxation rho of the primal-data update, in (0, 2) (module docstring)
 RELAXATION = 1.3
 
+# relative tolerance of the check that the Gram's data step is the prox of
+# the operator's data term (module docstring)
+GRAM_TOL = 1e-10
+
 
 class SolverDiverged(RuntimeError):
     """Non-finite primal or dual iterate: some operator norm bound upstream
@@ -228,8 +261,9 @@ class SolverConfig:
     dynamic range ``rho_y``; it must be positive and finite.  The cost is
     tracked at the last iteration only, or, with an integer
     ``cost_stride``, also at every iteration q with
-    ``q % cost_stride == 0``; each tracked cost costs one L and one g.eval.
-    The iterates are updated in place either way.
+    ``q % cost_stride == 0``; each tracked cost costs one L and one g.eval,
+    and on the primal-data update one A as well.  The iterates are
+    updated in place either way.
 
     ``x0`` is the start of the primal iterate (default ``None``: A*(y)).
     It must be finite and real; the solve checks its shape against the
@@ -243,8 +277,10 @@ class SolverConfig:
     ``step`` is its c (``AliasGram``: mrca, multires).
     With it the solve takes the primal-data update, without it the
     dual-data one (module docstring).  The solve rejects a Gram whose
-    shape is not the operator's output shape, or a diagonal that is not
-    finite and non-negative, before the first iteration.
+    shape is not the operator's output shape, a diagonal that is not
+    finite and non-negative, or a Gram whose data step is not the prox of
+    the operator's data term (one data step, one A and one A* per solve),
+    before the first iteration.
     """
 
     lambda_bar: float = 1e-3
@@ -432,6 +468,23 @@ def _dual_data(A, L, g, y, x, cfg, trace):
         np.copyto(ax, ax_new)
 
 
+def _check_data_step(A, y, data, tau):
+    """Raise ``ValueError`` unless ``data`` is the prox of tau/2 ||A(.) - y||^2
+    (module docstring): from X' = 0 it must return X~ with
+    X~ + tau A*(A(X~) - y) = 0, up to rounding."""
+    xt = np.zeros(A.input_shape)
+    data(xt)
+    bound = A.norm_bound
+    scale = (1.0 + tau * bound ** 2) * (np.linalg.norm(xt) + tau * bound * np.linalg.norm(y))
+    r = A.apply(xt) - y
+    xt /= tau
+    xt += A.adjoint_apply(r)  # X~ / tau + A*(A(X~) - y), in place: no cube more
+    gap = tau * np.linalg.norm(xt)
+    if not gap <= GRAM_TOL * scale:
+        raise ValueError(f"gram is not AA* of {A.name}: its data step misses the prox of "
+                         f"the data term by {gap:.3g}, more than {GRAM_TOL:g} of {scale:.3g}")
+
+
 def _primal_data(A, L, g, y, x, cfg, gram, diagonal, trace):
     """The over-relaxed primal-data update (module docstring), updating
     ``x`` in place: on entry X~ = X = X0, on return the last X~."""
@@ -452,6 +505,7 @@ def _primal_data(A, L, g, y, x, cfg, gram, diagonal, trace):
             x -= v
     else:
         data = gram.data_step(tau, y)  # x -> x - A*(I/tau + AA*)^-1 (A(x) - y) in place
+    _check_data_step(A, y, data, tau)
     xbar = np.multiply(x, c_l)  # c_l * Xbar, with Xbar = 2 X~ - X; then X
     w = np.zeros(L.output_shape)
     for q in range(cfg.q_max):

@@ -368,8 +368,8 @@ class TestWorkingSet:
     (about one cube) for the whole solve, and the relaxation holds the
     dual and its projection at once, one field more, which the s1l1
     projection's in-place maps pay back but for 0.3 cubes.  Both peak in
-    the s1l1 projection; the data step's own spectra, about four cubes,
-    are freed before it.
+    the s1l1 projection; the data step's own spectra and products, 3.6
+    (mrca) and 3.8 (multires) cubes at their peak, are freed before it.
     The dual-data bounds were set at the Loris-Verhoeven loop's 9.8 and
     12.1 cubes plus half a cube, the primal-data ones at their own 9.3,
     16.1 (mrca, with the plane-only resolvent that A and A* wrapped) and
@@ -630,17 +630,19 @@ class TestPrimalData:
         x, trace = jodefu_solve(counting_A, counting_L, counting_g, y,
                                 dataclasses.replace(cfg, q_max=q_max, gram=gram))
         # the start is the baseline, so no A*(y); the cost runs A, L and eval
-        # once, at the returned iterate.  On a diagonal the data step runs A
-        # and A* once per iteration; alias-domain blocks take it whole, in
-        # the alias domain, and run neither
+        # once, at the returned iterate, and the Gram check one data step, A
+        # and A* before the first.  On a diagonal the data step runs A and
+        # A* once per iteration; alias-domain blocks take it whole, in the
+        # alias domain, and run neither
         assert trace.iterations == q_max
-        data = {"A": q_max + 1, "At": q_max} if diagonal else {"A": 1, "At": 0, "data": q_max}
+        data = ({"A": q_max + 3, "At": q_max + 2} if diagonal
+                else {"A": 2, "At": 1, "data": q_max + 1})
         assert calls == {**data, "L": q_max + 1, "Lt": q_max, "prox": q_max, "eval": 1}
 
     @pytest.mark.parametrize("device", list(DEVICES))
     @pytest.mark.parametrize("q_max", [1, 7, 20, SolverConfig().q_max])
     def test_final_cost_is_the_objective(self, device, q_max):
-        # the residual of the returned iterate comes by linearity, not from A
+        # the tracked cost at the returned iterate is the objective there
         A, L, g, y, cfg = self._problem(device)
         cfg = dataclasses.replace(cfg, q_max=q_max)
         xhat, trace = jodefu_solve(A, L, g, y, cfg)
@@ -684,6 +686,28 @@ class TestPrimalData:
                                name=A.name)
         with pytest.raises(ValueError, match=message):
             jodefu_solve(untouchable, L, g, y, dataclasses.replace(cfg, gram=bad))
+
+    @pytest.mark.parametrize("device, other", [
+        ("cfa", "cfa"), ("mrca", "mrca-blur"), ("mrca-blur", "mrca")])
+    @pytest.mark.parametrize("lambda_bar", [1e-8, 1e-3, 10.0])
+    def test_gram_of_another_operator_rejected_before_the_first_iteration(
+            self, device, other, lambda_bar):
+        # a Gram of the operator's shape that is not its AA*: twice cfa's
+        # diagonal, or the blocks of mrca with and without the PAN blur
+        A, L, g, y, cfg = self._problem(device)
+        gram = self._problem(other)[4].gram
+        if isinstance(gram, np.ndarray):
+            gram = 2.0 * gram
+
+        def never(w):
+            raise AssertionError("L ran")
+
+        untouchable = LinearOp(L.input_shape, L.output_shape, never, never, L.norm_bound,
+                               name=L.name)
+        cfg = dataclasses.replace(cfg, lambda_bar=lambda_bar)
+        with pytest.raises(ValueError, match=f"gram is not AA\\* of {A.name}"):
+            jodefu_solve(A, untouchable, g, y, dataclasses.replace(cfg, gram=gram))
+        jodefu_solve(A, L, g, y, dataclasses.replace(cfg, q_max=2))  # its own Gram passes
 
     @pytest.mark.parametrize("device", ["mrca", "mrca-blur"])
     @pytest.mark.parametrize("q_max", [7, 1000])
