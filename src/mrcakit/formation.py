@@ -31,8 +31,8 @@ with shifts by the tile period resp. the ratio; :func:`alias_domain_norm`
 computes their norm from one small matrix per coarse frequency.  ``cfa``
 and ``cassi`` keep the diagonal-Gramian bound of :func:`mosaic`, the only
 exact rule for cassi's random code.  The same AA* is the model's ``gram``:
-the diagonal on ``cfa`` and ``cassi``, the alias-domain blocks
-(:class:`AliasGram`) on ``mrca`` and ``multires``.
+the diagonal (:class:`DiagonalGram`) on ``cfa`` and ``cassi``, the
+alias-domain blocks (:class:`AliasGram`) on ``mrca`` and ``multires``.
 
 Convolution uses circular boundaries throughout: the adjoint is then an
 exact correlation and the circulant spectral norm (max DFT magnitude of the
@@ -87,12 +87,13 @@ __all__ = [
     "mosaic",
     "butterworth_blur",
     "alias_domain_norm",
+    "DiagonalGram",
     "AliasGram",
     "FormationPreset",
     "FormationModel",
     "formation_preset",
     "build_formation",
-    "preset_compression_ratio",
+    "compression_ratio",
     "add_gaussian_noise",
     "equalize_lri_stats",
 ]
@@ -514,6 +515,47 @@ def alias_domain_norm(image_shape: tuple[int, int], period: tuple[int, int],
     return float(np.sqrt(top))
 
 
+class DiagonalGram:
+    """AA* = diag(e) of an operator ``op`` whose Gram is diagonal: on cfa
+    and cassi, e is the mask energy each focal-plane cell collects.  ``e``
+    must be finite, non-negative and of ``op``'s output shape.  ``step`` is
+    the solver's tau * lambda_bar * |A|^2 on a diagonal (``BENCH_23.json``)."""
+
+    step = 0.1
+
+    def __init__(self, op: LinearOp, e: np.ndarray):
+        e = np.asarray(e, dtype=np.float64)
+        where = f"gram of shape {e.shape} (operator output {op.output_shape})"
+        if e.shape != op.output_shape:
+            raise ValueError(f"{where}: the shapes differ")
+        if not np.all(np.isfinite(e)):
+            raise ValueError(f"{where} holds {np.count_nonzero(~np.isfinite(e))} "
+                             "non-finite samples")
+        if np.any(e < 0):
+            raise ValueError(f"{where} holds {np.count_nonzero(e < 0)} negative samples")
+        self.op, self.diagonal, self.shape = op, e, e.shape
+
+    def data_step(self, tau: float, y: np.ndarray):
+        """``step(x)``, which overwrites a cube x with x - A*(I/tau + AA*)^-1
+        (A(x) - y) as written: ``op``, a division by 1/tau + e, its adjoint."""
+        if np.shape(y) != self.shape:
+            raise ValueError(f"observation of shape {np.shape(y)} does not match the "
+                             f"Gram's {self.shape}")
+        A, den = self.op, self.diagonal + 1.0 / tau  # (1 + tau e) / tau
+        r = np.empty(A.output_shape)
+        v = None
+
+        def step(x):
+            nonlocal v
+            np.subtract(A.apply(x), y, out=r)
+            np.divide(r, den, out=r)  # (I/tau + AA*)^-1 (A(x) - y)
+            v = A.adjoint_apply(r)  # lives on until the next A* result replaces it
+            x -= v
+            return x
+
+        return step
+
+
 class AliasGram:
     """AA* of a formation that commutes with shifts by ``period``, kept as
     the recipe for its alias-domain blocks A(w) (see
@@ -529,7 +571,7 @@ class AliasGram:
     A maps each block onto itself by A(w), and AA* by G(w) = A(w) A(w)^H.
 
     ``step`` is the device's tau * lambda_bar * |A|^2 for the solver's
-    primal-data update (``solver.resolvent_step``).
+    primal-data update, from the probe of ``BENCH_24.json``.
 
     Nothing is formed at build time: :meth:`data_step` forms and inverts
     the blocks when a solve asks for them, so a model whose solve takes no
@@ -565,6 +607,9 @@ class AliasGram:
         ``rfft2`` of x, an index gather, A(w), one batched m x m product,
         A(w)^H, an index scatter and one ``irfft2``.
         """
+        if np.shape(y) != self.shape:
+            raise ValueError(f"observation of shape {np.shape(y)} does not match the "
+                             f"Gram's {self.shape}")
         (ni, nj), (pi, pj), nc = self.image_shape, self.period, self.coarse_bands
         mi, mj = ni // pi, nj // pj
         mh, nh, p = mj // 2 + 1, nj // 2 + 1, pi * pj
@@ -584,9 +629,6 @@ class AliasGram:
         mirror = fj > nj // 2
         gather = np.where(mirror, (-fi % ni) * nh + (-fj % nj), fi * nh + fj).astype(np.int32)
         flat = np.asarray(y, dtype=np.float64).reshape(-1)
-        if flat.size != np.prod(self.shape):
-            raise ValueError(f"observation of shape {np.shape(y)} does not match the "
-                             f"Gram's {self.shape}")
         coeffs = np.empty((n, m), dtype=complex)
         plane = np.take(scipy.fft.rfft2(flat[:ni * nj].reshape(ni, nj), norm="ortho"), gather)
         coeffs[:, :p] = np.conjugate(plane, out=plane, where=mirror)
@@ -763,10 +805,8 @@ def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights, K) -> _Alias
 # Gram matrices and of their eigenvalues (about 1e-15 relative).
 _NORM_MARGIN = 1e-9
 
-# tau * lambda_bar * |A|^2 of the solver's primal-data update on each
-# device's alias-domain blocks, from the probe of ``BENCH_24.json`` (see
-# the ``solver`` module docstring)
-_ALIAS_RESOLVENT_STEPS = {"mrca": 0.01, "multires": 0.02}
+# ``AliasGram.step`` of each device (see the ``solver`` module docstring)
+_ALIAS_STEPS = {"mrca": 0.01, "multires": 0.02}
 
 
 # ---------------------------------------------------------------------------
@@ -849,24 +889,23 @@ class FormationModel:
     ``multires`` have two sensor classes and carry it (read only by the
     statistics equalization); on ``cfa`` and ``cassi`` it is None.
 
-    ``gram`` is the one owner of AA* of ``op``, through which the solver
-    takes the exact prox of its data term.  On ``cfa`` and ``cassi`` AA*
-    is diagonal and ``gram`` is its diagonal, the mask energy each
-    focal-plane cell collects, which the baseline divides by too; the
-    solver's data step then runs ``op``, one division and its adjoint.
-    On ``mrca`` and ``multires`` it is an :class:`AliasGram`, the recipe
-    for the alias-domain blocks whose largest eigenvalue is the norm
-    bound; its :meth:`AliasGram.data_step` takes the whole data step in
-    the alias domain, with no call to ``op``, forms the blocks only when
-    a solve asks for it, and the Gram carries the device's step constant
-    for that solve.
+    ``gram`` is the one owner of AA* of ``op``, through whose
+    ``data_step`` the solver takes the exact prox of its data term, at the
+    device's step constant ``gram.step``.  On ``cfa`` and ``cassi`` it is a
+    :class:`DiagonalGram`: AA* is diagonal, the mask energy each
+    focal-plane cell collects, and the data step runs ``op``, one division
+    and its adjoint.  On ``mrca`` and ``multires`` it is an
+    :class:`AliasGram`, the recipe for the alias-domain blocks whose
+    largest eigenvalue is the norm bound; its data step runs whole in the
+    alias domain, with no call to ``op``, and forms the blocks only when a
+    solve asks for it.
     """
 
     preset: FormationPreset
     op: LinearOp
     h_lri: Mask | None = None
     lri_support: np.ndarray | None = None
-    gram: np.ndarray | AliasGram | None = None
+    gram: DiagonalGram | AliasGram | None = None
 
 
 def _resolve_tile(preset: FormationPreset) -> PeriodicTile | None:
@@ -923,7 +962,7 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     :func:`alias_domain_norm`) with a relative margin of 1e-9, and an
     :class:`AliasGram` of the same blocks as ``gram``.  ``cfa`` and
     ``cassi`` carry the exact diagonal-Gramian norm of :func:`mosaic`, and
-    diag(AA*) as ``gram``.
+    a :class:`DiagonalGram` of diag(AA*) as ``gram``.
 
     ``lri_support`` is the LRI block of ``multires`` and the channel pixels
     of ``mrca``; a tile with no channel cells leaves it empty.
@@ -944,7 +983,7 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         lri_support[int(np.prod(hri_op.output_shape)):] = True
         # the kernel spectra are rebuilt on demand, so the model holds none
         gram = AliasGram((ni, nj), period, lambda: blocks(_lri_spectra(preset)),
-                         _ALIAS_RESOLVENT_STEPS["multires"], coarse_bands=nk)
+                         _ALIAS_STEPS["multires"], coarse_bands=nk)
         return FormationModel(preset, op, lri_support=lri_support, gram=gram)
 
     tile = _resolve_tile(preset)
@@ -953,7 +992,8 @@ def build_formation(preset: FormationPreset) -> FormationModel:
 
     if preset.name in ("cfa", "cassi"):
         op = mosaic(h_lri, cassi_shift_map(ni, nj, nk) if preset.name == "cassi" else None)
-        return FormationModel(preset, op, h_lri=h_lri, gram=op.apply(h_lri.values))
+        return FormationModel(preset, op, h_lri=h_lri,
+                              gram=DiagonalGram(op, op.apply(h_lri.values)))
 
     # full compressed acquisition on one focal plane
     w = average_weights(nk)
@@ -971,11 +1011,11 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     # the spectra and the transfer are rebuilt on demand, so the model holds none
     gram = AliasGram((ni, nj), tile.period,
                      lambda: blocks(_lri_spectra(preset), _pan_transfer(preset)),
-                     _ALIAS_RESOLVENT_STEPS["mrca"])
+                     _ALIAS_STEPS["mrca"])
     return FormationModel(preset, op, h_lri=h_lri, lri_support=h_lri.pixel_support(), gram=gram)
 
 
-def preset_compression_ratio(preset: FormationPreset) -> float:
+def compression_ratio(preset: FormationPreset) -> float:
     """Observation size over cube size of ``build_formation(preset).op``,
     from the preset's sizes.
 

@@ -170,13 +170,13 @@ def baseline_reconstruct(y: np.ndarray, model: FormationModel) -> np.ndarray:
     their mask weights and divided by the mask energy the cell collects,
     i.e. the minimum-norm solution A*(AA*)^+ y of the mosaic A of the
     channel mask, whose Gramian is diagonal.  On cfa and cassi A is the
-    device operator itself, and the energy is its ``model.gram``; on mrca
-    it leaves out the PAN branch, whose cells collect no channel energy.
-    A cell that collects one band gives that band's value back exactly.  The gaps are then filled by normalized low-pass
-    interpolation, i.e. the Gaussian smoothing of the samples divided by
-    the smoothing of the mask; known samples are kept.  Stacked
-    multiresolution bundles: bicubic upsampling of the LRI plus a mean
-    offset aligning it with the HRI.
+    device operator itself; on mrca it leaves out the PAN branch, whose
+    cells collect no channel energy.  A cell that collects one band gives
+    that band's value back exactly.  The gaps are then filled by
+    normalized low-pass interpolation, i.e. the Gaussian smoothing of the
+    samples divided by the smoothing of the mask; known samples are kept.
+    Stacked multiresolution bundles: bicubic upsampling of the LRI plus a
+    mean offset aligning it with the HRI.
     """
     y = np.asarray(y, dtype=np.float64)
     ni, nj, nk = model.op.input_shape
@@ -192,13 +192,8 @@ def baseline_reconstruct(y: np.ndarray, model: FormationModel) -> np.ndarray:
     if model.h_lri is None:
         raise ValueError("baseline needs the formation masks")
     h = model.h_lri.values
-    if model.preset.name == "mrca":
-        M = mosaic(model.h_lri)
-        energy = M.apply(h)  # diag(MM*): the mask energy each cell collects
-    elif model.gram is None:
-        raise ValueError(f"baseline needs the {model.preset.name} model's gram, diag(AA*)")
-    else:
-        M, energy = model.op, model.gram  # AA* is diagonal: the mask energy
+    M = mosaic(model.h_lri) if model.preset.name == "mrca" else model.op
+    energy = M.apply(h)  # diag(MM*): the mask energy each cell collects
     back = M.adjoint_apply(np.divide(y, energy, out=np.zeros_like(y), where=energy > 0))
 
     out = np.empty((ni, nj, nk))

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .datacube import PARSE_CELL, DataCube
-from .formation import preset_compression_ratio
+from .formation import compression_ratio  # re-exported
 
 __all__ = [
     "psnr",
@@ -119,10 +119,6 @@ def ssim(ref: DataCube, est: DataCube) -> float:
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
     return float(np.mean(np.mean(num / den, axis=(1, 2))))
-
-
-# Acquired over reconstructed sample count of a preset, from its sizes.
-compression_ratio = preset_compression_ratio
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ chosen by what the solve is handed:
 * the over-relaxed primal-data update, when ``SolverConfig.gram``
   carries AA* of the operator.  ``FormationModel.gram`` is one for every
   shipped device, and ``harness.reconstruct`` passes it: the diagonal
-  e = diag(AA*) on cfa and cassi, the alias-domain blocks (``AliasGram``)
-  on mrca and multires;
+  e = diag(AA*) on cfa and cassi (``DiagonalGram``), the alias-domain
+  blocks on mrca and multires (``AliasGram``);
 * the dual-data update for a caller that passes no Gram (an operator
   built by hand, or a bench that calls ``jodefu_solve`` directly).
 
@@ -38,10 +38,11 @@ The prox of tau G is the data step.  At X' = X - L*(Wt) it solves
 
     X~ = X' - A*(I/tau + AA*)^-1 (A(X') - y).
 
-With AA* = diag(e) the solve runs it as written: A, one division per
-observation sample by 1/tau + e, and A*.  Alias-domain blocks take it
-whole (``AliasGram.data_step``), the analytic l2-l2 solution of Zhao,
-Wei, Basarab, Dobigeon, Kouame & Tourneret (2016, "Fast single image
+The Gram takes it, by ``gram.data_step(tau, y)``.  On AA* = diag(e)
+(``DiagonalGram``) it runs as written: the Gram's own operator, one
+division per observation sample by 1/tau + e, and its adjoint.
+Alias-domain blocks (``AliasGram``) take the analytic l2-l2 solution of
+Zhao, Wei, Basarab, Dobigeon, Kouame & Tourneret (2016, "Fast single image
 super-resolution using a new analytical solution for l2-l2 problems"):
 at each coarse frequency w, x(w) - A(w)^H (I/tau + G(w))^-1 (A(w) x(w) -
 y(w)).  One step then runs one band-wise real FFT of X' and its inverse,
@@ -64,20 +65,19 @@ cassi baselines).  At rho = 1 this is Algorithm 1 of Chambolle & Pock
     Xbar = 2 X~ - X
 
 with cL = tau * sigma = 0.99 / |L|^2 and tau = c / (lambda_bar |A|^2),
-where c = ``resolvent_step(gram)``: ``RESOLVENT_STEP`` = 0.1 on a
-diagonal, and on alias-domain blocks the device's own, which its
-``AliasGram.step`` carries (0.01 on mrca, 0.02 on multires).  The
-iteration converges for any rho in (0, 2) and tau sigma |L|^2 < 1 (here
-0.99), with no condition on |A|: c and rho only set the speed.  Each c
+where c = ``gram.step``, the device's own: 0.1 on a diagonal, 0.01 on
+mrca's alias-domain blocks and 0.02 on multires'.  The iteration
+converges for any rho in (0, 2) and tau sigma |L|^2 < 1 (here 0.99),
+with no condition on |A|: c and rho only set the speed.  Each c
 was chosen by a probe over the desk rows it serves (64x64x4, scene seeds
 1-5 and 11), rho = 1.3 by one over all 48 of them; the grids and the
 per-row PSNRs are in ``BENCH_23.json`` (c on a diagonal),
 ``BENCH_24.json`` (c on the blocks) and ``BENCH_25.json`` (rho).
 
-Nothing in the loop ties the Gram to A: a diagonal enters the data step
-only through 1/tau + e, and on alias-domain blocks the loop runs neither
-A nor A*.  A Gram of another operator with the same output shape would
-solve another problem while the trace reports A's cost.  Before the
+Nothing in the loop ties the Gram to A: the solve's A does not run in
+the data step, and on alias-domain blocks no operator does.  A Gram of
+another operator with the same output shape would solve another problem
+while the trace reports A's cost.  Before the
 first iteration the update therefore takes one data step from X' = 0
 and checks its result X~ against the prox's optimality condition
 X~ + tau A*(A(X~) - y) = 0.  It raises ``ValueError`` when the
@@ -92,12 +92,11 @@ lambda_bar >= 1e-3 (the blurred mrca's blocks handed to mrca without
 the blur, or the reverse, or twice cfa's diagonal) and 2.5e-8 to 7.5e-8
 at 1e-8, so the check catches it down to a lambda_bar of about 1e-10.
 
-Over n iterations L* and the prox run n times, and L n times plus one
-per tracked cost.  On a diagonal A and A* run n times each; on
-alias-domain blocks the data step runs n times and A and A* never run
-in the loop.  Each tracked cost runs A once, for its residual
-A(X~) - y.  The Gram check runs one data step, A and A* once more per
-solve, and A* runs once more at the start when there is no x0.
+Over n iterations L*, the prox and the data step run n times, and L n
+times plus one per tracked cost; the solve's A and A* do not run in the
+loop.  Each tracked cost runs A once, for its residual A(X~) - y.  The
+Gram check runs one data step, A and A* once more per solve, and A*
+runs once more at the start when there is no x0.
 
 The dual-data update runs on the stacked operator K = [A; L], one dual
 per block, each with its own step (Pock & Chambolle 2011, diagonal
@@ -226,7 +225,6 @@ __all__ = [
     "SolverTrace",
     "SolverDiverged",
     "objective",
-    "resolvent_step",
     "jodefu_solve",
 ]
 
@@ -235,10 +233,6 @@ __all__ = [
 # rule (module docstring)
 PRIMAL_TOL = 1e-3
 DUAL_TOL = 1e-2
-
-# tau * lambda_bar * |A|^2 of the primal-data update on a diagonal AA*
-# (cfa, cassi); alias-domain blocks carry their own (module docstring)
-RESOLVENT_STEP = 0.1
 
 # over-relaxation rho of the primal-data update, in (0, 2) (module docstring)
 RELAXATION = 1.3
@@ -270,15 +264,14 @@ class SolverConfig:
     operator and copies it, so the caller's array is never written.
 
     ``gram`` is AA* of the operator, as ``FormationModel.gram`` carries it
-    (default ``None``): an array e = diag(AA*) where AA* is diagonal (cfa,
-    cassi), or an object whose ``data_step(tau, y)`` returns the whole
-    data step, the in-place map x -> x - A*(I/tau + AA*)^-1 (A(x) - y) on
-    cubes, whose ``shape`` is the operator's output shape and whose
-    ``step`` is its c (``AliasGram``: mrca, multires).
-    With it the solve takes the primal-data update, without it the
-    dual-data one (module docstring).  The solve rejects a Gram whose
-    shape is not the operator's output shape, a diagonal that is not
-    finite and non-negative, or a Gram whose data step is not the prox of
+    (default ``None``): an object whose ``shape`` is the operator's output
+    shape, whose ``step`` is its c and whose ``data_step(tau, y)`` returns
+    the whole data step, the in-place map x -> x - A*(I/tau + AA*)^-1
+    (A(x) - y) on cubes (``DiagonalGram``: cfa, cassi; ``AliasGram``:
+    mrca, multires).  With it the solve takes the primal-data update,
+    without it the dual-data one (module docstring).  The solve rejects
+    anything else, such as a bare array, a Gram whose shape is not the
+    operator's output shape, or a Gram whose data step is not the prox of
     the operator's data term (one data step, one A and one A* per solve),
     before the first iteration.
     """
@@ -335,13 +328,6 @@ def objective(A: LinearOp, L: LinearOp, g: MetricNorm, lam: float,
     return _cost(A.apply(x) - np.asarray(y, dtype=np.float64), L.apply(x), g, lam)
 
 
-def resolvent_step(gram) -> float:
-    """tau * lambda_bar * |A|^2 of the primal-data update on ``gram`` (see
-    ``SolverConfig.gram``): ``RESOLVENT_STEP`` on a diagonal, the
-    ``step`` that a Gram with a ``data_step`` carries."""
-    return float(gram.step) if hasattr(gram, "data_step") else RESOLVENT_STEP
-
-
 def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
                  cfg: SolverConfig | None = None) -> tuple[np.ndarray, SolverTrace]:
     """Run the iteration and return the estimate with its trace.
@@ -351,7 +337,6 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
     identical results.
     """
     cfg = cfg or SolverConfig()
-    lam = cfg.resolved_lambda()
     y = np.asarray(y, dtype=np.float64)
     if y.shape != A.output_shape:
         raise ValueError(f"observation shape {y.shape} does not match operator {A.output_shape}")
@@ -366,20 +351,15 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
         raise ValueError(f"x0 shape {np.shape(cfg.x0)} does not match operator "
                          f"input {A.input_shape}")
 
-    gram = cfg.gram
-    diagonal = gram is not None and not hasattr(gram, "data_step")
-    if diagonal:
-        gram = np.asarray(gram, dtype=np.float64)
-    if gram is not None:
-        where = f"gram of shape {gram.shape} (operator output {A.output_shape})"
-        if gram.shape != A.output_shape:
-            raise ValueError(f"{where}: the shapes differ")
-        if diagonal:
-            if not np.all(np.isfinite(gram)):
-                raise ValueError(f"{where} holds {np.count_nonzero(~np.isfinite(gram))} "
-                                 "non-finite samples")
-            if np.any(gram < 0):
-                raise ValueError(f"{where} holds {np.count_nonzero(gram < 0)} negative samples")
+    if cfg.gram is not None:
+        try:
+            shape, _, _ = cfg.gram.shape, cfg.gram.step, cfg.gram.data_step
+        except AttributeError:
+            raise ValueError(f"gram of type {type(cfg.gram).__name__} is not a Gram: it needs "
+                             "shape, step and data_step(tau, y) (see SolverConfig)") from None
+        if shape != A.output_shape:
+            raise ValueError(f"gram of shape {shape} (operator output {A.output_shape}): "
+                             "the shapes differ")
 
     # every buffer is owned and updated in place; an operator's output may
     # be its input (identity), a view of it or a read-only broadcast, so it
@@ -389,10 +369,10 @@ def jodefu_solve(A: LinearOp, L: LinearOp, g: MetricNorm, y: np.ndarray,
     else:
         x = np.array(cfg.x0, dtype=np.float64)
     trace = SolverTrace()
-    if gram is None:
+    if cfg.gram is None:
         _dual_data(A, L, g, y, x, cfg, trace)
     else:
-        _primal_data(A, L, g, y, x, cfg, gram, diagonal, trace)
+        _primal_data(A, L, g, y, x, cfg, trace)
     return x, trace
 
 
@@ -485,26 +465,14 @@ def _check_data_step(A, y, data, tau):
                          f"the data term by {gap:.3g}, more than {GRAM_TOL:g} of {scale:.3g}")
 
 
-def _primal_data(A, L, g, y, x, cfg, gram, diagonal, trace):
+def _primal_data(A, L, g, y, x, cfg, trace):
     """The over-relaxed primal-data update (module docstring), updating
     ``x`` in place: on entry X~ = X = X0, on return the last X~."""
     lam = cfg.resolved_lambda()
-    tau = resolvent_step(gram) / (cfg.lambda_bar * A.norm_bound ** 2)
+    tau = cfg.gram.step / (cfg.lambda_bar * A.norm_bound ** 2)
     c_l = 0.99 / L.norm_bound ** 2  # = tau * sigma_L
     radius = tau * lam
-    if diagonal:
-        den = gram + 1.0 / tau  # (1 + tau e) / tau
-        r = np.empty(A.output_shape)
-        v = None
-
-        def data(x):
-            nonlocal v
-            np.subtract(A.apply(x), y, out=r)
-            np.divide(r, den, out=r)  # (I/tau + AA*)^-1 (A(x) - y)
-            v = A.adjoint_apply(r)  # lives on until the next A* result replaces it
-            x -= v
-    else:
-        data = gram.data_step(tau, y)  # x -> x - A*(I/tau + AA*)^-1 (A(x) - y) in place
+    data = cfg.gram.data_step(tau, y)  # x -> x - A*(I/tau + AA*)^-1 (A(x) - y) in place
     _check_data_step(A, y, data, tau)
     xbar = np.multiply(x, c_l)  # c_l * Xbar, with Xbar = 2 X~ - X; then X
     w = np.zeros(L.output_shape)

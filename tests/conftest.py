@@ -9,6 +9,7 @@ import pytest
 
 from mrcakit.formation import (
     BlurBank,
+    DiagonalGram,
     ShiftMap,
     SpectralWeights,
     butterworth_blur,
@@ -22,7 +23,6 @@ from mrcakit.formation import (
 from mrcakit.masks import Mask
 from mrcakit.operators import LinearOp, add, compose, stack
 from mrcakit.regularizers import tv_op
-from mrcakit.solver import resolvent_step
 
 
 def to_dense(op: LinearOp) -> np.ndarray:
@@ -131,20 +131,19 @@ def plain_resolvent_reference(A, L, g, y, cfg, relaxation=1.0):
     """Textbook Chambolle-Pock with the data term in the primal, over-relaxed
     by ``relaxation`` (1: none): unscaled dual W, the steps written out, the
     prox of the data term solved through (I + tau A*A)^-1 = I - tau A*(I +
-    tau AA*)^-1 A with AA* = ``cfg.gram``, at tau = ``resolvent_step(cfg.gram)``
-    / (lambda_bar |A|^2).  A diagonal AA* = diag(e) divides by 1 + tau e
-    between A and A*; alias-domain blocks take their whole
-    ``data_step(tau, y)``.  Each pass finishes the relaxed step that the
+    tau AA*)^-1 A with AA* = ``cfg.gram``, at tau = ``cfg.gram.step``
+    / (lambda_bar |A|^2).  A diagonal AA* = diag(e) (``DiagonalGram``)
+    divides by 1 + tau e between A and A*, written out here; alias-domain
+    blocks take their whole ``data_step(tau, y)``.  Each pass finishes the relaxed step that the
     last one began, (X, W) += relaxation ((X~, W~) - (X, W)), and takes the
     next primal step X~, from X~ = X = x0 and W = 0; it returns the last
     X~.  It runs all ``cfg.q_max`` iterations."""
     lam = cfg.resolved_lambda()
-    diagonal = isinstance(cfg.gram, np.ndarray)
-    tau = resolvent_step(cfg.gram) / (cfg.lambda_bar * A.norm_bound ** 2)
+    tau = cfg.gram.step / (cfg.lambda_bar * A.norm_bound ** 2)
     sigma = 0.99 / (tau * L.norm_bound ** 2)
-    if diagonal:
+    if isinstance(cfg.gram, DiagonalGram):
         def data(v):
-            return v - A.adjoint_apply(tau * (A.apply(v) - y) / (1.0 + tau * cfg.gram))
+            return v - A.adjoint_apply(tau * (A.apply(v) - y) / (1.0 + tau * cfg.gram.diagonal))
     else:
         data = cfg.gram.data_step(tau, y)
     x = A.adjoint_apply(y) if cfg.x0 is None else np.asarray(cfg.x0, dtype=np.float64)

@@ -58,8 +58,7 @@ class TestBaseline:
         from mrcakit.formation import FormationModel, mosaic
         mask = Mask(np.ones((6, 6, 1)), (0,))
         op = mosaic(mask)
-        model = FormationModel(formation_preset("cfa", 6, 6, 1, mask="quad4"), op, h_lri=mask,
-                               gram=op.apply(mask.values))
+        model = FormationModel(formation_preset("cfa", 6, 6, 1, mask="quad4"), op, h_lri=mask)
         y = rng.random((6, 6))
         out = baseline_reconstruct(y, model)
         np.testing.assert_array_equal(out[:, :, 0], y)
@@ -76,17 +75,8 @@ class TestBaseline:
         from mrcakit.formation import FormationModel, mosaic
         mask = Mask(np.zeros((4, 4, 2)), (0, 1))
         op = mosaic(mask)
-        model = FormationModel(formation_preset("cfa", 4, 4, 2, mask="quad4"), op, h_lri=mask,
-                               gram=op.apply(mask.values))
+        model = FormationModel(formation_preset("cfa", 4, 4, 2, mask="quad4"), op, h_lri=mask)
         with pytest.raises(ValueError, match="support"):
-            baseline_reconstruct(rng.random((4, 4)), model)
-
-    def test_missing_gram_rejected(self, rng):
-        from mrcakit.formation import FormationModel, mosaic
-        mask = Mask(np.ones((4, 4, 1)), (0,))
-        model = FormationModel(formation_preset("cfa", 4, 4, 1, mask="quad4"), mosaic(mask),
-                               h_lri=mask)
-        with pytest.raises(ValueError, match=r"baseline needs the cfa model's gram"):
             baseline_reconstruct(rng.random((4, 4)), model)
 
     def test_multires_upsample_shape_and_means(self, rng):
@@ -162,8 +152,7 @@ class TestPipeline:
         cube = synth_scene(SceneParams(12, 12, 1), seed=6)
         mask = Mask(np.ones((12, 12, 1)), (0,))
         op = mosaic(mask)
-        model = FormationModel(formation_preset("cfa", 12, 12, 1, mask="quad4"), op, h_lri=mask,
-                               gram=op.apply(mask.values))
+        model = FormationModel(formation_preset("cfa", 12, 12, 1, mask="quad4"), op, h_lri=mask)
         y = model.op.apply(cube.values)
         out = baseline_reconstruct(y, model)
         assert psnr(cube, DataCube(out, rho=cube.rho)) == np.inf

@@ -10,7 +10,7 @@ import pytest
 from conftest import plain_cp_reference, plain_resolvent_reference, to_dense
 from mrcakit import harness
 from mrcakit.datacube import DataCube
-from mrcakit.formation import build_formation, formation_preset
+from mrcakit.formation import DiagonalGram, build_formation, formation_preset
 from mrcakit.harness import (
     PipelineSpec,
     ReconstructionPreset,
@@ -30,7 +30,6 @@ from mrcakit.solver import (
     SolverDiverged,
     jodefu_solve,
     objective,
-    resolvent_step,
 )
 
 
@@ -208,11 +207,11 @@ class TestSolve:
         lying = LinearOp(shape, grad.output_shape, lambda x: 1e305 * grad.apply(x),
                          lambda w: np.zeros(shape), norm_bound=1e-6, name="lying_L")
         y = rng.standard_normal(shape)
-        e = np.ones(shape) if primal_data else None
+        gram = DiagonalGram(identity(shape), np.ones(shape)) if primal_data else None
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolverDiverged, match=r"dual iterate.*lying_L \(=1e-06\)"):
                 jodefu_solve(identity(shape), lying, metric_norm("l221"), y,
-                             SolverConfig(lambda_bar=1e-3, q_max=20, gram=e))
+                             SolverConfig(lambda_bar=1e-3, q_max=20, gram=gram))
 
     def test_non_finite_observation_rejected(self, rng):
         shape = (4, 4, 2)
@@ -453,7 +452,8 @@ class TestAliasing:
         y = rng.standard_normal(shape)
         y_before = y.copy()
         A, L, g = identity(shape), self._gradient(gradient, shape), metric_norm("l221")
-        cfg = SolverConfig(lambda_bar=0.05, q_max=15, gram=np.ones(shape) if primal_data else None)
+        gram = DiagonalGram(A, np.ones(shape)) if primal_data else None
+        cfg = SolverConfig(lambda_bar=0.05, q_max=15, gram=gram)
         x, trace = jodefu_solve(A, L, g, y, cfg)
         np.testing.assert_array_equal(y.view(np.uint64), y_before.view(np.uint64))
         assert not np.shares_memory(x, y)
@@ -469,8 +469,8 @@ class TestPrimalData:
     """The primal-data update, which the solve takes when it is handed
     AA* as ``SolverConfig.gram``: the data term's exact resolvent in the
     primal, the regularizer alone in the dual.  cfa and cassi hand it
-    diag(AA*), mrca (with and without the PAN blur) and multires their
-    alias-domain blocks."""
+    diag(AA*) (``DiagonalGram``), mrca (with and without the PAN blur)
+    and multires their alias-domain blocks (``AliasGram``)."""
 
     DEVICES = {"cfa": ("cfa", {}), "cassi": ("cassi", {}), "mrca": ("mrca", {}),
                "mrca-blur": ("mrca", {"hri_blur": "butterworth", "rho_b": 1.4}),
@@ -492,7 +492,7 @@ class TestPrimalData:
         A, L, g, y, cfg = self._problem(device)
         zero = zero_op(L.input_shape, L.output_shape)
         zero.norm_bound = 1.0  # the solver needs a positive bound; any one will do
-        tau = resolvent_step(cfg.gram) / (cfg.lambda_bar * A.norm_bound ** 2)
+        tau = cfg.gram.step / (cfg.lambda_bar * A.norm_bound ** 2)
         M = to_dense(A)
 
         def dense(x):
@@ -558,6 +558,17 @@ class TestPrimalData:
         with pytest.raises(ValueError, match=r"observation of shape .* does not match"):
             gram.data_step(1.0, np.append(y, 0.0))
 
+    @pytest.mark.parametrize("name", ["mrca", "cfa", "cassi"])
+    def test_data_step_rejects_a_transposed_observation(self, rng, name):
+        # the same size, another shape: (16, 8) against (8, 16), or (19, 8)
+        # against cassi's (8, 19)
+        gram = build_formation(formation_preset(name, 8, 16, 4)).gram
+        y = rng.standard_normal(gram.shape)
+        with pytest.raises(ValueError, match=re.escape(
+                f"observation of shape {y.T.shape} does not match the Gram's {gram.shape}")):
+            gram.data_step(1.0, y.T)
+        gram.data_step(1.0, y)  # its own shape passes
+
     @pytest.mark.parametrize("device", list(DEVICES))
     @pytest.mark.parametrize("q_max", [1, 7, 20])
     def test_iterates_are_the_textbook_ones(self, device, q_max):
@@ -621,23 +632,19 @@ class TestPrimalData:
                               counted("Lt", L.adjoint_apply), L.norm_bound, name=L.name)
         counting_g = SimpleNamespace(eval=counted("eval", g.eval),
                                      prox_conj=counted("prox", g.prox_conj))
-        gram, diagonal = cfg.gram, isinstance(cfg.gram, np.ndarray)
-        if not diagonal:
-            calls["data"] = 0
-            gram = SimpleNamespace(shape=gram.shape, step=gram.step, data_step=lambda tau, y:
-                                   counted("data", cfg.gram.data_step(tau, y)))
+        calls["data"] = 0
+        gram = SimpleNamespace(shape=cfg.gram.shape, step=cfg.gram.step, data_step=lambda tau, y:
+                               counted("data", cfg.gram.data_step(tau, y)))
         q_max = 12
         x, trace = jodefu_solve(counting_A, counting_L, counting_g, y,
                                 dataclasses.replace(cfg, q_max=q_max, gram=gram))
         # the start is the baseline, so no A*(y); the cost runs A, L and eval
         # once, at the returned iterate, and the Gram check one data step, A
-        # and A* before the first.  On a diagonal the data step runs A and
-        # A* once per iteration; alias-domain blocks take it whole, in the
-        # alias domain, and run neither
+        # and A* before the first.  The Gram takes every data step itself, so
+        # the solve's A and A* run in none of them
         assert trace.iterations == q_max
-        data = ({"A": q_max + 3, "At": q_max + 2} if diagonal
-                else {"A": 2, "At": 1, "data": q_max + 1})
-        assert calls == {**data, "L": q_max + 1, "Lt": q_max, "prox": q_max, "eval": 1}
+        assert calls == {"A": 2, "At": 1, "data": q_max + 1, "L": q_max + 1, "Lt": q_max,
+                         "prox": q_max, "eval": 1}
 
     @pytest.mark.parametrize("device", list(DEVICES))
     @pytest.mark.parametrize("q_max", [1, 7, 20, SolverConfig().q_max])
@@ -666,16 +673,13 @@ class TestPrimalData:
         np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     @pytest.mark.parametrize("bad, message", [
-        (np.ones((8, 9)), r"gram of shape \(8, 9\) \(operator output \(8, 8\)\): "
-                          r"the shapes differ"),
-        (np.full((8, 8), np.nan), r"gram of shape \(8, 8\) \(operator output "
-                                  r"\(8, 8\)\) holds 64 non-finite samples"),
-        (np.full((8, 8), np.inf), "holds 64 non-finite samples"),
-        (np.where(np.eye(8) > 0, -1.0, 1.0), r"gram of shape \(8, 8\) \(operator "
-                                            r"output \(8, 8\)\) holds 8 negative samples"),
+        (build_formation(formation_preset("cfa", 8, 12, 4)).gram,
+         r"gram of shape \(8, 12\) \(operator output \(8, 8\)\): the shapes differ"),
         (build_formation(formation_preset("multires", 8, 8, 4)).gram,
          r"gram of shape \(128,\) \(operator output \(8, 8\)\): the shapes differ"),
-    ], ids=["shape", "nan", "inf", "negative", "alias-shape"])
+        (np.ones((8, 8)), r"gram of type ndarray is not a Gram: it needs shape, step and "
+                          r"data_step\(tau, y\)"),
+    ], ids=["shape", "alias-shape", "bare-array"])
     def test_bad_gram_rejected_before_the_first_iteration(self, bad, message):
         A, L, g, y, cfg = self._problem("cfa")
 
@@ -687,6 +691,20 @@ class TestPrimalData:
         with pytest.raises(ValueError, match=message):
             jodefu_solve(untouchable, L, g, y, dataclasses.replace(cfg, gram=bad))
 
+    @pytest.mark.parametrize("e, message", [
+        (np.ones((8, 9)), r"gram of shape \(8, 9\) \(operator output \(8, 8\)\): "
+                          r"the shapes differ"),
+        (np.full((8, 8), np.nan), r"gram of shape \(8, 8\) \(operator output "
+                                  r"\(8, 8\)\) holds 64 non-finite samples"),
+        (np.full((8, 8), np.inf), "holds 64 non-finite samples"),
+        (np.where(np.eye(8) > 0, -1.0, 1.0), r"gram of shape \(8, 8\) \(operator "
+                                            r"output \(8, 8\)\) holds 8 negative samples"),
+    ], ids=["shape", "nan", "inf", "negative"])
+    def test_bad_diagonal_rejected_at_construction(self, e, message):
+        A = self._problem("cfa")[0]
+        with pytest.raises(ValueError, match=message):
+            DiagonalGram(A, e)
+
     @pytest.mark.parametrize("device, other", [
         ("cfa", "cfa"), ("mrca", "mrca-blur"), ("mrca-blur", "mrca")])
     @pytest.mark.parametrize("lambda_bar", [1e-8, 1e-3, 10.0])
@@ -696,8 +714,8 @@ class TestPrimalData:
         # diagonal, or the blocks of mrca with and without the PAN blur
         A, L, g, y, cfg = self._problem(device)
         gram = self._problem(other)[4].gram
-        if isinstance(gram, np.ndarray):
-            gram = 2.0 * gram
+        if isinstance(gram, DiagonalGram):
+            gram = DiagonalGram(A, 2.0 * gram.diagonal)
 
         def never(w):
             raise AssertionError("L ran")
