@@ -33,6 +33,8 @@ and ``cassi`` keep the diagonal-Gramian bound of :func:`mosaic`, the only
 exact rule for cassi's random code.  The same AA* is the model's ``gram``:
 the diagonal (:class:`DiagonalGram`) on ``cfa`` and ``cassi``, the
 alias-domain blocks (:class:`AliasGram`) on ``mrca`` and ``multires``.
+``mrca`` applies A and A* in the alias domain too, from the plan that its
+Gram shares; the composition of the blocks above stays its definition.
 
 Convolution uses circular boundaries throughout: the adjoint is then an
 exact correlation and the circulant spectral norm (max DFT magnitude of the
@@ -67,7 +69,7 @@ from .masks import (
     periodic_mask,
     random_code_mask,
 )
-from .operators import LinearOp, add, compose, stack
+from .operators import LinearOp, compose, stack
 
 __all__ = [
     "SpectralWeights",
@@ -556,12 +558,141 @@ class DiagonalGram:
         return step
 
 
+class _AliasBlocks(NamedTuple):
+    """A periodic formation's alias-domain blocks (see
+    :func:`alias_domain_norm`), as functions of its spectra at the aliases
+    of n coarse frequencies: for each (ni, nj[, nk]) spectrum of the device
+    (kernel spectra, transfer), its values at those aliases, shape
+    (n, P[, nk]).
+
+    ``make_grams()`` returns ``grams(*spectra)``, which returns G(w) =
+    A(w) A(w)^H, shape (n, m, m); the constants it holds, up to nk*P^3
+    entries, live only as long as it does (at 64x64x4 they would outweigh
+    the spectra).  ``maps(*spectra)`` returns ``(forward, conj_adjoint)``.
+    ``forward(x)`` is A(w) x(w) for the cube's coefficients x, shape
+    (n, P, nk) with alias a and band k at [w, a, k], and may overwrite x.
+    ``conj_adjoint(v)`` is conj(A(w)^H v(w)), shape (n, P, nk), for v of
+    shape (n, m), and may overwrite v: conjugated, A(w)^H multiplies by
+    the kernel spectra themselves, so neither map holds their conjugate.
+    """
+
+    make_grams: Callable
+    maps: Callable
+
+
+class _AliasPlan:
+    """Everything about a periodic formation's alias domain that neither
+    tau nor an observation changes, formed once per model.
+
+    It holds the device's spectra at the aliases of the coarse frequencies
+    wj <= mj/2 (see :func:`alias_domain_norm`), the block maps over all of
+    them and the index maps between the half spectra of real fields
+    (``rfft2``, columns up to nj/2) and the blocks' coefficients, in the
+    unitary DFT.  An alias beyond nj/2 reads the conjugate of its mirror
+    -f (``gather``), and a half-spectrum cell whose class lies beyond mj/2
+    the conjugate of the class output at -f (``scatter``).  The
+    conjugations are signs on the imaginary parts, which cost less than
+    masked conjugates and give the same bits.  The gather's depend on the
+    class only through wj, the scatter's on the column; the cube's are
+    repeated over the bands, so that one contiguous product applies them.
+    """
+
+    def __init__(self, image_shape: tuple[int, int], period: tuple[int, int],
+                 blocks: _AliasBlocks, spectra: tuple, coarse_bands: int = 0):
+        ni, nj = image_shape
+        pi, pj = period
+        mi, mj = ni // pi, nj // pj
+        mh, nh, p = mj // 2 + 1, nj // 2 + 1, pi * pj
+        self.image_shape, self.period, self.coarse_bands = (ni, nj), (pi, pj), coarse_bands
+        self.classes, self.block_size = mi * mh, p + coarse_bands  # n and m
+        fi, fj = _alias_frequencies(image_shape, period)
+        self.spectra = tuple(a[fi, fj] for a in spectra)
+        nk = self.spectra[0].shape[2]
+        self.cube_shape = (ni, nj, nk)
+        self.make_grams = blocks.make_grams
+        self.forward, self.conj_adjoint = blocks.maps(*self.spectra)
+        # the half-spectrum cell of each class's aliases, conjugated where mirrored
+        mirror = fj > nj // 2
+        self.gather = np.where(mirror, (-fi % ni) * nh + (-fj % nj), fi * nh + fj).astype(
+            np.int32)
+        self.mirror_sign = np.where(mirror[:mh], -1.0, 1.0)
+        self.mirror_sign_cube = np.repeat(self.mirror_sign[:, :, None], nk, axis=2)
+        # the class output each half-spectrum cell reads, and whether it
+        # reads it as is or, from its mirror, conjugated: conj_adjoint's
+        # outputs are conjugates, the forward map's are not
+        gi, gj = np.indices((ni, nh))
+        flip = gj % mj >= mh
+        gi, gj = np.where(flip, -gi % ni, gi), np.where(flip, -gj % nj, gj)
+        self.scatter = (((gi % mi) * mh + gj % mj) * p + (gi // mi) * pj + gj // mj).astype(
+            np.int32).ravel()
+        self.flip_sign = np.where(flip[0], -1.0, 1.0)
+        self.keep_sign_cube = np.repeat(-self.flip_sign[:, None], nk, axis=1)
+
+    def cube_coefficients(self, x: np.ndarray):
+        """``(spec, coef)``: the half spectrum of a cube x, a fresh array of
+        shape (ni, nh, nk), and its coefficients at every class, (n, P, nk)."""
+        spec = scipy.fft.rfft2(np.ascontiguousarray(x), axes=(0, 1), norm="ortho")
+        coef = np.take(spec.reshape(-1, spec.shape[2]), self.gather, axis=0)
+        coef.reshape(-1, *self.mirror_sign_cube.shape).imag *= self.mirror_sign_cube
+        return spec, coef
+
+    def plane_coefficients(self, y: np.ndarray) -> np.ndarray:
+        """The coefficients at every class, (n, P), of an (ni, nj) plane."""
+        coef = np.take(scipy.fft.rfft2(y, norm="ortho"), self.gather)
+        coef.reshape(-1, *self.mirror_sign.shape).imag *= self.mirror_sign
+        return coef
+
+    def plane_spectrum(self, u: np.ndarray) -> np.ndarray:
+        """The half spectrum, (ni, nh), of the plane whose coefficients at
+        every class are u, (n, P)."""
+        ni, nj = self.image_shape
+        half = np.take(u, self.scatter).reshape(ni, nj // 2 + 1)
+        half.imag *= self.flip_sign
+        return half
+
+    def cube_spectrum(self, d: np.ndarray) -> np.ndarray:
+        """The half spectrum, (ni, nh, nk), of the cube whose coefficients at
+        every class are the conjugates d, (n, P, nk)."""
+        half = np.take(d.reshape(-1, d.shape[2]), self.scatter, axis=0).reshape(
+            self.image_shape[0], *self.keep_sign_cube.shape)
+        half.imag *= self.keep_sign_cube
+        return half
+
+    def transform_back(self, half: np.ndarray) -> np.ndarray:
+        """The real field, (ni, nj[, nk]), of a half spectrum (ni, nh[, nk]),
+        which it may overwrite."""
+        return scipy.fft.irfft2(half, s=self.image_shape, axes=(0, 1), norm="ortho",
+                                overwrite_x=True)
+
+
+def _alias_op(plan: _AliasPlan, bound: float) -> LinearOp:
+    """mrca's cube-to-plane formation A of ``plan`` applied in the alias
+    domain.  A runs one band-wise ``rfft2``, the gather, A(w), the scatter
+    and one plane ``irfft2``; A* one plane ``rfft2``, the gather,
+    conj(A(w)^H), the scatter and one band-wise ``irfft2``.  A PAN blur is
+    a transfer inside the blocks and costs no transform of its own."""
+    def forward(x):
+        coef = plan.cube_coefficients(x)[1]  # the cube's spectrum is freed here
+        return plan.transform_back(plan.plane_spectrum(plan.forward(coef)))
+
+    def adjoint(y):
+        d = plan.conj_adjoint(plan.plane_coefficients(y))
+        half = plan.cube_spectrum(d)
+        del d
+        return plan.transform_back(half)
+
+    return LinearOp(plan.cube_shape, plan.image_shape, forward, adjoint, bound, name="mrca")
+
+
 class AliasGram:
-    """AA* of a formation that commutes with shifts by ``period``, kept as
-    the recipe for its alias-domain blocks A(w) (see
-    :func:`alias_domain_norm`).  ``make_blocks()`` rebuilds them: the
-    Grams G(w), by the closure that the norm read, and A(w) and its
-    adjoint.
+    """AA* of a formation that commutes with shifts by a period, on the
+    model's alias-domain plan (see :func:`alias_domain_norm`): the device's
+    spectra at the aliases, the block maps A(w) and conj(A(w)^H) and the
+    index maps between half spectra and blocks, formed once per model by
+    ``make_plan()``.  On mrca it returns the plan the model's operator
+    applies A and A* from; multires forms its own on its first data step
+    (its operator is the stack of its blocks), so a multires model whose
+    Gram no solve takes holds none.  ``shape`` is the observation's.
 
     The observation is a plane on the (ni, nj) grid, followed by
     ``coarse_bands`` bands on the (mi, mj) grid: mrca has none, multires
@@ -573,21 +704,18 @@ class AliasGram:
     ``step`` is the device's tau * lambda_bar * |A|^2 for the solver's
     primal-data update, from the probe of ``BENCH_24.json``.
 
-    Nothing is formed at build time: :meth:`data_step` forms and inverts
-    the blocks when a solve asks for them, so a model whose solve takes no
+    The Grams G(w) and their inverses depend on tau: :meth:`data_step`
+    forms them when a solve asks for it, so a model whose solve takes no
     Gram never holds them.
     """
 
-    def __init__(self, image_shape: tuple[int, int], period: tuple[int, int], make_blocks,
-                 step: float, coarse_bands: int = 0):
-        ni, nj = image_shape
-        mi, mj = ni // period[0], nj // period[1]
-        self.image_shape = (ni, nj)
-        self.period = tuple(period)
-        self.step = step
-        self.coarse_bands = coarse_bands
-        self.shape = (ni, nj) if coarse_bands == 0 else (ni * nj + mi * mj * coarse_bands,)
-        self._make_blocks = make_blocks
+    def __init__(self, make_plan: Callable[[], _AliasPlan], step: float,
+                 shape: tuple[int, ...]):
+        self._make_plan, self.step, self.shape = make_plan, step, shape
+
+    @functools.cached_property
+    def plan(self) -> _AliasPlan:
+        return self._make_plan()
 
     def data_step(self, tau: float, y: np.ndarray):
         """``step(x)``, which overwrites a cube-shaped float64 array x, in
@@ -599,94 +727,49 @@ class AliasGram:
         y(w)).  Once per call of this method it inverts I/tau + G(w) at the
         coarse frequencies wj <= mj/2 only, in batches of at most ni*nj
         Gram entries (and 1 MB), so that forming them holds less than the
-        blocks themselves, and takes y's coefficients.  x and y are real,
-        so their half spectra (``rfft2``, columns up to nj/2 resp. mj/2)
-        hold every coefficient: an alias beyond nj/2 is the conjugate of
-        its mirror -f, and a cube output beyond the inverted classes the
-        conjugate of the output at -f.  One step runs one band-wise
-        ``rfft2`` of x, an index gather, A(w), one batched m x m product,
-        A(w)^H, an index scatter and one ``irfft2``.
+        blocks themselves, and takes y's coefficients; everything else is
+        the plan's.  x and y are real, so their half spectra hold every
+        coefficient.  One step runs one band-wise ``rfft2`` of x, the
+        gather, A(w), one batched m x m product, conj(A(w)^H), the scatter
+        and one ``irfft2``.
         """
         if np.shape(y) != self.shape:
             raise ValueError(f"observation of shape {np.shape(y)} does not match the "
                              f"Gram's {self.shape}")
-        (ni, nj), (pi, pj), nc = self.image_shape, self.period, self.coarse_bands
-        mi, mj = ni // pi, nj // pj
-        mh, nh, p = mj // 2 + 1, nj // 2 + 1, pi * pj
-        m = p + nc
-        fi, fj = _alias_frequencies(self.image_shape, self.period)
-        n = len(fi)
-        blocks = self._make_blocks()
+        plan = self.plan
+        (ni, nj), nc = plan.image_shape, plan.coarse_bands
+        n, m = plan.classes, plan.block_size
+        p = m - nc
         inv = np.empty((n, m, m), dtype=complex)
         batch = max(1, min(_ALIAS_CHUNK, ni * nj) // (m * m))
+        grams = plan.make_grams()
         for lo in range(0, n, batch):
-            g = blocks.grams(fi[lo:lo + batch], fj[lo:lo + batch])
+            g = grams(*(a[lo:lo + batch] for a in plan.spectra))
             g[:, np.arange(m), np.arange(m)] += 1.0 / tau
             inv[lo:lo + batch] = np.linalg.inv(g)
-        forward, conj_adjoint = blocks.maps(fi, fj)
-
-        # the half-spectrum cell of each class's aliases, conjugated where mirrored
-        mirror = fj > nj // 2
-        gather = np.where(mirror, (-fi % ni) * nh + (-fj % nj), fi * nh + fj).astype(np.int32)
         flat = np.asarray(y, dtype=np.float64).reshape(-1)
         coeffs = np.empty((n, m), dtype=complex)
-        plane = np.take(scipy.fft.rfft2(flat[:ni * nj].reshape(ni, nj), norm="ortho"), gather)
-        coeffs[:, :p] = np.conjugate(plane, out=plane, where=mirror)
+        coeffs[:, :p] = plan.plane_coefficients(flat[:ni * nj].reshape(ni, nj))
         if nc:
+            mi, mj = ni // plan.period[0], nj // plan.period[1]
             coeffs[:, p:] = scipy.fft.rfft2(flat[ni * nj:].reshape(mi, mj, nc), axes=(0, 1),
                                             norm="ortho").reshape(n, nc)
-        # the class output each cell of the cube's half spectrum reads, and
-        # whether it reads it as is (``conj_adjoint`` returns the conjugate)
-        # or, from its mirror, conjugated
-        gi, gj = np.indices((ni, nh))
-        flip = gj % mj >= mh
-        gi, gj = np.where(flip, -gi % ni, gi), np.where(flip, -gj % nj, gj)
-        scatter = (((gi % mi) * mh + gj % mj) * p + (gi // mi) * pj + gj // mj).astype(
-            np.int32).ravel()
-        # the conjugations as signs on the imaginary parts, which cost less
-        # than masked conjugates and give the same bits; the gather's
-        # depends on the class only through wj, the scatter's on the column
-        mirror_sign = np.where(mirror[:mh], -1.0, 1.0)[:, :, None]
-        keep_sign = np.where(flip[0], 1.0, -1.0)[:, None]
+        forward, conj_adjoint = plan.forward, plan.conj_adjoint
 
         def step(x):
-            spec = scipy.fft.rfft2(np.ascontiguousarray(x), axes=(0, 1), norm="ortho")
-            nk = spec.shape[2]
-            spec = spec.reshape(ni * nh, nk)  # a view: the transform is C-contiguous
-            coef = np.take(spec, gather, axis=0)
-            coef.reshape(mi, mh, p, nk).imag *= mirror_sign
+            spec, coef = plan.cube_coefficients(x)
             u = forward(coef)
             del coef  # each cube-sized temporary is freed before the next one is formed
             u -= coeffs
             v = np.matmul(inv, u[:, :, None])[:, :, 0]
             del u
-            update = np.take(conj_adjoint(v).reshape(n * p, nk), scatter, axis=0)
-            update.reshape(ni, nh, nk).imag *= keep_sign
+            update = plan.cube_spectrum(conj_adjoint(v))
             spec -= update
             del update
-            x[...] = scipy.fft.irfft2(spec.reshape(ni, nh, nk), s=(ni, nj), axes=(0, 1),
-                                      norm="ortho", overwrite_x=True)
+            x[...] = plan.transform_back(spec)
             return x
 
         return step
-
-
-class _AliasBlocks(NamedTuple):
-    """A periodic formation's alias-domain blocks (see
-    :func:`alias_domain_norm`) at a batch of n coarse frequencies, given by
-    the fine frequencies of their aliases.
-
-    ``grams(fi, fj)`` returns G(w) = A(w) A(w)^H, shape (n, m, m).
-    ``maps(fi, fj)`` returns ``(forward, conj_adjoint)``.  ``forward(x)``
-    is A(w) x(w) for the cube's coefficients x, shape (n, P, nk) with
-    alias a and band k at [w, a, k], and may overwrite x.
-    ``conj_adjoint(v)`` is conj(A(w)^H v(w)), shape (n, P, nk), for v of
-    shape (n, m), and may overwrite v: conjugated, A(w)^H multiplies by
-    the kernel spectra themselves, so neither map holds their conjugate.
-    """
-
-    grams: Callable
-    maps: Callable
 
 
 def _mask_circulants(mask: Mask, period: tuple[int, int]) -> np.ndarray:
@@ -700,14 +783,15 @@ def _mask_circulants(mask: Mask, period: tuple[int, int]) -> np.ndarray:
         pi * pj, -1)
 
 
-def _alias_spectra(K: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
-    """Per-band spectra (ni, nj, nk) at the aliases: (n, nk*P), band-major."""
-    return np.moveaxis(K[fi, fj], 2, 1).reshape(len(fi), -1)
+def _band_major(s: np.ndarray) -> np.ndarray:
+    """Per-band spectra at the aliases, (n, P, nk), as (n, nk*P), band-major."""
+    return np.moveaxis(s, 2, 1).reshape(len(s), -1)
 
 
-def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights, K,
-                 transfer: np.ndarray) -> _AliasBlocks:
-    """The alias-domain blocks of mosaic(h_lri) conv(K) + transfer mosaic(h_pan) W.
+def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights) -> _AliasBlocks:
+    """The alias-domain blocks of mosaic(h_lri) conv(K) + T mosaic(h_pan) W,
+    of the spectra (s, t): the kernel spectra K and the PAN transfer T at
+    the aliases.
 
     A(w) = C diag(s) + T Q: column (k, a') of C holds band k's LRI mask
     circulant, s the kernel spectra at the aliases, T the transfer at the
@@ -720,8 +804,6 @@ def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights, K,
     c_pan = _mask_circulants(h_pan, period)
     q = np.kron(weights.W, c_pan)
     p = c.shape[0]
-    power = np.einsum("ac,bc->cab", c, c.conj()).reshape(c.shape[1], p * p)
-    cross = np.einsum("ac,bc->cab", c, q.conj()).reshape(c.shape[1], p * p)
     pan = q @ q.conj().T
     # C with its columns alias-major, (a', k), as the cube's coefficients lie
     c_cube = c.reshape(p, -1, p).transpose(0, 2, 1).reshape(p, -1)
@@ -729,21 +811,24 @@ def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights, K,
     # a -> (a, k) weighted by W, the PAN branch's adjoint band spread
     spread = np.kron(np.eye(p), weights.W)
 
-    def grams(fi, fj):
-        s = _alias_spectra(K, fi, fj)
-        g = ((s.real ** 2 + s.imag ** 2) @ power).reshape(-1, p, p)
-        x = (s @ cross).reshape(-1, p, p)
-        t = transfer[fi, fj]
-        # g + T pan T + x T + (x T)^H, each term formed in place
-        tpt = t[:, :, None] * pan
-        g += np.multiply(tpt, t[:, None, :], out=tpt)
-        g += np.multiply(x, t[:, None, :], out=x)
-        g += np.conj(x, out=x).swapaxes(1, 2)
-        return g
+    def make_grams():
+        power = np.einsum("ac,bc->cab", c, c.conj()).reshape(c.shape[1], p * p)
+        cross = np.einsum("ac,bc->cab", c, q.conj()).reshape(c.shape[1], p * p)
 
-    def maps(fi, fj):
-        s, t = K[fi, fj], transfer[fi, fj]
+        def grams(s, t):
+            s = _band_major(s)
+            g = ((s.real ** 2 + s.imag ** 2) @ power).reshape(-1, p, p)
+            x = (s @ cross).reshape(-1, p, p)
+            # g + T pan T + x T + (x T)^H, each term formed in place
+            tpt = t[:, :, None] * pan
+            g += np.multiply(tpt, t[:, None, :], out=tpt)
+            g += np.multiply(x, t[:, None, :], out=x)
+            g += np.conj(x, out=x).swapaxes(1, 2)
+            return g
 
+        return grams
+
+    def maps(s, t):
         def forward(x):  # overwrites x
             u = t * ((x.reshape(-1, len(w)) @ w).reshape(t.shape) @ c_pan.T)
             x *= s
@@ -760,11 +845,12 @@ def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights, K,
 
         return forward, conj_adjoint
 
-    return _AliasBlocks(grams, maps)
+    return _AliasBlocks(make_grams, maps)
 
 
-def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights, K) -> _AliasBlocks:
-    """The alias-domain blocks of the stack of W and decimate(ratio) conv(K)."""
+def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights) -> _AliasBlocks:
+    """The alias-domain blocks of the stack of W and decimate(ratio) conv(K),
+    of the kernel spectra s at the aliases."""
     p = ratio * ratio
     hri = np.kron(weights.W, np.eye(p))
     lri = np.kron(np.eye(nk), np.ones((1, p))) / ratio
@@ -774,15 +860,15 @@ def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights, K) -> _Alias
     # a -> (a, k) weighted by W, the HRI branch's adjoint band spread
     spread = np.kron(np.eye(p), weights.W)
 
-    def grams(fi, fj):
+    def grams(s):
         # HRI rows (j, a): W[j, k] on alias a of band k; LRI row k: the
         # aliases of band k, filtered and summed with weight 1/ratio
-        a = np.concatenate([np.broadcast_to(hri, (len(fi), *hri.shape)),
-                            lri * _alias_spectra(K, fi, fj)[:, None, :]], axis=1)
+        a = np.concatenate([np.broadcast_to(hri, (len(s), *hri.shape)),
+                            lri * _band_major(s)[:, None, :]], axis=1)
         return a @ a.conj().swapaxes(1, 2)
 
-    def maps(fi, fj):
-        s = K[fi, fj] / ratio
+    def maps(s):
+        s = s / ratio
 
         def forward(x):  # overwrites x
             hri = (x.reshape(-1, nk) @ w).reshape(len(x), p)
@@ -798,7 +884,16 @@ def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights, K) -> _Alias
 
         return forward, conj_adjoint
 
-    return _AliasBlocks(grams, maps)
+    return _AliasBlocks(lambda: grams, maps)
+
+
+def _alias_norm(image_shape, period, blocks: _AliasBlocks, spectra: tuple) -> float:
+    """The certified alias-domain norm of ``blocks`` on the device's
+    (ni, nj[, nk]) spectra, with its relative margin."""
+    grams = blocks.make_grams()
+    return alias_domain_norm(image_shape, period,
+                             lambda fi, fj: grams(*(a[fi, fj] for a in spectra))
+                             ) * (1 + _NORM_MARGIN)
 
 
 # Relative margin on the alias-domain norms: covers the rounding of the
@@ -895,10 +990,15 @@ class FormationModel:
     :class:`DiagonalGram`: AA* is diagonal, the mask energy each
     focal-plane cell collects, and the data step runs ``op``, one division
     and its adjoint.  On ``mrca`` and ``multires`` it is an
-    :class:`AliasGram`, the recipe for the alias-domain blocks whose
-    largest eigenvalue is the norm bound; its data step runs whole in the
-    alias domain, with no call to ``op``, and forms the blocks only when a
-    solve asks for it.
+    :class:`AliasGram` on the model's alias-domain plan: the kernel
+    spectra (and on mrca the PAN transfer) at the aliases, the block maps
+    A(w) and conj(A(w)^H) and the index maps, about one cube (two on
+    multires, whose maps hold the spectra over the ratio).  On ``mrca``
+    the plan is formed with the model and ``op`` applies A and A* from
+    it; on ``multires`` the first data step forms it.  The data step runs
+    whole in the alias domain, with no call to ``op``, and forms the
+    Grams G(w), whose largest eigenvalue is the norm bound, and their
+    inverses only when a solve asks for it.
     """
 
     preset: FormationPreset
@@ -960,7 +1060,14 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     ``mrca`` and ``multires`` commute with shifts by the tile period resp.
     the ratio, and carry their exact alias-domain norm (see
     :func:`alias_domain_norm`) with a relative margin of 1e-9, and an
-    :class:`AliasGram` of the same blocks as ``gram``.  ``cfa`` and
+    :class:`AliasGram` of the same blocks as ``gram``, on a plan formed
+    once per model: the spectra at the aliases, the block maps and the
+    index maps.  The mrca plan is formed here, and the mrca operator is
+    not the composition of the blocks but applies A and A* from it, each
+    with one band-wise FFT and one FFT of the plane (the PAN blur is a
+    transfer inside the blocks).  The multires operator stays the stack
+    of its blocks, and its Gram forms its plan on its first data step.
+    ``cfa`` and
     ``cassi`` carry the exact diagonal-Gramian norm of :func:`mosaic`, and
     a :class:`DiagonalGram` of diag(AA*) as ``gram``.
 
@@ -977,13 +1084,14 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         lri_op = compose(decimate(shape, preset.ratio), _circular_convolve(K, shape))
         op = stack(hri_op, lri_op)
         period = (preset.ratio, preset.ratio)
-        blocks = functools.partial(_multires_blocks, nk, preset.ratio, w)
-        op.norm_bound = alias_domain_norm((ni, nj), period, blocks(K).grams) * (1 + _NORM_MARGIN)
+        blocks = _multires_blocks(nk, preset.ratio, w)
+        op.norm_bound = _alias_norm((ni, nj), period, blocks, (K,))
         lri_support = np.zeros(op.output_shape, dtype=bool)
         lri_support[int(np.prod(hri_op.output_shape)):] = True
-        # the kernel spectra are rebuilt on demand, so the model holds none
-        gram = AliasGram((ni, nj), period, lambda: blocks(_lri_spectra(preset)),
-                         _ALIAS_STEPS["multires"], coarse_bands=nk)
+        # the kernel spectra are formed again for the plan, so the model holds none
+        gram = AliasGram(lambda: _AliasPlan((ni, nj), period, blocks, (_lri_spectra(preset),),
+                                            coarse_bands=nk),
+                         _ALIAS_STEPS["multires"], op.output_shape)
         return FormationModel(preset, op, lri_support=lri_support, gram=gram)
 
     tile = _resolve_tile(preset)
@@ -995,23 +1103,12 @@ def build_formation(preset: FormationPreset) -> FormationModel:
         return FormationModel(preset, op, h_lri=h_lri,
                               gram=DiagonalGram(op, op.apply(h_lri.values)))
 
-    # full compressed acquisition on one focal plane
-    w = average_weights(nk)
-    branch_p = compose(mosaic(h_pan), spectral_degrade(w, shape))
-    transfer = _pan_transfer(preset)
-    if preset.hri_blur == "butterworth":
-        blur_p = _circular_convolve(transfer, (ni, nj), name=f"butterworth({preset.rho_b:g})")
-        branch_p = compose(blur_p, branch_p)
-    K = _lri_spectra(preset)
-    op = add(compose(mosaic(h_lri), _circular_convolve(K, shape)), branch_p)
-    blocks = functools.partial(_mrca_blocks, tile.period, h_lri, h_pan, w)
-    op.norm_bound = (alias_domain_norm((ni, nj), tile.period, blocks(K, transfer).grams)
-                     * (1 + _NORM_MARGIN))
-    op.name = "mrca"
-    # the spectra and the transfer are rebuilt on demand, so the model holds none
-    gram = AliasGram((ni, nj), tile.period,
-                     lambda: blocks(_lri_spectra(preset), _pan_transfer(preset)),
-                     _ALIAS_STEPS["mrca"])
+    # full compressed acquisition on one focal plane, applied in the alias domain
+    blocks = _mrca_blocks(tile.period, h_lri, h_pan, average_weights(nk))
+    spectra = (_lri_spectra(preset), _pan_transfer(preset))
+    plan = _AliasPlan((ni, nj), tile.period, blocks, spectra)
+    op = _alias_op(plan, _alias_norm((ni, nj), tile.period, blocks, spectra))
+    gram = AliasGram(lambda: plan, _ALIAS_STEPS["mrca"], op.output_shape)
     return FormationModel(preset, op, h_lri=h_lri, lri_support=h_lri.pixel_support(), gram=gram)
 
 

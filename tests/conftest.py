@@ -10,17 +10,21 @@ import pytest
 from mrcakit.formation import (
     BlurBank,
     DiagonalGram,
+    FormationPreset,
     ShiftMap,
     SpectralWeights,
+    average_weights,
     butterworth_blur,
     decimate,
+    gaussian_blur_bank,
     mask_apply,
+    mosaic,
     shift_apply,
     spatial_convolve,
     spectral_degrade,
     sum_channels,
 )
-from mrcakit.masks import Mask
+from mrcakit.masks import Mask, builtin_tile, periodic_mask
 from mrcakit.operators import LinearOp, add, compose, stack
 from mrcakit.regularizers import tv_op
 
@@ -44,6 +48,20 @@ def dense_matrix_op(mat: np.ndarray) -> LinearOp:
     bound = float(np.linalg.svd(mat, compute_uv=False)[0]) if mat.size else 0.0
     return LinearOp((mat.shape[1],), (mat.shape[0],),
                     lambda x: mat @ x, lambda y: mat.T @ y, bound, name="dense")
+
+
+def mrca_composition(preset: FormationPreset) -> LinearOp:
+    """The paper's mrca model of a preset with a built-in tile, as the
+    composition of the public blocks: mosaic(h_lri) conv(bank) plus the
+    PAN branch [butterworth_blur] mosaic(h_pan) spectral_degrade."""
+    ni, nj, nk = preset.ni, preset.nj, preset.nk
+    shape = (ni, nj, nk)
+    lri, pan = periodic_mask(builtin_tile(preset.mask), ni, nj)
+    bank = gaussian_blur_bank(nk, preset.ratio, max_radius=(min(ni, nj) - 1) // 2)
+    branch_p = compose(mosaic(pan), spectral_degrade(average_weights(nk), shape))
+    if preset.hri_blur == "butterworth":
+        branch_p = compose(butterworth_blur((ni, nj), preset.rho_b), branch_p)
+    return add(compose(mosaic(lri), spatial_convolve(bank, shape)), branch_p)
 
 
 def random_shift_map(rng: np.random.Generator, shape) -> ShiftMap:

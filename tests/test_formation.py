@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from conftest import random_shift_map, to_dense
+from conftest import mrca_composition, random_shift_map, to_dense
 
 from mrcakit.formation import (
     BlurBank,
@@ -532,6 +532,30 @@ class TestPresetReductions:
     def test_single_sensor_formations_carry_no_supports(self, name, mask):
         model = build_formation(formation_preset(name, 8, 8, 4, mask=mask))
         assert model.lri_support is None
+
+
+class TestAliasDomainMrca:
+    """mrca applies A and A* in the alias domain, from the plan its Gram
+    shares; the paper's model, the composition of the public blocks, stays
+    the definition of both."""
+
+    DEVICES = {"bt4pan": (4, {}),
+               "bt4pan-blur": (4, {"hri_blur": "butterworth", "rho_b": 1.4}),
+               "bt8pan": (8, {"mask": "bt8pan"})}
+
+    @pytest.mark.parametrize("size", [(8, 8), (12, 20), (64, 64)])
+    @pytest.mark.parametrize("device", sorted(DEVICES))
+    def test_matches_the_composition(self, device, size, rng):
+        nk, overrides = self.DEVICES[device]
+        preset = formation_preset("mrca", *size, nk, **overrides)
+        op = build_formation(preset).op
+        composed = mrca_composition(preset)
+        x = rng.standard_normal(op.input_shape)
+        y = rng.standard_normal(op.output_shape)
+        for got, want in ((op.apply(x), composed.apply(x)),
+                          (op.adjoint_apply(y), composed.adjoint_apply(y))):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestExactNorms:

@@ -7,10 +7,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import plain_cp_reference, plain_resolvent_reference, to_dense
+from conftest import mrca_composition, plain_cp_reference, plain_resolvent_reference, to_dense
 from mrcakit import harness
 from mrcakit.datacube import DataCube
-from mrcakit.formation import DiagonalGram, build_formation, formation_preset
+from mrcakit.formation import (
+    DiagonalGram,
+    add_gaussian_noise,
+    build_formation,
+    formation_preset,
+)
 from mrcakit.harness import (
     PipelineSpec,
     ReconstructionPreset,
@@ -361,21 +366,24 @@ class TestWorkingSet:
     and 11.8 on the blurred mrca with s1l1, both on the dual-data update,
     and 9.3 on cassi with l221 on the primal-data update, which holds no
     data dual U and no A(X) or D buffer.  On the over-relaxed primal-data
-    update the blurred mrca with s1l1 holds 16.5 cubes and multires with
-    s1l1 16.1: the alias-domain data step keeps its inverted blocks
-    (4.5 resp. 4.25 cubes here) and the kernel spectra at the aliases
-    (about one cube) for the whole solve, and the relaxation holds the
-    dual and its projection at once, one field more, which the s1l1
-    projection's in-place maps pay back but for 0.3 cubes.  Both peak in
-    the s1l1 projection; the data step's own spectra and products, 3.6
-    (mrca) and 3.8 (multires) cubes at their peak, are freed before it.
-    The dual-data bounds were set at the Loris-Verhoeven loop's 9.8 and
-    12.1 cubes plus half a cube, the primal-data ones at their own 9.3,
-    16.1 (mrca, with the plane-only resolvent that A and A* wrapped) and
-    16.1 (multires) plus half a cube, so one more field-sized array (two
-    cubes) alive at the peak fails, such as one more dual-sized buffer or
-    an out-of-place s1l1 projection, and so do the blocks formed all at
-    once (29.0 cubes on mrca, 28.8 on multires) instead of in batches.
+    update the blurred mrca with s1l1 and multires with s1l1 both hold
+    14.9 cubes: the alias-domain data step keeps its inverted blocks (4.5
+    resp. 4.25 cubes here) for the whole solve, and the relaxation holds
+    the dual and its projection at once, one field more, which the s1l1
+    projection's in-place maps pay back but for 0.3 cubes.  The kernel
+    spectra at the aliases and the index maps belong to the model's
+    alias-domain plan, formed before the solve.  Both peak in the s1l1
+    projection; the data step's own spectra and products, 4.0 (mrca) and
+    4.2 (multires) cubes at their peak (half a cube of it numpy's ufunc
+    buffer, a fixed 64 kB), are freed before it.  The
+    dual-data bounds were set at the Loris-Verhoeven loop's 9.8 and 12.1
+    cubes plus half a cube, the primal-data ones at their own 9.3, 16.1
+    (mrca, when its data step still wrapped a plane-only resolvent in A
+    and A*) and 16.1 (multires) plus half a cube, so one more field-sized
+    array (two cubes) alive at the peak fails, such as one more dual-sized
+    buffer or an out-of-place s1l1 projection, and so do the blocks formed
+    all at once (29.0 cubes on mrca, 28.8 on multires) instead of in
+    batches.
     """
 
     @pytest.mark.parametrize("name, kind, overrides, primal_data, bound", [
@@ -770,6 +778,30 @@ def desk_row(formation: str, method: str, seed: int = 11):
 def desk_psnr(formation: str, method: str, seed: int = 11) -> float:
     """PSNR of one desk experiment row (see ``desk_row``)."""
     return desk_row(formation, method, seed)[0].report.psnr
+
+
+class TestGramlessMrca:
+    """The path the mrca benchmark workloads time: a solve handed no Gram
+    takes the dual-data update, so each iteration applies mrca's
+    alias-domain A and A*.  It runs the iterations and reaches the
+    estimate of the same solve on the paper's composition of the public
+    blocks, at the same norm bound."""
+
+    @pytest.mark.parametrize("blur", [False, True])
+    @pytest.mark.parametrize("kind", ["l221", "s1l1"])
+    def test_matches_the_solve_on_the_composition(self, kind, blur):
+        overrides = {"hri_blur": "butterworth", "rho_b": 1.4} if blur else {}
+        preset = formation_preset("mrca", 32, 32, 4, **overrides)
+        A = build_formation(preset).op
+        composed = mrca_composition(preset)
+        composed.norm_bound = A.norm_bound
+        L, g = tv_op(A.input_shape), metric_norm(kind)
+        y = add_gaussian_noise(A.apply(synth_scene(SceneParams(32, 32, 4), seed=3).values),
+                               0.01, seed=4)
+        x, trace = jodefu_solve(A, L, g, y)
+        expected, expected_trace = jodefu_solve(composed, L, g, y)
+        assert trace.iterations == expected_trace.iterations
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestDeskQuality:
