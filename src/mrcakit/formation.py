@@ -27,14 +27,14 @@ blur.  A preset text naming one of their retired keys (``np_bands``,
 ``lri_blur_gain``, ``butter_order``) is rejected with the key named.
 
 Every preset carries its exact norm.  ``mrca`` and ``multires`` commute
-with shifts by the tile period resp. the ratio; :func:`alias_domain_norm`
+with shifts by the tile period resp. the ratio; their :class:`AliasGram`
 computes their norm from one small matrix per coarse frequency.  ``cfa``
 and ``cassi`` keep the diagonal-Gramian bound of :func:`mosaic`, the only
 exact rule for cassi's random code.  The same AA* is the model's ``gram``:
 the diagonal (:class:`DiagonalGram`) on ``cfa`` and ``cassi``, the
 alias-domain blocks (:class:`AliasGram`) on ``mrca`` and ``multires``.
-``mrca`` applies A and A* in the alias domain too, from the plan that its
-Gram shares; the composition of the blocks above stays its definition.
+``mrca`` applies A and A* in the alias domain too, from its Gram; the
+composition of the blocks above stays its definition.
 
 Convolution uses circular boundaries throughout: the adjoint is then an
 exact correlation and the circulant spectral norm (max DFT magnitude of the
@@ -50,7 +50,6 @@ the nonnegative kernel [0.5, 0.5] it gives sqrt(0.5) while the true norm
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -88,7 +87,6 @@ __all__ = [
     "sum_channels",
     "mosaic",
     "butterworth_blur",
-    "alias_domain_norm",
     "DiagonalGram",
     "AliasGram",
     "FormationPreset",
@@ -463,58 +461,9 @@ _ALIAS_CHUNK = 1 << 16
 # Headroom of a Gram bound taken from eigenvalues over their largest value,
 # so that the Cholesky certificate of later batches tolerates the rounding.
 _GRAM_HEADROOM = 1e-10
-
-
-def _alias_frequencies(image_shape: tuple[int, int], period: tuple[int, int]):
-    """Fine row and column frequency indices, shape (n, pi*pj) each, of the
-    aliases of the coarse frequencies w with wj <= mj/2, row by row from
-    w = 0; alias a = ai*pj + aj sits at (wi + mi*ai, wj + mj*aj)."""
-    ni, nj = image_shape
-    pi, pj = period
-    if ni % pi or nj % pj:
-        raise ValueError(f"period {period} does not divide image size {image_shape}")
-    mi, mj = ni // pi, nj // pj
-    wi, wj = np.indices((mi, mj // 2 + 1)).reshape(2, -1, 1)
-    ai, aj = np.divmod(np.arange(pi * pj), pj)
-    return wi + mi * ai, wj + mj * aj
-
-
-def alias_domain_norm(image_shape: tuple[int, int], period: tuple[int, int],
-                      grams) -> float:
-    """Exact norm of a formation that commutes with shifts by ``period``.
-
-    Let (mi, mj) = (ni/pi, nj/pj).  At each coarse frequency w on the
-    (mi, mj) grid, a field is represented by its pi*pj aliases, the fine
-    frequencies w + (mi*ai, mj*aj), and the formation by one small matrix
-    A(w) (unitary DFT on every field).  Circular convolutions and the
-    Butterworth filter are diagonal there.  Band mixing and channel sums
-    act on the band index only.  A P-periodic mask is the circulant of its
-    tile's DFT divided by pi*pj.  Decimation by the period sums the
-    aliases, each weighted 1/sqrt(pi*pj).
-
-    ``grams(fi, fj)`` returns the Gram matrices A(w) A(w)^H (or A^H A) for
-    a batch of n coarse frequencies, shape (n, m, m).  It gets the fine
-    row and column frequency indices of their aliases, shape (n, pi*pj)
-    each, with alias a = ai*pj + aj.  The result is
-    sqrt(max_w lambda_max(G(w))).  A real operator has A(-w) = conj(A(w))
-    up to an alias permutation, so only the columns wj <= mj/2 are
-    visited, row by row from w = 0 and in batches of at most 1 MB of Gram
-    entries.  A batch whose Grams all pass a Cholesky certificate of
-    t*I - G, against the largest eigenvalue t found so far, costs no
-    eigenvalue computation.
-    """
-    fi, fj = _alias_frequencies(image_shape, period)
-    top = 0.0
-    # w = 0 goes alone first: its eigenvalue often certifies all others
-    lo, hi = 0, 1
-    while lo < len(fi):
-        gram = grams(fi[lo:hi], fj[lo:hi])
-        try:
-            np.linalg.cholesky(top * np.eye(gram.shape[1]) - gram)
-        except np.linalg.LinAlgError:
-            top = max(top, float(np.linalg.eigvalsh(gram)[:, -1].max()) * (1 + _GRAM_HEADROOM))
-        lo, hi = hi, hi + max(1, _ALIAS_CHUNK // gram[0].size)
-    return float(np.sqrt(top))
+# Relative margin on the alias-domain norms: covers the rounding of the
+# Gram matrices and of their eigenvalues (about 1e-15 relative).
+_NORM_MARGIN = 1e-9
 
 
 class DiagonalGram:
@@ -559,11 +508,10 @@ class DiagonalGram:
 
 
 class _AliasBlocks(NamedTuple):
-    """A periodic formation's alias-domain blocks (see
-    :func:`alias_domain_norm`), as functions of its spectra at the aliases
-    of n coarse frequencies: for each (ni, nj[, nk]) spectrum of the device
-    (kernel spectra, transfer), its values at those aliases, shape
-    (n, P[, nk]).
+    """A periodic formation's alias-domain blocks (see :class:`AliasGram`),
+    as functions of its spectra at the aliases of n coarse frequencies:
+    for each (ni, nj[, nk]) spectrum of the device (kernel spectra,
+    transfer), its values at those aliases, shape (n, P[, nk]).
 
     ``make_grams()`` returns ``grams(*spectra)``, which returns G(w) =
     A(w) A(w)^H, shape (n, m, m); the constants it holds, up to nk*P^3
@@ -580,32 +528,65 @@ class _AliasBlocks(NamedTuple):
     maps: Callable
 
 
-class _AliasPlan:
-    """Everything about a periodic formation's alias domain that neither
-    tau nor an observation changes, formed once per model.
+class AliasGram:
+    """AA* of a formation that commutes with shifts by ``period``, in the
+    alias domain, where the formation splits into one small matrix per
+    coarse frequency: its certified norm (:meth:`norm`) and the exact prox
+    of its data term (:meth:`data_step`).
 
-    It holds the device's spectra at the aliases of the coarse frequencies
-    wj <= mj/2 (see :func:`alias_domain_norm`), the block maps over all of
-    them and the index maps between the half spectra of real fields
-    (``rfft2``, columns up to nj/2) and the blocks' coefficients, in the
-    unitary DFT.  An alias beyond nj/2 reads the conjugate of its mirror
-    -f (``gather``), and a half-spectrum cell whose class lies beyond mj/2
-    the conjugate of the class output at -f (``scatter``).  The
-    conjugations are signs on the imaginary parts, which cost less than
-    masked conjugates and give the same bits.  The gather's depend on the
-    class only through wj, the scatter's on the column; the cube's are
-    repeated over the bands, so that one contiguous product applies them.
+    Let (mi, mj) = (ni/pi, nj/pj).  At each coarse frequency w on the
+    (mi, mj) grid, a field is represented by its P = pi*pj aliases, the
+    fine frequencies w + (mi*ai, mj*aj), alias a = ai*pj + aj, and the
+    formation by one small matrix A(w) (unitary DFT on every field).
+    Circular convolutions and the Butterworth filter are diagonal there.
+    Band mixing and channel sums act on the band index only.  A P-periodic
+    mask is the circulant of its tile's DFT divided by P.  Decimation by
+    the period sums the aliases, each weighted 1/sqrt(P).
+
+    The observation is a plane on the (ni, nj) grid, followed by
+    ``coarse_bands`` bands on the (mi, mj) grid: mrca has none, multires
+    its LRI cube.  Under the unitary DFT of each grid, coordinate a of the
+    block at w is the plane's alias a and coordinate P + k band k's
+    coefficient at w; the cube's coordinate (a, k) is band k's alias a.
+    A maps each block onto itself by A(w), and AA* by G(w) = A(w) A(w)^H.
+    A real operator has A(-w) = conj(A(w)) up to an alias permutation, so
+    only the classes wj <= mj/2 are held, row by row from w = 0.
+
+    Formed once per model, with it, it holds everything about the alias
+    domain that neither tau nor an observation changes: the device's
+    ``spectra`` at the aliases of those classes, the block maps A(w) and
+    conj(A(w)^H) over all of them and the index maps between the half
+    spectra of real fields (``rfft2``, columns up to nj/2) and the blocks'
+    coefficients, in the unitary DFT.  An alias beyond nj/2 reads the
+    conjugate of its mirror -f (``gather``), and a half-spectrum cell
+    whose class lies beyond mj/2 the conjugate of the class output at -f
+    (``scatter``).  The conjugations are signs on the imaginary parts,
+    which cost less than masked conjugates and give the same bits.  The
+    gather's depend on the class only through wj, the scatter's on the
+    column; the cube's are repeated over the bands, so that one contiguous
+    product applies them.  mrca's operator applies A and A* from it too.
+
+    ``step`` is the device's tau * lambda_bar * |A|^2 for the solver's
+    primal-data update, from the probe of ``BENCH_24.json``; ``shape`` is
+    the observation's.  The Grams G(w) and their inverses depend on tau:
+    :meth:`data_step` forms them when a solve asks for it, so a model
+    whose solve takes no Gram never holds them.
     """
 
     def __init__(self, image_shape: tuple[int, int], period: tuple[int, int],
-                 blocks: _AliasBlocks, spectra: tuple, coarse_bands: int = 0):
+                 blocks: _AliasBlocks, spectra: tuple, step: float, coarse_bands: int = 0):
         ni, nj = image_shape
         pi, pj = period
         mi, mj = ni // pi, nj // pj
         mh, nh, p = mj // 2 + 1, nj // 2 + 1, pi * pj
         self.image_shape, self.period, self.coarse_bands = (ni, nj), (pi, pj), coarse_bands
         self.classes, self.block_size = mi * mh, p + coarse_bands  # n and m
-        fi, fj = _alias_frequencies(image_shape, period)
+        self.step = step
+        self.shape = (ni * nj + mi * mj * coarse_bands,) if coarse_bands else (ni, nj)
+        # the fine frequencies of each class's aliases, (n, P) each
+        wi, wj = np.indices((mi, mh)).reshape(2, -1, 1)
+        ai, aj = np.divmod(np.arange(p), pj)
+        fi, fj = wi + mi * ai, wj + mj * aj
         self.spectra = tuple(a[fi, fj] for a in spectra)
         nk = self.spectra[0].shape[2]
         self.cube_shape = (ni, nj, nk)
@@ -627,6 +608,28 @@ class _AliasPlan:
             np.int32).ravel()
         self.flip_sign = np.where(flip[0], -1.0, 1.0)
         self.keep_sign_cube = np.repeat(-self.flip_sign[:, None], nk, axis=1)
+
+    def norm(self) -> float:
+        """The formation's exact norm sqrt(max_w lambda_max(G(w))), with a
+        relative margin of 1e-9.
+
+        The classes are visited in order, w = 0 alone first (its
+        eigenvalue often certifies all others), then in batches of at most
+        1 MB of Gram entries.  A batch whose Grams all pass a Cholesky
+        certificate of t*I - G, against the largest eigenvalue t found so
+        far, costs no eigenvalue computation.
+        """
+        grams = self.make_grams()
+        top = 0.0
+        lo, hi = 0, 1
+        while lo < self.classes:
+            gram = grams(*(a[lo:hi] for a in self.spectra))
+            try:
+                np.linalg.cholesky(top * np.eye(gram.shape[1]) - gram)
+            except np.linalg.LinAlgError:
+                top = max(top, float(np.linalg.eigvalsh(gram)[:, -1].max()) * (1 + _GRAM_HEADROOM))
+            lo, hi = hi, hi + max(1, _ALIAS_CHUNK // gram[0].size)
+        return float(np.sqrt(top)) * (1 + _NORM_MARGIN)
 
     def cube_coefficients(self, x: np.ndarray):
         """``(spec, coef)``: the half spectrum of a cube x, a fresh array of
@@ -664,59 +667,6 @@ class _AliasPlan:
         return scipy.fft.irfft2(half, s=self.image_shape, axes=(0, 1), norm="ortho",
                                 overwrite_x=True)
 
-
-def _alias_op(plan: _AliasPlan, bound: float) -> LinearOp:
-    """mrca's cube-to-plane formation A of ``plan`` applied in the alias
-    domain.  A runs one band-wise ``rfft2``, the gather, A(w), the scatter
-    and one plane ``irfft2``; A* one plane ``rfft2``, the gather,
-    conj(A(w)^H), the scatter and one band-wise ``irfft2``.  A PAN blur is
-    a transfer inside the blocks and costs no transform of its own."""
-    def forward(x):
-        coef = plan.cube_coefficients(x)[1]  # the cube's spectrum is freed here
-        return plan.transform_back(plan.plane_spectrum(plan.forward(coef)))
-
-    def adjoint(y):
-        d = plan.conj_adjoint(plan.plane_coefficients(y))
-        half = plan.cube_spectrum(d)
-        del d
-        return plan.transform_back(half)
-
-    return LinearOp(plan.cube_shape, plan.image_shape, forward, adjoint, bound, name="mrca")
-
-
-class AliasGram:
-    """AA* of a formation that commutes with shifts by a period, on the
-    model's alias-domain plan (see :func:`alias_domain_norm`): the device's
-    spectra at the aliases, the block maps A(w) and conj(A(w)^H) and the
-    index maps between half spectra and blocks, formed once per model by
-    ``make_plan()``.  On mrca it returns the plan the model's operator
-    applies A and A* from; multires forms its own on its first data step
-    (its operator is the stack of its blocks), so a multires model whose
-    Gram no solve takes holds none.  ``shape`` is the observation's.
-
-    The observation is a plane on the (ni, nj) grid, followed by
-    ``coarse_bands`` bands on the (mi, mj) grid: mrca has none, multires
-    its LRI cube.  Under the unitary DFT of each grid, coordinate a of the
-    block at w is the plane's alias a and coordinate P + k band k's
-    coefficient at w; the cube's coordinate (a, k) is band k's alias a.
-    A maps each block onto itself by A(w), and AA* by G(w) = A(w) A(w)^H.
-
-    ``step`` is the device's tau * lambda_bar * |A|^2 for the solver's
-    primal-data update, from the probe of ``BENCH_24.json``.
-
-    The Grams G(w) and their inverses depend on tau: :meth:`data_step`
-    forms them when a solve asks for it, so a model whose solve takes no
-    Gram never holds them.
-    """
-
-    def __init__(self, make_plan: Callable[[], _AliasPlan], step: float,
-                 shape: tuple[int, ...]):
-        self._make_plan, self.step, self.shape = make_plan, step, shape
-
-    @functools.cached_property
-    def plan(self) -> _AliasPlan:
-        return self._make_plan()
-
     def data_step(self, tau: float, y: np.ndarray):
         """``step(x)``, which overwrites a cube-shaped float64 array x, in
         any memory layout, with x - A*(I/tau + AA*)^-1 (A(x) - y): the
@@ -728,48 +678,66 @@ class AliasGram:
         coarse frequencies wj <= mj/2 only, in batches of at most ni*nj
         Gram entries (and 1 MB), so that forming them holds less than the
         blocks themselves, and takes y's coefficients; everything else is
-        the plan's.  x and y are real, so their half spectra hold every
-        coefficient.  One step runs one band-wise ``rfft2`` of x, the
+        formed with the Gram.  x and y are real, so their half spectra hold
+        every coefficient.  One step runs one band-wise ``rfft2`` of x, the
         gather, A(w), one batched m x m product, conj(A(w)^H), the scatter
         and one ``irfft2``.
         """
         if np.shape(y) != self.shape:
             raise ValueError(f"observation of shape {np.shape(y)} does not match the "
                              f"Gram's {self.shape}")
-        plan = self.plan
-        (ni, nj), nc = plan.image_shape, plan.coarse_bands
-        n, m = plan.classes, plan.block_size
+        (ni, nj), nc = self.image_shape, self.coarse_bands
+        n, m = self.classes, self.block_size
         p = m - nc
         inv = np.empty((n, m, m), dtype=complex)
         batch = max(1, min(_ALIAS_CHUNK, ni * nj) // (m * m))
-        grams = plan.make_grams()
+        grams = self.make_grams()
         for lo in range(0, n, batch):
-            g = grams(*(a[lo:lo + batch] for a in plan.spectra))
+            g = grams(*(a[lo:lo + batch] for a in self.spectra))
             g[:, np.arange(m), np.arange(m)] += 1.0 / tau
             inv[lo:lo + batch] = np.linalg.inv(g)
         flat = np.asarray(y, dtype=np.float64).reshape(-1)
         coeffs = np.empty((n, m), dtype=complex)
-        coeffs[:, :p] = plan.plane_coefficients(flat[:ni * nj].reshape(ni, nj))
+        coeffs[:, :p] = self.plane_coefficients(flat[:ni * nj].reshape(ni, nj))
         if nc:
-            mi, mj = ni // plan.period[0], nj // plan.period[1]
+            mi, mj = ni // self.period[0], nj // self.period[1]
             coeffs[:, p:] = scipy.fft.rfft2(flat[ni * nj:].reshape(mi, mj, nc), axes=(0, 1),
                                             norm="ortho").reshape(n, nc)
-        forward, conj_adjoint = plan.forward, plan.conj_adjoint
+        forward, conj_adjoint = self.forward, self.conj_adjoint
 
         def step(x):
-            spec, coef = plan.cube_coefficients(x)
+            spec, coef = self.cube_coefficients(x)
             u = forward(coef)
             del coef  # each cube-sized temporary is freed before the next one is formed
             u -= coeffs
             v = np.matmul(inv, u[:, :, None])[:, :, 0]
             del u
-            update = plan.cube_spectrum(conj_adjoint(v))
+            update = self.cube_spectrum(conj_adjoint(v))
             spec -= update
             del update
-            x[...] = plan.transform_back(spec)
+            x[...] = self.transform_back(spec)
             return x
 
         return step
+
+
+def _alias_op(gram: AliasGram, bound: float) -> LinearOp:
+    """mrca's cube-to-plane formation A of ``gram`` applied in the alias
+    domain.  A runs one band-wise ``rfft2``, the gather, A(w), the scatter
+    and one plane ``irfft2``; A* one plane ``rfft2``, the gather,
+    conj(A(w)^H), the scatter and one band-wise ``irfft2``.  A PAN blur is
+    a transfer inside the blocks and costs no transform of its own."""
+    def forward(x):
+        coef = gram.cube_coefficients(x)[1]  # the cube's spectrum is freed here
+        return gram.transform_back(gram.plane_spectrum(gram.forward(coef)))
+
+    def adjoint(y):
+        d = gram.conj_adjoint(gram.plane_coefficients(y))
+        half = gram.cube_spectrum(d)
+        del d
+        return gram.transform_back(half)
+
+    return LinearOp(gram.cube_shape, gram.image_shape, forward, adjoint, bound, name="mrca")
 
 
 def _mask_circulants(mask: Mask, period: tuple[int, int]) -> np.ndarray:
@@ -855,8 +823,9 @@ def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights) -> _AliasBlo
     hri = np.kron(weights.W, np.eye(p))
     lri = np.kron(np.eye(nk), np.ones((1, p))) / ratio
     w = weights.W[0].astype(complex)
-    # the sum over the aliases of each band, (a, k) -> k, as one product
-    alias_sum = np.kron(np.ones((p, 1)), np.eye(nk)).astype(complex)
+    # the sum over the aliases of each band, (a, k) -> k, weighted 1/ratio,
+    # as one product
+    alias_sum = np.kron(np.ones((p, 1)), np.eye(nk)).astype(complex) / ratio
     # a -> (a, k) weighted by W, the HRI branch's adjoint band spread
     spread = np.kron(np.eye(p), weights.W)
 
@@ -868,8 +837,6 @@ def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights) -> _AliasBlo
         return a @ a.conj().swapaxes(1, 2)
 
     def maps(s):
-        s = s / ratio
-
         def forward(x):  # overwrites x
             hri = (x.reshape(-1, nk) @ w).reshape(len(x), p)
             x *= s
@@ -886,19 +853,6 @@ def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights) -> _AliasBlo
 
     return _AliasBlocks(lambda: grams, maps)
 
-
-def _alias_norm(image_shape, period, blocks: _AliasBlocks, spectra: tuple) -> float:
-    """The certified alias-domain norm of ``blocks`` on the device's
-    (ni, nj[, nk]) spectra, with its relative margin."""
-    grams = blocks.make_grams()
-    return alias_domain_norm(image_shape, period,
-                             lambda fi, fj: grams(*(a[fi, fj] for a in spectra))
-                             ) * (1 + _NORM_MARGIN)
-
-
-# Relative margin on the alias-domain norms: covers the rounding of the
-# Gram matrices and of their eigenvalues (about 1e-15 relative).
-_NORM_MARGIN = 1e-9
 
 # ``AliasGram.step`` of each device (see the ``solver`` module docstring)
 _ALIAS_STEPS = {"mrca": 0.01, "multires": 0.02}
@@ -990,15 +944,13 @@ class FormationModel:
     :class:`DiagonalGram`: AA* is diagonal, the mask energy each
     focal-plane cell collects, and the data step runs ``op``, one division
     and its adjoint.  On ``mrca`` and ``multires`` it is an
-    :class:`AliasGram` on the model's alias-domain plan: the kernel
-    spectra (and on mrca the PAN transfer) at the aliases, the block maps
-    A(w) and conj(A(w)^H) and the index maps, about one cube (two on
-    multires, whose maps hold the spectra over the ratio).  On ``mrca``
-    the plan is formed with the model and ``op`` applies A and A* from
-    it; on ``multires`` the first data step forms it.  The data step runs
-    whole in the alias domain, with no call to ``op``, and forms the
-    Grams G(w), whose largest eigenvalue is the norm bound, and their
-    inverses only when a solve asks for it.
+    :class:`AliasGram`, formed with the model: the kernel spectra (and on
+    mrca the PAN transfer) at the aliases, the block maps A(w) and
+    conj(A(w)^H) and the index maps, about one cube.  On ``mrca`` ``op``
+    applies A and A* from it.  The data step runs whole in the alias
+    domain, with no call to ``op``, and forms the Grams G(w), whose
+    largest eigenvalue is the norm bound, and their inverses only when a
+    solve asks for it.
     """
 
     preset: FormationPreset
@@ -1058,18 +1010,16 @@ def build_formation(preset: FormationPreset) -> FormationModel:
       suppresses the samples a decimation would drop.
 
     ``mrca`` and ``multires`` commute with shifts by the tile period resp.
-    the ratio, and carry their exact alias-domain norm (see
-    :func:`alias_domain_norm`) with a relative margin of 1e-9, and an
-    :class:`AliasGram` of the same blocks as ``gram``, on a plan formed
-    once per model: the spectra at the aliases, the block maps and the
-    index maps.  The mrca plan is formed here, and the mrca operator is
-    not the composition of the blocks but applies A and A* from it, each
+    the ratio.  Each carries an :class:`AliasGram` of its blocks as
+    ``gram``, formed here: the spectra at the aliases, the block maps and
+    the index maps.  Its :meth:`AliasGram.norm` is the operator's exact
+    norm, with a relative margin of 1e-9.  The mrca operator is not the
+    composition of the blocks but applies A and A* from the Gram, each
     with one band-wise FFT and one FFT of the plane (the PAN blur is a
     transfer inside the blocks).  The multires operator stays the stack
-    of its blocks, and its Gram forms its plan on its first data step.
-    ``cfa`` and
-    ``cassi`` carry the exact diagonal-Gramian norm of :func:`mosaic`, and
-    a :class:`DiagonalGram` of diag(AA*) as ``gram``.
+    of its blocks.  ``cfa`` and ``cassi`` carry the exact diagonal-Gramian
+    norm of :func:`mosaic`, and a :class:`DiagonalGram` of diag(AA*) as
+    ``gram``.
 
     ``lri_support`` is the LRI block of ``multires`` and the channel pixels
     of ``mrca``; a tile with no channel cells leaves it empty.
@@ -1078,20 +1028,15 @@ def build_formation(preset: FormationPreset) -> FormationModel:
     ni, nj, nk = shape
 
     if preset.name == "multires":
-        w = average_weights(nk)
+        w, r = average_weights(nk), preset.ratio
         hri_op = spectral_degrade(w, shape)
         K = _lri_spectra(preset)
-        lri_op = compose(decimate(shape, preset.ratio), _circular_convolve(K, shape))
-        op = stack(hri_op, lri_op)
-        period = (preset.ratio, preset.ratio)
-        blocks = _multires_blocks(nk, preset.ratio, w)
-        op.norm_bound = _alias_norm((ni, nj), period, blocks, (K,))
+        op = stack(hri_op, compose(decimate(shape, r), _circular_convolve(K, shape)))
+        gram = AliasGram((ni, nj), (r, r), _multires_blocks(nk, r, w), (K,),
+                         _ALIAS_STEPS["multires"], coarse_bands=nk)
+        op.norm_bound = gram.norm()
         lri_support = np.zeros(op.output_shape, dtype=bool)
         lri_support[int(np.prod(hri_op.output_shape)):] = True
-        # the kernel spectra are formed again for the plan, so the model holds none
-        gram = AliasGram(lambda: _AliasPlan((ni, nj), period, blocks, (_lri_spectra(preset),),
-                                            coarse_bands=nk),
-                         _ALIAS_STEPS["multires"], op.output_shape)
         return FormationModel(preset, op, lri_support=lri_support, gram=gram)
 
     tile = _resolve_tile(preset)
@@ -1104,11 +1049,10 @@ def build_formation(preset: FormationPreset) -> FormationModel:
                               gram=DiagonalGram(op, op.apply(h_lri.values)))
 
     # full compressed acquisition on one focal plane, applied in the alias domain
-    blocks = _mrca_blocks(tile.period, h_lri, h_pan, average_weights(nk))
-    spectra = (_lri_spectra(preset), _pan_transfer(preset))
-    plan = _AliasPlan((ni, nj), tile.period, blocks, spectra)
-    op = _alias_op(plan, _alias_norm((ni, nj), tile.period, blocks, spectra))
-    gram = AliasGram(lambda: plan, _ALIAS_STEPS["mrca"], op.output_shape)
+    gram = AliasGram((ni, nj), tile.period,
+                     _mrca_blocks(tile.period, h_lri, h_pan, average_weights(nk)),
+                     (_lri_spectra(preset), _pan_transfer(preset)), _ALIAS_STEPS["mrca"])
+    op = _alias_op(gram, gram.norm())
     return FormationModel(preset, op, h_lri=h_lri, lri_support=h_lri.pixel_support(), gram=gram)
 
 

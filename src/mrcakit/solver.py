@@ -194,7 +194,8 @@ cL * Xbar, and in turn X and X~ - X within an iteration) and Wt, and the
 data step its own: on a diagonal the denominator 1 / tau + e and the
 residual R on the observation grid; on alias-domain blocks the inverted
 blocks (4 to 4.5 cubes on the shipped devices) and y's coefficients (the
-kernel spectra at the aliases and the index maps are the model's).  Each
+kernel spectra at the aliases and the index maps are the ``AliasGram``'s,
+formed with the model).  Each
 alias-domain step allocates its spectra, a few cubes, and frees them.
 The relaxation needs Wt and W~t at once: it forms Wt + L(cL * Xbar) in
 L's output array, projects it there and relaxes Wt from it, so the

@@ -372,7 +372,7 @@ class TestWorkingSet:
     the dual and its projection at once, one field more, which the s1l1
     projection's in-place maps pay back but for 0.3 cubes.  The kernel
     spectra at the aliases and the index maps belong to the model's
-    alias-domain plan, formed before the solve.  Both peak in the s1l1
+    ``AliasGram``, formed with the model.  Both peak in the s1l1
     projection; the data step's own spectra and products, 4.0 (mrca) and
     4.2 (multires) cubes at their peak (half a cube of it numpy's ufunc
     buffer, a fixed 64 kB), are freed before it.  The
@@ -516,12 +516,19 @@ class TestPrimalData:
     # the alias-domain devices: the shipped tiles at periods 4 (bt4pan, and
     # bt8pan with 8 bands) and 2 and 4 (multires ratio), on a square image
     # and on a 12x20 one, whose coarse grid at period 4 is 3x5: non-square,
-    # of odd width, so that its mirrored aliases and cube outputs differ
+    # of odd width, so that its mirrored aliases and cube outputs differ.
+    # Ratio 3, the one whose 1/ratio is inexact, divides neither size and
+    # runs on 12x6 alone
     ALIAS_DEVICES = {"mrca": ("mrca", 4, {}),
                      "mrca-blur": ("mrca", 4, {"hri_blur": "butterworth", "rho_b": 1.4}),
                      "mrca-bt8pan": ("mrca", 8, {"mask": "bt8pan"}),
                      "multires": ("multires", 4, {}),
-                     "multires-ratio4": ("multires", 4, {"ratio": 4})}
+                     "multires-ratio4": ("multires", 4, {"ratio": 4}),
+                     "multires-ratio3": ("multires", 4, {"ratio": 3})}
+    ALIAS_CASES = [pytest.param(device, size, id=f"size{i}-{device}")
+                   for device in ALIAS_DEVICES if device != "multires-ratio3"
+                   for i, size in enumerate([(8, 8), (12, 20)])]
+    ALIAS_CASES.append(pytest.param("multires-ratio3", (12, 6), id="size2-multires-ratio3"))
 
     @classmethod
     def _alias_step(cls, device, size, rng):
@@ -531,8 +538,7 @@ class TestPrimalData:
         return A, model.gram, rng.standard_normal(A.input_shape), rng.standard_normal(
             A.output_shape)
 
-    @pytest.mark.parametrize("device", list(ALIAS_DEVICES))
-    @pytest.mark.parametrize("size", [(8, 8), (12, 20)])
+    @pytest.mark.parametrize("device, size", ALIAS_CASES)
     @pytest.mark.parametrize("tau", [1e-3, 1.0, 1e3])
     def test_alias_data_step_is_the_dense_prox(self, rng, device, size, tau):
         A, gram, x, y = self._alias_step(device, size, rng)
@@ -543,8 +549,7 @@ class TestPrimalData:
         assert got is x
         assert np.linalg.norm(got.ravel() - dense) <= 1e-12 * np.linalg.norm(dense)
 
-    @pytest.mark.parametrize("device", list(ALIAS_DEVICES))
-    @pytest.mark.parametrize("size", [(8, 8), (12, 20)])
+    @pytest.mark.parametrize("device, size", ALIAS_CASES)
     def test_alias_data_step_reads_and_writes_any_layout(self, rng, device, size):
         A, gram, x, y = self._alias_step(device, size, rng)
         expected = gram.data_step(3.0, y)(x.copy())
