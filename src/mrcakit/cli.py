@@ -15,8 +15,7 @@ import os
 import sys
 
 from .datacube import DataCube, read_datacube, write_datacube
-from .formation import (PAN_BLUR_PRESETS, PRESET_NAMES, RATIO_PRESETS, FormationPreset,
-                        formation_preset)
+from .formation import PAN_BLUR_PRESETS, PRESET_NAMES, FormationPreset, formation_preset
 from .harness import (
     METHODS,
     PipelineSpec,
@@ -66,9 +65,6 @@ def _preset_from_args(args) -> FormationPreset:
     if args.mask is not None:
         overrides["mask"] = args.mask
     if args.ratio is not None:
-        if args.formation not in RATIO_PRESETS:
-            raise ValueError(f"--ratio: the {args.formation} formation has one resolution "
-                             "and no ratio")
         overrides["ratio"] = args.ratio
     if args.rho_b is not None:
         if args.formation not in PAN_BLUR_PRESETS:

@@ -571,6 +571,11 @@ class AliasGram:
     the observation's.  The Grams G(w) and their inverses depend on tau:
     :meth:`data_step` forms them when a solve asks for it, so a model
     whose solve takes no Gram never holds them.
+
+    The maps and the Grams read the same matrices, their columns the
+    cube's coefficients alias-major, (a, k).  mrca's Gram algebra stays
+    hand-derived: rows of A(w) from the maps, multiplied out as A(w)
+    A(w)^H, took two to three times as long and slowed the 64x64x4 solves.
     """
 
     def __init__(self, image_shape: tuple[int, int], period: tuple[int, int],
@@ -741,19 +746,13 @@ def _alias_op(gram: AliasGram, bound: float) -> LinearOp:
 
 
 def _mask_circulants(mask: Mask, period: tuple[int, int]) -> np.ndarray:
-    """Alias-domain matrices of a periodic mask side by side, one per band:
-    shape (P, nb*P) with P = pi*pj, block b holding at [a, a'] the DFT of
-    band b's tile at a - a', over P."""
+    """Alias-domain matrices of a periodic mask, one per band, interleaved
+    as a cube's coefficients lie: shape (P, P*nb) with P = pi*pj, column
+    a'*nb + b holding at row a the DFT of band b's tile at a - a', over P."""
     pi, pj = period
     c = np.fft.fft2(mask.values[:pi, :pj, :], axes=(0, 1)) / (pi * pj)
     ai, aj = np.divmod(np.arange(pi * pj), pj)
-    return c[(ai[:, None] - ai) % pi, (aj[:, None] - aj) % pj].transpose(0, 2, 1).reshape(
-        pi * pj, -1)
-
-
-def _band_major(s: np.ndarray) -> np.ndarray:
-    """Per-band spectra at the aliases, (n, P, nk), as (n, nk*P), band-major."""
-    return np.moveaxis(s, 2, 1).reshape(len(s), -1)
+    return c[(ai[:, None] - ai) % pi, (aj[:, None] - aj) % pj].reshape(pi * pj, -1)
 
 
 def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights) -> _AliasBlocks:
@@ -761,20 +760,18 @@ def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights) -> 
     of the spectra (s, t): the kernel spectra K and the PAN transfer T at
     the aliases.
 
-    A(w) = C diag(s) + T Q: column (k, a') of C holds band k's LRI mask
-    circulant, s the kernel spectra at the aliases, T the transfer at the
-    output aliases (ones without a PAN blur) and Q = W (x) C_pan, applied
-    as C_pan (W .).  Its Gram matrix
+    A(w) = C diag(s) + T Q: column (a', k) of C holds band k's LRI mask
+    circulant at alias a', s the kernel spectra at the aliases, T the
+    transfer at the output aliases (ones without a PAN blur) and
+    Q = C_pan (x) W, applied as C_pan (W .).  Its Gram matrix
     C diag(|s|^2) C^H + (C diag(s) Q^H T + h.c.) + T Q Q^H T
     is linear in |s|^2 and s, so each batch takes two matrix products.
     """
     c = _mask_circulants(h_lri, period)
     c_pan = _mask_circulants(h_pan, period)
-    q = np.kron(weights.W, c_pan)
+    q = np.kron(c_pan, weights.W)
     p = c.shape[0]
     pan = q @ q.conj().T
-    # C with its columns alias-major, (a', k), as the cube's coefficients lie
-    c_cube = c.reshape(p, -1, p).transpose(0, 2, 1).reshape(p, -1)
     w = weights.W[0].astype(complex)
     # a -> (a, k) weighted by W, the PAN branch's adjoint band spread
     spread = np.kron(np.eye(p), weights.W)
@@ -784,7 +781,7 @@ def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights) -> 
         cross = np.einsum("ac,bc->cab", c, q.conj()).reshape(c.shape[1], p * p)
 
         def grams(s, t):
-            s = _band_major(s)
+            s = s.reshape(len(s), -1)
             g = ((s.real ** 2 + s.imag ** 2) @ power).reshape(-1, p, p)
             x = (s @ cross).reshape(-1, p, p)
             # g + T pan T + x T + (x T)^H, each term formed in place
@@ -800,12 +797,12 @@ def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights) -> 
         def forward(x):  # overwrites x
             u = t * ((x.reshape(-1, len(w)) @ w).reshape(t.shape) @ c_pan.T)
             x *= s
-            u += x.reshape(len(x), -1) @ c_cube.T
+            u += x.reshape(len(x), -1) @ c.T
             return u
 
         def conj_adjoint(v):  # overwrites v
             v = np.conjugate(v, out=v)
-            d = v @ c_cube
+            d = v @ c
             d *= s.reshape(d.shape)
             v *= t
             d += (v @ c_pan) @ spread
@@ -818,10 +815,10 @@ def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights) -> 
 
 def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights) -> _AliasBlocks:
     """The alias-domain blocks of the stack of W and decimate(ratio) conv(K),
-    of the kernel spectra s at the aliases."""
+    of the kernel spectra s at the aliases.  The rows of A(w), over the
+    cube's coefficients alias-major, (a, k), are the maps' own: ``spread``
+    and ``alias_sum.T`` diag(s)."""
     p = ratio * ratio
-    hri = np.kron(weights.W, np.eye(p))
-    lri = np.kron(np.eye(nk), np.ones((1, p))) / ratio
     w = weights.W[0].astype(complex)
     # the sum over the aliases of each band, (a, k) -> k, weighted 1/ratio,
     # as one product
@@ -830,10 +827,8 @@ def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights) -> _AliasBlo
     spread = np.kron(np.eye(p), weights.W)
 
     def grams(s):
-        # HRI rows (j, a): W[j, k] on alias a of band k; LRI row k: the
-        # aliases of band k, filtered and summed with weight 1/ratio
-        a = np.concatenate([np.broadcast_to(hri, (len(s), *hri.shape)),
-                            lri * _band_major(s)[:, None, :]], axis=1)
+        a = np.concatenate([np.broadcast_to(spread, (len(s), *spread.shape)),
+                            alias_sum.T * s.reshape(len(s), 1, -1)], axis=1)
         return a @ a.conj().swapaxes(1, 2)
 
     def maps(s):
@@ -873,6 +868,8 @@ class FormationPreset:
     LRI blur gain at Nyquist (0.3) and the Butterworth order (one) are
     fixed constants, not fields; :meth:`from_text` rejects their retired
     keys ``np_bands``, ``lri_blur_gain`` and ``butter_order`` by name.
+    A field the device would ignore must hold its default: ``ratio`` 2 on
+    ``cfa`` and ``cassi``, ``mask`` ``bt4pan`` on ``multires``.
     """
 
     name: str
@@ -893,6 +890,11 @@ class FormationPreset:
             raise ValueError("dimensions must be positive")
         if self.ratio < 1:
             raise ValueError(f"ratio must be >= 1, got ratio={self.ratio}")
+        if self.ratio != 2 and self.name not in RATIO_PRESETS:
+            raise ValueError(f"ratio: the {self.name} formation has one resolution and no "
+                             f"ratio, got ratio={self.ratio}")
+        if self.mask != "bt4pan" and self.name == "multires":
+            raise ValueError(f"mask: the multires formation has no mask, got mask={self.mask!r}")
         if self.hri_blur not in ("identity", "butterworth"):
             raise ValueError(f"unknown blur choice {self.hri_blur!r}")
         if self.hri_blur == "butterworth":

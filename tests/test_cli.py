@@ -192,7 +192,20 @@ class TestFailures:
         monkeypatch.setattr(harness, "build_formation", never)
         assert run(command, "--formation", formation, "--ni", 16, "--nj", 16,
                    "--ratio", 4, "--out", tmp_path / "o") == 1
-        assert (f"--ratio: the {formation} formation has one resolution and no ratio"
+        assert (f"ratio: the {formation} formation has one resolution and no ratio, "
+                "got ratio=4" in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_mask_on_a_multires_device_rejected(self, tmp_path, capsys, monkeypatch, command):
+        from mrcakit import harness
+
+        def never(*args, **kwargs):
+            raise AssertionError("built a device for a rejected flag")
+        monkeypatch.setattr(harness, "build_formation", never)
+        assert run(command, "--formation", "multires", "--ni", 16, "--nj", 16,
+                   "--mask", "quad4", "--out", tmp_path / "o") == 1
+        assert ("mask: the multires formation has no mask, got mask='quad4'"
                 in capsys.readouterr().err)
         assert not list(tmp_path.iterdir())
 

@@ -559,6 +559,33 @@ class TestAliasDomainMrca:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+class TestAliasGramMatchesMaps:
+    """The Grams an :class:`AliasGram` forms are A(w) A(w)^H of the blocks
+    its maps apply, at every class.  Row i of A(w) is conj(A(w)^H e_i),
+    the map ``conj_adjoint`` of the unit vector e_i.  Every coarse grid is
+    of odd width, 5, as on the 12x20 image of the data-step tests."""
+
+    @pytest.mark.parametrize("name, size, nk, overrides", [
+        pytest.param("mrca", (12, 20), 4, {}, id="mrca-bt4pan"),
+        pytest.param("mrca", (12, 20), 4, {"hri_blur": "butterworth", "rho_b": 1.4},
+                     id="mrca-bt4pan-blur"),
+        pytest.param("mrca", (12, 20), 8, {"mask": "bt8pan"}, id="mrca-bt8pan"),
+        pytest.param("multires", (12, 10), 4, {"ratio": 2}, id="multires-ratio2"),
+        pytest.param("multires", (12, 15), 4, {"ratio": 3}, id="multires-ratio3"),
+        pytest.param("multires", (12, 20), 4, {"ratio": 4}, id="multires-ratio4"),
+    ])
+    def test_grams_are_the_maps_multiplied_out(self, name, size, nk, overrides):
+        gram = build_formation(formation_preset(name, *size, nk, **overrides)).gram
+        n, m = gram.classes, gram.block_size
+        rows = np.stack([gram.conj_adjoint(np.tile(e, (n, 1))).reshape(n, -1)
+                         for e in np.eye(m, dtype=complex)], axis=1)
+        want = rows @ rows.conj().swapaxes(1, 2)
+        got = gram.make_grams()(*gram.spectra)
+        assert got.shape == want.shape == (n, m, m)
+        err = np.linalg.norm(got - want, axis=(1, 2))
+        assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
+
+
 class TestAliasGramHolds:
     """What a periodic model holds, in cubes, once its Gram has taken a
     data step and the step is dropped: the Gram's spectra at the aliases
@@ -772,6 +799,20 @@ class TestPresetSerialization:
     def test_bad_ratio_rejected_at_construction(self, name, ratio):
         with pytest.raises(ValueError, match=f"ratio must be >= 1, got ratio={ratio}"):
             formation_preset(name, 16, 16, 4, ratio=ratio)
+
+    @pytest.mark.parametrize("name, line, message", [
+        ("cfa", "ratio=4", "ratio: the cfa formation has one resolution and no ratio, "
+                           "got ratio=4"),
+        ("cassi", "ratio=3", "ratio: the cassi formation has one resolution and no ratio, "
+                             "got ratio=3"),
+        ("multires", "mask=quad4", "mask: the multires formation has no mask, "
+                                   "got mask='quad4'"),
+    ])
+    def test_field_the_device_ignores_rejected(self, name, line, message):
+        # the device would build as if the field held its default
+        text = f"name={name}\nni=16\nnj=16\nnk=4\n{line}\n"
+        with pytest.raises(ValueError, match=f"^obs.preset: {re.escape(message)}$"):
+            FormationPreset.from_text(text, "obs.preset")
 
     def test_unknown_formation_rejected(self):
         with pytest.raises(ValueError, match="preset"):
