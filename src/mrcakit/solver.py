@@ -113,7 +113,9 @@ with cA = tau * sigma_A and cL = tau * sigma_L.  A(Xbar) = 2 A(X) - A(X_prev)
 comes by linearity from the two last AX, so A runs once per iteration, on
 the iterate the solve returns, and once on the start: over n iterations A
 and A* run n + 1 times (the first A* forms the start A*(y)), L* n times and
-L n times plus one per tracked cost.  The cost reuses AX.  The steps come
+L n times plus one per tracked cost.  The cost reuses AX.  A*(Ut) is
+taken first, so that L, the projection and L* then run back to back on
+the field Wt while it is still in cache.  The steps come
 from the certified norm bounds and lambda_bar only:
 
     tau = 0.01 / (lambda_bar |A|^2),  cA = 0.495 / |A|^2,  cL = 0.495 / |L|^2,
@@ -187,7 +189,10 @@ field-sized buffers, per iteration.
 The dual-data update owns seven buffers, allocated once and updated in
 place: the cubes X and Xbar (held scaled, cL * Xbar), the field Wt, and
 Ut, AX, the residual R and the data-dual residual D on the observation
-grid.  It adds L(cL * Xbar) to Wt and projects Wt in place
+grid.  Both updates allocate Wt like L's first output (``np.zeros_like``),
+so it takes L's memory order: the plane-major field of ``tv_op``, whose
+sum with L's output, projection and relaxation then run over contiguous
+planes.  It adds L(cL * Xbar) to Wt and projects Wt in place
 (``prox_conj(..., out=...)``): unrelaxed, it never needs the previous
 duals again.  The primal-data update owns three, X~, Xbar (held scaled,
 cL * Xbar, and in turn X and X~ - X within an iteration) and Wt, and the
@@ -412,17 +417,22 @@ def _dual_data(A, L, g, y, x, cfg, trace):
     r = ax - y  # A(Xbar) - y
     u = np.zeros_like(r)
     d = np.empty_like(r)  # data-block dual residual
-    w = np.zeros(L.output_shape)
+    w = None  # allocated like L's first output
     for q in range(cfg.q_max):
         r *= c_a
         u += r
         u *= shrink
-        w += L.apply(xbar)
-        g.prox_conj(w, radius, out=w)
-        np.copyto(xbar, x)  # X_prev
         v = A.adjoint_apply(u)  # lives on until the next A* result replaces it
-        x -= v
+        # L, the projection and L* then run back to back on the field
+        lx = L.apply(xbar)
+        if w is None:
+            w = np.zeros_like(lx)
+        w += lx
+        del lx
+        g.prox_conj(w, radius, out=w)
         ltw = L.adjoint_apply(w)
+        np.copyto(xbar, x)  # X_prev
+        x -= v
         x -= ltw
         ltw_norm = np.linalg.norm(ltw)
         del ltw  # freed before A runs, so the peak holds no extra cube
@@ -476,11 +486,13 @@ def _primal_data(A, L, g, y, x, cfg, trace):
     data = cfg.gram.data_step(tau, y)  # x -> x - A*(I/tau + AA*)^-1 (A(x) - y) in place
     _check_data_step(A, y, data, tau)
     xbar = np.multiply(x, c_l)  # c_l * Xbar, with Xbar = 2 X~ - X; then X
-    w = np.zeros(L.output_shape)
+    w = None  # allocated like L's first output
     for q in range(cfg.q_max):
         s = L.apply(xbar)
         if not s.flags.writeable or np.may_share_memory(s, xbar):
-            s = s.copy()
+            s = s.copy(order="K")
+        if w is None:
+            w = np.zeros_like(s)
         s += w
         g.prox_conj(s, radius, out=s)  # W~
         s *= RELAXATION

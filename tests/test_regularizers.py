@@ -58,9 +58,15 @@ def np_diff_adjoint(w):
     return parts[0] + parts[1]
 
 
+# the shapes on which the plane-major field is checked against a C-order
+# copy: square, degenerate, one band and non-square
+LAYOUT_SHAPES = [(16, 16, 3), *EDGE_SHAPES, (5, 4, 1), (6, 10, 4)]
+
+
 class TestTvAdjoint:
-    @pytest.mark.parametrize("shape", [(16, 16, 3), *EDGE_SHAPES])
+    @pytest.mark.parametrize("shape", LAYOUT_SHAPES)
     def test_adjoint_identity(self, shape):
+        # on the plane-major fields the op returns (TestPlaneMajorField)
         op = tv_op(shape)
         assert adjoint_dot_test(op, trials=20, seed=0) < 1e-10
 
@@ -83,6 +89,58 @@ class TestTvAdjoint:
         for got, ref in ((tv_forward(x), np_diff_forward(x)),
                          (tv_adjoint(w), np_diff_adjoint(w))):
             np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def same_bits(a, b):
+    """Bitwise equality, the sign of zero included."""
+    np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                  np.ascontiguousarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", LAYOUT_SHAPES)
+class TestPlaneMajorField:
+    """``tv_forward`` returns an (ni, nj, nk, 2) view of a plane-major
+    (2, nk, ni, nj) array; every consumer gives the same bits for it and for
+    a C-order copy of it."""
+
+    @staticmethod
+    def _fields(shape):
+        w = tv_forward(np.random.default_rng(sum(shape)).standard_normal(shape))
+        c = np.array(w, order="C")
+        assert c.flags.c_contiguous and not np.shares_memory(c, w)
+        return w, c
+
+    def test_forward_planes_are_contiguous(self, shape):
+        w, _ = self._fields(shape)
+        assert w.shape == shape + (2,)
+        assert w.transpose(3, 2, 0, 1).flags.c_contiguous
+
+    def test_adjoint(self, shape):
+        w, c = self._fields(shape)
+        same_bits(tv_adjoint(w), tv_adjoint(c))
+
+    @pytest.mark.parametrize("kind", ["l221", "l111", "s1l1"])
+    def test_g_eval(self, shape, kind):
+        w, c = self._fields(shape)
+        assert g_eval(kind, w) == g_eval(kind, c)
+
+    @pytest.mark.parametrize("kind", ["l221", "l111", "s1l1"])
+    @pytest.mark.parametrize("out", ["new", "like", "c_order", "input"])
+    def test_prox_conj(self, shape, kind, out):
+        # lam at the median entry size: some blocks are clipped, some not
+        w, c = self._fields(shape)
+        lam = float(np.median(np.abs(w)))
+        results = []
+        for field in (w, c):
+            if out == "new":
+                got = prox_conj(kind, field, lam)
+            else:
+                target = {"like": np.empty_like(field), "c_order": np.empty(field.shape),
+                          "input": field}[out]
+                got = prox_conj(kind, field, lam, out=target)
+                assert got is target
+            results.append(got)
+        same_bits(*results)
 
 
 class TestTvNormBound:
@@ -373,7 +431,8 @@ class TestProxConj:
     @pytest.mark.parametrize("kind", ["l221", "l111", "s1l1"])
     def test_in_place_on_a_single_pixel(self, kind):
         # the plane-major view of a (1, 1, 1, 2) field is already C-ordered,
-        # and s1l1 must still copy it before writing over its input
+        # so s1l1 reads its planes in place and must read both directions
+        # before writing over either
         w = random_field(3, shape=(1, 1, 1, 2), scale=2.0)
         expected = prox_conj(kind, w, 0.1)
         assert prox_conj(kind, w, 0.1, out=w) is w

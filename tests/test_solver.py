@@ -363,35 +363,35 @@ class TestWorkingSet:
     """The memory a solve holds at its peak, in cubes, above its inputs.
 
     Measured at 64x64x4 with tracemalloc: 9.8 cubes on cassi with l221
-    and 11.8 on the blurred mrca with s1l1, both on the dual-data update,
+    and 10.0 on the blurred mrca with s1l1, both on the dual-data update,
     and 9.3 on cassi with l221 on the primal-data update, which holds no
     data dual U and no A(X) or D buffer.  On the over-relaxed primal-data
-    update the blurred mrca with s1l1 and multires with s1l1 both hold
-    14.9 cubes: the alias-domain data step keeps its inverted blocks (4.5
+    update the blurred mrca with s1l1 holds 12.9 cubes and multires with
+    s1l1 13.1: the alias-domain data step keeps its inverted blocks (4.5
     resp. 4.25 cubes here) for the whole solve, and the relaxation holds
-    the dual and its projection at once, one field more, which the s1l1
-    projection's in-place maps pay back but for 0.3 cubes.  The kernel
+    the dual and its projection at once, one field more.  The kernel
     spectra at the aliases and the index maps belong to the model's
     ``AliasGram``, formed with the model.  Both peak in the s1l1
     projection; the data step's own spectra and products, 4.0 (mrca) and
     4.2 (multires) cubes at their peak (half a cube of it numpy's ufunc
-    buffer, a fixed 64 kB), are freed before it.  The
-    dual-data bounds were set at the Loris-Verhoeven loop's 9.8 and 12.1
-    cubes plus half a cube, the primal-data ones at their own 9.3, 16.1
-    (mrca, when its data step still wrapped a plane-only resolvent in A
-    and A*) and 16.1 (multires) plus half a cube, so one more field-sized
-    array (two cubes) alive at the peak fails, such as one more dual-sized
-    buffer or an out-of-place s1l1 projection, and so do the blocks formed
-    all at once (29.0 cubes on mrca, 28.8 on multires) instead of in
-    batches.
+    buffer, a fixed 64 kB), are freed before it.  The s1l1 projection
+    reads the plane-major field in place; a copy of the field there holds
+    two cubes more (11.8, 14.9 and 14.9 cubes).  The l221 bounds were set
+    at the Loris-Verhoeven loop's 9.8 and the primal-data update's 9.3
+    cubes plus half a cube, the s1l1 ones at their own 10.0, 12.9 and
+    13.1 plus half a cube, so one more field-sized array (two cubes) alive
+    at the peak fails, such as one more dual-sized buffer, an out-of-place
+    s1l1 projection or a copy of the field in it, and so do the blocks
+    formed all at once (29.0 cubes on mrca, 28.8 on multires) instead of
+    in batches.
     """
 
     @pytest.mark.parametrize("name, kind, overrides, primal_data, bound", [
         ("cassi", "l221", {}, False, 10.3),
-        ("mrca", "s1l1", {"hri_blur": "butterworth", "rho_b": 1.4}, False, 12.6),
+        ("mrca", "s1l1", {"hri_blur": "butterworth", "rho_b": 1.4}, False, 10.5),
         ("cassi", "l221", {}, True, 9.8),
-        ("mrca", "s1l1", {"hri_blur": "butterworth", "rho_b": 1.4}, True, 16.6),
-        ("multires", "s1l1", {}, True, 16.6),
+        ("mrca", "s1l1", {"hri_blur": "butterworth", "rho_b": 1.4}, True, 13.4),
+        ("multires", "s1l1", {}, True, 13.6),
     ])
     def test_peak_cubes(self, name, kind, overrides, primal_data, bound):
         shape = (64, 64, 4)
