@@ -9,9 +9,8 @@ and a certified norm bound:
 * ``mask_apply``         per-pixel per-band weighting (self-adjoint);
 * ``shift_apply``        injective sample relocation (norm 1);
 * ``sum_channels``       collapse of the band dimension onto one focal plane;
-* ``mosaic``             the three above as one block, shifted or not: a
-  shift moves the mask once, at build time, and the cube before one
-  contraction over the bands;
+* ``mosaic``             the three above as one block, shifted or not,
+  with no canvas of the shifted cube;
 * ``butterworth_blur``   zero-phase frequency-domain low-pass.
 
 ``build_formation`` wires them into the four shipped presets: the full
@@ -392,38 +391,43 @@ def sum_channels(shape: tuple[int, int, int]) -> LinearOp:
 def mosaic(mask: Mask, shift: ShiftMap | None = None) -> LinearOp:
     """Masking, optional shifting, then channel summation, as one block.
 
-    A shift moves the mask values once, at build time, and is composed in
-    front of the block.  The forward is one contraction over the bands (no
-    masked cube is formed), and the adjoint replicates the image into every
-    band and masks that copy in place.
+    It holds no shifted canvas.  Unshifted, the forward is one contraction
+    over the bands; shifted, one weighted ``np.bincount`` of h*x onto each
+    sample's target pixel, ``target_flat // nk_out``.  The adjoint
+    replicates (gathers) the image and masks that copy in place.
 
     The bound is the exact norm: the shift is injective, so distinct
     focal-plane cells consume disjoint samples and the Gramian is diagonal
     with entries equal to the mask energy deposited on each cell.
     """
     h = mask.values
+    ni, nj, nk = h.shape
+    pixel, energy = None, h * h
     if shift is not None:
         if shift.input_shape != mask.shape:
             raise ValueError(f"shift consumes {shift.input_shape}, mask produces {mask.shape}")
-        move = shift_apply(shift)
-        h = move.apply(h)
-    ni, nj, nk = h.shape
+        ni, nj, nk_out = shift.output_shape
+        pixel = shift.target_flat // nk_out
+        energy = shift_apply(shift).apply(energy)  # each cell summed in its bands' order
+
+    def forward(x):
+        return (np.einsum("ijk,ijk->ij", x, h) if pixel is None
+                else np.bincount(pixel, (h * x).ravel(), ni * nj).reshape(ni, nj))
 
     def adjoint(y):
-        out = np.repeat(y[:, :, None], nk, axis=2)
+        out = (np.repeat(y[:, :, None], nk, axis=2) if pixel is None
+               else y.reshape(-1)[pixel].reshape(h.shape))
         out *= h
         return out
 
     # diag(AA*) is the mosaic of the mask itself; the bound is the least
     # double whose square is at least its largest entry (a root rounded to
     # nearest may fall half an ulp below the norm)
-    top = float(np.sum(h * h, axis=2).max(initial=0.0))
+    top = float(np.sum(energy, axis=2).max(initial=0.0))
     bound = float(np.sqrt(top))
     if Fraction(bound) ** 2 < Fraction(top):
         bound = float(np.nextafter(bound, np.inf))
-    op = LinearOp(h.shape, (ni, nj), lambda x: np.einsum("ijk,ijk->ij", x, h), adjoint,
-                  bound, name="mosaic")
-    return op if shift is None else compose(op, move)
+    return LinearOp(h.shape, (ni, nj), forward, adjoint, bound, name="mosaic")
 
 
 def _butterworth_transfer(ni: int, nj: int, rho_b: float) -> np.ndarray:

@@ -26,10 +26,13 @@ lambda, applied pixel by pixel):
 * ``s1l1``  sum over pixels of the nuclear norm of the gradient block.
 
 ``s1l1``'s evaluation and projection share one Gram pass over the planes:
-the 2x2 Gramians come from contiguous contractions, with the determinant
-summed from the 2x2 minors (Cauchy-Binet), and the projection writes both
-directions of a band after it has read both, so ``out`` may be ``w``
-with no copy.  ``l221``'s block norms are one contraction of the planes.
+the 2x2 Gramians come from contiguous contractions, the determinant from
+one Gram-Schmidt step (4 passes per band; the Cauchy-Binet minors took 5
+per pair of bands), which loses about eps * s1/s2 relative on the small
+singular value s2 as the minors do, where g11*g22 - g12^2 loses
+eps * (s1/s2)^2.  The projection writes both directions of a band after
+it has read both, so ``out`` may be ``w`` with no copy.  ``l221``'s block
+norms are one contraction of the planes.
 
 Alternative gradient transforms can be plugged into the solver as any
 LinearOp producing a 4-way field with a self-declared norm bound; ``l221``
@@ -39,7 +42,6 @@ and ``l111`` take any number of directions, ``s1l1`` exactly two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -137,20 +139,25 @@ def _gram2(w: np.ndarray) -> tuple[np.ndarray, ...]:
 
     The planes, (2, nk, ni, nj), are the field's own where they are
     contiguous, and a copy otherwise (:func:`_planes`); the Gramian comes
-    from contiguous contractions of them.  The determinant is the sum of
-    the squared nk(nk-1)/2 distinct 2x2 minors (Cauchy-Binet), which
-    avoids the catastrophic cancellation of g11*g22 - g12^2 on near-rank-1
-    blocks; with nk = 1 it is 0.
+    from contiguous contractions of them.  The determinant is g11 times
+    the squared residual of one Gram-Schmidt step, ||b2 - (g12/g11) b1||^2
+    (g12/g11 read as 0 where g11 = 0).  Like the squared 2x2 minors it
+    loses about eps * s1/s2 relative on the small singular value s2 of a
+    near-rank-1 block (each term rounds by eps * s1 against a residual of
+    size s2), where g11*g22 - g12^2 loses eps * (s1/s2)^2.
     """
-    _check_two_directions(w)
+    if w.ndim != 4 or w.shape[3] != 2:
+        raise ValueError(f"s1l1 needs an (ni, nj, nk, 2) field, got shape {w.shape}")
     planes = _planes(w)
     b1, b2 = planes
     g11, g22, g12 = (np.einsum("kij,kij->ij", a, b) for a, b in ((b1, b1), (b2, b2), (b1, b2)))
-    det, minor, term = np.zeros(w.shape[:2]), np.empty(w.shape[:2]), np.empty(w.shape[:2])
-    for i, j in combinations(range(w.shape[2]), 2):
-        np.multiply(b1[i], b2[j], out=minor)
-        minor -= np.multiply(b1[j], b2[i], out=term)
-        det += np.square(minor, out=minor)
+    det, coef, term = np.zeros(w.shape[:2]), np.zeros(w.shape[:2]), np.empty(w.shape[:2])
+    np.divide(g12, g11, out=coef, where=g11 > 0.0)
+    for k in range(w.shape[2]):
+        np.multiply(b1[k], coef, out=term)
+        np.subtract(b2[k], term, out=term)
+        det += np.square(term, out=term)
+    det *= g11
     return planes, g11, g22, g12, det
 
 
@@ -159,11 +166,6 @@ def _l221_norms(w: np.ndarray) -> np.ndarray:
     contraction of its planes (no squared field is formed)."""
     planes = _planes(w)
     return np.sqrt(np.einsum("mkij,mkij->ij", planes, planes))
-
-
-def _check_two_directions(w: np.ndarray) -> None:
-    if w.ndim != 4 or w.shape[3] != 2:
-        raise ValueError(f"s1l1 needs an (ni, nj, nk, 2) field, got shape {w.shape}")
 
 
 def g_eval(kind: str, w: np.ndarray) -> float:
@@ -180,8 +182,8 @@ def g_eval(kind: str, w: np.ndarray) -> float:
     raise ValueError(f"unknown norm kind {kind!r}; choose from {NORM_KINDS}")
 
 
-def _prox_conj_s1l1(w: np.ndarray, lam: float, out: np.ndarray | None) -> np.ndarray:
-    """Per-pixel projection onto the spectral-norm ball of radius lam.
+def _prox_conj_s1l1(w: np.ndarray, lam: float, out: np.ndarray | None, weight: float):
+    """``weight`` times the per-pixel projection onto the spectral-norm ball of radius lam.
 
     Every band's two output directions are written after both of its input
     directions have been read, so ``out`` may be ``w``: no copy of a
@@ -202,13 +204,11 @@ def _prox_conj_s1l1(w: np.ndarray, lam: float, out: np.ndarray | None) -> np.nda
     t += mu1
     np.multiply(t, 0.5, out=mu1)  # 0.5 * (g11 + g22 + sqrt((g11 - g22)^2 + 4 g12^2))
     mu2 = np.divide(det, mu1, out=det, where=mu1 > 0.0)
-    # singular values above lam are scaled to it: c = lam / max(xi, lam)
-    c1 = np.sqrt(mu1, out=t)
-    np.maximum(c1, lam, out=c1)
-    np.divide(lam, c1, out=c1)
-    c2 = np.sqrt(mu2)
-    np.maximum(c2, lam, out=c2)
-    np.divide(lam, c2, out=c2)
+    # c = weight * lam / max(xi, lam): singular values above lam go to it
+    c1, c2 = np.sqrt(mu1, out=t), np.sqrt(mu2)
+    for c in (c1, c2):
+        np.maximum(c, lam, out=c)
+        np.divide(weight * lam, c, out=c)
     # any scalar function of the symmetric 2x2 Gramian is alpha*I + beta*G;
     # an infinite gap sets beta to 0 where the eigenvalues (nearly) coincide
     gap = np.subtract(mu1, mu2, out=mu2)
@@ -241,11 +241,12 @@ def _prox_conj_s1l1(w: np.ndarray, lam: float, out: np.ndarray | None) -> np.nda
 
 
 def prox_conj(kind: str, w: np.ndarray, lam: float,
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None, weight: float = 1.0) -> np.ndarray:
     """Proximal operator of the Fenchel conjugate of ``lam * g``: the
-    pixel-separable projection onto the dual-norm ball of radius lam.
+    pixel-separable projection onto the dual-norm ball of radius lam,
+    times any real ``weight`` (default 1: the projection itself, bit for bit).
 
-    Idempotent and nonexpansive for every kind.  The projection is written
+    At weight 1 idempotent and nonexpansive for every kind.  The result is written
     into ``out`` when given (a float64 array of the field's shape, which
     may be ``w`` itself: the result is bitwise the same) and into a new
     array otherwise; either is returned.
@@ -259,12 +260,13 @@ def prox_conj(kind: str, w: np.ndarray, lam: float,
         raise ValueError(f"out must be a float64 array of shape {w.shape}, "
                          f"got {out.dtype} {out.shape}")
     if kind == "l221":
-        scale = 1.0 / np.maximum(_l221_norms(w) / lam, 1.0)
+        scale = weight / np.maximum(_l221_norms(w) / lam, 1.0)
         return np.multiply(w, scale[:, :, None, None], out=out)
     if kind == "l111":
-        return np.clip(w, -lam, lam, out=out)
+        out = np.clip(w, -lam, lam, out=out)
+        return out if weight == 1.0 else np.multiply(out, weight, out=out)
     if kind == "s1l1":
-        return _prox_conj_s1l1(w, lam, out)
+        return _prox_conj_s1l1(w, lam, out, weight)
     raise ValueError(f"unknown norm kind {kind!r}; choose from {NORM_KINDS}")
 
 
@@ -281,9 +283,9 @@ class MetricNorm:
     def eval(self, w: np.ndarray) -> float:
         return g_eval(self.kind, w)
 
-    def prox_conj(self, w: np.ndarray, lam: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
-        return prox_conj(self.kind, w, lam, out)
+    def prox_conj(self, w: np.ndarray, lam: float, out: np.ndarray | None = None,
+                  weight: float = 1.0) -> np.ndarray:
+        return prox_conj(self.kind, w, lam, out, weight)
 
 
 def metric_norm(kind: str) -> MetricNorm:

@@ -202,10 +202,12 @@ blocks (4 to 4.5 cubes on the shipped devices) and y's coefficients (the
 kernel spectra at the aliases and the index maps are the ``AliasGram``'s,
 formed with the model).  Each
 alias-domain step allocates its spectra, a few cubes, and frees them.
-The relaxation needs Wt and W~t at once: it forms Wt + L(cL * Xbar) in
-L's output array, projects it there and relaxes Wt from it, so the
-projection holds one field more than the unrelaxed update did.  That
-array is copied first where it is read-only or may overlap Xbar.
+The relaxation needs Wt and W~t at once, one field more than the
+unrelaxed update held: Wt + L(cL * Xbar) is formed in L's output array
+(copied first where it is read-only or may overlap Xbar), the projection
+writes rho W~t there (its ``weight``) and Wt is relaxed from it.  Besides
+the layers an iteration then makes four field passes (that sum,
+(1 - rho) Wt, the add, Wt's finiteness test) and nine cube passes.
 Any other array an operator returns is only read: an operator may hand
 back its input, a view of it or a read-only broadcast.  The last A* result is kept
 until the next one replaces it.  Freeing it after its use lets the C heap
@@ -494,8 +496,7 @@ def _primal_data(A, L, g, y, x, cfg, trace):
         if w is None:
             w = np.zeros_like(s)
         s += w
-        g.prox_conj(s, radius, out=s)  # W~
-        s *= RELAXATION
+        g.prox_conj(s, radius, out=s, weight=RELAXATION)  # rho W~
         w *= 1.0 - RELAXATION
         w += s  # Wt + rho (W~ - Wt)
         del s

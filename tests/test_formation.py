@@ -10,6 +10,7 @@ from conftest import mrca_composition, random_shift_map, to_dense
 
 from mrcakit.formation import (
     BlurBank,
+    DiagonalGram,
     FormationPreset,
     ShiftMap,
     SpectralWeights,
@@ -399,6 +400,84 @@ class TestFusedMosaic:
         op = mosaic(*_mosaics()[name])
         assert adjoint_dot_test(op) < 1e-10
         assert power_iteration_norm(op, iters=100) <= op.norm_bound
+
+
+def _shifted_mosaics():
+    """(mask, shift) pairs off the shipped path: graded masks on random
+    injective shift maps, and cassi's shear on non-square odd sizes, each
+    with nk = 1 among them."""
+    rng = np.random.default_rng(32)
+    cases = {}
+    for shape in ((5, 7, 3), (7, 5, 1), (3, 9, 8)):
+        graded = Mask(rng.uniform(0.0, 2.0, shape), tuple(range(shape[2])))
+        cases[f"random-{shape}"] = (graded, random_shift_map(rng, shape))
+    for shape in ((7, 9, 3), (9, 5, 1), (5, 11, 7)):
+        cases[f"cassi-{shape}"] = (random_code_mask(*shape, seed=sum(shape)),
+                                   cassi_shift_map(*shape))
+    return cases
+
+
+def _canvas_bound(mask, shift):
+    """The bound as the block that composed a shifted canvas computed it:
+    the least double whose square is at least the largest cell energy,
+    summed over the bands of the shifted mask."""
+    moved = shift_apply(shift).apply(mask.values)
+    top = float(np.sum(moved * moved, axis=2).max())
+    bound = float(np.sqrt(top))
+    return bound if Fraction(bound) ** 2 >= Fraction(top) else float(np.nextafter(bound, np.inf))
+
+
+class TestCanvasFreeMosaic:
+    """A shifted mosaic scatters onto the focal-plane pixel of each
+    sample's target and gathers back from it, with no canvas of the
+    shifted cube; it must agree with the mask -> shift -> sum chain."""
+
+    @pytest.mark.parametrize("name", list(_shifted_mosaics()))
+    def test_matches_chain(self, rng, name):
+        mask, shift = _shifted_mosaics()[name]
+        op, chain = mosaic(mask, shift), TestFusedMosaic._chain(mask, shift)
+        x = rng.standard_normal(mask.shape)
+        expected = chain.apply(x)
+        # the samples of one pixel are summed in input order, not canvas order
+        assert np.linalg.norm(op.apply(x) - expected) <= 1e-15 * np.linalg.norm(expected)
+        y = rng.standard_normal(op.output_shape)
+        got = op.adjoint_apply(y)
+        np.testing.assert_array_equal(got.view(np.uint64), chain.adjoint_apply(y).view(np.uint64))
+        assert op.norm_bound == _canvas_bound(mask, shift)
+        assert adjoint_dot_test(op) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(7, 9, 3), (9, 5, 1), (12, 20, 7), (16, 16, 8)])
+    def test_cassi_gram_bit_identical_to_the_canvas(self, shape):
+        # the shipped path: the binary code's cell energies are small
+        # integers, exact in any order of summation
+        model = build_formation(formation_preset("cassi", *shape))
+        shift = cassi_shift_map(*shape)
+        moved = shift_apply(shift).apply(model.h_lri.values)
+        canvas = np.einsum("ijk,ijk->ij", moved, moved)
+        assert isinstance(model.gram, DiagonalGram)
+        np.testing.assert_array_equal(model.gram.diagonal, canvas)
+        assert model.op.norm_bound == _canvas_bound(model.h_lri, shift)
+
+    def test_a_call_holds_no_canvas(self, rng):
+        # at 32x6x8 the sheared canvas (32, 13, 8) holds 2.2 cubes: A held it
+        # beside the image, A* beside the gathered cube.  Now A holds the
+        # product h*x (one cube) and the image, A* one cube
+        shape = (32, 6, 8)
+        op = build_formation(formation_preset("cassi", *shape)).op
+        x, y = rng.standard_normal(shape), rng.standard_normal(op.output_shape)
+        cube, image, slack = x.nbytes, y.nbytes, 2048
+        op.apply(x), op.adjoint_apply(y)  # warm any lazy state
+        tracemalloc.start()
+        try:
+            op.apply(x)
+            forward = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            op.adjoint_apply(y)
+            adjoint = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward <= cube + image + slack
+        assert adjoint <= cube + slack
 
 
 class TestButterworth:

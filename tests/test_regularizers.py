@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from mrcakit.regularizers import (
     tv_forward,
     tv_op,
 )
+from mrcakit.regularizers import _gram2
 
 
 def random_field(seed, shape=(4, 4, 2, 2), scale=1.0):
@@ -231,7 +234,7 @@ def s1l1_prox_oracle(w, lam):
     return u @ (np.minimum(s, lam)[..., None] * vt)
 
 
-@pytest.mark.parametrize("nk", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("nk", [1, 2, 3, 4, 7, 8])
 class TestS1l1AgainstSvd:
     def test_g_eval(self, nk):
         w = s1l1_field(nk, nk)
@@ -320,6 +323,158 @@ def test_s1l1_matches_strided_reference(kind, nk):
     np.testing.assert_allclose(prox_conj("s1l1", w, lam), reference, rtol=0, atol=atol)
     assert prox_conj("s1l1", w, lam, out=w) is w
     np.testing.assert_allclose(w, reference, rtol=0, atol=atol)
+
+
+def cauchy_binet_det(w):
+    """Per-pixel Gramian determinants as the sum of the squared 2x2
+    minors (Cauchy-Binet), the form one Gram-Schmidt step replaced."""
+    b1, b2 = w[..., 0], w[..., 1]
+    det = np.zeros(w.shape[:2])
+    for i, j in combinations(range(w.shape[2]), 2):
+        det += (b1[..., i] * b2[..., j] - b1[..., j] * b2[..., i]) ** 2
+    return det
+
+
+def det_oracle(w):
+    s = svd_oracle(w)
+    return (s[..., 0] * s[..., 1]) ** 2
+
+
+def edge_field(case, nk, seed=0):
+    """(4, 5, nk, 2) blocks where one Gram-Schmidt step could break."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((4, 5, nk, 2))
+    direction, _, scale = case.partition("*")
+    if direction == "near_rank1":
+        return (rng.standard_normal((4, 5, nk, 1)) * rng.standard_normal((4, 5, 1, 2))
+                + 1e-7 * rng.standard_normal((4, 5, nk, 2)))
+    if direction == "both":
+        return w * float(scale)
+    w[..., {"first": 0, "second": 1}[direction]] *= float(scale)
+    return w
+
+
+class TestGramSchmidtDeterminant:
+    """``_gram2``'s determinant g11 * ||b2 - (g12/g11) b1||^2 against the
+    SVD oracle (s1 s2)^2, beside the Cauchy-Binet minors it replaced.
+
+    g11 = 0, a zero first direction or one whose squares underflow, is
+    guarded: g12/g11 is read as 0 there, so the determinant is
+    0 * ||b2||^2 = 0, where an unguarded 0/0 would give NaN.  The tests
+    run with division by zero and invalid operations raising."""
+
+    @pytest.mark.parametrize("nk", [1, 2, 4, 8])
+    @pytest.mark.parametrize("case", ["first*0", "second*0"])
+    def test_zero_direction(self, case, nk):
+        w = edge_field(case, nk)
+        with np.errstate(divide="raise", invalid="raise"):
+            det = _gram2(w)[4]
+            per_pixel = [g_eval("s1l1", w[i:i + 1, j:j + 1]) for i, j in np.ndindex(4, 5)]
+            projected = prox_conj("s1l1", w, 1.0)
+        assert np.all(det == 0.0)
+        np.testing.assert_allclose(per_pixel, svd_oracle(w)[..., 0].ravel(), rtol=1e-15)
+        np.testing.assert_allclose(projected, s1l1_prox_oracle(w, 1.0), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("nk", [2, 4, 8])
+    @pytest.mark.parametrize("case", ["first*1e-150", "second*1e-150"])
+    def test_direction_norm_ratio(self, case, nk):
+        # s2 / s1 ~ 1e-150: the residual stays of its own size whichever
+        # direction is the pivot (observed at most 2.3e-15 here, the
+        # minors 2.1e-15)
+        w = edge_field(case, nk)
+        with np.errstate(divide="raise", invalid="raise"):
+            det = _gram2(w)[4]
+        oracle = det_oracle(w)
+        assert np.all(oracle > 0.0)
+        np.testing.assert_allclose(det, oracle, rtol=1e-14, atol=0)
+        lam = float(np.median(svd_oracle(w)[..., 0]))  # clips the large values only
+        np.testing.assert_allclose(prox_conj("s1l1", w, lam), s1l1_prox_oracle(w, lam),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("nk", [2, 4, 8])
+    @pytest.mark.parametrize("case", ["first*1e-310", "second*1e-310", "both*1e-310",
+                                      "first*1e-160"])
+    def test_subnormal_entries(self, case, nk):
+        # 1e-310 entries are subnormal and their squares underflow to 0
+        # (g11 = 0 where it is the first direction); with 1e-160 entries
+        # g11 is itself subnormal, a few bits wide, and the determinant of
+        # about 1e-320 carries a few subnormal ulps of error, as the minors
+        # do (observed at most 21 and 4 ulps)
+        w = edge_field(case, nk)
+        with np.errstate(divide="raise", invalid="raise"):
+            det = _gram2(w)[4]
+            value = g_eval("s1l1", w)
+            projected = prox_conj("s1l1", w, 0.5)
+        np.testing.assert_allclose(det, det_oracle(w), rtol=0, atol=1e-321)
+        assert value == pytest.approx(svd_oracle(w).sum(), rel=1e-13)
+        np.testing.assert_allclose(projected, s1l1_prox_oracle(w, 0.5), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("nk", [2, 3, 4, 7, 8])
+    @pytest.mark.parametrize("case", ["near_rank1", "first*1"])
+    def test_as_accurate_as_the_minors(self, case, nk):
+        # near-rank-1 blocks (s2 ~ 1e-7 s1) lose eps * s1/s2 on s2 either
+        # way: observed 2.3e-9 to 4.2e-7 on the determinant, within 1.25x
+        # of the minors' error on every nk
+        w = edge_field(case, nk)
+        oracle = det_oracle(w)
+        error = np.max(np.abs(_gram2(w)[4] - oracle) / oracle)
+        minors = np.max(np.abs(cauchy_binet_det(w) - oracle) / oracle)
+        assert error <= 2.0 * minors + 1e-14
+
+    def test_one_band_is_rank_one(self):
+        # a (1 x 2) block has no second singular value: the residual of
+        # b2 against b1 is rounding, a determinant of eps^2 g11 g22
+        w = edge_field("first*1", 1)
+        _, g11, g22, _, det = _gram2(w)
+        assert np.all(det <= 1e-30 * g11 * g22)
+
+
+KINDS = ["l221", "l111", "s1l1"]
+
+
+class TestWeightedProjection:
+    """``prox_conj(..., weight=rho)`` returns rho times the projection, the
+    relaxed solver's rho W~, with rho folded into a map the projection
+    multiplies by anyway (l111 scales the clipped field)."""
+
+    @staticmethod
+    def _field(nk):
+        # plane-major, as the solver holds its dual; lam at the median
+        # entry size, so some blocks are clipped and some not
+        w = tv_forward(np.random.default_rng(nk).standard_normal((6, 5, nk)))
+        return w, float(np.median(np.abs(w)))
+
+    @pytest.mark.parametrize("nk", [1, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_weight_one_is_the_projection_bitwise(self, kind, nk):
+        w, lam = self._field(nk)
+        expected = prox_conj(kind, w, lam)
+        same_bits(prox_conj(kind, w, lam, weight=1.0), expected)
+        same_bits(metric_norm(kind).prox_conj(w, lam, out=w, weight=1.0), expected)
+
+    @pytest.mark.parametrize("out", ["new", "input"])
+    @pytest.mark.parametrize("nk", [1, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_weight_scales_the_projection(self, kind, nk, out):
+        rho = 1.3
+        w, lam = self._field(nk)
+        expected = rho * prox_conj(kind, w, lam)
+        got = prox_conj(kind, w, lam, out=w if out == "input" else None, weight=rho)
+        assert (got is w) == (out == "input")
+        assert np.linalg.norm(got - expected) <= 1e-15 * np.linalg.norm(expected)
+        if kind == "l111":
+            same_bits(got, expected)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_relaxed_dual_step(self, kind):
+        # Wt + rho (P(S) - Wt), as written, against (1 - rho) Wt + rho P(S)
+        # with the weighted projection, as the solver forms it
+        rho = 1.3
+        s, lam = self._field(4)
+        wt = np.random.default_rng(7).uniform(-lam, lam, s.shape)
+        expected = wt + rho * (prox_conj(kind, s, lam) - wt)
+        got = wt * (1.0 - rho) + prox_conj(kind, s, lam, weight=rho)
+        assert np.linalg.norm(got - expected) <= 1e-15 * np.linalg.norm(expected)
 
 
 class TestProxConj:

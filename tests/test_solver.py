@@ -592,6 +592,19 @@ class TestPrimalData:
         reference = plain_resolvent_reference(A, L, g, y, cfg, RELAXATION)
         assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
+    @pytest.mark.parametrize("kind", ["l221", "l111", "s1l1"])
+    @pytest.mark.parametrize("device", ["cfa", "cassi", "mrca-blur"])
+    def test_every_norm_relaxes_through_its_projection(self, device, kind):
+        # the solve takes rho W~ from the projection's weight; the textbook
+        # run projects, then relaxes as written
+        A, L, _, y, cfg = self._problem(device)
+        g = metric_norm(kind)
+        cfg = dataclasses.replace(cfg, q_max=20)
+        x, trace = jodefu_solve(A, L, g, y, cfg)
+        assert trace.iterations == 20
+        reference = plain_resolvent_reference(A, L, g, y, cfg, RELAXATION)
+        assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
     @pytest.mark.parametrize("device", list(DEVICES))
     def test_relaxation_changes_the_speed_not_the_answer(self, device):
         # relaxed and unrelaxed textbook runs take different paths to one
