@@ -6,6 +6,13 @@ The stages are public (``load_reference``, ``simulate``,
 it.  The method table lives here too: ``METHODS`` are the names of the
 solver setups of :func:`jodefu_presets` plus ``"baseline"``.
 
+The stages hold no state.  ``run_pipeline`` keeps a private record of the
+last acquisition it made (reference, device model, noisy observation and
+baseline), keyed by the device, the seed and the state of the files it
+read, so consecutive rows on one device build, simulate and interpolate
+once.  It holds one acquisition, and outputs stay bitwise those of a fresh
+run.
+
 Synthetic scenes stand in for license-gated satellite bundles: piecewise
 constant patches (gradient-friendly), a smooth ramp and one-pixel lines
 (gradient-adversarial), all deterministic from a seed.  The baseline
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
-from .datacube import DataCube, read_datacube, write_datacube
+from .datacube import DataCube, _stem, read_datacube, write_datacube
 from .formation import (
     PAN_BLUR_PRESETS,
     FormationModel,
@@ -37,6 +44,7 @@ from .formation import (
     equalize_lri_stats,
     mosaic,
 )
+from .masks import BUILTIN_TILES
 from .metrics import (QualityReport, check_report_shape, compression_ratio, psnr, sam, ssim,
                       write_report)
 from .regularizers import NORM_KINDS, metric_norm, tv_op
@@ -353,18 +361,20 @@ def read_observation(stem: str, preset_path: str | None = None
     return model, y, cubes[0].rho
 
 
-def reconstruct(spec: PipelineSpec, model: FormationModel, y: np.ndarray,
-                rho: float) -> np.ndarray:
-    """Reconstruct stage: optionally equalize the observation, then run the
-    baseline, which is both the quality floor and the start of the solve,
-    and, for a jodefu method, ``jodefu_solve`` from it with the solver
-    fields of ``spec`` on the device model ``model``."""
-    if spec.equalize:
-        lri = model.lri_support
-        if lri is None or lri.all() or not lri.any():
-            raise ValueError(f"equalize needs both sensor classes; {model.preset.name} lacks one")
-        y = equalize_lri_stats(y, lri)
-    baseline = baseline_reconstruct(y, model)
+def _equalized(spec: PipelineSpec, model: FormationModel, y: np.ndarray) -> np.ndarray:
+    """The observation the solve sees: ``y``, LRI/HRI-equalized if ``spec`` asks."""
+    if not spec.equalize:
+        return y
+    lri = model.lri_support
+    if lri is None or lri.all() or not lri.any():
+        raise ValueError(f"equalize needs both sensor classes; {model.preset.name} lacks one")
+    return equalize_lri_stats(y, lri)
+
+
+def _solve(spec: PipelineSpec, model: FormationModel, y: np.ndarray, rho: float,
+           baseline: np.ndarray) -> np.ndarray:
+    """``reconstruct`` after its baseline: the baseline itself, or the jodefu
+    solve from it."""
     if spec.method == "baseline":
         return baseline
     rp = jodefu_presets(spec.method)
@@ -374,6 +384,16 @@ def reconstruct(spec: PipelineSpec, model: FormationModel, y: np.ndarray,
                        gram=model.gram)
     xhat, _ = jodefu_solve(model.op, grad, norm, y, cfg)
     return xhat
+
+
+def reconstruct(spec: PipelineSpec, model: FormationModel, y: np.ndarray,
+                rho: float) -> np.ndarray:
+    """Reconstruct stage: optionally equalize the observation, then run the
+    baseline, which is both the quality floor and the start of the solve,
+    and, for a jodefu method, ``jodefu_solve`` from it with the solver
+    fields of ``spec`` on the device model ``model``."""
+    y = _equalized(spec, model, y)
+    return _solve(spec, model, y, rho, baseline_reconstruct(y, model))
 
 
 def evaluate(reference: DataCube, estimate: DataCube, dataset: str, formation: str,
@@ -388,22 +408,85 @@ def evaluate(reference: DataCube, estimate: DataCube, dataset: str, formation: s
         compression_ratio=compression_ratio)
 
 
+@dataclass
+class _Acquisition:
+    """One acquisition: the loaded reference and its report label, the
+    device model, the read-only noisy observation and its read-only
+    baselines, by ``equalize`` flag."""
+
+    reference: DataCube
+    label: str
+    model: FormationModel
+    y: np.ndarray
+    baselines: dict[bool, np.ndarray] = dataclasses.field(default_factory=dict)
+
+
+# run_pipeline's record: the last acquisition it made, under its key (tests clear it)
+_RECORD: dict[tuple, _Acquisition] = {}
+
+
+def _file_state(path: str) -> tuple | None:
+    try:
+        stat = os.stat(path)
+    except OSError:  # the read reports it, as without the record
+        return None
+    return os.path.realpath(path), stat.st_mtime_ns, stat.st_size
+
+
+def _acquire(spec: PipelineSpec) -> _Acquisition:
+    """The reference and simulate stages of ``spec``, from the record when
+    its key names the same acquisition (see :func:`run_pipeline`)."""
+    paths = [_stem(spec.dataset) + ext for ext in (".hdr", ".raw") if spec.dataset != "synthetic"]
+    if spec.formation.mask not in (*BUILTIN_TILES, "random"):
+        paths.append(spec.formation.mask)  # a mask tile file
+    files = tuple(_file_state(path) for path in paths)
+    key = (_effective_preset(spec, spec.formation), spec.seed, spec.dataset, files)
+    acquisition = _RECORD.get(key)
+    if acquisition is not None:
+        return acquisition
+    _RECORD.clear()  # one acquisition at a time: free it before making the next
+    reference, preset, label = load_reference(spec.formation, spec.dataset, spec.seed)
+    check_report_shape(reference)  # fail before the solve, not in evaluate
+    model, y = simulate(_effective_preset(spec, preset), reference, spec.seed)
+    y.flags.writeable = False
+    acquisition = _Acquisition(reference, label, model, y)
+    if None not in files:
+        _RECORD[key] = acquisition
+    return acquisition
+
+
 def run_pipeline(spec: PipelineSpec) -> PipelineResult:
     """Execute the four validation steps and optionally write artifacts
     (``reference``, ``estimate``, the observation ``acquisition`` with its
     ``acquisition.preset``, and ``report.csv``/``.json``) to ``out_dir``.
 
     Fully deterministic: identical specs give bitwise identical outputs.
+
+    A private record keeps the last acquisition made here: the loaded
+    reference and its label, the device model, the noisy observation and
+    the interpolation baseline.  Its key is the device (the preset after
+    the method's PAN blur), the seed, the dataset and the state of every
+    file the acquisition read (resolved path, ``st_mtime_ns`` and
+    ``st_size`` of the dataset's ``.hdr`` and ``.raw`` and of a mask tile
+    file the preset names).  A row with the same key reuses it; the
+    baseline only for the same ``equalize`` flag.  It holds one
+    acquisition, so consecutive rows on one device share it, and every
+    output stays bitwise that of a fresh run of the same spec.  A rewrite
+    that keeps a file's size and modification stamp is not seen.  The
+    returned observation is a read-only view of it.
     """
-    reference, preset, dataset_label = load_reference(spec.formation, spec.dataset, spec.seed)
-    check_report_shape(reference)  # fail before the solve, not in evaluate
-    device = _effective_preset(spec, preset)
-    model, y = simulate(device, reference, spec.seed)
-    xhat = reconstruct(spec, model, y, reference.rho)
+    acq = _acquire(spec)
+    reference, model, y = acq.reference, acq.model, acq.y
+    y_solve = _equalized(spec, model, y)
+    baseline = acq.baselines.get(spec.equalize)
+    if baseline is None:
+        baseline = acq.baselines[spec.equalize] = baseline_reconstruct(y_solve, model)
+        baseline.flags.writeable = False
+    xhat = _solve(spec, model, y_solve, reference.rho, baseline)
     estimate = DataCube(xhat, rho=reference.rho, band_labels=reference.band_labels)
-    report = evaluate(reference, estimate, dataset_label, preset.name, spec.method,
+    report = evaluate(reference, estimate, acq.label, model.preset.name, spec.method,
                       None if spec.method == "baseline" else spec.lambda_bar,
-                      compression_ratio(device))
+                      compression_ratio(model.preset))
 
     if spec.out_dir is not None:
         os.makedirs(spec.out_dir, exist_ok=True)
@@ -413,7 +496,7 @@ def run_pipeline(spec: PipelineSpec) -> PipelineResult:
         write_report(os.path.join(spec.out_dir, f"report.{spec.report_format}"),
                      [report], spec.report_format)
 
-    return PipelineResult(report, reference, y, estimate)
+    return PipelineResult(report, reference, y.view(), estimate)
 
 
 SWEEP_AXES = ("lambda_bar", "norm_kind", "rho_b")
@@ -421,7 +504,12 @@ SWEEP_AXES = ("lambda_bar", "norm_kind", "rho_b")
 
 def run_sweep(spec: PipelineSpec, axis: str, values) -> list[QualityReport]:
     """Vary one study axis (regularization weight, norm kind or the PAN blur
-    diameter of a device that applies one) around a base run, one row per point."""
+    diameter of a device that applies one) around a base run, one row per point.
+
+    Points on the ``lambda_bar`` and ``norm_kind`` axes share one device, so
+    every point after the first reuses ``run_pipeline``'s record of the last
+    acquisition (one build, observation and baseline); each ``rho_b`` point
+    is a device of its own.  Rows stay bitwise those of fresh runs."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     if axis == "rho_b":  # the blur diameter is a field of the device

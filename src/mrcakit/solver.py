@@ -441,6 +441,7 @@ def _dual_data(A, L, g, y, x, cfg, trace):
 
         if not np.all(np.isfinite(x)):
             raise _diverged(q, A, L, dual=False)
+        # not redundant: an L* that maps a non-finite W to a finite cube keeps X finite
         if not np.all(np.isfinite(w)):
             raise _diverged(q, A, L, dual=True)
         np.subtract(x, xbar, out=xbar)  # X - X_prev, the primal residual times tau
@@ -513,6 +514,7 @@ def _primal_data(A, L, g, y, x, cfg, trace):
         step = np.linalg.norm(xbar)
         if not np.isfinite(step):
             raise _diverged(q, A, L, dual=False)
+        # not redundant: an L* that maps a non-finite W to a finite cube keeps X finite
         if not np.all(np.isfinite(w)):
             raise _diverged(q, A, L, dual=True)
         xbar += x

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mrcakit import harness
 from mrcakit.formation import (
     BlurBank,
     DiagonalGram,
@@ -178,3 +179,10 @@ def plain_resolvent_reference(A, L, g, y, cfg, relaxation=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def empty_acquisition_record():
+    """Every test starts with ``run_pipeline``'s record empty, so a function
+    a test patches runs whatever ran before it."""
+    harness._RECORD.clear()

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
+from mrcakit import harness
 from mrcakit.datacube import DataCube, read_datacube, write_datacube
 from mrcakit.formation import FormationPreset, build_formation, formation_preset
 from mrcakit.harness import (
@@ -19,7 +21,7 @@ from mrcakit.harness import (
     synth_scene,
     write_observation,
 )
-from mrcakit.masks import Mask
+from mrcakit.masks import Mask, PeriodicTile, builtin_tile, write_mask_file
 from mrcakit.metrics import read_report
 from mrcakit.regularizers import tv_forward
 
@@ -373,6 +375,100 @@ class TestSweep:
     def test_unknown_axis(self):
         with pytest.raises(ValueError, match="axis"):
             run_sweep(TestPipeline.SPEC, "iters", [10])
+
+
+def _bits(result):
+    """A pipeline result's report and the bytes of its estimate and observation."""
+    return (result.report, result.estimate.values.tobytes(), result.observation.tobytes(),
+            result.observation.dtype, result.observation.shape)
+
+
+def _rewrite(paths, write):
+    """Rewrite files in place and move their modification stamps a second on,
+    as a later write would on a file system with coarse stamps."""
+    stamps = {path: os.stat(path).st_mtime_ns for path in paths}
+    write()
+    for path, stamp in stamps.items():
+        os.utime(path, ns=(stamp + 10 ** 9, stamp + 10 ** 9))
+
+
+class TestAcquisitionRecord:
+    """``run_pipeline`` keeps the last acquisition it made and reuses it on
+    the next row of the same device, seed and files; every output stays
+    bitwise that of a run from an empty record."""
+
+    DESK = [PipelineSpec(formation=formation_preset(name, 16, 16, 4, noise_sigma=0.01),
+                         method=method, iters=5, seed=11)
+            for name in ("mrca", "cfa", "multires", "cassi")
+            for method in ("baseline", "jodefu-v1", "jodefu-v2")]
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        calls = []
+        build = harness.build_formation
+
+        def counted(preset):
+            calls.append(preset)
+            return build(preset)
+        monkeypatch.setattr(harness, "build_formation", counted)
+        return calls
+
+    def test_desk_rows_equal_runs_from_an_empty_record(self, monkeypatch):
+        calls = self.count_builds(monkeypatch)
+        rows = [_bits(run_pipeline(spec)) for spec in self.DESK]
+        # mrca's jodefu-v2 device carries the method's PAN blur: a build of its own
+        assert len(calls) == 5
+        for spec, row in zip(self.DESK, rows):
+            harness._RECORD.clear()
+            assert row == _bits(run_pipeline(spec)), f"{spec.formation.name} {spec.method}"
+
+    def test_observation_cannot_write_into_the_record(self):
+        spec = self.DESK[1]
+        first = run_pipeline(spec)
+        expected = first.observation.copy()
+        with pytest.raises(ValueError):
+            first.observation[0, 0, 0] = 1e3
+        with pytest.raises(ValueError):
+            first.observation.flags.writeable = True
+        second = run_pipeline(spec)
+        assert second.observation.tobytes() == expected.tobytes()
+        harness._RECORD.clear()
+        assert _bits(second) == _bits(run_pipeline(spec))
+
+    def test_rewritten_dataset_is_read_again(self, tmp_path):
+        stem = str(tmp_path / "scene")
+        write_datacube(stem, synth_scene(SceneParams(16, 16, 4), seed=1))
+        spec = dataclasses.replace(self.DESK[1], dataset=stem)
+        first = run_pipeline(spec)
+        _rewrite([stem + ".hdr", stem + ".raw"],
+                 lambda: write_datacube(stem, synth_scene(SceneParams(16, 16, 4), seed=2)))
+        second = run_pipeline(spec)
+        assert second.report != first.report
+        harness._RECORD.clear()
+        assert _bits(second) == _bits(run_pipeline(spec))
+
+    def test_rewritten_mask_tile_is_read_again(self, tmp_path):
+        path = str(tmp_path / "tile.txt")
+        tile = builtin_tile("bt4pan")
+        write_mask_file(path, tile)
+        spec = dataclasses.replace(self.DESK[1], formation=formation_preset(
+            "mrca", 16, 16, 4, mask=path, noise_sigma=0.01))
+        first = run_pipeline(spec)
+        swapped = np.where(tile.cells == 0, 1, np.where(tile.cells == 1, 0, tile.cells))
+        _rewrite([path], lambda: write_mask_file(path, PeriodicTile(swapped, 4)))
+        second = run_pipeline(spec)
+        assert second.observation.tobytes() != first.observation.tobytes()
+        harness._RECORD.clear()
+        assert _bits(second) == _bits(run_pipeline(spec))
+
+    @pytest.mark.parametrize("axis, values, builds", [
+        ("lambda_bar", [1e-4, 1e-3, 1e-2], 1),
+        ("norm_kind", ["l221", "l111", "s1l1"], 1),
+        ("rho_b", [1.0, 1.4, 2.0], 3)])
+    def test_sweep_builds_once_per_device(self, monkeypatch, axis, values, builds):
+        calls = self.count_builds(monkeypatch)
+        run_sweep(dataclasses.replace(TestPipeline.SPEC, iters=2), axis, values)
+        assert len(calls) == builds
 
 
 class TestObservationFiles:
