@@ -14,10 +14,10 @@ Butterworth PAN blur, and a different observation than the baseline and
 jodefu-v1 rows, by design.  The cfa, cassi and multires devices apply no
 PAN blur, so their three rows share one observation.  They also share one
 device build and one baseline: ``run_pipeline`` reuses the last
-acquisition it made when the next row names the same device, seed and
-files, so 7 of the 12 rows (every row after the first of its device) skip
-the build, the noise draw and the interpolation, with rows bitwise equal
-to fresh runs.
+acquisition it made when the next row has the same device and seed and
+loads the same reference samples, so 7 of the 12 rows (every row after
+the first of its device) skip the build, the noise draw and the
+interpolation, with rows bitwise equal to fresh runs.
 
 Usage:
     python3 scripts/run_desk_experiment.py [--size 64] [--bands 4]

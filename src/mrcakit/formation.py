@@ -906,6 +906,8 @@ class FormationPreset:
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(
                 f"noise level must be nonnegative and finite, got noise_sigma={self.noise_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got seed={self.seed}")
 
     def to_text(self) -> str:
         return format_key_values(dataclasses.asdict(self))

@@ -7,11 +7,11 @@ it.  The method table lives here too: ``METHODS`` are the names of the
 solver setups of :func:`jodefu_presets` plus ``"baseline"``.
 
 The stages hold no state.  ``run_pipeline`` keeps a private record of the
-last acquisition it made (reference, device model, noisy observation and
-baseline), keyed by the device, the seed and the state of the files it
-read, so consecutive rows on one device build, simulate and interpolate
-once.  It holds one acquisition, and outputs stay bitwise those of a fresh
-run.
+last acquisition it made (device model, noisy observation and baseline).
+Each row loads its reference and reuses the record when the device, the
+seed and the loaded samples match, so consecutive rows on one device
+build, simulate and interpolate once.  It holds one acquisition, and
+outputs stay bitwise those of a fresh run.
 
 Synthetic scenes stand in for license-gated satellite bundles: piecewise
 constant patches (gradient-friendly), a smooth ramp and one-pixel lines
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
-from .datacube import DataCube, _stem, read_datacube, write_datacube
+from .datacube import DataCube, read_datacube, write_datacube
 from .formation import (
     PAN_BLUR_PRESETS,
     FormationModel,
@@ -262,6 +262,8 @@ class PipelineSpec:
             raise ValueError("need at least one iteration")
         if not 0 < self.lambda_bar < np.inf:
             raise ValueError(f"lambda_bar must be positive and finite, got {self.lambda_bar}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got seed={self.seed}")
         if self.norm_kind is not None and self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm_kind {self.norm_kind!r}; choose from {NORM_KINDS}")
         if self.report_format not in ("csv", "json"):
@@ -410,47 +412,33 @@ def evaluate(reference: DataCube, estimate: DataCube, dataset: str, formation: s
 
 @dataclass
 class _Acquisition:
-    """One acquisition: the loaded reference and its report label, the
-    device model, the read-only noisy observation and its read-only
-    baselines, by ``equalize`` flag."""
+    """One acquisition: the reference it was made from, the device model,
+    the read-only noisy observation and its read-only baselines, by
+    ``equalize`` flag."""
 
     reference: DataCube
-    label: str
     model: FormationModel
     y: np.ndarray
     baselines: dict[bool, np.ndarray] = dataclasses.field(default_factory=dict)
 
 
-# run_pipeline's record: the last acquisition it made, under its key (tests clear it)
+# run_pipeline's record: the last acquisition it made, under its device and seed (tests clear it)
 _RECORD: dict[tuple, _Acquisition] = {}
 
 
-def _file_state(path: str) -> tuple | None:
-    try:
-        stat = os.stat(path)
-    except OSError:  # the read reports it, as without the record
-        return None
-    return os.path.realpath(path), stat.st_mtime_ns, stat.st_size
-
-
-def _acquire(spec: PipelineSpec) -> _Acquisition:
-    """The reference and simulate stages of ``spec``, from the record when
-    its key names the same acquisition (see :func:`run_pipeline`)."""
-    paths = [_stem(spec.dataset) + ext for ext in (".hdr", ".raw") if spec.dataset != "synthetic"]
-    if spec.formation.mask not in (*BUILTIN_TILES, "random"):
-        paths.append(spec.formation.mask)  # a mask tile file
-    files = tuple(_file_state(path) for path in paths)
-    key = (_effective_preset(spec, spec.formation), spec.seed, spec.dataset, files)
+def _acquire(device: FormationPreset, reference: DataCube, seed: int) -> _Acquisition:
+    """The simulate stage, from the record when it holds the same
+    acquisition (see :func:`run_pipeline`)."""
+    key = (device, seed)
     acquisition = _RECORD.get(key)
-    if acquisition is not None:
+    if (acquisition is not None and acquisition.reference.rho == reference.rho
+            and np.array_equal(acquisition.reference.values, reference.values)):
         return acquisition
     _RECORD.clear()  # one acquisition at a time: free it before making the next
-    reference, preset, label = load_reference(spec.formation, spec.dataset, spec.seed)
-    check_report_shape(reference)  # fail before the solve, not in evaluate
-    model, y = simulate(_effective_preset(spec, preset), reference, spec.seed)
+    model, y = simulate(device, reference, seed)
     y.flags.writeable = False
-    acquisition = _Acquisition(reference, label, model, y)
-    if None not in files:
+    acquisition = _Acquisition(reference, model, y)
+    if device.mask in (*BUILTIN_TILES, "random"):  # a tile file's build reads the file
         _RECORD[key] = acquisition
     return acquisition
 
@@ -462,21 +450,23 @@ def run_pipeline(spec: PipelineSpec) -> PipelineResult:
 
     Fully deterministic: identical specs give bitwise identical outputs.
 
-    A private record keeps the last acquisition made here: the loaded
-    reference and its label, the device model, the noisy observation and
-    the interpolation baseline.  Its key is the device (the preset after
-    the method's PAN blur), the seed, the dataset and the state of every
-    file the acquisition read (resolved path, ``st_mtime_ns`` and
-    ``st_size`` of the dataset's ``.hdr`` and ``.raw`` and of a mask tile
-    file the preset names).  A row with the same key reuses it; the
-    baseline only for the same ``equalize`` flag.  It holds one
-    acquisition, so consecutive rows on one device share it, and every
-    output stays bitwise that of a fresh run of the same spec.  A rewrite
-    that keeps a file's size and modification stamp is not seen.  The
-    returned observation is a read-only view of it.
+    Every row loads its reference and checks its shape first.  A private
+    record then keeps the last acquisition made here: the device model,
+    the noisy observation and the interpolation baseline.  A row reuses it
+    when its device (the preset after the method's PAN blur) and seed are
+    the recorded ones and its loaded samples and dynamic range equal the
+    recorded reference's; the baseline only for the same ``equalize``
+    flag.  A device whose mask is a tile file is not recorded, as its
+    build reads that file.  The record holds one acquisition, so
+    consecutive rows on one device share it, and every output stays
+    bitwise that of a fresh run of the same spec.  The report's label and
+    the returned reference come from the row's own load; the returned
+    observation is a read-only view of the record's.
     """
-    acq = _acquire(spec)
-    reference, model, y = acq.reference, acq.model, acq.y
+    reference, preset, label = load_reference(spec.formation, spec.dataset, spec.seed)
+    check_report_shape(reference)  # fail before the solve, not in evaluate
+    acq = _acquire(_effective_preset(spec, preset), reference, spec.seed)
+    model, y = acq.model, acq.y
     y_solve = _equalized(spec, model, y)
     baseline = acq.baselines.get(spec.equalize)
     if baseline is None:
@@ -484,7 +474,7 @@ def run_pipeline(spec: PipelineSpec) -> PipelineResult:
         baseline.flags.writeable = False
     xhat = _solve(spec, model, y_solve, reference.rho, baseline)
     estimate = DataCube(xhat, rho=reference.rho, band_labels=reference.band_labels)
-    report = evaluate(reference, estimate, acq.label, model.preset.name, spec.method,
+    report = evaluate(reference, estimate, label, model.preset.name, spec.method,
                       None if spec.method == "baseline" else spec.lambda_bar,
                       compression_ratio(model.preset))
 

@@ -166,8 +166,8 @@ and cassi baselines) after one iteration, with 0 <= PRIMAL_TOL * 0.  Here
 the first primal half already follows the dual's half step from Wt = 0,
 to rho P_{tau lam}(cL L(X0)), which is 0 only where L(X0) = 0.  An X0
 that also fits the data is then the minimizer, and the solve returns it
-after one iteration.  ``SolverDiverged`` on the primal-data update reads
-the norm of the step that the test takes, where a non-finite X~ shows.
+after one iteration.  ``SolverDiverged`` on either update reads the norm
+of the step that the primal test takes, where a non-finite iterate shows.
 
 The dual-data update, which runs only for a caller that passes no Gram,
 may take the looser data-dual tolerance because that residual lags the
@@ -439,13 +439,14 @@ def _dual_data(A, L, g, y, x, cfg, trace):
         ltw_norm = np.linalg.norm(ltw)
         del ltw  # freed before A runs, so the peak holds no extra cube
 
-        if not np.all(np.isfinite(x)):
+        np.subtract(x, xbar, out=xbar)  # X - X_prev, the primal residual times tau
+        step = np.linalg.norm(xbar)
+        if not np.isfinite(step):
             raise _diverged(q, A, L, dual=False)
         # not redundant: an L* that maps a non-finite W to a finite cube keeps X finite
         if not np.all(np.isfinite(w)):
             raise _diverged(q, A, L, dual=True)
-        np.subtract(x, xbar, out=xbar)  # X - X_prev, the primal residual times tau
-        primal_ok = np.linalg.norm(xbar) <= PRIMAL_TOL * ltw_norm
+        primal_ok = step <= PRIMAL_TOL * ltw_norm
         xbar += x
         xbar *= c_l  # c_l * (2 X - X_prev)
         ax_new = A.apply(x)

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import plain_cp_reference, random_composition, random_shift_map
 
+from mrcakit import harness
 from mrcakit.formation import (
     BlurBank,
     SpectralWeights,
@@ -244,6 +245,7 @@ def test_criterion_8_metric_ground_truth():
 def test_criterion_9_determinism(tmp_path):
     runs = []
     for attempt in range(2):
+        harness._RECORD.clear()  # two cold runs: the second rebuilds what the first built
         result = _desk_experiment("jodefu-v1")
         path = str(tmp_path / f"report_{attempt}.csv")
         write_report(path, [result.report], "csv")

@@ -225,6 +225,13 @@ class TestFailures:
         assert field in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("formation, seed", [("mrca", -1), ("cassi", -3)])
+    def test_negative_seed_rejected_by_name(self, tmp_path, capsys, formation, seed):
+        assert run("pipeline", "--formation", formation, "--seed", seed, "--ni", 16, "--nj", 16,
+                   "--iters", 2, "--out", tmp_path / "o") == 1
+        assert f"seed must be non-negative, got seed={seed}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_equalize_on_a_cfa_mosaic_rejected(self, tmp_path, capsys):
         assert run("pipeline", "--formation", "cfa", "--mask", "bt4pan", "--equalize",
                    "--ni", 16, "--nj", 16, "--iters", 2, "--out", tmp_path / "o") == 1

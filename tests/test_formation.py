@@ -837,6 +837,7 @@ class TestPresetSerialization:
         ("name=cfa\nni 4\nnj=4\nnk=3\n", "malformed line 'ni 4', expected key=value"),
         ("name=cfa\nni=4.5\nnj=4\nnk=3\n", "invalid literal for int()"),
         ("name=cfa\nni=4\nnj=4\nnk=3\nratio=0\n", "ratio must be >= 1"),
+        ("name=cfa\nni=4\nnj=4\nnk=3\nseed=-1\n", "seed must be non-negative, got seed=-1"),
     ])
     def test_errors_name_the_source(self, text, message):
         with pytest.raises(ValueError, match=f"^obs.preset: {re.escape(message)}"):
@@ -872,6 +873,11 @@ class TestPresetSerialization:
     def test_bad_noise_level_rejected_at_construction(self, sigma):
         with pytest.raises(ValueError, match=f"got noise_sigma={sigma}"):
             formation_preset("mrca", 16, 16, 4, noise_sigma=sigma)
+
+    @pytest.mark.parametrize("name", ["mrca", "cfa", "cassi", "multires"])
+    def test_negative_seed_rejected_at_construction(self, name):
+        with pytest.raises(ValueError, match="seed must be non-negative, got seed=-1"):
+            formation_preset(name, 16, 16, 4, seed=-1)
 
     @pytest.mark.parametrize("name", ["mrca", "cfa", "cassi", "multires"])
     @pytest.mark.parametrize("ratio", [0, -2])

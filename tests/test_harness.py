@@ -302,7 +302,7 @@ class TestPipeline:
     @pytest.mark.parametrize("field, value", [
         ("report_format", "xml"), ("norm_kind", "l2"),
         ("lambda_bar", 0.0), ("lambda_bar", -1e-3), ("lambda_bar", float("nan")),
-        ("lambda_bar", float("inf"))])
+        ("lambda_bar", float("inf")), ("seed", -1)])
     def test_bad_field_rejected_at_construction(self, tmp_path, field, value):
         out = tmp_path / "run"
         with pytest.raises(ValueError, match=field):
@@ -384,18 +384,20 @@ def _bits(result):
 
 
 def _rewrite(paths, write):
-    """Rewrite files in place and move their modification stamps a second on,
-    as a later write would on a file system with coarse stamps."""
-    stamps = {path: os.stat(path).st_mtime_ns for path in paths}
+    """Rewrite files in place at their old sizes and restore their old
+    access and modification stamps, so that no file stamp tells the
+    rewrite apart."""
+    stats = {path: os.stat(path) for path in paths}
     write()
-    for path, stamp in stamps.items():
-        os.utime(path, ns=(stamp + 10 ** 9, stamp + 10 ** 9))
+    for path, stat in stats.items():
+        assert os.stat(path).st_size == stat.st_size, path
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
 
 
 class TestAcquisitionRecord:
     """``run_pipeline`` keeps the last acquisition it made and reuses it on
-    the next row of the same device, seed and files; every output stays
-    bitwise that of a run from an empty record."""
+    the next row of the same device and seed that loads the same samples;
+    every output stays bitwise that of a run from an empty record."""
 
     DESK = [PipelineSpec(formation=formation_preset(name, 16, 16, 4, noise_sigma=0.01),
                          method=method, iters=5, seed=11)
@@ -460,6 +462,30 @@ class TestAcquisitionRecord:
         assert second.observation.tobytes() != first.observation.tobytes()
         harness._RECORD.clear()
         assert _bits(second) == _bits(run_pipeline(spec))
+
+    def test_tile_file_row_builds_on_every_call(self, monkeypatch, tmp_path):
+        path = str(tmp_path / "tile.txt")
+        write_mask_file(path, builtin_tile("bt4pan"))
+        spec = dataclasses.replace(self.DESK[1], formation=formation_preset(
+            "mrca", 16, 16, 4, mask=path, noise_sigma=0.01))
+        calls = self.count_builds(monkeypatch)
+        first, second = run_pipeline(spec), run_pipeline(spec)
+        assert len(calls) == 2
+        assert _bits(first) == _bits(second)
+
+    def test_equal_samples_share_the_acquisition_under_their_own_label(self, monkeypatch,
+                                                                       tmp_path):
+        scene = synth_scene(SceneParams(16, 16, 4), seed=1)
+        for name in ("first", "second"):
+            write_datacube(str(tmp_path / name), scene)
+        specs = [dataclasses.replace(self.DESK[1], dataset=str(tmp_path / name))
+                 for name in ("first", "second")]
+        calls = self.count_builds(monkeypatch)
+        first, second = run_pipeline(specs[0]), run_pipeline(specs[1])
+        assert len(calls) == 1
+        assert (first.report.dataset, second.report.dataset) == ("first", "second")
+        harness._RECORD.clear()
+        assert _bits(second) == _bits(run_pipeline(specs[1]))
 
     @pytest.mark.parametrize("axis, values, builds", [
         ("lambda_bar", [1e-4, 1e-3, 1e-2], 1),
