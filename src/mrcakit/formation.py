@@ -49,9 +49,10 @@ the nonnegative kernel [0.5, 0.5] it gives sqrt(0.5) while the true norm
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -511,27 +512,6 @@ class DiagonalGram:
         return step
 
 
-class _AliasBlocks(NamedTuple):
-    """A periodic formation's alias-domain blocks (see :class:`AliasGram`),
-    as functions of its spectra at the aliases of n coarse frequencies:
-    for each (ni, nj[, nk]) spectrum of the device (kernel spectra,
-    transfer), its values at those aliases, shape (n, P[, nk]).
-
-    ``make_grams()`` returns ``grams(*spectra)``, which returns G(w) =
-    A(w) A(w)^H, shape (n, m, m); the constants it holds, up to nk*P^3
-    entries, live only as long as it does (at 64x64x4 they would outweigh
-    the spectra).  ``maps(*spectra)`` returns ``(forward, conj_adjoint)``.
-    ``forward(x)`` is A(w) x(w) for the cube's coefficients x, shape
-    (n, P, nk) with alias a and band k at [w, a, k], and may overwrite x.
-    ``conj_adjoint(v)`` is conj(A(w)^H v(w)), shape (n, P, nk), for v of
-    shape (n, m), and may overwrite v: conjugated, A(w)^H multiplies by
-    the kernel spectra themselves, so neither map holds their conjugate.
-    """
-
-    make_grams: Callable
-    maps: Callable
-
-
 class AliasGram:
     """AA* of a formation that commutes with shifts by ``period``, in the
     alias domain, where the formation splits into one small matrix per
@@ -554,21 +534,41 @@ class AliasGram:
     coefficient at w; the cube's coordinate (a, k) is band k's alias a.
     A maps each block onto itself by A(w), and AA* by G(w) = A(w) A(w)^H.
     A real operator has A(-w) = conj(A(w)) up to an alias permutation, so
-    only the classes wj <= mj/2 are held, row by row from w = 0.
+    only the n classes wj <= mj/2 are held, row by row from w = 0; m is
+    the block size P + ``coarse_bands``.
+
+    ``blocks`` is the device's pair ``(make_grams, maps)``, functions of
+    its ``spectra`` at the aliases: for each (ni, nj[, nk]) spectrum of the
+    device (kernel spectra, transfer), its values at the aliases of the n
+    classes, shape (n, P[, nk]).  ``maps(*spectra)`` returns the block maps
+    :attr:`forward` and :attr:`conj_adjoint`.  ``forward(x)`` is A(w) x(w),
+    shape (n, m), for a cube's coefficients x, shape (n, P, nk) with alias
+    a and band k at [w, a, k], and may overwrite x.  ``conj_adjoint(v)`` is
+    conj(A(w)^H v(w)), shape (n, P, nk), for v of shape (n, m), and may
+    overwrite v: conjugated, A(w)^H multiplies by the kernel spectra
+    themselves, so neither map holds their conjugate.  ``make_grams()``
+    returns ``grams(*spectra)``, which returns G(w), shape (n, m, m).  The
+    constants ``grams`` holds, up to nk*P^3 entries, live only as long as
+    it does: at 64x64x4 they would outweigh the spectra, so :meth:`norm`
+    and :meth:`data_step` form them per call and drop them after.
 
     Formed once per model, with it, it holds everything about the alias
-    domain that neither tau nor an observation changes: the device's
-    ``spectra`` at the aliases of those classes, the block maps A(w) and
-    conj(A(w)^H) over all of them and the index maps between the half
+    domain that neither tau nor an observation changes: the spectra at
+    the aliases, the two block maps and the index maps between the half
     spectra of real fields (``rfft2``, columns up to nj/2) and the blocks'
-    coefficients, in the unitary DFT.  An alias beyond nj/2 reads the
-    conjugate of its mirror -f (``gather``), and a half-spectrum cell
-    whose class lies beyond mj/2 the conjugate of the class output at -f
-    (``scatter``).  The conjugations are signs on the imaginary parts,
-    which cost less than masked conjugates and give the same bits.  The
-    gather's depend on the class only through wj, the scatter's on the
-    column; the cube's are repeated over the bands, so that one contiguous
-    product applies them.  mrca's operator applies A and A* from it too.
+    coefficients, in the unitary DFT.  :meth:`coefficients` is the one
+    gather, half spectrum to coefficients, and :meth:`spectrum` the one
+    scatter back, for a cube and for a plane alike (a plane is one band).
+    An alias beyond nj/2 reads the conjugate of its mirror -f, and a
+    half-spectrum cell whose class lies beyond mj/2 the conjugate of the
+    class output at -f; the scatter is told whether its input holds
+    conjugates (``conj_adjoint``'s outputs) or not (``forward``'s).  The
+    conjugations are signs on the imaginary parts, which cost less than
+    masked conjugates and give the same bits.  The gather's depend on the
+    class only through wj, the scatter's on the column; both are held
+    repeated over the cube's bands and sliced to a field's, so that one
+    contiguous product applies them.  mrca's operator applies A and A*
+    from it too.
 
     ``step`` is the device's tau * lambda_bar * |A|^2 for the solver's
     primal-data update, from the probe of ``BENCH_24.json``; ``shape`` is
@@ -583,7 +583,7 @@ class AliasGram:
     """
 
     def __init__(self, image_shape: tuple[int, int], period: tuple[int, int],
-                 blocks: _AliasBlocks, spectra: tuple, step: float, coarse_bands: int = 0):
+                 blocks: tuple, spectra: tuple, step: float, coarse_bands: int = 0):
         ni, nj = image_shape
         pi, pj = period
         mi, mj = ni // pi, nj // pj
@@ -599,24 +599,22 @@ class AliasGram:
         self.spectra = tuple(a[fi, fj] for a in spectra)
         nk = self.spectra[0].shape[2]
         self.cube_shape = (ni, nj, nk)
-        self.make_grams = blocks.make_grams
-        self.forward, self.conj_adjoint = blocks.maps(*self.spectra)
+        self.make_grams, maps = blocks
+        self.forward, self.conj_adjoint = maps(*self.spectra)
         # the half-spectrum cell of each class's aliases, conjugated where mirrored
         mirror = fj > nj // 2
         self.gather = np.where(mirror, (-fi % ni) * nh + (-fj % nj), fi * nh + fj).astype(
             np.int32)
-        self.mirror_sign = np.where(mirror[:mh], -1.0, 1.0)
-        self.mirror_sign_cube = np.repeat(self.mirror_sign[:, :, None], nk, axis=2)
-        # the class output each half-spectrum cell reads, and whether it
-        # reads it as is or, from its mirror, conjugated: conj_adjoint's
-        # outputs are conjugates, the forward map's are not
+        self.mirror_sign = np.repeat(np.where(mirror[:mh], -1.0, 1.0)[:, :, None], nk, axis=2)
+        # the class output each half-spectrum cell reads, as is or, from its
+        # mirror, conjugated; the sign undoes a conjugate input where it is
+        # read as is
         gi, gj = np.indices((ni, nh))
         flip = gj % mj >= mh
         gi, gj = np.where(flip, -gi % ni, gi), np.where(flip, -gj % nj, gj)
         self.scatter = (((gi % mi) * mh + gj % mj) * p + (gi // mi) * pj + gj // mj).astype(
             np.int32).ravel()
-        self.flip_sign = np.where(flip[0], -1.0, 1.0)
-        self.keep_sign_cube = np.repeat(-self.flip_sign[:, None], nk, axis=1)
+        self.keep_sign = np.repeat(np.where(flip[0], 1.0, -1.0)[:, None], nk, axis=1)
 
     def norm(self) -> float:
         """The formation's exact norm sqrt(max_w lambda_max(G(w))), with a
@@ -640,34 +638,26 @@ class AliasGram:
             lo, hi = hi, hi + max(1, _ALIAS_CHUNK // gram[0].size)
         return float(np.sqrt(top)) * (1 + _NORM_MARGIN)
 
-    def cube_coefficients(self, x: np.ndarray):
-        """``(spec, coef)``: the half spectrum of a cube x, a fresh array of
-        shape (ni, nh, nk), and its coefficients at every class, (n, P, nk)."""
+    def coefficients(self, x: np.ndarray):
+        """The gather: ``(spec, coef)`` of an (ni, nj, nb) field x, nb <= nk,
+        its half spectrum, a fresh array of shape (ni, nh, nb), and its
+        coefficients at every class, (n, P, nb)."""
         spec = scipy.fft.rfft2(np.ascontiguousarray(x), axes=(0, 1), norm="ortho")
+        sign = self.mirror_sign[:, :, :spec.shape[2]]
         coef = np.take(spec.reshape(-1, spec.shape[2]), self.gather, axis=0)
-        coef.reshape(-1, *self.mirror_sign_cube.shape).imag *= self.mirror_sign_cube
+        coef.reshape(-1, *sign.shape).imag *= sign
         return spec, coef
 
-    def plane_coefficients(self, y: np.ndarray) -> np.ndarray:
-        """The coefficients at every class, (n, P), of an (ni, nj) plane."""
-        coef = np.take(scipy.fft.rfft2(y, norm="ortho"), self.gather)
-        coef.reshape(-1, *self.mirror_sign.shape).imag *= self.mirror_sign
-        return coef
-
-    def plane_spectrum(self, u: np.ndarray) -> np.ndarray:
-        """The half spectrum, (ni, nh), of the plane whose coefficients at
-        every class are u, (n, P)."""
-        ni, nj = self.image_shape
-        half = np.take(u, self.scatter).reshape(ni, nj // 2 + 1)
-        half.imag *= self.flip_sign
-        return half
-
-    def cube_spectrum(self, d: np.ndarray) -> np.ndarray:
-        """The half spectrum, (ni, nh, nk), of the cube whose coefficients at
-        every class are the conjugates d, (n, P, nk)."""
+    def spectrum(self, d: np.ndarray, conjugated: bool) -> np.ndarray:
+        """The scatter: the half spectrum, (ni, nh, nb), of the field whose
+        coefficients at every class are d, (n, P, nb), or, if
+        ``conjugated``, conj(d)."""
+        sign = self.keep_sign[:, :d.shape[2]]
+        if not conjugated:
+            sign = -sign
         half = np.take(d.reshape(-1, d.shape[2]), self.scatter, axis=0).reshape(
-            self.image_shape[0], *self.keep_sign_cube.shape)
-        half.imag *= self.keep_sign_cube
+            self.image_shape[0], *sign.shape)
+        half.imag *= sign
         return half
 
     def transform_back(self, half: np.ndarray) -> np.ndarray:
@@ -707,7 +697,7 @@ class AliasGram:
             inv[lo:lo + batch] = np.linalg.inv(g)
         flat = np.asarray(y, dtype=np.float64).reshape(-1)
         coeffs = np.empty((n, m), dtype=complex)
-        coeffs[:, :p] = self.plane_coefficients(flat[:ni * nj].reshape(ni, nj))
+        coeffs[:, :p] = self.coefficients(flat[:ni * nj].reshape(ni, nj, 1))[1][:, :, 0]
         if nc:
             mi, mj = ni // self.period[0], nj // self.period[1]
             coeffs[:, p:] = scipy.fft.rfft2(flat[ni * nj:].reshape(mi, mj, nc), axes=(0, 1),
@@ -715,13 +705,13 @@ class AliasGram:
         forward, conj_adjoint = self.forward, self.conj_adjoint
 
         def step(x):
-            spec, coef = self.cube_coefficients(x)
+            spec, coef = self.coefficients(x)
             u = forward(coef)
             del coef  # each cube-sized temporary is freed before the next one is formed
             u -= coeffs
             v = np.matmul(inv, u[:, :, None])[:, :, 0]
             del u
-            update = self.cube_spectrum(conj_adjoint(v))
+            update = self.spectrum(conj_adjoint(v), conjugated=True)
             spec -= update
             del update
             x[...] = self.transform_back(spec)
@@ -734,15 +724,17 @@ def _alias_op(gram: AliasGram, bound: float) -> LinearOp:
     """mrca's cube-to-plane formation A of ``gram`` applied in the alias
     domain.  A runs one band-wise ``rfft2``, the gather, A(w), the scatter
     and one plane ``irfft2``; A* one plane ``rfft2``, the gather,
-    conj(A(w)^H), the scatter and one band-wise ``irfft2``.  A PAN blur is
-    a transfer inside the blocks and costs no transform of its own."""
+    conj(A(w)^H), the scatter and one band-wise ``irfft2``.  The plane
+    passes the gather and the scatter as one band.  A PAN blur is a
+    transfer inside the blocks and costs no transform of its own."""
     def forward(x):
-        coef = gram.cube_coefficients(x)[1]  # the cube's spectrum is freed here
-        return gram.transform_back(gram.plane_spectrum(gram.forward(coef)))
+        coef = gram.coefficients(x)[1]  # the cube's spectrum is freed here
+        u = gram.forward(coef)[:, :, None]
+        return gram.transform_back(gram.spectrum(u, conjugated=False)[:, :, 0])
 
     def adjoint(y):
-        d = gram.conj_adjoint(gram.plane_coefficients(y))
-        half = gram.cube_spectrum(d)
+        d = gram.conj_adjoint(gram.coefficients(y[:, :, None])[1][:, :, 0])
+        half = gram.spectrum(d, conjugated=True)
         del d
         return gram.transform_back(half)
 
@@ -759,7 +751,7 @@ def _mask_circulants(mask: Mask, period: tuple[int, int]) -> np.ndarray:
     return c[(ai[:, None] - ai) % pi, (aj[:, None] - aj) % pj].reshape(pi * pj, -1)
 
 
-def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights) -> _AliasBlocks:
+def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights) -> tuple:
     """The alias-domain blocks of mosaic(h_lri) conv(K) + T mosaic(h_pan) W,
     of the spectra (s, t): the kernel spectra K and the PAN transfer T at
     the aliases.
@@ -814,10 +806,10 @@ def _mrca_blocks(period, h_lri: Mask, h_pan: Mask, weights: SpectralWeights) -> 
 
         return forward, conj_adjoint
 
-    return _AliasBlocks(make_grams, maps)
+    return make_grams, maps
 
 
-def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights) -> _AliasBlocks:
+def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights) -> tuple:
     """The alias-domain blocks of the stack of W and decimate(ratio) conv(K),
     of the kernel spectra s at the aliases.  The rows of A(w), over the
     cube's coefficients alias-major, (a, k), are the maps' own: ``spread``
@@ -850,7 +842,7 @@ def _multires_blocks(nk: int, ratio: int, weights: SpectralWeights) -> _AliasBlo
 
         return forward, conj_adjoint
 
-    return _AliasBlocks(lambda: grams, maps)
+    return (lambda: grams), maps
 
 
 # ``AliasGram.step`` of each device (see the ``solver`` module docstring)
@@ -860,6 +852,15 @@ _ALIAS_STEPS = {"mrca": 0.01, "multires": 0.02}
 # ---------------------------------------------------------------------------
 # Assembled formation presets
 # ---------------------------------------------------------------------------
+
+
+def _check_seed(seed) -> None:
+    """Reject, by name, a seed that numpy's ``SeedSequence`` would reject
+    with a bare message: every seed is a non-negative integer."""
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got seed={seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got seed={seed}")
 
 
 @dataclass(frozen=True)
@@ -906,8 +907,7 @@ class FormationPreset:
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(
                 f"noise level must be nonnegative and finite, got noise_sigma={self.noise_sigma}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got seed={self.seed}")
+        _check_seed(self.seed)
 
     def to_text(self) -> str:
         return format_key_values(dataclasses.asdict(self))
@@ -1089,6 +1089,7 @@ def compression_ratio(preset: FormationPreset) -> float:
 
 def add_gaussian_noise(y: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:
     """Seeded zero-mean iid Gaussian noise of standard deviation sigma."""
+    _check_seed(seed)
     if not 0 <= sigma < np.inf:
         raise ValueError(f"noise level must be nonnegative and finite, got sigma={sigma}")
     y = np.asarray(y, dtype=np.float64)

@@ -39,6 +39,7 @@ from .formation import (
     PAN_BLUR_PRESETS,
     FormationModel,
     FormationPreset,
+    _check_seed,
     add_gaussian_noise,
     build_formation,
     equalize_lri_stats,
@@ -131,6 +132,7 @@ def synth_scene(params: SceneParams, seed: int = 0) -> DataCube:
     ni, nj, nk = params.ni, params.nj, params.nk
     if min(ni, nj, nk) < 1:
         raise ValueError("scene dimensions must be positive")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     scene = np.tile(rng.uniform(0.25, 0.7, nk), (ni, nj, 1))
 
@@ -262,8 +264,7 @@ class PipelineSpec:
             raise ValueError("need at least one iteration")
         if not 0 < self.lambda_bar < np.inf:
             raise ValueError(f"lambda_bar must be positive and finite, got {self.lambda_bar}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got seed={self.seed}")
+        _check_seed(self.seed)
         if self.norm_kind is not None and self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm_kind {self.norm_kind!r}; choose from {NORM_KINDS}")
         if self.report_format not in ("csv", "json"):
@@ -279,6 +280,7 @@ class PipelineResult:
 
 
 def _derived_seeds(seed: int) -> tuple[int, int]:
+    _check_seed(seed)
     state = np.random.SeedSequence(seed).generate_state(2)
     return int(state[0]), int(state[1])
 
@@ -289,8 +291,8 @@ def load_reference(preset: FormationPreset, dataset: str = "synthetic",
     ``"synthetic"``, dynamic range 1) or the datacube stored at the stem
     ``dataset``, which keeps its own.  Returns the cube, the preset resized
     to it and the dataset label of the report."""
+    scene_seed, _ = _derived_seeds(seed)  # a stored cube takes no seed, but a bad one still fails
     if dataset == "synthetic":
-        scene_seed, _ = _derived_seeds(seed)
         cube = synth_scene(SceneParams(preset.ni, preset.nj, preset.nk), seed=scene_seed)
         return cube, preset, f"synthetic:{seed}"
     cube = read_datacube(dataset)
@@ -317,8 +319,8 @@ def simulate(device: FormationPreset, reference: DataCube,
     Seed rule: ``SeedSequence(seed)`` yields the scene seed (used by
     :func:`load_reference`) and the noise seed, so equal seeds give
     bitwise equal observations on every entry point."""
-    model = build_formation(device)
     _, noise_seed = _derived_seeds(seed)
+    model = build_formation(device)
     y = model.op.apply(reference.values)
     y = add_gaussian_noise(y, device.noise_sigma * reference.rho, seed=noise_seed)
     return model, y

@@ -665,6 +665,38 @@ class TestAliasGramMatchesMaps:
         assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
 
 
+class TestAliasTransformPair:
+    """An :class:`AliasGram`'s one gather (``coefficients``) and one scatter
+    (``spectrum``) invert each other on real fields, for a cube and for a
+    plane (one band), with the class coefficients given as they are or
+    conjugated.  The gather's coefficients are the unitary DFT at the
+    aliases.  The devices have the coarse widths 5 (mrca and multires on
+    12x20), where the gather reads mirrored aliases and the scatter flips
+    classes beyond the coarse Nyquist column, and 4 (bt8pan on 16x16)."""
+
+    @pytest.mark.parametrize("name, size, nk, overrides", [
+        pytest.param("mrca", (12, 20), 4, {}, id="mrca-12x20"),
+        pytest.param("mrca", (16, 16), 8, {"mask": "bt8pan"}, id="mrca-bt8pan"),
+        pytest.param("multires", (12, 20), 4, {"ratio": 4}, id="multires-ratio4"),
+    ])
+    @pytest.mark.parametrize("field", ["plane", "cube"])
+    def test_round_trip(self, name, size, nk, overrides, field, rng):
+        gram = build_formation(formation_preset(name, *size, nk, **overrides)).gram
+        (ni, nj), (pi, pj) = gram.image_shape, gram.period
+        x = rng.standard_normal((ni, nj, 1 if field == "plane" else nk))
+        spec, coef = gram.coefficients(x)
+        np.testing.assert_array_equal(spec, scipy.fft.rfft2(x, axes=(0, 1), norm="ortho"))
+        mi, mj = ni // pi, nj // pj
+        wi, wj = np.indices((mi, mj // 2 + 1)).reshape(2, -1, 1)
+        ai, aj = np.divmod(np.arange(pi * pj), pj)
+        full = np.fft.fft2(x, axes=(0, 1), norm="ortho")
+        np.testing.assert_allclose(coef, full[wi + mi * ai, wj + mj * aj], rtol=0, atol=1e-13)
+        for d, conjugated in ((coef, False), (np.conj(coef), True)):
+            back = gram.transform_back(gram.spectrum(d, conjugated=conjugated))
+            assert back.shape == x.shape
+            assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
+
+
 class TestAliasGramHolds:
     """What a periodic model holds, in cubes, once its Gram has taken a
     data step and the step is dropped: the Gram's spectra at the aliases

@@ -7,12 +7,14 @@ import pytest
 
 from mrcakit import harness
 from mrcakit.datacube import DataCube, read_datacube, write_datacube
-from mrcakit.formation import FormationPreset, build_formation, formation_preset
+from mrcakit.formation import (FormationPreset, add_gaussian_noise, build_formation,
+                               formation_preset)
 from mrcakit.harness import (
     PipelineSpec,
     SceneParams,
     baseline_reconstruct,
     flat_patch_region,
+    load_reference,
     read_observation,
     read_preset,
     run_pipeline,
@@ -52,6 +54,30 @@ class TestSynthScene:
             interior = cube.values[rows, cols, :]
             grads = tv_forward(interior)[1:, 1:, :, :]  # drop boundary rows
             assert not grads.any()
+
+
+_SEEDED = formation_preset("cfa", 16, 16, 4)
+
+# every entry point that takes a seed, as a call of that seed
+_SEED_TAKERS = {
+    "load_reference": lambda seed: load_reference(_SEEDED, "synthetic", seed),
+    "simulate": lambda seed: simulate(_SEEDED, synth_scene(SceneParams(16, 16, 4)), seed),
+    "synth_scene": lambda seed: synth_scene(SceneParams(8, 8, 2), seed),
+    "add_gaussian_noise": lambda seed: add_gaussian_noise(np.zeros(3), 0.1, seed),
+    "PipelineSpec": lambda seed: PipelineSpec(formation=_SEEDED, seed=seed),
+    "FormationPreset": lambda seed: FormationPreset("cfa", 4, 4, 3, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be non-negative, got seed=-1"),
+    (2.5, "seed must be an integer, got seed=2.5")], ids=["negative", "non-integer"])
+@pytest.mark.parametrize("entry", sorted(_SEED_TAKERS))
+def test_bad_seed_rejected_by_name(entry, seed, message):
+    """A negative or non-integer seed is a ValueError that names it, where
+    numpy would end in a bare message or a TypeError."""
+    with pytest.raises(ValueError, match=message):
+        _SEED_TAKERS[entry](seed)
 
 
 class TestBaseline:
