@@ -1,4 +1,5 @@
-"""Datacube container, raw file I/O and the package's text rule.
+"""Datacube container, raw file I/O, the package's text rule and its
+integer check.
 
 A datacube is a 3-way array (rows x cols x bands).  All public indices are
 0-based.  The operators act on (ni, nj, nk) arrays, and stacked
@@ -14,6 +15,7 @@ comments; the first two hold ``key=value`` lines.  Read errors name the file.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,6 +114,17 @@ def parse_key_values(text: str, source: str) -> dict[str, str]:
 
 def format_key_values(pairs: dict) -> str:
     return "".join(f"{key}={value}\n" for key, value in pairs.items())
+
+
+def check_integer(name: str, value, minimum: int = 0) -> None:
+    """Reject, by ``name``, a value that is not an integer of at least
+    ``minimum``, which numpy or a loop would reject later with a bare
+    message (a seed, a size, a ratio, an iteration count)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+    if value < minimum:
+        least = "non-negative" if minimum == 0 else f">= {minimum}"
+        raise ValueError(f"{name} must be {least}, got {name}={value}")
 
 
 # How a text cell reads, by the annotation of the dataclass field it fills.

@@ -49,7 +49,6 @@ the nonnegative kernel [0.5, 0.5] it gives sqrt(0.5) while the true norm
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -57,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
-from .datacube import PARSE_CELL, format_key_values, parse_key_values
+from .datacube import PARSE_CELL, check_integer, format_key_values, parse_key_values
 from .masks import (
     PAN,
     Mask,
@@ -854,15 +853,6 @@ _ALIAS_STEPS = {"mrca": 0.01, "multires": 0.02}
 # ---------------------------------------------------------------------------
 
 
-def _check_seed(seed) -> None:
-    """Reject, by name, a seed that numpy's ``SeedSequence`` would reject
-    with a bare message: every seed is a non-negative integer."""
-    if not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got seed={seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got seed={seed}")
-
-
 @dataclass(frozen=True)
 class FormationPreset:
     """Serializable description of one acquisition setup.
@@ -891,10 +881,8 @@ class FormationPreset:
     def __post_init__(self):
         if self.name not in PRESET_NAMES:
             raise ValueError(f"unknown formation preset {self.name!r}; choose from {PRESET_NAMES}")
-        if min(self.ni, self.nj, self.nk) < 1:
-            raise ValueError("dimensions must be positive")
-        if self.ratio < 1:
-            raise ValueError(f"ratio must be >= 1, got ratio={self.ratio}")
+        for field in ("ni", "nj", "nk", "ratio"):
+            check_integer(field, getattr(self, field), 1)
         if self.ratio != 2 and self.name not in RATIO_PRESETS:
             raise ValueError(f"ratio: the {self.name} formation has one resolution and no "
                              f"ratio, got ratio={self.ratio}")
@@ -907,7 +895,7 @@ class FormationPreset:
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(
                 f"noise level must be nonnegative and finite, got noise_sigma={self.noise_sigma}")
-        _check_seed(self.seed)
+        check_integer("seed", self.seed)
 
     def to_text(self) -> str:
         return format_key_values(dataclasses.asdict(self))
@@ -1089,7 +1077,7 @@ def compression_ratio(preset: FormationPreset) -> float:
 
 def add_gaussian_noise(y: np.ndarray, sigma: float, seed: int = 0) -> np.ndarray:
     """Seeded zero-mean iid Gaussian noise of standard deviation sigma."""
-    _check_seed(seed)
+    check_integer("seed", seed)
     if not 0 <= sigma < np.inf:
         raise ValueError(f"noise level must be nonnegative and finite, got sigma={sigma}")
     y = np.asarray(y, dtype=np.float64)

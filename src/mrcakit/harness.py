@@ -34,12 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
-from .datacube import DataCube, read_datacube, write_datacube
+from .datacube import DataCube, check_integer, read_datacube, write_datacube
 from .formation import (
     PAN_BLUR_PRESETS,
     FormationModel,
     FormationPreset,
-    _check_seed,
     add_gaussian_noise,
     build_formation,
     equalize_lri_stats,
@@ -132,7 +131,7 @@ def synth_scene(params: SceneParams, seed: int = 0) -> DataCube:
     ni, nj, nk = params.ni, params.nj, params.nk
     if min(ni, nj, nk) < 1:
         raise ValueError("scene dimensions must be positive")
-    _check_seed(seed)
+    check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     scene = np.tile(rng.uniform(0.25, 0.7, nk), (ni, nj, 1))
 
@@ -260,11 +259,10 @@ class PipelineSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.iters < 1:
-            raise ValueError("need at least one iteration")
+        check_integer("iters", self.iters, 1)
         if not 0 < self.lambda_bar < np.inf:
             raise ValueError(f"lambda_bar must be positive and finite, got {self.lambda_bar}")
-        _check_seed(self.seed)
+        check_integer("seed", self.seed)
         if self.norm_kind is not None and self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm_kind {self.norm_kind!r}; choose from {NORM_KINDS}")
         if self.report_format not in ("csv", "json"):
@@ -280,7 +278,7 @@ class PipelineResult:
 
 
 def _derived_seeds(seed: int) -> tuple[int, int]:
-    _check_seed(seed)
+    check_integer("seed", seed)
     state = np.random.SeedSequence(seed).generate_state(2)
     return int(state[0]), int(state[1])
 

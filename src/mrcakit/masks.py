@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datacube import text_lines
+from .datacube import check_integer, text_lines
 
 __all__ = [
     "Mask",
@@ -153,6 +153,7 @@ def random_code_mask(ni: int, nj: int, nk: int, seed: int = 0) -> Mask:
     Unlike tiled channel-selection masks, every band sees the same 2-D
     Bernoulli(1/2) pattern.
     """
+    check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     code = (rng.random((ni, nj)) < 0.5).astype(np.float64)
     return Mask(np.repeat(code[:, :, None], nk, axis=2), tuple(range(nk)))

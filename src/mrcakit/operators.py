@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .datacube import check_integer
+
 __all__ = [
     "LinearOp",
     "StackParts",
@@ -192,6 +194,7 @@ def adjoint_dot_test(op: LinearOp, trials: int = 20, seed: int = 0) -> float:
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -213,6 +216,7 @@ def power_iteration_norm(op: LinearOp, iters: int = 50, seed: int = 0) -> float:
     """
     if iters < 1:
         raise ValueError("need at least one iteration")
+    check_integer("seed", seed)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.input_shape)
     nv = np.linalg.norm(v.ravel())

@@ -222,6 +222,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datacube import check_integer
 from .operators import LinearOp
 from .regularizers import MetricNorm
 
@@ -292,10 +293,9 @@ class SolverConfig:
     gram: object | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.q_max < 1:
-            raise ValueError("need at least one iteration")
-        if self.cost_stride is not None and self.cost_stride < 1:
-            raise ValueError("cost stride must be positive")
+        check_integer("q_max", self.q_max, 1)
+        if self.cost_stride is not None:
+            check_integer("cost_stride", self.cost_stride, 1)
         if self.x0 is not None:
             x0 = np.asarray(self.x0)
             if not np.can_cast(x0.dtype, np.float64, casting="same_kind"):

@@ -1,8 +1,12 @@
+import shlex
+
 import numpy as np
 import pytest
 
+from devices import DEVICES
 from mrcakit.cli import main
 from mrcakit.datacube import DataCube, read_datacube, write_datacube
+from mrcakit.formation import PAN_BLUR_PRESETS
 from mrcakit.harness import METHODS, SceneParams, synth_scene
 from mrcakit.masks import parse_mask_file
 from mrcakit.metrics import read_report
@@ -103,42 +107,29 @@ class TestPipelineCommand:
 
 class TestStagedMatchesPipeline:
     """``simulate -> reconstruct -> evaluate`` against ``pipeline --out``
-    with the same flags.  Observation files hold float32 samples, so the
-    staged estimate matches the pipeline's to float32 rounding."""
+    with the same flags, on every device of the table.  simulate writes the
+    pipeline's files byte for byte.  Observation files hold float32
+    samples, so the staged estimate matches the pipeline's to float32
+    rounding."""
 
-    FLAGS = ("--ni", 16, "--nj", 16, "--nk", 4, "--seed", 11, "--noise-sigma", 0.01)
-    FORMATIONS = ("mrca", "multires", "cfa", "cassi")
-
-    # the PAN blur the pipeline gives a jodefu-v2 device without one, on the
-    # one formation that applies it
-    DEVICE_FLAGS = {("mrca", "jodefu-v2"): ("--rho-b", 1.4)}
-
-    def pipeline(self, tmp_path, formation, method):
-        rundir = tmp_path / "run"
-        assert run("pipeline", "--formation", formation, *self.FLAGS, "--method", method,
-                   "--iters", 20, "--out", rundir) == 0
-        return rundir
-
-    @pytest.mark.parametrize("formation", FORMATIONS)
+    @pytest.mark.parametrize("device", DEVICES, ids=str)
     @pytest.mark.parametrize("method", METHODS)
-    def test_simulate_writes_the_pipeline_files(self, tmp_path, formation, method):
-        rundir = self.pipeline(tmp_path, formation, method)
-        obs = tmp_path / "obs"
-        assert run("simulate", "--formation", formation, *self.FLAGS,
-                   *self.DEVICE_FLAGS.get((formation, method), ()), "--out", obs) == 0
-        blocks = ("_hri", "_lri") if formation == "multires" else ("",)
+    def test_stages_match_the_pipeline(self, tmp_path, device, method):
+        flags = (*shlex.split(device.flags()), "--seed", 11, "--noise-sigma", 0.01)
+        rundir, obs, est, rep = (tmp_path / name for name in ("run", "obs", "est", "rep.csv"))
+        assert run("pipeline", *flags, "--method", method, "--iters", 20, "--out", rundir) == 0
+        # the PAN blur the pipeline gives a jodefu-v2 device without one,
+        # on a formation that applies it
+        blur = (method == "jodefu-v2" and device.formation in PAN_BLUR_PRESETS
+                and "rho_b" not in device.overrides)
+        assert run("simulate", *flags, *(("--rho-b", 1.4) if blur else ()), "--out", obs) == 0
+        blocks = ("_hri", "_lri") if device.formation == "multires" else ("",)
         pairs = [("obs.preset", "acquisition.preset")]
         for ext in (".raw", ".hdr"):
             pairs += [(f"obs{b}{ext}", f"acquisition{b}{ext}") for b in blocks]
             pairs.append((f"obs_reference{ext}", f"reference{ext}"))
         for staged, piped in pairs:
             assert (tmp_path / staged).read_bytes() == (rundir / piped).read_bytes(), staged
-
-    @pytest.mark.parametrize("formation", FORMATIONS)
-    @pytest.mark.parametrize("method", METHODS)
-    def test_reconstruct_and_evaluate_match_the_pipeline(self, tmp_path, formation, method):
-        rundir = self.pipeline(tmp_path, formation, method)
-        est, rep = tmp_path / "est", tmp_path / "rep.csv"
         assert run("reconstruct", "--in", rundir / "acquisition", "--method", method,
                    "--iters", 20, "--out", est) == 0
         assert run("evaluate", "--ref", rundir / "reference", "--est", est, "--out", rep) == 0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from conftest import mrca_composition, random_shift_map, to_dense
+from conftest import random_shift_map, to_dense
+from devices import ALIAS
 
 from mrcakit.formation import (
     BlurBank,
@@ -614,89 +615,6 @@ class TestPresetReductions:
         assert model.lri_support is None
 
 
-class TestAliasDomainMrca:
-    """mrca applies A and A* in the alias domain, from its Gram; the
-    paper's model, the composition of the public blocks, stays the
-    definition of both."""
-
-    DEVICES = {"bt4pan": (4, {}),
-               "bt4pan-blur": (4, {"hri_blur": "butterworth", "rho_b": 1.4}),
-               "bt8pan": (8, {"mask": "bt8pan"})}
-
-    @pytest.mark.parametrize("size", [(8, 8), (12, 20), (64, 64)])
-    @pytest.mark.parametrize("device", sorted(DEVICES))
-    def test_matches_the_composition(self, device, size, rng):
-        nk, overrides = self.DEVICES[device]
-        preset = formation_preset("mrca", *size, nk, **overrides)
-        op = build_formation(preset).op
-        composed = mrca_composition(preset)
-        x = rng.standard_normal(op.input_shape)
-        y = rng.standard_normal(op.output_shape)
-        for got, want in ((op.apply(x), composed.apply(x)),
-                          (op.adjoint_apply(y), composed.adjoint_apply(y))):
-            assert got.shape == want.shape
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-
-class TestAliasGramMatchesMaps:
-    """The Grams an :class:`AliasGram` forms are A(w) A(w)^H of the blocks
-    its maps apply, at every class.  Row i of A(w) is conj(A(w)^H e_i),
-    the map ``conj_adjoint`` of the unit vector e_i.  Every coarse grid is
-    of odd width, 5, as on the 12x20 image of the data-step tests."""
-
-    @pytest.mark.parametrize("name, size, nk, overrides", [
-        pytest.param("mrca", (12, 20), 4, {}, id="mrca-bt4pan"),
-        pytest.param("mrca", (12, 20), 4, {"hri_blur": "butterworth", "rho_b": 1.4},
-                     id="mrca-bt4pan-blur"),
-        pytest.param("mrca", (12, 20), 8, {"mask": "bt8pan"}, id="mrca-bt8pan"),
-        pytest.param("multires", (12, 10), 4, {"ratio": 2}, id="multires-ratio2"),
-        pytest.param("multires", (12, 15), 4, {"ratio": 3}, id="multires-ratio3"),
-        pytest.param("multires", (12, 20), 4, {"ratio": 4}, id="multires-ratio4"),
-    ])
-    def test_grams_are_the_maps_multiplied_out(self, name, size, nk, overrides):
-        gram = build_formation(formation_preset(name, *size, nk, **overrides)).gram
-        n, m = gram.classes, gram.block_size
-        rows = np.stack([gram.conj_adjoint(np.tile(e, (n, 1))).reshape(n, -1)
-                         for e in np.eye(m, dtype=complex)], axis=1)
-        want = rows @ rows.conj().swapaxes(1, 2)
-        got = gram.make_grams()(*gram.spectra)
-        assert got.shape == want.shape == (n, m, m)
-        err = np.linalg.norm(got - want, axis=(1, 2))
-        assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
-
-
-class TestAliasTransformPair:
-    """An :class:`AliasGram`'s one gather (``coefficients``) and one scatter
-    (``spectrum``) invert each other on real fields, for a cube and for a
-    plane (one band), with the class coefficients given as they are or
-    conjugated.  The gather's coefficients are the unitary DFT at the
-    aliases.  The devices have the coarse widths 5 (mrca and multires on
-    12x20), where the gather reads mirrored aliases and the scatter flips
-    classes beyond the coarse Nyquist column, and 4 (bt8pan on 16x16)."""
-
-    @pytest.mark.parametrize("name, size, nk, overrides", [
-        pytest.param("mrca", (12, 20), 4, {}, id="mrca-12x20"),
-        pytest.param("mrca", (16, 16), 8, {"mask": "bt8pan"}, id="mrca-bt8pan"),
-        pytest.param("multires", (12, 20), 4, {"ratio": 4}, id="multires-ratio4"),
-    ])
-    @pytest.mark.parametrize("field", ["plane", "cube"])
-    def test_round_trip(self, name, size, nk, overrides, field, rng):
-        gram = build_formation(formation_preset(name, *size, nk, **overrides)).gram
-        (ni, nj), (pi, pj) = gram.image_shape, gram.period
-        x = rng.standard_normal((ni, nj, 1 if field == "plane" else nk))
-        spec, coef = gram.coefficients(x)
-        np.testing.assert_array_equal(spec, scipy.fft.rfft2(x, axes=(0, 1), norm="ortho"))
-        mi, mj = ni // pi, nj // pj
-        wi, wj = np.indices((mi, mj // 2 + 1)).reshape(2, -1, 1)
-        ai, aj = np.divmod(np.arange(pi * pj), pj)
-        full = np.fft.fft2(x, axes=(0, 1), norm="ortho")
-        np.testing.assert_allclose(coef, full[wi + mi * ai, wj + mj * aj], rtol=0, atol=1e-13)
-        for d, conjugated in ((coef, False), (np.conj(coef), True)):
-            back = gram.transform_back(gram.spectrum(d, conjugated=conjugated))
-            assert back.shape == x.shape
-            assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
-
-
 class TestAliasGramHolds:
     """What a periodic model holds, in cubes, once its Gram has taken a
     data step and the step is dropped: the Gram's spectra at the aliases
@@ -706,28 +624,27 @@ class TestAliasGramHolds:
     without the PAN blur.  A multires Gram that also held its spectra
     over the ratio read 4.57 and 4.82."""
 
-    @pytest.mark.parametrize("name, overrides, bound", [
-        ("multires", {"ratio": 2}, 3.8),
-        ("multires", {"ratio": 4}, 3.8),
-        ("mrca", {}, 3.2),
-        ("mrca", {"hri_blur": "butterworth", "rho_b": 1.4}, 3.2),
-    ])
-    def test_held_cubes(self, name, overrides, bound, rng):
+    BOUNDS = {"mrca": 3.2, "multires": 3.8}
+
+    @pytest.mark.parametrize("device", [d for d in ALIAS if d.size == (16, 16) and d.nk == 4],
+                             ids=str)
+    def test_held_cubes(self, device, rng):
         shape = (64, 64, 4)
         tracemalloc.start()
         try:
-            model = build_formation(formation_preset(name, *shape, **overrides))
+            model = build_formation(device.preset(size=shape[:2]))
             y = rng.standard_normal(model.gram.shape)
             model.gram.data_step(1.0, y)
             del y
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held / (np.prod(shape) * 8) <= bound
+        assert held / (np.prod(shape) * 8) <= self.BOUNDS[device.formation]
 
 
 class TestExactNorms:
-    """Alias-domain norms of the periodic presets against dense oracles."""
+    """Alias-domain norms of custom tiles against dense oracles; the
+    table's devices run the same check in ``test_devices.py``."""
 
     @staticmethod
     def _custom_tile_mrca(cells, ni, nj, tmp_path, **overrides):
@@ -742,23 +659,16 @@ class TestExactNorms:
         assert sigma <= op.norm_bound <= sigma * (1 + 1e-8)
 
     @pytest.mark.parametrize("n", [8, 16])
-    @pytest.mark.parametrize("case", ["mrca", "mrca_butterworth", "mrca_tile2x2", "multires"])
-    def test_bound_matches_dense_svd(self, n, case, tmp_path):
-        if case == "mrca_tile2x2":
-            with pytest.warns(UserWarning, match="never assigns"):
-                model = self._custom_tile_mrca([[-1, 0], [1, -1]], n, n, tmp_path)
-        else:
-            overrides = {"mrca": {}, "multires": {"ratio": 2},
-                         "mrca_butterworth": {"hri_blur": "butterworth", "rho_b": 1.4}}[case]
-            model = build_formation(formation_preset(case.split("_")[0], n, n, 4, **overrides))
+    def test_tile_leaving_a_channel_out_matches_dense_svd(self, n, tmp_path):
+        with pytest.warns(UserWarning, match="never assigns"):
+            model = self._custom_tile_mrca([[-1, 0], [1, -1]], n, n, tmp_path)
         self._assert_exact(model.op)
 
     def test_rectangular_period_matches_dense_svd(self, tmp_path):
-        # a 2x4 tile on an 8x16 image, and multires at ratio 3 on 12x6
+        # a 2x4 tile on an 8x16 image
         model = self._custom_tile_mrca([[-1, 0, -1, 1], [2, -1, 3, -1]], 8, 16, tmp_path,
                                        hri_blur="butterworth", rho_b=1.4)
         self._assert_exact(model.op)
-        self._assert_exact(build_formation(formation_preset("multires", 12, 6, 4, ratio=3)).op)
 
     def test_mosaic_presets_keep_diagonal_gramian_bound(self):
         assert build_formation(formation_preset("cfa", 64, 64, 4)).op.norm_bound == 1.0

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import devices
 from conftest import mrca_composition, plain_cp_reference, plain_resolvent_reference, to_dense
 from mrcakit import harness
 from mrcakit.datacube import DataCube
@@ -480,14 +481,14 @@ class TestPrimalData:
     diag(AA*) (``DiagonalGram``), mrca (with and without the PAN blur)
     and multires their alias-domain blocks (``AliasGram``)."""
 
-    DEVICES = {"cfa": ("cfa", {}), "cassi": ("cassi", {}), "mrca": ("mrca", {}),
-               "mrca-blur": ("mrca", {"hri_blur": "butterworth", "rho_b": 1.4}),
-               "multires": ("multires", {})}
+    # the table's rows of the default periods and the PAN blur, on an 8x8
+    # image for the dense resolvent
+    DEVICES = {d.name: d for d in devices.DEVICES
+               if d.name in ("cfa", "cassi", "mrca", "mrca-blur", "multires")}
 
     @classmethod
     def _problem(cls, device, seed=6):
-        name, overrides = cls.DEVICES[device]
-        model = build_formation(formation_preset(name, 8, 8, 4, **overrides))
+        model = build_formation(cls.DEVICES[device].preset(size=(8, 8)))
         y = model.op.apply(synth_scene(SceneParams(8, 8, 4), seed=seed).values)
         cfg = SolverConfig(x0=baseline_reconstruct(y, model), gram=model.gram)
         return model.op, tv_op(model.op.input_shape), metric_norm("l221"), y, cfg
@@ -513,45 +514,27 @@ class TestPrimalData:
             x, _ = jodefu_solve(A, zero, g, y, dataclasses.replace(cfg, q_max=q_max))
             assert np.linalg.norm(x.ravel() - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    # the alias-domain devices: the shipped tiles at periods 4 (bt4pan, and
-    # bt8pan with 8 bands) and 2 and 4 (multires ratio), on a square image
-    # and on a 12x20 one, whose coarse grid at period 4 is 3x5: non-square,
-    # of odd width, so that its mirrored aliases and cube outputs differ.
-    # Ratio 3, the one whose 1/ratio is inexact, divides neither size and
-    # runs on 12x6 alone
-    ALIAS_DEVICES = {"mrca": ("mrca", 4, {}),
-                     "mrca-blur": ("mrca", 4, {"hri_blur": "butterworth", "rho_b": 1.4}),
-                     "mrca-bt8pan": ("mrca", 8, {"mask": "bt8pan"}),
-                     "multires": ("multires", 4, {}),
-                     "multires-ratio4": ("multires", 4, {"ratio": 4}),
-                     "multires-ratio3": ("multires", 4, {"ratio": 3})}
-    ALIAS_CASES = [pytest.param(device, size, id=f"size{i}-{device}")
-                   for device in ALIAS_DEVICES if device != "multires-ratio3"
-                   for i, size in enumerate([(8, 8), (12, 20)])]
-    ALIAS_CASES.append(pytest.param("multires-ratio3", (12, 6), id="size2-multires-ratio3"))
-
-    @classmethod
-    def _alias_step(cls, device, size, rng):
-        name, nk, overrides = cls.ALIAS_DEVICES[device]
-        model = build_formation(formation_preset(name, *size, nk, **overrides))
+    @staticmethod
+    def _alias_step(device, rng):
+        model = build_formation(device.preset())
         A = model.op
         return A, model.gram, rng.standard_normal(A.input_shape), rng.standard_normal(
             A.output_shape)
 
-    @pytest.mark.parametrize("device, size", ALIAS_CASES)
-    @pytest.mark.parametrize("tau", [1e-3, 1.0, 1e3])
-    def test_alias_data_step_is_the_dense_prox(self, rng, device, size, tau):
-        A, gram, x, y = self._alias_step(device, size, rng)
+    @pytest.mark.parametrize("device", devices.ALIAS, ids=str)
+    def test_alias_data_step_is_the_dense_prox(self, rng, device):
+        A, gram, x, y = self._alias_step(device, rng)
         M = to_dense(A)
-        dense = np.linalg.solve(np.eye(M.shape[1]) + tau * M.T @ M,
-                                x.ravel() + tau * M.T @ y.ravel())
-        got = gram.data_step(tau, y)(x)
-        assert got is x
-        assert np.linalg.norm(got.ravel() - dense) <= 1e-12 * np.linalg.norm(dense)
+        for tau in (1e-3, 1.0, 1e3):
+            dense = np.linalg.solve(np.eye(M.shape[1]) + tau * M.T @ M,
+                                    x.ravel() + tau * M.T @ y.ravel())
+            got = x.copy()
+            assert gram.data_step(tau, y)(got) is got
+            assert np.linalg.norm(got.ravel() - dense) <= 1e-12 * np.linalg.norm(dense)
 
-    @pytest.mark.parametrize("device, size", ALIAS_CASES)
-    def test_alias_data_step_reads_and_writes_any_layout(self, rng, device, size):
-        A, gram, x, y = self._alias_step(device, size, rng)
+    @pytest.mark.parametrize("device", devices.ALIAS, ids=str)
+    def test_alias_data_step_reads_and_writes_any_layout(self, rng, device):
+        A, gram, x, y = self._alias_step(device, rng)
         expected = gram.data_step(3.0, y)(x.copy())
         for layout in ("F", "strided"):
             def arrange(a):
@@ -565,9 +548,10 @@ class TestPrimalData:
             assert gram.data_step(3.0, arrange(y))(other) is other
             np.testing.assert_array_equal(other.view(np.uint64), expected.view(np.uint64))
 
-    @pytest.mark.parametrize("device", ["mrca", "multires"])
-    def test_alias_data_step_rejects_another_observation_size(self, rng, device):
-        A, gram, _, y = self._alias_step(device, (8, 8), rng)
+    @pytest.mark.parametrize("name", ["mrca", "multires"])
+    def test_alias_data_step_rejects_another_observation_size(self, rng, name):
+        gram = build_formation(formation_preset(name, 8, 8, 4)).gram
+        y = rng.standard_normal(gram.shape)
         with pytest.raises(ValueError, match=r"observation of shape .* does not match"):
             gram.data_step(1.0, np.append(y, 0.0))
 
